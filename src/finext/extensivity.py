@@ -166,7 +166,8 @@ def check_e1(cat: FinCategory, mid: str) -> CheckStatus:
 
 def _e2_side_index(cat: FinCategory, x: int):
     """Per-codomain index for the two-square quantification: maps
-    (top-part object, composite leg into x) -> [(bottom-base idx, filler)].
+    (top-part object, composite leg into x) -> {bottom-base idx: fillers},
+    bottom bases ascending and fillers in hom-set order.
 
     Independent of the middle morphism, so shared by every f into x."""
     cache = cat._cache.setdefault("e2_side_index", {})
@@ -174,64 +175,108 @@ def _e2_side_index(cat: FinCategory, x: int):
         return cache[x]
     bottoms = limits.coproduct_bases(cat, x)
     n = len(cat.objects)
-    side1: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    side2: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    side1: dict[tuple[int, int], dict[int, list[int]]] = {}
+    side2: dict[tuple[int, int], dict[int, list[int]]] = {}
     for bi, (u, v) in enumerate(bottoms):
         for t in range(n):
             for w, gs in cat.postcompose_fibers(u, t).items():
-                side1.setdefault((t, w), []).extend((bi, g) for g in gs)
+                side1.setdefault((t, w), {})[bi] = gs
             for w, gs in cat.postcompose_fibers(v, t).items():
-                side2.setdefault((t, w), []).extend((bi, g) for g in gs)
-    cache[x] = (bottoms, side1, side2)
-    return cache[x]
+                side2.setdefault((t, w), {})[bi] = gs
+    res = (bottoms, side1, side2)
+    cache[x] = res  # built locally, published in one assignment
+    return res
 
 
-def _e2_instances(cat: FinCategory, f: int):
-    """All (top base, bottom base, filler pair) instances for f's diagram."""
+def _e2_first_failure(
+    cat: FinCategory,
+    f: int,
+    square_fault: Callable[[int, int, int], str | None],
+    allowed: frozenset[int] | None = None,
+) -> tuple[int, tuple | None]:
+    """Scan f's two-square instances (top base, bottom base, filler pair)
+    in their fixed order: top bases in order, then bottom bases in order,
+    then g1, then g2, each in hom-set order.  Fillers outside ``allowed``
+    are skipped when it is given.
+
+    ``square_fault(leg, top, filler)`` judges one square: None when it
+    holds, else the failure kind.  An instance fails on its left square
+    (u, x1, g1) first, then its right square (v, x2, g2).  The fillers of a
+    square, and so its side's first failure, depend only on its two legs,
+    so that failure is found once per leg pair, shared by every top and
+    bottom base with those legs, and instances are counted arithmetically
+    instead of walked.
+
+    Returns (instances scanned, None) when every square holds, else
+    (instances up to and including the first failing one,
+    ((x1, x2, u, v, g1, g2), side, kind))."""
     a, x = cat._dom_l[f], cat._cod_l[f]
     tops = limits.coproduct_bases(cat, a)
     bottoms, side1, side2 = _e2_side_index(cat, x)
+    first_bad: dict[tuple[int, int], tuple[int, str] | None] = {}
+
+    def fillers_of(index: dict, top: int) -> dict[int, list[int]]:
+        groups = index.get((cat._dom_l[top], cat.compose(f, top)), {})
+        if allowed is not None:
+            groups = {bi: kept for bi, gs in groups.items() if (kept := [g for g in gs if g in allowed])}
+        return groups
+
+    def failure_in(leg: int, top: int, gs: list[int]) -> tuple[int, str] | None:
+        """Position in gs of the first failing square on (leg, top), with its kind."""
+        key = (leg, top)
+        if key not in first_bad:
+            first_bad[key] = next(
+                ((j, k) for j, g in enumerate(gs) if (k := square_fault(leg, top, g)) is not None), None
+            )
+        return first_bad[key]
+
+    count = 0
     for x1, x2 in tops:
-        w1 = cat.compose(f, x1)
-        w2 = cat.compose(f, x2)
-        l1 = side1.get((cat._dom_l[x1], w1))
-        if not l1:
+        lefts = fillers_of(side1, x1)
+        if not lefts:
             continue
-        l2 = side2.get((cat._dom_l[x2], w2))
-        if not l2:
-            continue
-        by_base: dict[int, list[int]] = {}
-        for bi, g2 in l2:
-            by_base.setdefault(bi, []).append(g2)
-        for bi, g1 in l1:
-            g2s = by_base.get(bi)
+        rights = fillers_of(side2, x2)
+        for bi, g1s in lefts.items():
+            g2s = rights.get(bi)
             if not g2s:
                 continue
             u, v = bottoms[bi]
-            for g2 in g2s:
-                yield (x1, x2, u, v, g1, g2)
+            left = failure_in(u, x1, g1s)
+            if left is not None and left[0] == 0:
+                return count + 1, ((x1, x2, u, v, g1s[0], g2s[0]), "left", left[1])
+            right = failure_in(v, x2, g2s)
+            if right is not None:
+                j, kind = right
+                return count + j + 1, ((x1, x2, u, v, g1s[0], g2s[j]), "right", kind)
+            if left is not None:
+                i, kind = left
+                return count + i * len(g2s) + 1, ((x1, x2, u, v, g1s[i], g2s[0]), "left", kind)
+            count += len(g1s) * len(g2s)
+    return count, None
 
 
 def check_e2(cat: FinCategory, mid: str) -> CheckStatus:
     """Whenever top and bottom rows are certified coproduct cocones and the
     verticals commute, both squares must be pullbacks."""
     f = cat.m(mid)
-    count = 0
-    for x1, x2, u, v, g1, g2 in _e2_instances(cat, f):
-        count += 1
-        for side, (leg, top, filler) in (("left", (u, x1, g1)), ("right", (v, x2, g2))):
-            if not limits.is_pullback_square(cat, f, leg, top, filler):
-                return _fail(
-                    {
-                        "kind": "square-not-pullback",
-                        "morphism": mid,
-                        "top": [cat.mid(x1), cat.mid(x2)],
-                        "bottom": [cat.mid(u), cat.mid(v)],
-                        "verticals": [cat.mid(g1), cat.mid(g2)],
-                        "side": side,
-                    },
-                    instances=count,
-                )
+
+    def fault(leg: int, top: int, filler: int) -> str | None:
+        return None if limits.is_pullback_square(cat, f, leg, top, filler) else "square-not-pullback"
+
+    count, failure = _e2_first_failure(cat, f, fault)
+    if failure is not None:
+        (x1, x2, u, v, g1, g2), side, kind = failure
+        return _fail(
+            {
+                "kind": kind,
+                "morphism": mid,
+                "top": [cat.mid(x1), cat.mid(x2)],
+                "bottom": [cat.mid(u), cat.mid(v)],
+                "verticals": [cat.mid(g1), cat.mid(g2)],
+                "side": side,
+            },
+            instances=count,
+        )
     return _ok(instances=count)
 
 
@@ -684,36 +729,28 @@ def is_M_extensive(cat: FinCategory, oid: str, class_name: str) -> CheckStatus:
                     checked=checked,
                 )
         # forward direction: class-vertical coproduct tops force class pullbacks
-        for x1, x2, u, v, g1, g2 in _e2_instances(cat, f):
-            if g1 not in mcls or g2 not in mcls:
-                continue
-            checked += 1
-            for side, (leg, top, filler) in (("left", (u, x1, g1)), ("right", (v, x2, g2))):
-                if not limits.is_pullback_square(cat, f, leg, top, filler):
-                    return _fail(
-                        {
-                            "kind": "square-not-pullback",
-                            "morphism": mid,
-                            "top": [cat.mid(x1), cat.mid(x2)],
-                            "bottom": [cat.mid(u), cat.mid(v)],
-                            "verticals": [cat.mid(g1), cat.mid(g2)],
-                            "side": side,
-                            "class": class_name,
-                        },
-                        checked=checked,
-                    )
-                if top not in mcls or filler not in mcls:
-                    return _fail(
-                        {
-                            "kind": "square-legs-not-in-class",
-                            "morphism": mid,
-                            "top": [cat.mid(x1), cat.mid(x2)],
-                            "bottom": [cat.mid(u), cat.mid(v)],
-                            "side": side,
-                            "class": class_name,
-                        },
-                        checked=checked,
-                    )
+        def fault(leg: int, top: int, filler: int) -> str | None:
+            if not limits.is_pullback_square(cat, f, leg, top, filler):
+                return "square-not-pullback"
+            if top not in mcls or filler not in mcls:
+                return "square-legs-not-in-class"
+            return None
+
+        count, failure = _e2_first_failure(cat, f, fault, mcls)
+        checked += count
+        if failure is not None:
+            (x1, x2, u, v, g1, g2), side, kind = failure
+            witness = {
+                "kind": kind,
+                "morphism": mid,
+                "top": [cat.mid(x1), cat.mid(x2)],
+                "bottom": [cat.mid(u), cat.mid(v)],
+            }
+            if kind == "square-not-pullback":
+                witness["verticals"] = [cat.mid(g1), cat.mid(g2)]
+            witness["side"] = side
+            witness["class"] = class_name
+            return _fail(witness, checked=checked)
     return _ok(checked=checked)
 
 

@@ -234,6 +234,17 @@ class FinCategory:
 # -- validation -----------------------------------------------------------
 
 
+def _positions_in(hom: list[int], ms: np.ndarray) -> np.ndarray:
+    """Position of each morphism of ``ms`` in the ascending hom-set list
+    ``hom``, or -1 where it is not a member."""
+    if not hom:
+        return np.full(ms.shape, -1, dtype=np.int32)
+    hom_arr = np.asarray(hom, dtype=ms.dtype)
+    pos = np.searchsorted(hom_arr, ms)
+    hit = hom_arr[np.minimum(pos, len(hom) - 1)] == ms
+    return np.where(hit, pos, -1).astype(np.int32)
+
+
 def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
     """Re-assert every category axiom by direct scan; return all violations found."""
     out: list[Violation] = []
@@ -309,22 +320,10 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
                     # Missing or mistyped composites resolve to -1 and the
                     # affected triples are masked out below; they are already
                     # reported by the composition-table scans above.
-                    hom_ac = cat.hom(a, c)
-                    pos_ac = {m: p for p, m in enumerate(hom_ac)}
-                    gf_pos = (
-                        np.vectorize(lambda m: pos_ac.get(int(m), -1), otypes=[np.int32])(gf)
-                        if gf.size
-                        else gf
-                    )
+                    gf_pos = _positions_in(cat.hom(a, c), gf)
                     h_acd = cat.block(a, c, d)  # [h, x] for x in hom(a,c)
                     # right: (h∘g)∘f
-                    hom_bd = cat.hom(b, d)
-                    pos_bd = {m: p for p, m in enumerate(hom_bd)}
-                    hg_pos = (
-                        np.vectorize(lambda m: pos_bd.get(int(m), -1), otypes=[np.int32])(hg)
-                        if hg.size
-                        else hg
-                    )
+                    hg_pos = _positions_in(cat.hom(b, d), hg)
                     x_abd = cat.block(a, b, d)  # [y, f] for y in hom(b,d)
                     if gf.size == 0 or hg.size == 0:
                         continue

@@ -5,8 +5,9 @@ A candidate diagram is *certified* by checking the defining bijection
 directly: a cocone (u, v) on (A1, A2) with apex X is a coproduct iff for
 every object Y the map h |-> (h∘u, h∘v) from hom(X,Y) to hom(A1,Y)×hom(A2,Y)
 is a bijection.  Cardinality comparison plus an injectivity scan decides
-that; both are vectorized over the composition blocks.  Limits run through
-the same code on the opposite category.
+that; the scan reads one row or column of a composition block per target
+and counts distinct leg pairs in a Python set.  Limits run through the
+same code on the opposite category.
 
 Search order is fixed everywhere — apexes in object order, legs in hom-set
 order — so the first certified witness is deterministic and cacheable.
@@ -101,15 +102,14 @@ def _cocone_universal(cat: FinCategory, a1: int, a2: int, x: int, u: int, v: int
     for y in range(n):
         if hc[x][y] != hc[a1][y] * hc[a2][y]:
             return False
-    M = cat._M
     pu, pv = cat.pos_in_hom(u), cat.pos_in_hom(v)
     for y in range(n):
         k = hc[x][y]
         if k <= 1:
             continue
-        r1 = cat.block(a1, x, y)[:, pu].astype(np.int64)
-        r2 = cat.block(a2, x, y)[:, pv].astype(np.int64)
-        if np.unique(r1 * M + r2).size != k:
+        r1 = cat.block(a1, x, y)[:, pu].tolist()
+        r2 = cat.block(a2, x, y)[:, pv].tolist()
+        if len(set(zip(r1, r2))) != k:
             return False
     return True
 
@@ -290,7 +290,6 @@ def _cone_universal(cat: FinCategory, a: int, b: int, p: int, p1: int, p2: int, 
     cardinality filter already matching ``counts`` this is bijectivity onto
     the commuting cones."""
     n = len(cat.objects)
-    M = cat._M
     q1, q2 = cat.pos_in_hom(p1), cat.pos_in_hom(p2)
     for y in range(n):
         k = cat._hom_counts_l[y][p]
@@ -298,9 +297,9 @@ def _cone_universal(cat: FinCategory, a: int, b: int, p: int, p1: int, p2: int, 
             return False
         if k <= 1:
             continue
-        r1 = cat.block(y, p, a)[q1].astype(np.int64)
-        r2 = cat.block(y, p, b)[q2].astype(np.int64)
-        if np.unique(r1 * M + r2).size != k:
+        r1 = cat.block(y, p, a)[q1].tolist()
+        r2 = cat.block(y, p, b)[q2].tolist()
+        if len(set(zip(r1, r2))) != k:
             return False
     return True
 
@@ -338,29 +337,49 @@ def pullback(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
     return res
 
 
-def _mediator_to_cone(cat: FinCategory, w1: int, w2: int, c1: int, c2: int) -> int | None:
-    """h from dom(c1) to dom(w1)'s source with w1∘h = c1, w2∘h = c2, first hit."""
-    p = cat._dom_l[w1]  # apex of the certified cone
-    y = cat._dom_l[c1]
-    r1 = cat.block(y, p, cat._cod_l[w1])[cat.pos_in_hom(w1)]
-    r2 = cat.block(y, p, cat._cod_l[w2])[cat.pos_in_hom(w2)]
-    hits = np.nonzero((r1 == c1) & (r2 == c2))[0]
-    if hits.size == 0:
-        return None
-    return cat.hom(y, p)[int(hits[0])]
+def _isos_into(cat: FinCategory) -> dict[int, list[int]]:
+    """The isomorphisms of the category grouped by codomain, cached."""
+    index = cat._cache.get("isos_into")
+    if index is None:
+        index = {}
+        for i in _iso_info(cat)[0]:
+            index.setdefault(cat._cod_l[i], []).append(i)
+        cat._cache["isos_into"] = index  # built locally, published in one assignment
+    return index
+
+
+def _pullback_squares(cat: FinCategory, f: int, u: int) -> frozenset[tuple[int, int]] | None:
+    """Every pullback square over the cospan (f, u) as its side pair
+    (p1, p2), or None when the cospan has no pullback.  Cached per cospan."""
+    cache = cat._cache.setdefault("pullback_squares", {})
+    key = (f, u)
+    if key in cache:
+        return cache[key]
+    w = pullback(cat, f, u)
+    res = None
+    if w is not None:
+        w1, w2 = w.legs
+        res = frozenset(
+            (cat.compose(w1, i), cat.compose(w2, i)) for i in _isos_into(cat).get(w.apex, ())
+        )
+    cache[key] = res  # built locally, published in one assignment
+    return res
 
 
 def is_pullback_square(cat: FinCategory, f: int, u: int, p1: int, p2: int) -> bool:
     """Whether the commuting square with sides p1 (to dom f), p2 (to dom u)
-    and cospan (f, u) is a pullback: the mediator into the certified pullback
-    must exist and be an isomorphism."""
+    and cospan (f, u) is a pullback.
+
+    A square is a pullback exactly when its mediator into the certified
+    pullback (w1, w2) is an isomorphism, so the pullback squares over a
+    cospan form one orbit: the pairs (w1∘i, w2∘i) for i an isomorphism into
+    the certified apex.  The orbit is computed once per cospan and this
+    check is a membership test in it."""
     if cat.compose(f, p1) != cat.compose(u, p2):
         return False
-    w = pullback(cat, f, u)
-    if w is None:
-        return False  # no pullback exists at all, so this square is not one
-    h = _mediator_to_cone(cat, w.legs[0], w.legs[1], p1, p2)
-    return h is not None and h in _iso_info(cat)[0]
+    squares = _pullback_squares(cat, f, u)
+    # no pullback exists at all, so this square is not one
+    return squares is not None and (p1, p2) in squares
 
 
 def kernel_pair(cat: FinCategory, f: int) -> tuple[int, int, int] | None:

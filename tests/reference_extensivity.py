@@ -1,0 +1,42 @@
+"""Reference for the condition-two scan in ``finext.extensivity``, kept for
+differential tests only.
+
+It enumerates every (top base, bottom base, filler pair) instance and
+judges both squares of each instance, left then right, as the original
+``check_e2`` and ``is_M_extensive`` loops did.
+"""
+
+from __future__ import annotations
+
+from finext import limits
+from finext.fincat import FinCategory
+
+
+def e2_instances(cat: FinCategory, f: int):
+    """All (top base, bottom base, filler pair) instances for f's diagram:
+    top bases, then bottom bases, then g1, then g2, each in order."""
+    a, x = cat._dom_l[f], cat._cod_l[f]
+    for x1, x2 in limits.coproduct_bases(cat, a):
+        w1, w2 = cat.compose(f, x1), cat.compose(f, x2)
+        for u, v in limits.coproduct_bases(cat, x):
+            g1s = cat.postcompose_fibers(u, cat._dom_l[x1]).get(w1, ())
+            g2s = cat.postcompose_fibers(v, cat._dom_l[x2]).get(w2, ())
+            for g1 in g1s:
+                for g2 in g2s:
+                    yield (x1, x2, u, v, g1, g2)
+
+
+def e2_first_failure(cat: FinCategory, f: int, square_fault, allowed=None):
+    """Same contract as ``extensivity._e2_first_failure``, by walking every
+    instance and judging both of its squares."""
+    count = 0
+    for inst in e2_instances(cat, f):
+        x1, x2, u, v, g1, g2 = inst
+        if allowed is not None and (g1 not in allowed or g2 not in allowed):
+            continue
+        count += 1
+        for side, (leg, top, filler) in (("left", (u, x1, g1)), ("right", (v, x2, g2))):
+            kind = square_fault(leg, top, filler)
+            if kind is not None:
+                return count, (inst, side, kind)
+    return count, None

@@ -1,0 +1,78 @@
+"""Reference implementations of the (co)limit fast paths in ``finext.limits``.
+
+These are the original formulations, kept for differential tests only:
+
+- ``is_pullback_square``: search the mediator from the square into the
+  certified pullback and test that it is an isomorphism;
+- ``cocone_universal`` / ``cone_universal``: injectivity of the leg-pair
+  map by ``np.unique`` over pair codes ``r1 * M + r2``.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from finext import limits
+from finext.fincat import FinCategory, _iso_info
+
+
+def mediator_to_cone(cat: FinCategory, w1: int, w2: int, c1: int, c2: int) -> int | None:
+    """h from dom(c1) to dom(w1)'s source with w1∘h = c1, w2∘h = c2, first hit."""
+    p = cat._dom_l[w1]  # apex of the certified cone
+    y = cat._dom_l[c1]
+    r1 = cat.block(y, p, cat._cod_l[w1])[cat.pos_in_hom(w1)]
+    r2 = cat.block(y, p, cat._cod_l[w2])[cat.pos_in_hom(w2)]
+    hits = np.nonzero((r1 == c1) & (r2 == c2))[0]
+    if hits.size == 0:
+        return None
+    return cat.hom(y, p)[int(hits[0])]
+
+
+def is_pullback_square(cat: FinCategory, f: int, u: int, p1: int, p2: int) -> bool:
+    """The mediator into the certified pullback must exist and be an iso."""
+    if cat.compose(f, p1) != cat.compose(u, p2):
+        return False
+    w = limits.pullback(cat, f, u)
+    if w is None:
+        return False
+    h = mediator_to_cone(cat, w.legs[0], w.legs[1], p1, p2)
+    return h is not None and h in _iso_info(cat)[0]
+
+
+def cocone_universal(cat: FinCategory, a1: int, a2: int, x: int, u: int, v: int) -> bool:
+    """Bijectivity of h |-> (h∘u, h∘v) for all targets Y."""
+    n = len(cat.objects)
+    hc = cat._hom_counts_l
+    for y in range(n):
+        if hc[x][y] != hc[a1][y] * hc[a2][y]:
+            return False
+    M = cat._M
+    pu, pv = cat.pos_in_hom(u), cat.pos_in_hom(v)
+    for y in range(n):
+        k = hc[x][y]
+        if k <= 1:
+            continue
+        r1 = cat.block(a1, x, y)[:, pu].astype(np.int64)
+        r2 = cat.block(a2, x, y)[:, pv].astype(np.int64)
+        if np.unique(r1 * M + r2).size != k:
+            return False
+    return True
+
+
+def cone_universal(cat: FinCategory, a: int, b: int, p: int, p1: int, p2: int, counts: list[int]) -> bool:
+    """Injectivity of h |-> (p1∘h, p2∘h) on hom(Y,P) for all Y, with the
+    cardinalities matching ``counts``."""
+    n = len(cat.objects)
+    M = cat._M
+    q1, q2 = cat.pos_in_hom(p1), cat.pos_in_hom(p2)
+    for y in range(n):
+        k = cat._hom_counts_l[y][p]
+        if k != counts[y]:
+            return False
+        if k <= 1:
+            continue
+        r1 = cat.block(y, p, a)[q1].astype(np.int64)
+        r2 = cat.block(y, p, b)[q2].astype(np.int64)
+        if np.unique(r1 * M + r2).size != k:
+            return False
+    return True
