@@ -24,7 +24,6 @@ out of the digest-relevant content.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import sys
@@ -152,29 +151,15 @@ def _emit(report: Report, args: argparse.Namespace) -> int:
 def _run_units(
     report: Report,
     units: Sequence[tuple[str, Callable[[], list[tuple[str, CheckStatus]]]]],
-    jobs: int,
 ) -> None:
-    """Run independent check units, possibly in parallel; the report is
-    sorted at the end, so scheduling never shows in the output."""
-
-    def run(unit: Callable[[], list[tuple[str, CheckStatus]]]):
+    """Run independent check units in order; the report is sorted at the
+    end, so the order never shows in the output."""
+    for _name, unit in units:
         t0 = time.perf_counter()
         out = unit()
         dt = (time.perf_counter() - t0) * 1000.0 / max(len(out), 1)
-        return out, dt
-
-    if jobs and jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [(name, pool.submit(run, unit)) for name, unit in units]
-            for _name, fut in futures:
-                out, dt = fut.result()
-                for check_id, status in out:
-                    report.add(check_id, status, dt)
-    else:
-        for _name, unit in units:
-            out, dt = run(unit)
-            for check_id, status in out:
-                report.add(check_id, status, dt)
+        for check_id, status in out:
+            report.add(check_id, status, dt)
 
 
 # -- input loading ------------------------------------------------------------
@@ -369,7 +354,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             return out
 
         units.append(("category", whole_category))
-    _run_units(report, units, args.jobs)
+    _run_units(report, units)
     return _emit(report, args)
 
 
@@ -408,7 +393,7 @@ def cmd_srp(args: argparse.Namespace) -> int:
         )
         for oid in objs
     ]
-    _run_units(report, units, args.jobs)
+    _run_units(report, units)
     return _emit(report, args)
 
 
@@ -455,7 +440,7 @@ def cmd_relcalc(args: argparse.Namespace) -> int:
             lambda: [("barr-exact", barr_exact_check(cat, max_relation_size=cap))],
         ),
     ]
-    _run_units(report, units, args.jobs)
+    _run_units(report, units)
     return _emit(report, args)
 
 
@@ -574,7 +559,7 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         for label in _RELCALC_LABELS:
             for pid in RELCALC_IDS:
                 units.append((f"{label}/{pid}", prop_unit(label, pid)))
-    _run_units(report, units, args.jobs)
+    _run_units(report, units)
     return _emit(report, args)
 
 
@@ -586,7 +571,7 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
         sub.add_argument("input_pos", nargs="?", metavar="INPUT", help="category file")
         sub.add_argument("--input", dest="input_opt", help="category file")
     sub.add_argument("--report", help="write the full JSON report here")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel check units")
+    sub.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     sub.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     sub.add_argument(
         "--strict",

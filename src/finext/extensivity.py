@@ -12,8 +12,9 @@ binary coproduct decomposition of X:
   coproduct cocone into A, both squares are pullbacks.
 
 *Coextensive* is the same property in the opposite category (products and
-pushouts); every co-side check here literally runs the primal check in the
-dual category and translates the witness vocabulary back.
+pushouts); every co-side check here runs the primal check in the dual
+category, which shares this category's indexes, and renames the witness
+kinds to the co-side vocabulary.
 
 All quantifications are exhaustive over the finite category.  Results are
 three-valued (`pass` / `fail` / `inapplicable`) with serializable witnesses.
@@ -115,9 +116,9 @@ def _dualized(st: CheckStatus) -> CheckStatus:
         # which the primal run on the dual category labels "bottom".
         if "top" in w and "bottom" in w:
             w["top"], w["bottom"] = w["bottom"], w["top"]
-        if w["kind"] == "bottom-row-not-product":
-            w["cospan"] = w.pop("span")
-            w["cospan_apexes"] = w.pop("span_apexes")
+        for key in ("span", "span_apexes"):
+            if key in w:
+                w[f"co{key}"] = w.pop(key)
         return CheckStatus(st.status, w, st.details)
     return st
 
@@ -351,7 +352,7 @@ def category_report(cat: FinCategory, mode: str = "extensive") -> dict:
     reduced_scope = sorted(
         work.mid(m)
         for m in set(_inclusion_set(work))
-        | {f for f in range(work.n_mor) if _split_mono_witness(dual_of(work), dual_of(work).m(work.mid(f))) is not None}
+        | {f for f in range(work.n_mor) if _split_mono_witness(dual_of(work), f) is not None}
     )
     verdict = all(st.passed for st in per.values())
     reduced = all(per[m].passed for m in reduced_scope)
@@ -494,9 +495,7 @@ def is_boolean_category(cat: FinCategory) -> CheckStatus:
 
 
 def _product_cone_n(cat: FinCategory, legs: Sequence[int]) -> bool:
-    d = dual_of(cat)
-    dl = [d.m(cat.mid(m)) for m in legs]
-    return _cocone_universal_n(d, dl)
+    return _cocone_universal_n(dual_of(cat), legs)
 
 
 def _cocone_universal_n(cat: FinCategory, legs: Sequence[int]) -> bool:
@@ -561,11 +560,7 @@ def _coproduct_bases_n(cat: FinCategory, x: int, arity: int) -> tuple[tuple[int,
 
 
 def _product_bases_n(cat: FinCategory, x: int, arity: int) -> tuple[tuple[int, ...], ...]:
-    d = dual_of(cat)
-    return tuple(
-        tuple(cat.m(d.mid(m)) for m in legs)
-        for legs in _coproduct_bases_n(d, d.o(cat.oid(x)), arity)
-    )
+    return _coproduct_bases_n(dual_of(cat), x, arity)
 
 
 def _grid_for(cat: FinCategory, cone_a: Sequence[int], cone_b: Sequence[int]) -> dict | None:

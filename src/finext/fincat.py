@@ -73,7 +73,8 @@ class FinCategory:
             if d not in self.obj_index or c not in self.obj_index:
                 raise CategoryDataError(f"morphism {mid!r} has unknown dom/cod")
 
-        # Deterministic internal order: by (dom, cod, id).
+        # Deterministic internal order of a constructed category: by
+        # (dom, cod, id).  ``dual`` keeps its primal's order instead.
         ordered = sorted(morphisms, key=lambda m: (self.obj_index[m[1]], self.obj_index[m[2]], m[0]))
         self.mor_ids: tuple[str, ...] = tuple(m[0] for m in ordered)
         self.mor_index: dict[str, int] = {m: i for i, m in enumerate(self.mor_ids)}
@@ -366,25 +367,37 @@ def validate_category(data: Mapping[str, Any] | FinCategory) -> FinCategory | li
 
 
 def dual(cat: FinCategory) -> FinCategory:
-    """The opposite category.  Same object and morphism ids; dom/cod and
-    composition order swapped.  dual(dual(c)) equals c up to id identity."""
+    """The opposite category, on the primal's own indexes.
+
+    The dual shares ``objects``, ``mor_ids``, ``mor_index``, the identities
+    and every hom-set list with ``cat``: dom and cod are swapped, each
+    composition key g∘f becomes f∘g, and hom_op(a, b) is the list of
+    hom(b, a).  So an object or morphism index names the same thing on both
+    sides, and dual(dual(c)) equals c index for index.  The only order
+    invariant is that each hom-set list ascends by id; the global index
+    order is the primal's, not the (dom, cod, id) order of a constructed
+    category."""
     M = cat._M
-    comp = {
-        (cat.mor_ids[k % M], cat.mor_ids[k // M]): cat.mor_ids[v] for k, v in cat._comp.items()
-    }
+    n = len(cat.objects)
     meta = dict(cat.metadata)
     kind = meta.get("kind")
     if isinstance(kind, str):
         # builder-specific facts (concrete oracles, carrier sizes as hom
         # bounds) do not transfer to the opposite category
         meta["kind"] = kind[5:] if kind.startswith("dual-") else f"dual-{kind}"
-    return FinCategory(
-        objects=cat.objects,
-        morphisms=[(cat.mor_ids[i], cat.objects[cat._cod_l[i]], cat.objects[cat._dom_l[i]]) for i in range(M)],
-        identities={cat.objects[x]: cat.mor_ids[m] for x, m in cat.identity_of.items()},
-        composition=comp,
-        metadata=meta,
-    )
+    d = FinCategory.__new__(FinCategory)
+    d.objects, d.obj_index = cat.objects, cat.obj_index
+    d.mor_ids, d.mor_index, d.n_mor, d._M = cat.mor_ids, cat.mor_index, cat.n_mor, M
+    d.dom, d.cod, d._dom_l, d._cod_l = cat.cod, cat.dom, cat._cod_l, cat._dom_l
+    d.identity_of, d.identity_set = cat.identity_of, cat.identity_set
+    d._comp = {(k % M) * M + k // M: v for k, v in cat._comp.items()}
+    d.metadata = meta
+    d._hom = {(k % n) * n + k // n: ms for k, ms in cat._hom.items()}
+    d.hom_counts = cat.hom_counts.T.copy()
+    d._hom_counts_l = d.hom_counts.tolist()
+    d._cache = {}
+    d._blocks = {}
+    return d
 
 
 def dual_of(cat: FinCategory) -> FinCategory:
@@ -451,8 +464,7 @@ def _mono_set(cat: FinCategory) -> frozenset[int]:
 def _epi_set(cat: FinCategory) -> frozenset[int]:
     s = cat._cache.get("epis")
     if s is None:
-        d = dual_of(cat)
-        s = frozenset(cat.m(d.mid(f)) for f in _mono_set(d))
+        s = _mono_set(dual_of(cat))
         cat._cache["epis"] = s
     return s
 
@@ -558,17 +570,17 @@ def classify_morphism(cat: FinCategory, mid: str) -> MorphismProfile:
     d = dual_of(cat)
     wit: dict[str, Any] = {}
     section = _split_mono_witness(cat, f)
-    retraction = _split_mono_witness(d, d.m(mid))  # split epi in cat
+    retraction = _split_mono_witness(d, f)  # split epi in cat
     if section is not None:
         wit["retraction"] = cat.mid(section)
     if retraction is not None:
-        wit["section"] = d.mid(retraction)
+        wit["section"] = cat.mid(retraction)
     reg_epi, pair = _is_regular_epi(cat, f)
     if pair is not None:
         wit["coequalised_pair"] = [cat.mid(pair[0]), cat.mid(pair[1])]
-    reg_mono, dpair = _is_regular_epi(d, d.m(mid))
+    reg_mono, dpair = _is_regular_epi(d, f)
     if dpair is not None:
-        wit["equalised_pair"] = [d.mid(dpair[0]), d.mid(dpair[1])]
+        wit["equalised_pair"] = [cat.mid(dpair[0]), cat.mid(dpair[1])]
     return MorphismProfile(
         morphism=mid,
         is_mono=f in _mono_set(cat),
@@ -610,34 +622,26 @@ def morphisms_of_class(cat: FinCategory, cls: str) -> list[str]:
     elif cls == "split-mono":
         sel = {f for f in range(cat.n_mor) if _split_mono_witness(cat, f) is not None}
     elif cls == "split-epi":
-        sel = {cat.m(d.mid(f)) for f in range(d.n_mor) if _split_mono_witness(d, f) is not None}
+        sel = {f for f in range(cat.n_mor) if _split_mono_witness(d, f) is not None}
     elif cls == "regular-epi":
         sel = {f for f in range(cat.n_mor) if _is_regular_epi(cat, f)[0]}
     elif cls == "regular-mono":
-        sel = {cat.m(d.mid(f)) for f in range(d.n_mor) if _is_regular_epi(d, f)[0]}
+        sel = {f for f in range(cat.n_mor) if _is_regular_epi(d, f)[0]}
     elif cls == "extremal-epi":
         sel = _extremal_epi_set(cat)
     elif cls == "iso":
         sel = _iso_info(cat)[0]
     elif cls == "identity":
         sel = cat.identity_set
-    elif cls == "coproduct-inclusion":
+    else:  # coproduct-inclusion, or product-projection as inclusions of the dual
         from . import limits
 
+        work = cat if cls == "coproduct-inclusion" else d
         sel = set()
         for x in range(len(cat.objects)):
-            for u, v in limits.coproduct_bases(cat, x):
+            for u, v in limits.coproduct_bases(work, x):
                 sel.add(u)
                 sel.add(v)
-    else:  # product-projection
-        from . import limits
-
-        dd = dual_of(cat)
-        sel = set()
-        for x in range(len(dd.objects)):
-            for u, v in limits.coproduct_bases(dd, x):
-                sel.add(cat.m(dd.mid(u)))
-                sel.add(cat.m(dd.mid(v)))
     return sorted((cat.mid(f) for f in sel))
 
 

@@ -6,8 +6,9 @@ directly: a cocone (u, v) on (A1, A2) with apex X is a coproduct iff for
 every object Y the map h |-> (h∘u, h∘v) from hom(X,Y) to hom(A1,Y)×hom(A2,Y)
 is a bijection.  Cardinality comparison plus an injectivity scan decides
 that; the scan reads one row or column of a composition block per target
-and counts distinct leg pairs in a Python set.  Limits run through the
-same code on the opposite category.
+and counts distinct leg pairs in a Python set.  Limits are the colimits
+of the opposite category, found by the same code; ``fincat.dual`` keeps
+this category's indexes, so a witness found there is read here as it is.
 
 Search order is fixed everywhere — apexes in object order, legs in hom-set
 order — so the first certified witness is deterministic and cacheable.
@@ -206,48 +207,27 @@ def coproduct_of_morphisms(
     return cotuple(cat, u1, u2, t1, t2)
 
 
-# -- duality helpers -------------------------------------------------------------
-
-
-def _to_dual_m(cat: FinCategory, m: int) -> int:
-    return dual_of(cat).m(cat.mid(m))
-
-
-def _from_dual_m(cat: FinCategory, m: int) -> int:
-    return cat.m(dual_of(cat).mid(m))
-
-
-def _from_dual_o(cat: FinCategory, x: int) -> int:
-    return cat.o(dual_of(cat).oid(x))
-
-
 # -- products (through the dual) ---------------------------------------------------
+
+
+def _renamed(kind: str, w: UniversalWitness | None) -> UniversalWitness | None:
+    """A witness certified in the dual, under its primal kind; the dual
+    shares this category's indexes, so apex and legs carry over as they are."""
+    return None if w is None else UniversalWitness(kind, w.apex, w.legs)
 
 
 def is_product_cone(cat: FinCategory, p: int, q: int) -> bool:
     """Whether (p: X -> A1, q: X -> A2) exhibits X as A1 × A2."""
-    d = dual_of(cat)
-    return is_coproduct_cocone(d, _to_dual_m(cat, p), _to_dual_m(cat, q))
+    return is_coproduct_cocone(dual_of(cat), p, q)
 
 
 def product(cat: FinCategory, a1: int, a2: int) -> UniversalWitness | None:
-    d = dual_of(cat)
-    w = coproduct(d, d.o(cat.oid(a1)), d.o(cat.oid(a2)))
-    if w is None:
-        return None
-    return UniversalWitness(
-        "product", _from_dual_o(cat, w.apex), tuple(_from_dual_m(cat, m) for m in w.legs)
-    )
+    return _renamed("product", coproduct(dual_of(cat), a1, a2))
 
 
 def product_bases(cat: FinCategory, x: int) -> tuple[tuple[int, int], ...]:
-    """Every certified binary product cone with apex x (legs in this
-    category's indexes)."""
-    d = dual_of(cat)
-    return tuple(
-        (_from_dual_m(cat, u), _from_dual_m(cat, v))
-        for u, v in coproduct_bases(d, d.o(cat.oid(x)))
-    )
+    """Every certified binary product cone with apex x."""
+    return coproduct_bases(dual_of(cat), x)
 
 
 def product_of_morphisms(
@@ -258,15 +238,7 @@ def product_of_morphisms(
     cod_base: tuple[int, int],
 ) -> int | None:
     """f1 × f2 relative to chosen product cones on domain and codomain."""
-    d = dual_of(cat)
-    h = coproduct_of_morphisms(
-        d,
-        _to_dual_m(cat, f1),
-        _to_dual_m(cat, f2),
-        tuple(_to_dual_m(cat, m) for m in cod_base),
-        tuple(_to_dual_m(cat, m) for m in dom_base),
-    )
-    return None if h is None else _from_dual_m(cat, h)
+    return coproduct_of_morphisms(dual_of(cat), f1, f2, cod_base, dom_base)
 
 
 # -- pullbacks ------------------------------------------------------------------
@@ -397,21 +369,12 @@ def pushout(cat: FinCategory, f: int, g: int) -> UniversalWitness | None:
     """First certified pushout of the span (f: A -> B1, g: A -> B2).
 
     Legs come back as (q1: B1 -> Q, q2: B2 -> Q) with q1∘f = q2∘g."""
-    d = dual_of(cat)
-    w = pullback(d, _to_dual_m(cat, f), _to_dual_m(cat, g))
-    if w is None:
-        return None
-    return UniversalWitness(
-        "pushout", _from_dual_o(cat, w.apex), tuple(_from_dual_m(cat, m) for m in w.legs)
-    )
+    return _renamed("pushout", pullback(dual_of(cat), f, g))
 
 
 def is_pushout_square(cat: FinCategory, f: int, g: int, q1: int, q2: int) -> bool:
     """Whether (q1: B1 -> Q, q2: B2 -> Q) is a pushout of the span (f, g)."""
-    d = dual_of(cat)
-    return is_pullback_square(
-        d, _to_dual_m(cat, f), _to_dual_m(cat, g), _to_dual_m(cat, q1), _to_dual_m(cat, q2)
-    )
+    return is_pullback_square(dual_of(cat), f, g, q1, q2)
 
 
 def cokernel_pair(cat: FinCategory, f: int) -> tuple[int, int, int] | None:
@@ -472,18 +435,11 @@ def coequaliser(cat: FinCategory, u: int, v: int) -> UniversalWitness | None:
 
 
 def is_equaliser(cat: FinCategory, u: int, v: int, m: int) -> bool:
-    d = dual_of(cat)
-    return is_coequaliser(d, _to_dual_m(cat, u), _to_dual_m(cat, v), _to_dual_m(cat, m))
+    return is_coequaliser(dual_of(cat), u, v, m)
 
 
 def equaliser(cat: FinCategory, u: int, v: int) -> UniversalWitness | None:
-    d = dual_of(cat)
-    w = coequaliser(d, _to_dual_m(cat, u), _to_dual_m(cat, v))
-    if w is None:
-        return None
-    return UniversalWitness(
-        "equaliser", _from_dual_o(cat, w.apex), tuple(_from_dual_m(cat, m) for m in w.legs)
-    )
+    return _renamed("equaliser", coequaliser(dual_of(cat), u, v))
 
 
 # -- image factorisation ---------------------------------------------------------------

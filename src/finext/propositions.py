@@ -474,8 +474,7 @@ def prop_conservativity(cat: FinCategory, **_) -> CheckStatus:
 
 
 def _is_regular_mono(cat: FinCategory, m: int) -> bool:
-    d = dual_of(cat)
-    return _is_regular_epi(d, d.m(cat.mid(m)))[0]
+    return _is_regular_epi(dual_of(cat), m)[0]
 
 
 def prop_inclusion_regular_mono(cat: FinCategory, **_) -> CheckStatus:

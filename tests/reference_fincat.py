@@ -1,8 +1,13 @@
-"""The original ``finext.fincat.validate``, kept for differential tests.
+"""The original ``finext.fincat.validate`` and ``finext.fincat.dual``,
+kept for differential tests.
 
-It maps composites to their positions in the target hom-set with
+``validate`` maps composites to their positions in the target hom-set with
 ``np.vectorize`` over a dict lookup; the library now uses
 ``np.searchsorted`` over the ascending hom-set list.
+
+``dual`` rebuilds the opposite category through string ids, so its
+morphisms are re-sorted by (dom, cod, id) of the dual and its indexes
+differ from the primal's; the library's dual keeps the primal's indexes.
 """
 
 from __future__ import annotations
@@ -132,3 +137,23 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
                         if len(out) >= max_violations:
                             return out
     return out
+
+
+def dual(cat: FinCategory) -> FinCategory:
+    """The opposite category.  Same object and morphism ids; dom/cod and
+    composition order swapped.  dual(dual(c)) equals c up to id identity."""
+    M = cat._M
+    comp = {
+        (cat.mor_ids[k % M], cat.mor_ids[k // M]): cat.mor_ids[v] for k, v in cat._comp.items()
+    }
+    meta = dict(cat.metadata)
+    kind = meta.get("kind")
+    if isinstance(kind, str):
+        meta["kind"] = kind[5:] if kind.startswith("dual-") else f"dual-{kind}"
+    return FinCategory(
+        objects=cat.objects,
+        morphisms=[(cat.mor_ids[i], cat.objects[cat._cod_l[i]], cat.objects[cat._dom_l[i]]) for i in range(M)],
+        identities={cat.objects[x]: cat.mor_ids[m] for x, m in cat.identity_of.items()},
+        composition=comp,
+        metadata=meta,
+    )

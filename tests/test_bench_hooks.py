@@ -1,0 +1,32 @@
+"""The benchmark's tracer (``bench/tracer.py``) patches finext functions and
+methods by name.  A rename inside finext would silently drop those layers
+from ``--trace 1``, so every name it lists must still resolve."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import inspect
+from pathlib import Path
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    # the tracer imports only the standard library at module level
+    spec = importlib.util.spec_from_file_location("finext_bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_hook_names_resolve_in_finext():
+    tracer = _load_tracer()
+    modules = {short: importlib.import_module(f"finext.{short}") for short in tracer.MODULES}
+    for name in sorted(tracer.PRIVATE):
+        short, attr = name.split(".")
+        assert inspect.isfunction(getattr(modules[short], attr, None)), name
+    for short, (cls_name, methods) in tracer.METHODS.items():
+        cls = getattr(modules[short], cls_name)
+        for meth in methods:
+            assert inspect.isfunction(vars(cls).get(meth)), f"{short}.{cls_name}.{meth}"

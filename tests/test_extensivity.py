@@ -10,7 +10,8 @@ counterexample, with one exact failing square frozen below.
 from __future__ import annotations
 
 from finext import extensivity as ext
-from finext.fincat import thin_category_from_poset
+from finext.algebra import build_category
+from finext.fincat import _CLASSES, dual_of, thin_category_from_poset
 
 
 GOLDEN_SQUARE = {
@@ -190,3 +191,20 @@ def test_class_restricted_check_smoke(set3):
     assert st.details == {"checked": 8}
     dual = ext.is_M_coextensive(cat, "s1", "mono")
     assert dual.status in ("pass", "fail", "inapplicable")
+
+
+def test_class_restricted_coextensivity_sweep(set3, pointed3, mon3):
+    """Every (object, class) pair on small categories and their duals:
+    ``is_M_coextensive`` returns the status of ``is_M_extensive`` on the dual
+    and renames the span of a failing row to a cospan."""
+    cats = [set3[0], pointed3[0], build_category("poset", 2, include_empty=True)[0], mon3[0]]
+    failing_rows = 0
+    for cat in cats + [dual_of(c) for c in cats]:
+        for oid in cat.objects:
+            for cls in ("all", *_CLASSES):
+                st = ext.is_M_coextensive(cat, oid, cls)
+                assert st.status == ext.is_M_extensive(dual_of(cat), oid, cls).status, (oid, cls)
+                if st.failed and st.witness["kind"] == "bottom-row-not-product":
+                    assert "cospan" in st.witness and "span" not in st.witness
+                    failing_rows += 1
+    assert failing_rows > 0

@@ -4,6 +4,10 @@ The references live in ``reference_limits``, ``reference_extensivity`` and
 ``reference_fincat``.  Each comparison runs on the small built-in
 categories of ``verify-paper``, on one product category, on the duals of
 these, and on thin categories of random posets drawn by Hypothesis.
+
+The index-preserving ``dual`` is compared with the string-id reference
+dual: the two categories agree once their ids are matched, and every
+co-side answer equals the primal routine run on the reference dual.
 """
 
 from __future__ import annotations
@@ -19,10 +23,22 @@ from hypothesis import strategies as st
 import reference_extensivity
 import reference_fincat
 import reference_limits
+from finext import extensivity as ext
 from finext import limits
 from finext.algebra import build_category
-from finext.extensivity import _e2_first_failure
-from finext.fincat import FinCategory, _iso_info, _mono_set, dual_of, thin_category_from_poset, validate
+from finext.extensivity import _dualized, _e2_first_failure
+from finext.fincat import (
+    _CLASSES,
+    FinCategory,
+    _iso_info,
+    _mono_set,
+    classify_morphism,
+    dual,
+    dual_of,
+    morphisms_of_class,
+    thin_category_from_poset,
+    validate,
+)
 
 # (variety, max carrier, include_empty), as verify-paper builds them.  Its
 # lat4 is left out: 1,261,216 commuting squares take about 25 s through
@@ -190,8 +206,8 @@ def test_condition_two_scan_matches_instance_walk(small_category):
 
 
 def test_square_table_is_consistent_under_threads():
-    """Threads filling one category's square table concurrently (as
-    ``--jobs`` threads do) all read the sequential answers."""
+    """Threads filling one category's square table concurrently (as a
+    threaded library caller may) all read the sequential answers."""
     ref = build_category("set", 3)[0]
     squares = [(f, u, p1, p2) for f, u in _cospans(ref) for p1, p2 in _commuting_squares(ref, f, u)][::5]
     expected = {sq: limits.is_pullback_square(ref, *sq) for sq in squares}
@@ -237,6 +253,155 @@ def test_fast_paths_on_random_posets(leq):
         _assert_square_table_matches_mediator(c)
         _assert_kernels_match_numpy(c)
         _assert_e2_scan_matches_walk(c)
+
+
+# -- the index-preserving dual against the string-id reference -----------------
+
+# Each morphism class and its dual class; extremal epis have no dual class
+# among the named ones.
+_DUAL_CLASS = {
+    "mono": "epi",
+    "epi": "mono",
+    "split-mono": "split-epi",
+    "split-epi": "split-mono",
+    "regular-mono": "regular-epi",
+    "regular-epi": "regular-mono",
+    "iso": "iso",
+    "identity": "identity",
+    "product-projection": "coproduct-inclusion",
+    "coproduct-inclusion": "product-projection",
+}
+_DUAL_PROFILE = {
+    "is_mono": "is_epi",
+    "is_epi": "is_mono",
+    "is_split_mono": "is_split_epi",
+    "is_split_epi": "is_split_mono",
+    "is_regular_mono": "is_regular_epi",
+    "is_regular_epi": "is_regular_mono",
+    "is_iso": "is_iso",
+}
+_DUAL_WITNESS = {
+    "retraction": "section",
+    "section": "retraction",
+    "coequalised_pair": "equalised_pair",
+    "equalised_pair": "coequalised_pair",
+}
+
+
+def _by_id(cat: FinCategory, w: limits.UniversalWitness | None):
+    return None if w is None else (cat.oid(w.apex), [cat.mid(m) for m in w.legs])
+
+
+def _composition_by_id(cat: FinCategory) -> dict:
+    M = cat._M
+    return {(cat.mid(k // M), cat.mid(k % M)): cat.mid(v) for k, v in cat._comp.items()}
+
+
+def _assert_dual_matches_reference(cat: FinCategory, d: FinCategory) -> None:
+    ref = reference_fincat.dual(cat)
+    assert d.objects == ref.objects and d.metadata == ref.metadata
+    assert d.mor_ids is cat.mor_ids and sorted(d.mor_ids) == sorted(ref.mor_ids)
+    for i, mid in enumerate(d.mor_ids):
+        j = ref.m(mid)
+        assert (d._dom_l[i], d._cod_l[i]) == (ref._dom_l[j], ref._cod_l[j]), mid
+        assert (d.dom[i], d.cod[i]) == (ref.dom[j], ref.cod[j]), mid
+    assert {x: d.mid(m) for x, m in d.identity_of.items()} == {x: ref.mid(m) for x, m in ref.identity_of.items()}
+    assert d.identity_set == frozenset(d.identity_of.values())
+    assert _composition_by_id(d) == _composition_by_id(ref)
+    n = len(cat.objects)
+    for a, b in itertools.product(range(n), repeat=2):
+        ids = [d.mid(m) for m in d.hom(a, b)]
+        assert ids == [ref.mid(m) for m in ref.hom(a, b)] == sorted(ids), (a, b)
+    assert d.hom_counts.tolist() == d._hom_counts_l == ref.hom_counts.tolist()
+    assert validate(d) == []
+
+
+def _assert_dual_is_an_involution(cat: FinCategory) -> None:
+    assert dual_of(dual_of(cat)) is cat
+    dd = dual(dual(cat))
+    for attr in (
+        *("objects", "obj_index", "mor_ids", "mor_index", "n_mor", "_M", "_dom_l", "_cod_l"),
+        *("identity_of", "identity_set", "_comp", "_hom", "_hom_counts_l", "metadata"),
+    ):
+        assert getattr(dd, attr) == getattr(cat, attr), attr
+    assert dd.dom.tolist() == cat._dom_l and dd.cod.tolist() == cat._cod_l
+    assert dd.hom_counts.tolist() == cat._hom_counts_l
+
+
+def _assert_co_side_matches_reference(cat: FinCategory) -> None:
+    """Each co-side answer on ``cat`` equals the primal answer on the
+    reference dual, read back through ids."""
+    ref = reference_fincat.dual(cat)
+    r = [ref.m(mid) for mid in cat.mor_ids]
+    n = len(cat.objects)
+    for a1, a2 in itertools.product(range(n), repeat=2):
+        assert _by_id(cat, limits.product(cat, a1, a2)) == _by_id(ref, limits.coproduct(ref, a1, a2))
+    for x in range(n):
+        assert [[cat.mid(m) for m in b] for b in limits.product_bases(cat, x)] == [
+            [ref.mid(m) for m in b] for b in limits.coproduct_bases(ref, x)
+        ]
+    for a in range(n):
+        out = [m for b in range(n) for m in cat.hom(a, b)]
+        for f, g in itertools.product(out, repeat=2):
+            assert _by_id(cat, limits.pushout(cat, f, g)) == _by_id(ref, limits.pullback(ref, r[f], r[g])), (f, g)
+            for p1, p2 in _commuting_squares(ref, r[f], r[g]):
+                q1, q2 = cat.m(ref.mid(p1)), cat.m(ref.mid(p2))
+                assert limits.is_pushout_square(cat, f, g, q1, q2) == limits.is_pullback_square(
+                    ref, r[f], r[g], p1, p2
+                ), (f, g, q1, q2)
+        for b in range(n):
+            for u, v in itertools.product(cat.hom(a, b), repeat=2):
+                assert _by_id(cat, limits.equaliser(cat, u, v)) == _by_id(ref, limits.coequaliser(ref, r[u], r[v]))
+    for mid in cat.mor_ids:
+        assert ext.check_c1(cat, mid).as_dict() == _dualized(ext.check_e1(ref, mid)).as_dict(), mid
+        assert ext.check_c2(cat, mid).as_dict() == _dualized(ext.check_e2(ref, mid)).as_dict(), mid
+        profile, ref_profile = classify_morphism(cat, mid), classify_morphism(ref, mid)
+        for key, ref_key in _DUAL_PROFILE.items():
+            assert getattr(profile, key) == getattr(ref_profile, ref_key), (mid, key)
+        assert profile.witnesses == {_DUAL_WITNESS[k]: v for k, v in ref_profile.witnesses.items()}, mid
+    for cls in _CLASSES:
+        assert morphisms_of_class(dual_of(cat), cls) == morphisms_of_class(ref, cls), cls
+        if cls in _DUAL_CLASS:
+            assert morphisms_of_class(cat, cls) == morphisms_of_class(ref, _DUAL_CLASS[cls]), cls
+    for oid in cat.objects:
+        for cls in ("all", *_CLASSES):
+            assert ext.is_M_coextensive(cat, oid, cls).as_dict() == _dualized(
+                ext.is_M_extensive(ref, oid, cls)
+            ).as_dict(), (oid, cls)
+
+
+def test_dual_matches_string_id_reference(small_category):
+    for c in (small_category, dual_of(small_category)):
+        _assert_dual_matches_reference(c, dual(c))
+        _assert_dual_is_an_involution(c)
+
+
+def test_co_side_answers_match_the_reference_dual(small_category):
+    for c in (small_category, dual_of(small_category)):
+        _assert_co_side_matches_reference(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(posets())
+def test_dual_and_co_side_on_random_posets(leq):
+    cat = thin_category_from_poset(leq)
+    for c in (cat, dual_of(cat)):
+        _assert_dual_matches_reference(c, dual(c))
+        _assert_dual_is_an_involution(c)
+        _assert_co_side_matches_reference(c)
+
+
+def test_dual_builds_without_constructor_or_id_lookups(monkeypatch):
+    cat = build_category("set", 2)[0]
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("dual must reuse the primal's integer data")
+
+    for name in ("__init__", "m", "o", "mid", "oid"):
+        monkeypatch.setattr(FinCategory, name, refuse)
+    d = dual(cat)
+    monkeypatch.undo()
+    _assert_dual_matches_reference(cat, d)
 
 
 def _mutants(cat: FinCategory):
