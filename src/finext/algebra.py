@@ -881,7 +881,7 @@ def dump_category(
 
 
 def _infer_kind(data: Mapping[str, Any]) -> str | None:
-    names = {e.get("name") for e in data.get("signature", []) if isinstance(e, Mapping)}
+    names = {e["name"] for e in data.get("signature", [])}
     algs = data.get("algebras", [])
     if names == {"meet"}:
         return "slat"
@@ -916,16 +916,24 @@ def load_category(data: Mapping[str, Any]) -> tuple[tuple[str, list[FinAlgebra],
     raw_algs = data.get("algebras")
     if not isinstance(raw_algs, list):
         return None, ["algebras: expected a list"]
+    signature = data.get("signature", [])
+    if not isinstance(signature, list) or not all(
+        isinstance(e, Mapping) and isinstance(e.get("name"), str) and type(e.get("arity")) is int
+        for e in signature
+    ):
+        return None, ["signature: expected a list of {name: string, arity: integer} objects"]
     variety = data.get("variety")
+    if "variety" in data and not isinstance(variety, str):
+        return None, ["variety: expected a string"]
     if variety is not None and variety not in _VARIETY_ALIASES:
         return None, [f"variety: unknown value {variety!r}"]
     kind = _VARIETY_ALIASES[variety] if variety is not None else _infer_kind(data)
     if kind is None:
         return None, ["signature: does not match any supported structure kind"]
     sig = SIGNATURES[kind]
-    declared = {(e.get("name"), e.get("arity")) for e in data.get("signature", []) if isinstance(e, Mapping)}
+    declared = {(e["name"], e["arity"]) for e in signature}
     expected = {(e["name"], e["arity"]) for e in _signature_json(sig)}
-    if data.get("signature") is not None and declared != expected:
+    if "signature" in data and declared != expected:
         errors.append(
             f"signature: expected {sorted(expected)} for variety {kind!r}, got {sorted(declared)}"
         )

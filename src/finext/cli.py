@@ -148,13 +148,13 @@ def _emit(report: Report, args: argparse.Namespace) -> int:
     return 1 if bad else 0
 
 
-def _run_units(
-    report: Report,
-    units: Sequence[tuple[str, Callable[[], list[tuple[str, CheckStatus]]]]],
-) -> None:
+Unit = Callable[[], list[tuple[str, CheckStatus]]]
+
+
+def _run_units(report: Report, units: Sequence[Unit]) -> None:
     """Run independent check units in order; the report is sorted at the
     end, so the order never shows in the output."""
-    for _name, unit in units:
+    for unit in units:
         t0 = time.perf_counter()
         out = unit()
         dt = (time.perf_counter() - t0) * 1000.0 / max(len(out), 1)
@@ -287,50 +287,24 @@ def cmd_check(args: argparse.Namespace) -> int:
         digest,
     )
     mids = {cat.mid(i) for i in range(cat.n_mor)}
-    units: list[tuple[str, Callable[[], list[tuple[str, CheckStatus]]]]] = []
+    units: list[Unit] = []
     if args.morphism is not None:
         if args.morphism not in mids:
             _fail_usage(f"unknown morphism id {args.morphism!r}")
-        units.append(
-            ("morphism", lambda: _morphism_units(cat, args.morphism, mode))
-        )
+        units.append(lambda: _morphism_units(cat, args.morphism, mode))
     elif args.object is not None or args.srp is not None:
-        objs = [args.object] if args.object is not None else list(cat.objects)
-        for oid in objs:
-            if oid not in cat.objects:
-                _fail_usage(f"unknown object id {oid!r}")
+        objs = _objects(cat, args.object)
         if args.srp is not None:
-            k = args.srp
-            if k < 2:
-                _fail_usage("--srp takes an arity bound of at least 2")
-            for oid in objs:
-                units.append(
-                    (
-                        f"srp-{oid}",
-                        lambda oid=oid: [
-                            (
-                                f"{oid}/srp-{k}",
-                                extensivity.has_binary_srp(cat, oid)
-                                if k == 2
-                                else extensivity.has_finite_srp(cat, oid, k),
-                            )
-                        ],
-                    )
-                )
+            units = _srp_units(cat, objs, args.srp)
         else:
+            combined = (
+                extensivity.is_extensive_morphism if mode == "extensive" else extensivity.is_coextensive_morphism
+            )
             for oid in objs:
                 units.append(
-                    (
-                        f"identity-{oid}",
-                        lambda oid=oid: [
-                            (
-                                f"{oid}/identity-{mode}",
-                                _morphism_units(
-                                    cat, cat.mid(cat.identity_of[cat.obj_index[oid]]), mode
-                                )[2][1],
-                            )
-                        ],
-                    )
+                    lambda oid=oid: [
+                        (f"{oid}/identity-{mode}", combined(cat, cat.mid(cat.identity_of[cat.obj_index[oid]])))
+                    ]
                 )
     else:
         def whole_category() -> list[tuple[str, CheckStatus]]:
@@ -353,7 +327,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             out.append((f"category/{mode}", summary))
             return out
 
-        units.append(("category", whole_category))
+        units.append(whole_category)
     _run_units(report, units)
     return _emit(report, args)
 
@@ -369,30 +343,27 @@ def _status_kwargs(d: dict) -> dict:
 # -- srp ----------------------------------------------------------------------
 
 
+def _objects(cat: FinCategory, oid: str | None) -> list[str]:
+    """The one named object, or every object; an unknown id is a usage error."""
+    if oid is None:
+        return list(cat.objects)
+    if oid not in cat.objects:
+        _fail_usage(f"unknown object id {oid!r}")
+    return [oid]
+
+
+def _srp_units(cat: FinCategory, objs: list[str], k: int) -> list[Unit]:
+    """One strict-refinement unit per object, for product cones of arities 2..k."""
+    if k < 2:
+        _fail_usage("--srp takes an arity bound of at least 2")
+    return [lambda oid=oid: [(f"{oid}/srp-{k}", extensivity.has_finite_srp(cat, oid, k))] for oid in objs]
+
+
 def cmd_srp(args: argparse.Namespace) -> int:
     cat, digest = _load_input(args)
     k = args.srp if args.srp is not None else 2
-    if k < 2:
-        _fail_usage("--srp takes an arity bound of at least 2")
-    objs = [args.object] if args.object is not None else list(cat.objects)
-    for oid in objs:
-        if oid not in cat.objects:
-            _fail_usage(f"unknown object id {oid!r}")
+    units = _srp_units(cat, _objects(cat, args.object), k)
     report = Report("srp", {"object": args.object, "srp": k, "strict": args.strict}, digest)
-    units = [
-        (
-            f"srp-{oid}",
-            lambda oid=oid: [
-                (
-                    f"{oid}/srp-{k}",
-                    extensivity.has_binary_srp(cat, oid)
-                    if k == 2
-                    else extensivity.has_finite_srp(cat, oid, k),
-                )
-            ],
-        )
-        for oid in objs
-    ]
     _run_units(report, units)
     return _emit(report, args)
 
@@ -403,10 +374,7 @@ def cmd_srp(args: argparse.Namespace) -> int:
 def cmd_relcalc(args: argparse.Namespace) -> int:
     cat, digest = _load_input(args)
     cap = args.max_relation_size
-    objs = [args.object] if args.object is not None else list(cat.objects)
-    for oid in objs:
-        if oid not in cat.objects:
-            _fail_usage(f"unknown object id {oid!r}")
+    objs = _objects(cat, args.object)
     report = Report(
         "relcalc",
         {"object": args.object, "max_relation_size": cap, "strict": args.strict},
@@ -426,19 +394,10 @@ def cmd_relcalc(args: argparse.Namespace) -> int:
             )
         return out
 
-    units: list[tuple[str, Callable[[], list[tuple[str, CheckStatus]]]]] = [
-        ("sub-posets", posets),
-        (
-            "identities",
-            lambda: [
-                (f"identity/{iid}", st)
-                for iid, st in identity_suite(cat, max_relation_size=cap)
-            ],
-        ),
-        (
-            "barr-exact",
-            lambda: [("barr-exact", barr_exact_check(cat, max_relation_size=cap))],
-        ),
+    units: list[Unit] = [
+        posets,
+        lambda: [(f"identity/{iid}", st) for iid, st in identity_suite(cat, max_relation_size=cap)],
+        lambda: [("barr-exact", barr_exact_check(cat, max_relation_size=cap))],
     ]
     _run_units(report, units)
     return _emit(report, args)
@@ -507,9 +466,9 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         digest,
     )
     cats = {entry[0]: _build_builtin(entry) for entry in _BUILTINS}
-    units: list[tuple[str, Callable[[], list[tuple[str, CheckStatus]]]]] = []
+    units: list[Unit] = []
 
-    def prop_unit(label: str, pid: str) -> Callable[[], list[tuple[str, CheckStatus]]]:
+    def prop_unit(label: str, pid: str) -> Unit:
         def run() -> list[tuple[str, CheckStatus]]:
             out = proposition_suite(
                 cats[label], [pid], seed=args.seed, max_relation_size=cap
@@ -518,14 +477,14 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
 
         return run
 
-    def identity_unit(label: str) -> Callable[[], list[tuple[str, CheckStatus]]]:
+    def identity_unit(label: str) -> Unit:
         def run() -> list[tuple[str, CheckStatus]]:
             out = identity_suite(cats[label], max_relation_size=cap)
             return [(f"{label}/{iid}", st) for iid, st in out]
 
         return run
 
-    def barr_unit(label: str) -> Callable[[], list[tuple[str, CheckStatus]]]:
+    def barr_unit(label: str) -> Unit:
         def run() -> list[tuple[str, CheckStatus]]:
             return [(f"{label}/barr-exact", barr_exact_check(cats[label], max_relation_size=cap))]
 
@@ -535,30 +494,27 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         label = "finset3"
         for cid in explicit:
             if cid in PROPOSITION_IDS:
-                units.append((f"{label}/{cid}", prop_unit(label, cid)))
+                units.append(prop_unit(label, cid))
             elif cid in IDENTITY_IDS:
                 units.append(
-                    (
-                        f"{label}/{cid}",
-                        lambda cid=cid: [
-                            (f"{label}/{iid}", st)
-                            for iid, st in identity_suite(cats[label], max_relation_size=cap)
-                            if iid == cid
-                        ],
-                    )
+                    lambda cid=cid: [
+                        (f"{label}/{iid}", st)
+                        for iid, st in identity_suite(cats[label], max_relation_size=cap)
+                        if iid == cid
+                    ]
                 )
             else:
-                units.append((f"{label}/barr-exact", barr_unit(label)))
+                units.append(barr_unit(label))
     if run2:
         for label in cats:
             for pid in EXTENSIVITY_IDS:
-                units.append((f"{label}/{pid}", prop_unit(label, pid)))
+                units.append(prop_unit(label, pid))
     if run3:
         for label in _IDENTITY_LABELS:
-            units.append((f"{label}/identities", identity_unit(label)))
+            units.append(identity_unit(label))
         for label in _RELCALC_LABELS:
             for pid in RELCALC_IDS:
-                units.append((f"{label}/{pid}", prop_unit(label, pid)))
+                units.append(prop_unit(label, pid))
     _run_units(report, units)
     return _emit(report, args)
 

@@ -501,8 +501,6 @@ def _product_cone_n(cat: FinCategory, legs: Sequence[int]) -> bool:
 def _cocone_universal_n(cat: FinCategory, legs: Sequence[int]) -> bool:
     """n-ary analogue of the coproduct certificate: h |-> (h∘leg_i)_i is a
     bijection hom(X,Y) -> prod_i hom(A_i,Y) for every Y."""
-    import numpy as np
-
     x = cat._cod_l[legs[0]]
     if any(cat._cod_l[m] != x for m in legs):
         return False
@@ -515,16 +513,9 @@ def _cocone_universal_n(cat: FinCategory, legs: Sequence[int]) -> bool:
             prod *= hc[a][y]
         if hc[x][y] != prod:
             return False
-    M = cat._M
     for y in range(n):
         k = hc[x][y]
-        if k <= 1:
-            continue
-        code = None
-        for m, a in zip(legs, doms):
-            r = cat.block(a, x, y)[:, cat.pos_in_hom(m)].astype(np.int64)
-            code = r if code is None else code * M + r
-        if np.unique(code).size != k:
+        if k > 1 and len(set(zip(*(cat.col(m, y) for m in legs)))) != k:
             return False
     return True
 

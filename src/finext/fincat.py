@@ -8,15 +8,18 @@ over this data, so the table itself is re-checkable: ``validate`` re-asserts
 every axiom and reports each violation instead of repairing anything.
 
 Morphism and object ids are strings at the boundary; internally both are
-dense integer indexes so the hot scans stay cheap.
+dense integer indexes so the hot scans stay cheap.  The core is plain
+Python: dom/cod and hom-set sizes are lists, each morphism's position in
+its hom-set is one list built with the hom-sets, and composition is read
+through ``block`` rows of global ids (columns are rows of the dual, which
+shares these indexes and lists).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
-
-import numpy as np
+from itertools import chain
+from typing import Any, Mapping, Sequence
 
 __all__ = [
     "FinCategory",
@@ -79,10 +82,8 @@ class FinCategory:
         self.mor_ids: tuple[str, ...] = tuple(m[0] for m in ordered)
         self.mor_index: dict[str, int] = {m: i for i, m in enumerate(self.mor_ids)}
         self.n_mor = len(self.mor_ids)
-        self.dom = np.fromiter((self.obj_index[m[1]] for m in ordered), dtype=np.int32, count=self.n_mor)
-        self.cod = np.fromiter((self.obj_index[m[2]] for m in ordered), dtype=np.int32, count=self.n_mor)
-        self._dom_l = self.dom.tolist()
-        self._cod_l = self.cod.tolist()
+        self._dom_l: list[int] = [self.obj_index[m[1]] for m in ordered]
+        self._cod_l: list[int] = [self.obj_index[m[2]] for m in ordered]
 
         self.identity_of: dict[int, int] = {}
         for x, mid in identities.items():
@@ -104,20 +105,21 @@ class FinCategory:
 
         self.metadata: dict[str, Any] = dict(metadata or {})
 
-        # hom-sets as sorted int lists; hom_counts[a, b] = |hom(a, b)|
+        # hom-sets as ascending int lists, each morphism's position in its
+        # hom-set, and _hom_counts_l[a][b] = |hom(a, b)|
         n = len(self.objects)
         hom: dict[int, list[int]] = {}
+        pos = [0] * M
         for i in range(M):
-            key = self._dom_l[i] * n + self._cod_l[i]
-            hom.setdefault(key, []).append(i)
+            ms = hom.setdefault(self._dom_l[i] * n + self._cod_l[i], [])
+            pos[i] = len(ms)
+            ms.append(i)
         self._hom = hom
-        self.hom_counts = np.zeros((n, n), dtype=np.int64)
-        for key, ms in hom.items():
-            self.hom_counts[key // n, key % n] = len(ms)
-        self._hom_counts_l = self.hom_counts.tolist()
+        self._pos = pos
+        self._hom_counts_l = [[len(hom.get(a * n + b, ())) for b in range(n)] for a in range(n)]
 
         self._cache: dict[str, Any] = {}
-        self._blocks: dict[tuple[int, int, int], np.ndarray] = {}
+        self._blocks: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
 
     # -- basic accessors (int side) -------------------------------------
 
@@ -128,30 +130,32 @@ class FinCategory:
         """g∘f (f first), or None if the pair is not in the table."""
         return self._comp.get(g * self._M + f)
 
-    def block(self, a: int, b: int, c: int) -> np.ndarray:
-        """Composition block: array[gi, fi] = index of g∘f over hom(b,c) x hom(a,b)."""
+    def block(self, a: int, b: int, c: int) -> tuple[tuple[int, ...], ...]:
+        """Composition block over hom(b,c) x hom(a,b), cached: one row per g
+        in hom(b,c), holding the global id of g∘f for each f in hom(a,b), or
+        -1 where the table has no entry.  A column (every g∘f for one f) is
+        a row of the dual: ``dual_of(self).block(c, b, a)[pos_in_hom(f)]``."""
         key = (a, b, c)
         blk = self._blocks.get(key)
         if blk is None:
             fs = self.hom(a, b)
-            gs = self.hom(b, c)
             M = self._M
-            comp = self._comp
-            blk = np.fromiter(
-                (comp.get(g * M + f, -1) for g in gs for f in fs),
-                dtype=np.int32,
-                count=len(fs) * len(gs),
-            ).reshape(len(gs), len(fs))
+            get = self._comp.get
+            blk = tuple(tuple([get(g * M + f, -1) for f in fs]) for g in self.hom(b, c))
             self._blocks[key] = blk
         return blk
 
     def pos_in_hom(self, m: int) -> int:
-        cache = self._cache.setdefault("pos_in_hom", {})
-        p = cache.get(m)
-        if p is None:
-            p = self.hom(self._dom_l[m], self._cod_l[m]).index(m)
-            cache[m] = p
-        return p
+        """Position of m in its hom-set list."""
+        return self._pos[m]
+
+    def row(self, g: int, src: int) -> tuple[int, ...]:
+        """g∘t for each t in hom(src, dom g), in hom-set order."""
+        return self.block(src, self._dom_l[g], self._cod_l[g])[self._pos[g]]
+
+    def col(self, f: int, dst: int) -> tuple[int, ...]:
+        """t∘f for each t in hom(cod f, dst), in hom-set order."""
+        return dual_of(self).row(f, dst)
 
     def postcompose_fibers(self, g: int, src: int) -> dict[int, list[int]]:
         """For g: B->C, the fibers of hom(src,B) -> hom(src,C), t |-> g∘t."""
@@ -160,9 +164,7 @@ class FinCategory:
         fib = cache.get(key)
         if fib is None:
             fib = {}
-            row = self.block(src, self._dom_l[g], self._cod_l[g])[self.pos_in_hom(g)]
-            ts = self.hom(src, self._dom_l[g])
-            for t, gt in zip(ts, row.tolist()):
+            for t, gt in zip(self.hom(src, self._dom_l[g]), self.row(g, src)):
                 fib.setdefault(gt, []).append(t)
             cache[key] = fib
         return fib
@@ -174,9 +176,7 @@ class FinCategory:
         fib = cache.get(key)
         if fib is None:
             fib = {}
-            col = self.block(self._dom_l[f], self._cod_l[f], dst)[:, self.pos_in_hom(f)]
-            ts = self.hom(self._cod_l[f], dst)
-            for t, tf in zip(ts, col.tolist()):
+            for t, tf in zip(self.hom(self._cod_l[f], dst), self.col(f, dst)):
                 fib.setdefault(tf, []).append(t)
             cache[key] = fib
         return fib
@@ -235,15 +235,13 @@ class FinCategory:
 # -- validation -----------------------------------------------------------
 
 
-def _positions_in(hom: list[int], ms: np.ndarray) -> np.ndarray:
-    """Position of each morphism of ``ms`` in the ascending hom-set list
-    ``hom``, or -1 where it is not a member."""
-    if not hom:
-        return np.full(ms.shape, -1, dtype=np.int32)
-    hom_arr = np.asarray(hom, dtype=ms.dtype)
-    pos = np.searchsorted(hom_arr, ms)
-    hit = hom_arr[np.minimum(pos, len(hom) - 1)] == ms
-    return np.where(hit, pos, -1).astype(np.int32)
+def _positions(cat: FinCategory, rows: Sequence[Sequence[int]], a: int, c: int) -> list[list[int]] | None:
+    """The position in hom(a, c) of every id in ``rows``, row by row; None
+    when some entry is missing (-1) or lies outside hom(a, c)."""
+    if not set(cat.hom(a, c)).issuperset(chain.from_iterable(rows)):
+        return None
+    get = cat._pos.__getitem__
+    return [list(map(get, row)) for row in rows]
 
 
 def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
@@ -304,55 +302,53 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
         if len(out) >= max_violations:
             return out
 
-    # associativity: h∘(g∘f) == (h∘g)∘f, vectorized per object quadruple
+    # associativity: h∘(g∘f) == (h∘g)∘f per object quadruple.  For each g,
+    # the rows h∘(g∘-) over h are compared at once with the rows (h∘g)∘-;
+    # only a quadruple that differs, or holds a missing or mistyped
+    # composite, is walked triple by triple.  Such a composite masks the
+    # triples it enters: the composition-table scans above report it.
+    pos = cat._pos
     for a in range(n):
         for b in range(n):
-            if not cat._hom_counts_l[a][b]:
+            fs = cat.hom(a, b)
+            if not fs:
                 continue
             for c in range(n):
-                if not cat._hom_counts_l[b][c]:
+                gs = cat.hom(b, c)
+                if not gs:
                     continue
-                gf = cat.block(a, b, c)  # [g, f] -> g∘f in hom(a,c)
+                gf_blk = cat.block(a, b, c)  # [g][f] -> g∘f in hom(a,c)
+                gf_pos = _positions(cat, gf_blk, a, c)
                 for d in range(n):
-                    if not cat._hom_counts_l[c][d]:
+                    hs = cat.hom(c, d)
+                    if not hs:
                         continue
-                    hg = cat.block(b, c, d)  # [h, g] -> h∘g in hom(b,d)
-                    # left: h∘(g∘f): positions of g∘f inside hom(a,c).
-                    # Missing or mistyped composites resolve to -1 and the
-                    # affected triples are masked out below; they are already
-                    # reported by the composition-table scans above.
-                    gf_pos = _positions_in(cat.hom(a, c), gf)
-                    h_acd = cat.block(a, c, d)  # [h, x] for x in hom(a,c)
-                    # right: (h∘g)∘f
-                    hg_pos = _positions_in(cat.hom(b, d), hg)
-                    x_abd = cat.block(a, b, d)  # [y, f] for y in hom(b,d)
-                    if gf.size == 0 or hg.size == 0:
-                        continue
-                    lhs = h_acd[:, np.clip(gf_pos, 0, None).reshape(-1)].reshape(
-                        h_acd.shape[0], *gf.shape
-                    )
-                    rhs = x_abd[np.clip(hg_pos, 0, None).reshape(-1), :].reshape(
-                        *hg.shape, x_abd.shape[1]
-                    )
-                    # lhs[h, g, f] vs rhs[h, g, f], restricted to triples whose
-                    # intermediate composites are all present and well typed
-                    defined = (gf_pos >= 0)[None, :, :] & (hg_pos >= 0)[:, :, None]
-                    mismatch = (lhs != rhs) & defined & (lhs >= 0) & (rhs >= 0)
-                    if mismatch.any():
-                        bad = np.argwhere(mismatch)
-                        for h_i, g_i, f_i in bad[: max(1, max_violations - len(out))]:
-                            out.append(
-                                Violation(
-                                    "assoc",
-                                    {
-                                        "h": cat.mor_ids[cat.hom(c, d)[h_i]],
-                                        "g": cat.mor_ids[cat.hom(b, c)[g_i]],
-                                        "f": cat.mor_ids[cat.hom(a, b)[f_i]],
-                                    },
-                                )
-                            )
-                        if len(out) >= max_violations:
-                            return out
+                    hg_blk = cat.block(b, c, d)  # [h][g] -> h∘g in hom(b,d)
+                    h_rows = cat.block(a, c, d)  # [h][x] -> h∘x for x in hom(a,c)
+                    y_rows = cat.block(a, b, d)  # [y][f] -> y∘f for y in hom(b,d)
+                    hg_pos = None if gf_pos is None else _positions(cat, list(zip(*hg_blk)), b, d)  # [g][h]
+                    if hg_pos is not None:
+                        x_cols = list(zip(*h_rows))  # [x][h] -> h∘x
+                        # per g: rows h∘(g∘-) over h, against rows (h∘g)∘-
+                        if all(
+                            list(zip(*map(x_cols.__getitem__, ps))) == list(map(y_rows.__getitem__, qs))
+                            for ps, qs in zip(gf_pos, hg_pos)
+                        ):
+                            continue
+                    for hi, h_row in enumerate(h_rows):
+                        for gi, hg in enumerate(hg_blk[hi]):
+                            if hg < 0 or dom[hg] != b or cod[hg] != d:
+                                continue
+                            rhs = y_rows[pos[hg]]
+                            for fi, gf in enumerate(gf_blk[gi]):
+                                if gf < 0 or dom[gf] != a or cod[gf] != c:
+                                    continue
+                                lhs, r = h_row[pos[gf]], rhs[fi]
+                                if lhs != r and lhs >= 0 and r >= 0:
+                                    ids = {"h": hs[hi], "g": gs[gi], "f": fs[fi]}
+                                    out.append(Violation("assoc", {k: cat.mor_ids[i] for k, i in ids.items()}))
+                                    if len(out) >= max_violations:
+                                        return out
     return out
 
 
@@ -369,14 +365,14 @@ def validate_category(data: Mapping[str, Any] | FinCategory) -> FinCategory | li
 def dual(cat: FinCategory) -> FinCategory:
     """The opposite category, on the primal's own indexes.
 
-    The dual shares ``objects``, ``mor_ids``, ``mor_index``, the identities
-    and every hom-set list with ``cat``: dom and cod are swapped, each
-    composition key g∘f becomes f∘g, and hom_op(a, b) is the list of
-    hom(b, a).  So an object or morphism index names the same thing on both
-    sides, and dual(dual(c)) equals c index for index.  The only order
-    invariant is that each hom-set list ascends by id; the global index
-    order is the primal's, not the (dom, cod, id) order of a constructed
-    category."""
+    The dual shares ``objects``, ``mor_ids``, ``mor_index``, the identities,
+    every hom-set list and the positions in them with ``cat``: dom and cod
+    are swapped, each composition key g∘f becomes f∘g, and hom_op(a, b) is
+    the list of hom(b, a).  So an object or morphism index names the same
+    thing on both sides, and dual(dual(c)) equals c index for index.  The
+    only order invariant is that each hom-set list ascends by id; the global
+    index order is the primal's, not the (dom, cod, id) order of a
+    constructed category."""
     M = cat._M
     n = len(cat.objects)
     meta = dict(cat.metadata)
@@ -388,13 +384,12 @@ def dual(cat: FinCategory) -> FinCategory:
     d = FinCategory.__new__(FinCategory)
     d.objects, d.obj_index = cat.objects, cat.obj_index
     d.mor_ids, d.mor_index, d.n_mor, d._M = cat.mor_ids, cat.mor_index, cat.n_mor, M
-    d.dom, d.cod, d._dom_l, d._cod_l = cat.cod, cat.dom, cat._cod_l, cat._dom_l
+    d._dom_l, d._cod_l, d._pos = cat._cod_l, cat._dom_l, cat._pos
     d.identity_of, d.identity_set = cat.identity_of, cat.identity_set
     d._comp = {(k % M) * M + k // M: v for k, v in cat._comp.items()}
     d.metadata = meta
     d._hom = {(k % n) * n + k // n: ms for k, ms in cat._hom.items()}
-    d.hom_counts = cat.hom_counts.T.copy()
-    d._hom_counts_l = d.hom_counts.tolist()
+    d._hom_counts_l = [list(col) for col in zip(*cat._hom_counts_l)]
     d._cache = {}
     d._blocks = {}
     return d
@@ -438,25 +433,14 @@ def is_iso(cat: FinCategory, f: int) -> bool:
 def _mono_set(cat: FinCategory) -> frozenset[int]:
     s = cat._cache.get("monos")
     if s is None:
-        monos: set[int] = set()
+        hc, dom = cat._hom_counts_l, cat._dom_l
         n = len(cat.objects)
-        for a in range(n):
-            for b in range(n):
-                fs = cat.hom(a, b)
-                if not fs:
-                    continue
-                ok = np.ones(len(fs), dtype=bool)
-                for y in range(n):
-                    k = cat._hom_counts_l[y][a]
-                    if k <= 1:
-                        continue
-                    blk = cat.block(y, a, b)  # [f, u] -> f∘u
-                    for i in np.nonzero(ok)[0]:
-                        row = blk[i]
-                        if len(np.unique(row)) != k:
-                            ok[i] = False
-                monos.update(fs[i] for i in np.nonzero(ok)[0])
-        s = frozenset(monos)
+        # f is mono iff u |-> f∘u is injective on hom(y, dom f) for every y
+        s = frozenset(
+            f
+            for f in range(cat.n_mor)
+            if all(len(set(cat.row(f, y))) == hc[y][dom[f]] for y in range(n) if hc[y][dom[f]] > 1)
+        )
         cat._cache["monos"] = s
     return s
 
@@ -494,8 +478,7 @@ def _extremal_epi_set(cat: FinCategory) -> frozenset[int]:
             for a in range(len(cat.objects)):
                 if not cat._hom_counts_l[a][y]:
                     continue
-                row = cat.block(a, y, cat._cod_l[m])[cat.pos_in_hom(m)]
-                excluded.update(row.tolist())
+                excluded.update(cat.row(m, a))
         s = frozenset(set(range(cat.n_mor)) - excluded)
         cat._cache["extremal_epis"] = s
     return s

@@ -5,10 +5,11 @@ A candidate diagram is *certified* by checking the defining bijection
 directly: a cocone (u, v) on (A1, A2) with apex X is a coproduct iff for
 every object Y the map h |-> (h∘u, h∘v) from hom(X,Y) to hom(A1,Y)×hom(A2,Y)
 is a bijection.  Cardinality comparison plus an injectivity scan decides
-that; the scan reads one row or column of a composition block per target
-and counts distinct leg pairs in a Python set.  Limits are the colimits
-of the opposite category, found by the same code; ``fincat.dual`` keeps
-this category's indexes, so a witness found there is read here as it is.
+that; the scan reads, per target, the composites of each leg as a tuple of
+ids (``FinCategory.row`` or ``col``) and counts distinct leg pairs in a
+Python set.  Limits are the colimits of the opposite category, found by the
+same code; ``fincat.dual`` keeps this category's indexes, so a witness
+found there is read here as it is.
 
 Search order is fixed everywhere — apexes in object order, legs in hom-set
 order — so the first certified witness is deterministic and cacheable.
@@ -19,8 +20,6 @@ ids at the reporting boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .fincat import FinCategory, dual_of, _iso_info, _mono_set, _epi_set
 
@@ -103,14 +102,9 @@ def _cocone_universal(cat: FinCategory, a1: int, a2: int, x: int, u: int, v: int
     for y in range(n):
         if hc[x][y] != hc[a1][y] * hc[a2][y]:
             return False
-    pu, pv = cat.pos_in_hom(u), cat.pos_in_hom(v)
     for y in range(n):
         k = hc[x][y]
-        if k <= 1:
-            continue
-        r1 = cat.block(a1, x, y)[:, pu].tolist()
-        r2 = cat.block(a2, x, y)[:, pv].tolist()
-        if len(set(zip(r1, r2))) != k:
+        if k > 1 and len(set(zip(cat.col(u, y), cat.col(v, y)))) != k:
             return False
     return True
 
@@ -180,13 +174,10 @@ def cotuple(cat: FinCategory, u: int, v: int, t1: int, t2: int) -> int | None:
     z = cat._cod_l[t1]
     if cat._cod_l[t2] != z:
         return None
-    a1, a2 = cat._dom_l[u], cat._dom_l[v]
-    r1 = cat.block(a1, x, z)[:, cat.pos_in_hom(u)]
-    r2 = cat.block(a2, x, z)[:, cat.pos_in_hom(v)]
-    hits = np.nonzero((r1 == t1) & (r2 == t2))[0]
-    if hits.size == 0:
-        return None
-    return cat.hom(x, z)[int(hits[0])]
+    for h, hu, hv in zip(cat.hom(x, z), cat.col(u, z), cat.col(v, z)):
+        if hu == t1 and hv == t2:
+            return h
+    return None
 
 
 def coproduct_of_morphisms(
@@ -261,17 +252,11 @@ def _cone_universal(cat: FinCategory, a: int, b: int, p: int, p1: int, p2: int, 
     """Injectivity of h |-> (p1∘h, p2∘h) on hom(Y,P) for all Y; with the
     cardinality filter already matching ``counts`` this is bijectivity onto
     the commuting cones."""
-    n = len(cat.objects)
-    q1, q2 = cat.pos_in_hom(p1), cat.pos_in_hom(p2)
-    for y in range(n):
+    for y in range(len(cat.objects)):
         k = cat._hom_counts_l[y][p]
         if k != counts[y]:
             return False
-        if k <= 1:
-            continue
-        r1 = cat.block(y, p, a)[q1].tolist()
-        r2 = cat.block(y, p, b)[q2].tolist()
-        if len(set(zip(r1, r2))) != k:
+        if k > 1 and len(set(zip(cat.row(p1, y), cat.row(p2, y)))) != k:
             return False
     return True
 
@@ -397,20 +382,13 @@ def is_coequaliser(cat: FinCategory, u: int, v: int, f: int) -> bool:
     if cat.compose(f, u) != cat.compose(f, v):
         return False
     q = cat._cod_l[f]
-    y = cat._dom_l[u]
-    n = len(cat.objects)
-    pu, pv = cat.pos_in_hom(u), cat.pos_in_hom(v)
-    pf = cat.pos_in_hom(f)
-    for z in range(n):
-        blk = cat.block(y, a, z)
-        fork = int(np.count_nonzero(blk[:, pu] == blk[:, pv]))
+    for z in range(len(cat.objects)):
+        # t |-> t∘f from hom(q,z) onto the t in hom(a,z) with t∘u = t∘v
+        fork = sum(tu == tv for tu, tv in zip(cat.col(u, z), cat.col(v, z)))
         k = cat._hom_counts_l[q][z]
         if k != fork:
             return False
-        if k <= 1:
-            continue
-        col = cat.block(a, q, z)[:, pf]
-        if np.unique(col).size != k:
+        if k > 1 and len(set(cat.col(f, z))) != k:
             return False
     return True
 

@@ -1,15 +1,21 @@
-"""Reference for the condition-two scan in ``finext.extensivity``, kept for
-differential tests only.
+"""References for ``finext.extensivity``, kept for differential tests only.
 
-It enumerates every (top base, bottom base, filler pair) instance and
-judges both squares of each instance, left then right, as the original
-``check_e2`` and ``is_M_extensive`` loops did.
+The condition-two reference enumerates every (top base, bottom base,
+filler pair) instance and judges both squares of each instance, left then
+right, as the original ``check_e2`` and ``is_M_extensive`` loops did.
+``cocone_universal_n`` is the original n-ary coproduct certificate over
+numpy block columns.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 from finext import limits
 from finext.fincat import FinCategory
+from reference_fincat import block
 
 
 def e2_instances(cat: FinCategory, f: int):
@@ -40,3 +46,32 @@ def e2_first_failure(cat: FinCategory, f: int, square_fault, allowed=None):
             if kind is not None:
                 return count, (inst, side, kind)
     return count, None
+
+
+def cocone_universal_n(cat: FinCategory, legs: Sequence[int]) -> bool:
+    """Bijectivity of h |-> (h∘leg_i)_i from hom(X,Y) onto prod_i hom(A_i,Y)
+    for every Y."""
+    x = cat._cod_l[legs[0]]
+    if any(cat._cod_l[m] != x for m in legs):
+        return False
+    doms = [cat._dom_l[m] for m in legs]
+    n = len(cat.objects)
+    hc = cat._hom_counts_l
+    for y in range(n):
+        prod = 1
+        for a in doms:
+            prod *= hc[a][y]
+        if hc[x][y] != prod:
+            return False
+    M = cat._M
+    for y in range(n):
+        k = hc[x][y]
+        if k <= 1:
+            continue
+        code = None
+        for m, a in zip(legs, doms):
+            r = block(cat, a, x, y)[:, cat.pos_in_hom(m)].astype(np.int64)
+            code = r if code is None else code * M + r
+        if np.unique(code).size != k:
+            return False
+    return True

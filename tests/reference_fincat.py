@@ -1,9 +1,13 @@
-"""The original ``finext.fincat.validate`` and ``finext.fincat.dual``,
-kept for differential tests.
+"""The original ``finext.fincat`` composition blocks, ``validate``, mono and
+extremal-epi sets and ``dual``, kept for differential tests.
 
-``validate`` maps composites to their positions in the target hom-set with
-``np.vectorize`` over a dict lookup; the library now uses
-``np.searchsorted`` over the ascending hom-set list.
+``block`` is the original numpy composition block; the library's blocks
+are tuples of row tuples.  ``mono_set`` and ``extremal_epi_set`` read
+those numpy blocks.  ``validate`` compares those numpy blocks
+vectorized per object quadruple and maps composites to their positions in
+the target hom-set with ``np.vectorize`` over a dict lookup; the library
+compares rows of ids and walks a row element by element only when it
+differs or holds a masked entry.
 
 ``dual`` rebuilds the opposite category through string ids, so its
 morphisms are re-sorted by (dom, cod, id) of the dual and its indexes
@@ -12,9 +16,33 @@ differ from the primal's; the library's dual keeps the primal's indexes.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
-from finext.fincat import FinCategory, Violation
+from finext.fincat import FinCategory, Violation, _iso_info
+
+
+_BLOCKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def block(cat: FinCategory, a: int, b: int, c: int) -> np.ndarray:
+    """Composition block: array[gi, fi] = index of g∘f over hom(b,c) x hom(a,b),
+    -1 where the table has no entry.  Cached per category, as it was."""
+    blocks = _BLOCKS.setdefault(cat, {})
+    blk = blocks.get((a, b, c))
+    if blk is None:
+        fs = cat.hom(a, b)
+        gs = cat.hom(b, c)
+        M = cat._M
+        comp = cat._comp
+        blk = np.fromiter(
+            (comp.get(g * M + f, -1) for g in gs for f in fs),
+            dtype=np.int32,
+            count=len(fs) * len(gs),
+        ).reshape(len(gs), len(fs))
+        blocks[(a, b, c)] = blk
+    return blk
 
 
 def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
@@ -83,11 +111,11 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
             for c in range(n):
                 if not cat._hom_counts_l[b][c]:
                     continue
-                gf = cat.block(a, b, c)  # [g, f] -> g∘f in hom(a,c)
+                gf = block(cat, a, b, c)  # [g, f] -> g∘f in hom(a,c)
                 for d in range(n):
                     if not cat._hom_counts_l[c][d]:
                         continue
-                    hg = cat.block(b, c, d)  # [h, g] -> h∘g in hom(b,d)
+                    hg = block(cat, b, c, d)  # [h, g] -> h∘g in hom(b,d)
                     # left: h∘(g∘f): positions of g∘f inside hom(a,c).
                     # Missing or mistyped composites resolve to -1 and the
                     # affected triples are masked out below; they are already
@@ -99,7 +127,7 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
                         if gf.size
                         else gf
                     )
-                    h_acd = cat.block(a, c, d)  # [h, x] for x in hom(a,c)
+                    h_acd = block(cat, a, c, d)  # [h, x] for x in hom(a,c)
                     # right: (h∘g)∘f
                     hom_bd = cat.hom(b, d)
                     pos_bd = {m: p for p, m in enumerate(hom_bd)}
@@ -108,7 +136,7 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
                         if hg.size
                         else hg
                     )
-                    x_abd = cat.block(a, b, d)  # [y, f] for y in hom(b,d)
+                    x_abd = block(cat, a, b, d)  # [y, f] for y in hom(b,d)
                     if gf.size == 0 or hg.size == 0:
                         continue
                     lhs = h_acd[:, np.clip(gf_pos, 0, None).reshape(-1)].reshape(
@@ -137,6 +165,44 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
                         if len(out) >= max_violations:
                             return out
     return out
+
+
+def mono_set(cat: FinCategory) -> frozenset[int]:
+    monos: set[int] = set()
+    n = len(cat.objects)
+    for a in range(n):
+        for b in range(n):
+            fs = cat.hom(a, b)
+            if not fs:
+                continue
+            ok = np.ones(len(fs), dtype=bool)
+            for y in range(n):
+                k = cat._hom_counts_l[y][a]
+                if k <= 1:
+                    continue
+                blk = block(cat, y, a, b)  # [f, u] -> f∘u
+                for i in np.nonzero(ok)[0]:
+                    row = blk[i]
+                    if len(np.unique(row)) != k:
+                        ok[i] = False
+            monos.update(fs[i] for i in np.nonzero(ok)[0])
+    return frozenset(monos)
+
+
+def extremal_epi_set(cat: FinCategory) -> frozenset[int]:
+    """Every morphism that is no composite through a non-iso mono."""
+    isos = _iso_info(cat)[0]
+    excluded: set[int] = set()
+    for m in mono_set(cat):
+        if m in isos:
+            continue
+        y = cat._dom_l[m]
+        for a in range(len(cat.objects)):
+            if not cat._hom_counts_l[a][y]:
+                continue
+            row = block(cat, a, y, cat._cod_l[m])[cat.pos_in_hom(m)]
+            excluded.update(row.tolist())
+    return frozenset(set(range(cat.n_mor)) - excluded)
 
 
 def dual(cat: FinCategory) -> FinCategory:

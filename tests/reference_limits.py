@@ -5,7 +5,12 @@ These are the original formulations, kept for differential tests only:
 - ``is_pullback_square``: search the mediator from the square into the
   certified pullback and test that it is an isomorphism;
 - ``cocone_universal`` / ``cone_universal``: injectivity of the leg-pair
-  map by ``np.unique`` over pair codes ``r1 * M + r2``.
+  map by ``np.unique`` over pair codes ``r1 * M + r2``;
+- ``cotuple`` and ``is_coequaliser``: masks and ``np.unique`` over block
+  columns.
+
+All of them read the original numpy composition blocks
+(``reference_fincat.block``).
 """
 
 from __future__ import annotations
@@ -14,14 +19,15 @@ import numpy as np
 
 from finext import limits
 from finext.fincat import FinCategory, _iso_info
+from reference_fincat import block
 
 
 def mediator_to_cone(cat: FinCategory, w1: int, w2: int, c1: int, c2: int) -> int | None:
     """h from dom(c1) to dom(w1)'s source with w1∘h = c1, w2∘h = c2, first hit."""
     p = cat._dom_l[w1]  # apex of the certified cone
     y = cat._dom_l[c1]
-    r1 = cat.block(y, p, cat._cod_l[w1])[cat.pos_in_hom(w1)]
-    r2 = cat.block(y, p, cat._cod_l[w2])[cat.pos_in_hom(w2)]
+    r1 = block(cat, y, p, cat._cod_l[w1])[cat.pos_in_hom(w1)]
+    r2 = block(cat, y, p, cat._cod_l[w2])[cat.pos_in_hom(w2)]
     hits = np.nonzero((r1 == c1) & (r2 == c2))[0]
     if hits.size == 0:
         return None
@@ -52,8 +58,8 @@ def cocone_universal(cat: FinCategory, a1: int, a2: int, x: int, u: int, v: int)
         k = hc[x][y]
         if k <= 1:
             continue
-        r1 = cat.block(a1, x, y)[:, pu].astype(np.int64)
-        r2 = cat.block(a2, x, y)[:, pv].astype(np.int64)
+        r1 = block(cat, a1, x, y)[:, pu].astype(np.int64)
+        r2 = block(cat, a2, x, y)[:, pv].astype(np.int64)
         if np.unique(r1 * M + r2).size != k:
             return False
     return True
@@ -71,8 +77,50 @@ def cone_universal(cat: FinCategory, a: int, b: int, p: int, p1: int, p2: int, c
             return False
         if k <= 1:
             continue
-        r1 = cat.block(y, p, a)[q1].astype(np.int64)
-        r2 = cat.block(y, p, b)[q2].astype(np.int64)
+        r1 = block(cat, y, p, a)[q1].astype(np.int64)
+        r2 = block(cat, y, p, b)[q2].astype(np.int64)
         if np.unique(r1 * M + r2).size != k:
+            return False
+    return True
+
+
+def cotuple(cat: FinCategory, u: int, v: int, t1: int, t2: int) -> int | None:
+    """The first h with h∘u = t1 and h∘v = t2, if any."""
+    x = cat._cod_l[u]
+    z = cat._cod_l[t1]
+    if cat._cod_l[t2] != z:
+        return None
+    a1, a2 = cat._dom_l[u], cat._dom_l[v]
+    r1 = block(cat, a1, x, z)[:, cat.pos_in_hom(u)]
+    r2 = block(cat, a2, x, z)[:, cat.pos_in_hom(v)]
+    hits = np.nonzero((r1 == t1) & (r2 == t2))[0]
+    if hits.size == 0:
+        return None
+    return cat.hom(x, z)[int(hits[0])]
+
+
+def is_coequaliser(cat: FinCategory, u: int, v: int, f: int) -> bool:
+    """Whether f coequalises the parallel pair (u, v) universally."""
+    if cat._dom_l[u] != cat._dom_l[v] or cat._cod_l[u] != cat._cod_l[v]:
+        return False
+    a = cat._cod_l[u]
+    if cat._dom_l[f] != a:
+        return False
+    if cat.compose(f, u) != cat.compose(f, v):
+        return False
+    q = cat._cod_l[f]
+    y = cat._dom_l[u]
+    pu, pv = cat.pos_in_hom(u), cat.pos_in_hom(v)
+    pf = cat.pos_in_hom(f)
+    for z in range(len(cat.objects)):
+        blk = block(cat, y, a, z)
+        fork = int(np.count_nonzero(blk[:, pu] == blk[:, pv]))
+        k = cat._hom_counts_l[q][z]
+        if k != fork:
+            return False
+        if k <= 1:
+            continue
+        col = block(cat, a, q, z)[:, pf]
+        if np.unique(col).size != k:
             return False
     return True

@@ -6,10 +6,17 @@ inapplicable), 2 = usage or input error."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from finext.algebra import dump_category, enumerate_structures
 from finext.cli import main
 
 
@@ -71,6 +78,92 @@ def test_validate_rejects_malformed_files(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     code, _ = run(capsys, "validate", str(missing))
     assert code == 2
+
+
+def _run_quietly(argv: list[str]) -> tuple[int, str]:
+    """``run`` without capsys, for Hypothesis; returns stdout plus stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code if isinstance(e.code, int) else 2
+    return code, out.getvalue() + err.getvalue()
+
+
+_ONE_SET = [{"name": "A", "carrier": 1}]
+
+
+@pytest.mark.parametrize(
+    "doc, field",
+    [
+        ({"signature": 5, "algebras": _ONE_SET}, "signature"),
+        ({"signature": None, "algebras": _ONE_SET}, "signature"),
+        ({"variety": ["set"], "algebras": _ONE_SET}, "variety"),
+        ({"signature": "x", "algebras": []}, "signature"),
+        ({"signature": [{"name": ["e"], "arity": 0}], "algebras": _ONE_SET}, "signature"),
+    ],
+    ids=["signature-int", "signature-null", "variety-list", "signature-string", "signature-name-list"],
+)
+@pytest.mark.parametrize("command", ["validate", "check"])
+def test_mistyped_signature_or_variety_is_an_input_error(tmp_path, doc, field, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, output = _run_quietly([command, str(bad)])
+    assert code == 2 and f"{field}: expected" in output
+
+
+def _fuzz_bases() -> list[dict]:
+    return [
+        dump_category(kind, enumerate_structures(kind, 2, None), max_carrier=2)
+        for kind in ("set", "pointed", "poset", "mon")
+    ]
+
+
+def _checked_paths(value, path=()):
+    """Every value the loader type-checks: everything under variety,
+    signature and algebras (other top-level keys are not read)."""
+    if not path:
+        for key in ("variety", "signature", "algebras"):
+            yield from _checked_paths(value[key], (key,))
+        return
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _checked_paths(child, (*path, key))
+
+
+# replacement values of another JSON type than the original's
+_OTHER_TYPES = {
+    int: ["x", None, True, 1.5, [], {}],
+    str: [5, None, True, [], {}],
+    list: ["x", 5, None, {}],
+    dict: ["x", 5, None, []],
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_truncated_or_mistyped_category_files_exit_2(data):
+    doc = data.draw(st.sampled_from(_fuzz_bases()))
+    text = json.dumps(doc)
+    if data.draw(st.booleans()):
+        text = text[: data.draw(st.integers(min_value=0, max_value=len(text) - 1))]
+    else:
+        path = data.draw(st.sampled_from(list(_checked_paths(doc))))
+        doc = json.loads(text)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(st.sampled_from(_OTHER_TYPES[type(parent[path[-1]])]))
+        text = json.dumps(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "bad.json"
+        bad.write_text(text)
+        for command in ("validate", "check"):
+            code, output = _run_quietly([command, str(bad)])
+            assert code == 2, (command, text)
+            assert "Traceback" not in output
 
 
 def test_check_whole_category_both_modes(set_file, capsys):

@@ -5,6 +5,11 @@ The references live in ``reference_limits``, ``reference_extensivity`` and
 categories of ``verify-paper``, on one product category, on the duals of
 these, and on thin categories of random posets drawn by Hypothesis.
 
+The composition blocks (rows of ids, columns read from the dual) and every
+kernel that reads them are compared with the seed's numpy versions, and
+``validate`` with the seed's under single-entry faults and past its
+violation cap.
+
 The index-preserving ``dual`` is compared with the string-id reference
 dual: the two categories agree once their ids are matched, and every
 co-side answer equals the primal routine run on the reference dual.
@@ -13,6 +18,7 @@ co-side answer equals the primal routine run on the reference dual.
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 import threading
 
@@ -30,6 +36,7 @@ from finext.extensivity import _dualized, _e2_first_failure
 from finext.fincat import (
     _CLASSES,
     FinCategory,
+    _extremal_epi_set,
     _iso_info,
     _mono_set,
     classify_morphism,
@@ -81,12 +88,39 @@ def _assert_square_table_matches_mediator(cat: FinCategory) -> int:
 
 def _assert_kernels_match_numpy(cat: FinCategory) -> None:
     n = len(cat.objects)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        assert cat.block(a, b, c) == tuple(map(tuple, reference_fincat.block(cat, a, b, c).tolist())), (a, b, c)
+    for f in range(cat.n_mor):
+        a, b = cat._dom_l[f], cat._cod_l[f]
+        assert cat.hom(a, b)[cat.pos_in_hom(f)] == f
+        for z in range(n):
+            col = reference_fincat.block(cat, a, b, z)[:, cat.pos_in_hom(f)]
+            assert cat.col(f, z) == tuple(col.tolist()), (f, z)
+    assert _mono_set(cat) == reference_fincat.mono_set(cat)
+    assert _extremal_epi_set(cat) == reference_fincat.extremal_epi_set(cat)
     for a1, a2, x in itertools.product(range(n), repeat=3):
         for u in cat.hom(a1, x):
             for v in cat.hom(a2, x):
-                assert limits._cocone_universal(cat, a1, a2, x, u, v) == reference_limits.cocone_universal(
-                    cat, a1, a2, x, u, v
-                ), (u, v)
+                fast = limits._cocone_universal(cat, a1, a2, x, u, v)
+                assert fast == reference_limits.cocone_universal(cat, a1, a2, x, u, v), (u, v)
+                assert ext._cocone_universal_n(cat, (u, v)) == fast, (u, v)
+                if not fast:
+                    continue
+                for z in range(n):
+                    for t1, t2 in itertools.product(cat.hom(a1, z), cat.hom(a2, z)):
+                        assert limits.cotuple(cat, u, v, t1, t2) == reference_limits.cotuple(cat, u, v, t1, t2)
+    for x in range(n):
+        for doms in itertools.product(range(n), repeat=3):
+            if any(cat._hom_counts_l[x][y] != math.prod(cat._hom_counts_l[a][y] for a in doms) for y in range(n)):
+                continue
+            for legs in itertools.product(*(cat.hom(a, x) for a in doms)):
+                assert ext._cocone_universal_n(cat, legs) == reference_extensivity.cocone_universal_n(cat, legs), legs
+    for y, a in itertools.product(range(n), repeat=2):
+        out = [f for q in range(n) for f in cat.hom(a, q)]
+        for u, v in itertools.combinations_with_replacement(cat.hom(y, a), 2):
+            for f in out:
+                if cat.compose(f, u) == cat.compose(f, v):
+                    assert limits.is_coequaliser(cat, u, v, f) == reference_limits.is_coequaliser(cat, u, v, f)
     for f, u in _cospans(cat):
         a, b = cat._dom_l[f], cat._dom_l[u]
         counts = limits._cone_counts(cat, f, u)
@@ -234,10 +268,10 @@ def test_square_table_is_consistent_under_threads():
 
 
 @st.composite
-def posets(draw):
-    """A random poset on up to five points: the reflexive-transitive closure
-    of a random set of edges i -> j with i < j."""
-    n = draw(st.integers(min_value=1, max_value=5))
+def posets(draw, max_points: int = 5):
+    """A random poset on up to ``max_points`` points: the reflexive-transitive
+    closure of a random set of edges i -> j with i < j."""
+    n = draw(st.integers(min_value=1, max_value=max_points))
     leq = [[i == j or (i < j and draw(st.booleans())) for j in range(n)] for i in range(n)]
     for k, i, j in itertools.product(range(n), repeat=3):
         if leq[i][k] and leq[k][j]:
@@ -304,7 +338,6 @@ def _assert_dual_matches_reference(cat: FinCategory, d: FinCategory) -> None:
     for i, mid in enumerate(d.mor_ids):
         j = ref.m(mid)
         assert (d._dom_l[i], d._cod_l[i]) == (ref._dom_l[j], ref._cod_l[j]), mid
-        assert (d.dom[i], d.cod[i]) == (ref.dom[j], ref.cod[j]), mid
     assert {x: d.mid(m) for x, m in d.identity_of.items()} == {x: ref.mid(m) for x, m in ref.identity_of.items()}
     assert d.identity_set == frozenset(d.identity_of.values())
     assert _composition_by_id(d) == _composition_by_id(ref)
@@ -312,7 +345,7 @@ def _assert_dual_matches_reference(cat: FinCategory, d: FinCategory) -> None:
     for a, b in itertools.product(range(n), repeat=2):
         ids = [d.mid(m) for m in d.hom(a, b)]
         assert ids == [ref.mid(m) for m in ref.hom(a, b)] == sorted(ids), (a, b)
-    assert d.hom_counts.tolist() == d._hom_counts_l == ref.hom_counts.tolist()
+    assert d._hom_counts_l == ref._hom_counts_l
     assert validate(d) == []
 
 
@@ -320,12 +353,10 @@ def _assert_dual_is_an_involution(cat: FinCategory) -> None:
     assert dual_of(dual_of(cat)) is cat
     dd = dual(dual(cat))
     for attr in (
-        *("objects", "obj_index", "mor_ids", "mor_index", "n_mor", "_M", "_dom_l", "_cod_l"),
+        *("objects", "obj_index", "mor_ids", "mor_index", "n_mor", "_M", "_dom_l", "_cod_l", "_pos"),
         *("identity_of", "identity_set", "_comp", "_hom", "_hom_counts_l", "metadata"),
     ):
         assert getattr(dd, attr) == getattr(cat, attr), attr
-    assert dd.dom.tolist() == cat._dom_l and dd.cod.tolist() == cat._cod_l
-    assert dd.hom_counts.tolist() == cat._hom_counts_l
 
 
 def _assert_co_side_matches_reference(cat: FinCategory) -> None:
@@ -422,6 +453,41 @@ def _mutants(cat: FinCategory):
         yield "missing", {**data, "composition": table[:i] + table[i + 1 :]}
 
 
+def _scrambled(cat: FinCategory) -> FinCategory:
+    """Every composite of two non-identities replaced by the next morphism
+    of its hom-set: the identity laws still hold, and far more triples fail
+    associativity than ``validate`` reports by default."""
+    data = cat.to_json()
+    identities = set(data["identities"].values())
+    typing = {m["id"]: (m["dom"], m["cod"]) for m in data["morphisms"]}
+    by_type: dict = {}
+    for m in data["morphisms"]:
+        by_type.setdefault(typing[m["id"]], []).append(m["id"])
+
+    def shifted(mid):
+        ids = by_type[typing[mid]]
+        return ids[(ids.index(mid) + 1) % len(ids)]
+
+    table = [
+        e if {e["g"], e["f"]} & identities else {**e, "gf": shifted(e["gf"])} for e in data["composition"]
+    ]
+    return FinCategory.from_json({**data, "composition": table})
+
+
+def _assert_validate_matches_reference_on_mutants(cat: FinCategory) -> set[str]:
+    assert validate(cat) == reference_fincat.validate(cat) == []
+    kinds = set()
+    for label, data in _mutants(cat):
+        faulty = FinCategory.from_json(data)
+        found = validate(faulty)
+        assert found == reference_fincat.validate(faulty), label
+        assert validate(faulty, max_violations=2) == reference_fincat.validate(faulty, max_violations=2), label
+        if label != "wrong":
+            assert found, label
+        kinds.update(v.kind for v in found)
+    return kinds
+
+
 @pytest.mark.parametrize(
     "make, expected_kinds",
     [
@@ -431,18 +497,24 @@ def _mutants(cat: FinCategory):
             lambda: thin_category_from_poset([[True, True, True], [False, True, True], [False, False, True]]),
             {"comp-missing", "comp-typing", "identity-law", "assoc"},
         ),
+        (lambda: build_category("mon", 2)[0], {"comp-missing", "comp-typing", "identity-law", "assoc"}),
     ],
-    ids=["set2", "golden-poset", "chain3"],
+    ids=["set2", "golden-poset", "chain3", "mon2"],
 )
 def test_validate_matches_reference_under_fault_injection(make, expected_kinds):
-    cat = make()
-    assert validate(cat) == reference_fincat.validate(cat) == []
-    kinds = set()
-    for label, data in _mutants(cat):
-        faulty = FinCategory.from_json(data)
-        found = validate(faulty)
-        assert found == reference_fincat.validate(faulty), label
-        if label != "wrong":
-            assert found, label
-        kinds.update(v.kind for v in found)
-    assert kinds == expected_kinds
+    assert _assert_validate_matches_reference_on_mutants(make()) == expected_kinds
+
+
+@settings(max_examples=30, deadline=None)
+@given(posets(max_points=4))
+def test_validate_matches_reference_on_random_poset_mutants(leq):
+    _assert_validate_matches_reference_on_mutants(thin_category_from_poset(leq))
+
+
+@pytest.mark.parametrize("kind, n", [("pointed", 3), ("mon", 3)])
+def test_validate_stops_at_the_violation_cap_like_the_reference(kind, n):
+    faulty = _scrambled(build_category(kind, n)[0])
+    assert len(reference_fincat.validate(faulty, max_violations=10**6)) > 50
+    found = validate(faulty)
+    assert len(found) == 50 and found == reference_fincat.validate(faulty)
+    assert {v.kind for v in found} == {"assoc"}
