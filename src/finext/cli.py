@@ -522,6 +522,16 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
 # -- entry point --------------------------------------------------------------
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
     if with_input:
         sub.add_argument("input_pos", nargs="?", metavar="INPUT", help="category file")
@@ -536,7 +546,7 @@ def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
     )
     sub.add_argument(
         "--max-relation-size",
-        type=int,
+        type=_non_negative_int,
         default=9,
         help="largest ambient product size enumerated in the relation calculus",
     )

@@ -2,13 +2,26 @@
 
 Relations between finite sets X = {0..nx-1} and Y = {0..ny-1} are encoded as
 bitmasks: pair (i, j) is bit i*ny + j.  Everything here is computed directly
-from membership tables — no category machinery — so it serves as an
-independent oracle for the categorical relation calculus.
+from the masks — no category machinery — so it serves as an independent
+oracle for the categorical relation calculus.
+
+The kernels (`compose`, `opposite`, `image`, `preimage`, `rel_product`) use
+only shifts, ands, ors and the negation of one bit, so each takes Python ints
+or int64 numpy arrays of masks, which broadcast like arithmetic operands.
+Composition is `compose(r, s)` with r: X -> Y and s: Y -> Z giving "first r,
+then s" from X to Z.
 
 The identity suite enumerates every relation on every ambient X x Y with
 nx*ny <= cap and every function between the carriers involved, and checks the
-relation-calculus laws exhaustively.  Composition is `compose(r, s)` with
-r: X -> Y and s: Y -> Z giving "first r, then s" from X to Z.
+relation-calculus laws exhaustively by calling the kernels on
+`np.arange(1 << bits)`.  Each identity composes only the pairs it reads.
+`img-lax-functorial` and `img-of-preimg-comp` read every pair of
+endorelations on one carrier (n*n <= cap, so n <= 3 at the default cap), so
+those composites form one full table per carrier, built once per call and
+shared by the identities on endorelations.  `delta-unit` composes delta with
+every relation directly, and `prod-interchange` composes only the product
+relations it compares, so no table is built on a carrier of 4 or on a
+product carrier.
 """
 
 from __future__ import annotations
@@ -48,26 +61,32 @@ def mask_of(pairs: Iterable[tuple[int, int]], nx: int, ny: int) -> int:
     return m
 
 
-def compose(r: int, s: int, nx: int, ny: int, nz: int) -> int:
-    """(i,k) related iff some j has (i,j) in r and (j,k) in s."""
-    rows_s = [(s >> (j * nz)) & ((1 << nz) - 1) for j in range(ny)]
-    out = 0
-    for i in range(nx):
-        row_r = (r >> (i * ny)) & ((1 << ny) - 1)
-        acc = 0
-        for j in range(ny):
-            if row_r >> j & 1:
-                acc |= rows_s[j]
-        out |= acc << (i * nz)
+# The kernels start from `x & 0`, zero in the shape of their arguments, so a
+# kernel on empty carriers still returns one mask per input.  `compose` and
+# `rel_product` spread each argument over the result's bits on its own shape
+# and meet the two with one and, so arguments broadcast cheaply.
+
+
+def compose(r, s, nx: int, ny: int, nz: int):
+    """(i,k) related iff some j has (i,j) in r and (j,k) in s: the union over
+    j of (the rows i with (i,j) in r) meeting (row j of s in every row)."""
+    row = (1 << nz) - 1
+    out = r & s & 0
+    for j in range(ny):
+        s_j = s >> (j * nz) & row
+        rows, tiled = r & 0, s & 0
+        for i in range(nx):
+            rows |= (-(r >> (i * ny + j) & 1) & row) << (i * nz)
+            tiled |= s_j << (i * nz)
+        out |= rows & tiled
     return out
 
 
-def opposite(r: int, nx: int, ny: int) -> int:
-    out = 0
+def opposite(r, nx: int, ny: int):
+    out = r & 0
     for i in range(nx):
         for j in range(ny):
-            if r >> (i * ny + j) & 1:
-                out |= 1 << (j * nx + i)
+            out |= (r >> (i * ny + j) & 1) << (j * nx + i)
     return out
 
 
@@ -79,23 +98,21 @@ def nabla(nx: int, ny: int) -> int:
     return (1 << (nx * ny)) - 1
 
 
-def image(f: tuple[int, ...], r: int, nx: int, ny: int) -> int:
+def image(f: tuple[int, ...], r, nx: int, ny: int):
     """Image of a relation on X under f: X -> Y applied to both coordinates."""
-    out = 0
+    out = r & 0
     for i in range(nx):
         for j in range(nx):
-            if r >> (i * nx + j) & 1:
-                out |= 1 << (f[i] * ny + f[j])
+            out |= (r >> (i * nx + j) & 1) << (f[i] * ny + f[j])
     return out
 
 
-def preimage(f: tuple[int, ...], r: int, nx: int, ny: int) -> int:
+def preimage(f: tuple[int, ...], r, nx: int, ny: int):
     """Preimage of a relation on Y under f: X -> Y."""
-    out = 0
+    out = r & 0
     for i in range(nx):
         for j in range(nx):
-            if r >> (f[i] * ny + f[j]) & 1:
-                out |= 1 << (i * nx + j)
+            out |= (r >> (f[i] * ny + f[j]) & 1) << (i * nx + j)
     return out
 
 
@@ -109,78 +126,36 @@ def eq_mask(f: tuple[int, ...], nx: int) -> int:
     return out
 
 
-def rel_product(r: int, s: int, nx: int, ny: int) -> int:
+def rel_product(r, s, nx: int, ny: int):
     """Product of r on X and s on Y as a relation on X x Y, where the pair
     (i, a) is element i*ny + a of the product carrier."""
     n = nx * ny
-    out = 0
+    row = (1 << ny) - 1
+    # pairs (i, j) of r and (a, b) of s meet at bit (i*ny + a)*n + j*ny + b:
+    # the block of (i, j) starts at bit i*ny*n + j*ny and holds (a, b) at a*n + b
+    block, spread = 0, s & 0
+    for a in range(ny):
+        block |= row << (a * n)
+        spread |= (s >> (a * ny) & row) << (a * n)
+    rows, tiled = r & 0, s & 0
     for i in range(nx):
         for j in range(nx):
-            if not (r >> (i * nx + j) & 1):
-                continue
-            for a in range(ny):
-                for b in range(ny):
-                    if s >> (a * ny + b) & 1:
-                        out |= 1 << ((i * ny + a) * n + (j * ny + b))
-    return out
+            at = i * ny * n + j * ny
+            rows |= (-(r >> (i * nx + j) & 1) & block) << at
+            tiled |= spread << at
+    return rows & tiled
 
 
-def is_reflexive(r: int, n: int) -> bool:
+def is_reflexive(r, n: int):
     return (r & delta(n)) == delta(n)
 
 
-def is_symmetric(r: int, n: int) -> bool:
+def is_symmetric(r, n: int):
     return opposite(r, n, n) == r
 
 
-def is_transitive(r: int, n: int) -> bool:
-    c = compose(r, r, n, n, n)
-    return (c | r) == r
-
-
-# -- vectorized tables for the exhaustive suite ------------------------------------
-
-
-def _all_relations(nx: int, ny: int) -> np.ndarray:
-    """Boolean matrices of every relation mask, shape (2^(nx*ny), nx, ny)."""
-    count = 1 << (nx * ny)
-    bits = (np.arange(count, dtype=np.uint32)[:, None] >> np.arange(nx * ny)) & 1
-    return bits.astype(bool).reshape(count, nx, ny)
-
-
-def _encode(mats: np.ndarray) -> np.ndarray:
-    """Inverse of _all_relations: matrices -> mask indexes."""
-    k, nx, ny = mats.shape
-    weights = (1 << np.arange(nx * ny, dtype=np.int64)).reshape(nx, ny)
-    return (mats.astype(np.int64) * weights).sum(axis=(1, 2))
-
-
-def _compose_table(nx: int, ny: int, nz: int) -> np.ndarray:
-    """comp[r, s] = mask index of the composite, full table."""
-    R = _all_relations(nx, ny)
-    S = _all_relations(ny, nz)
-    prod = np.einsum("aij,bjk->abik", R.astype(np.uint8), S.astype(np.uint8)) > 0
-    nr, ns = R.shape[0], S.shape[0]
-    return _encode(prod.reshape(nr * ns, nx, nz)).reshape(nr, ns)
-
-
-def _image_table(f: tuple[int, ...], nx: int, ny: int) -> np.ndarray:
-    """img[r] = mask index of the image relation on Y under f, for r on X."""
-    R = _all_relations(nx, nx)
-    out = np.zeros((R.shape[0], ny, ny), dtype=bool)
-    fi = np.asarray(f, dtype=np.intp)
-    for i in range(nx):
-        for j in range(nx):
-            out[:, fi[i], fi[j]] |= R[:, i, j]
-    return _encode(out)
-
-
-def _preimage_table(f: tuple[int, ...], nx: int, ny: int) -> np.ndarray:
-    """pre[r] = mask index of the preimage relation on X, for r on Y."""
-    R = _all_relations(ny, ny)
-    fi = np.asarray(f, dtype=np.intp)
-    out = R[:, fi[:, None], fi[None, :]]
-    return _encode(out)
+def is_transitive(r, n: int):
+    return (compose(r, r, n, n, n) | r) == r
 
 
 def _subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,20 +207,21 @@ def oracle_suite(cap: int = 9, max_size: int = 3) -> dict[str, dict]:
             if res[key]["counterexample"] is None:
                 res[key]["counterexample"] = fail_exemplar
 
-    comp_cache: dict[tuple[int, int, int], np.ndarray] = {}
+    tables: dict[int, np.ndarray] = {}
 
-    def comp_t(nx, ny, nz):
-        k = (nx, ny, nz)
-        if k not in comp_cache:
-            comp_cache[k] = _compose_table(nx, ny, nz)
-        return comp_cache[k]
+    def table(n):
+        """table(n)[r, s] = compose(r, s) for all endorelations r, s on n points."""
+        if n not in tables:
+            rs = np.arange(1 << (n * n))
+            tables[n] = compose(rs[:, None], rs[None, :], n, n, n)
+        return tables[n]
 
     # delta-unit: compose(delta_X, r) == r == compose(r, delta_Y)
     for nx, ny in _shapes(cap, max_size):
         nr = 1 << (nx * ny)
         rs = np.arange(nr)
-        left = comp_t(nx, nx, ny)[delta(nx), rs]
-        right = comp_t(nx, ny, ny)[rs, delta(ny)]
+        left = compose(delta(nx), rs, nx, nx, ny)
+        right = compose(rs, delta(ny), nx, ny, ny)
         bad = (left != rs) | (right != rs)
         record("delta-unit", nr - bad.sum(), {"nx": nx, "ny": ny, "r": int(rs[bad][0]) if bad.any() else None}, bad.sum())
 
@@ -257,7 +233,7 @@ def oracle_suite(cap: int = 9, max_size: int = 3) -> dict[str, dict]:
         rs = np.arange(nr)
         d, nb = delta(nx), nabla(nx, nx)
         refl = (rs & d) == d
-        t = comp_t(nx, nx, nx)
+        t = table(nx)
         bad = refl & ((t[rs, nb] != nb) | (t[nb, rs] != nb))
         record("nabla-absorb", refl.sum() - bad.sum(), {"nx": nx, "r": int(rs[bad][0]) if bad.any() else None}, bad.sum())
 
@@ -268,14 +244,13 @@ def oracle_suite(cap: int = 9, max_size: int = 3) -> dict[str, dict]:
         for ny in range(max_size + 1):
             if ny * ny > cap:
                 continue
-            tx = comp_t(nx, nx, nx)
-            ty = comp_t(ny, ny, ny)
-            nr = 1 << (nx * nx)
-            rs = np.arange(nr)
+            tx = table(nx)
+            ty = table(ny)
+            rs = np.arange(1 << (nx * nx))
             for f in _functions(nx, ny):
-                img = _image_table(f, nx, ny)
-                lhs = img[tx[rs[:, None], rs[None, :]]]
-                rhs = ty[img[rs][:, None], img[rs][None, :]]
+                img = image(f, rs, nx, ny)
+                lhs = img[tx]
+                rhs = ty[img[:, None], img[None, :]]
                 ok = _subset(lhs, rhs)
                 fails = (~ok).sum()
                 ex = None
@@ -292,8 +267,7 @@ def oracle_suite(cap: int = 9, max_size: int = 3) -> dict[str, dict]:
         rs = np.arange(nr)
         d = delta(nx)
         refl = (rs & d) == d
-        t = comp_t(nx, nx, nx)
-        rr = t[rs, rs]
+        rr = table(nx)[rs, rs]
         trans = (rr & ~rs) == 0
         idem = rr == rs
         bad = refl & (trans != idem)
@@ -301,36 +275,23 @@ def oracle_suite(cap: int = 9, max_size: int = 3) -> dict[str, dict]:
 
     # prod-interchange: (r∘r') x (s∘s') == (r x s)∘(r' x s'), endorelations.
     # All relations in the instance (the product included) respect the cap,
-    # so the combined carrier nx*ny is capped too.
+    # so the combined carrier nx*ny is capped too.  Axes: r, r', s, s'.
     for nx in range(max_size + 1):
         for ny in range(max_size + 1):
             n = nx * ny
             if nx * nx > cap or ny * ny > cap or n * n > cap:
                 continue
-            tx = comp_t(nx, nx, nx)
-            ty = comp_t(ny, ny, ny)
-            tn = comp_t(n, n, n)
-            Rm = _all_relations(nx, nx).astype(np.uint8)
-            Sm = _all_relations(ny, ny).astype(np.uint8)
-            # kron[r, s] matches rel_product's bit layout
-            kron = _encode(
-                np.einsum("aij,bkl->abikjl", Rm, Sm).reshape(
-                    Rm.shape[0] * Sm.shape[0], n, n
-                ).astype(bool)
-            ).reshape(Rm.shape[0], Sm.shape[0])
-            nrx, nry = Rm.shape[0], Sm.shape[0]
-            r_idx = np.arange(nrx)
-            s_idx = np.arange(nry)
-            lhs = kron[tx[r_idx[:, None, None, None], r_idx[None, :, None, None]],
-                       ty[s_idx[None, None, :, None], s_idx[None, None, None, :]]]
-            rhs = tn[kron[r_idx[:, None, None, None], s_idx[None, None, :, None]],
-                     kron[r_idx[None, :, None, None], s_idx[None, None, None, :]]]
+            r = np.arange(1 << (nx * nx)).reshape(-1, 1, 1, 1)
+            s = np.arange(1 << (ny * ny)).reshape(1, 1, -1, 1)
+            rp, sp = r.reshape(1, -1, 1, 1), s.reshape(1, 1, 1, -1)
+            lhs = rel_product(table(nx)[r, rp], table(ny)[s, sp], nx, ny)
+            rhs = compose(rel_product(r, s, nx, ny), rel_product(rp, sp, nx, ny), n, n, n)
             ok = lhs == rhs
             fails = int((~ok).sum())
             ex = None
             if fails:
-                r, rp, s, sp = (int(v) for v in np.argwhere(~ok)[0])
-                ex = {"nx": nx, "ny": ny, "r": r, "rp": rp, "s": s, "sp": sp}
+                i, ip, j, jp = (int(v) for v in np.argwhere(~ok)[0])
+                ex = {"nx": nx, "ny": ny, "r": i, "rp": ip, "s": j, "sp": jp}
             record("prod-interchange", int(ok.sum()), ex, fails)
 
     # img-preimg: surjective f: X -> Y, r on Y: f(f^{-1}(r)) == r
@@ -342,27 +303,26 @@ def oracle_suite(cap: int = 9, max_size: int = 3) -> dict[str, dict]:
         for ny in range(max_size + 1):
             if ny * ny > cap:
                 continue
-            tx = comp_t(nx, nx, nx)
-            ty = comp_t(ny, ny, ny)
+            tx = table(nx)
+            ty = table(ny)
             nrx = 1 << (nx * nx)
             nry = 1 << (ny * ny)
             rx = np.arange(nrx)
             ry = np.arange(nry)
             for f in _surjections(nx, ny):
-                img = _image_table(f, nx, ny)
-                pre = _preimage_table(f, nx, ny)
-                bad = img[pre[ry]] != ry
+                img = image(f, rx, nx, ny)
+                pre = preimage(f, ry, nx, ny)
+                bad = img[pre] != ry
                 record("img-preimg", nry - bad.sum(), {"nx": nx, "ny": ny, "f": list(f), "r": int(ry[bad][0]) if bad.any() else None}, bad.sum())
 
                 e = eq_mask(f, nx)
-                lhs = pre[img[rx]]
+                lhs = pre[img]
                 rhs = tx[tx[e, rx], e]
                 bad = lhs != rhs
                 record("preimg-img", nrx - bad.sum(), {"nx": nx, "ny": ny, "f": list(f), "r": int(rx[bad][0]) if bad.any() else None}, bad.sum())
 
-                lhs = img[tx[pre[ry][:, None], pre[ry][None, :]]]
-                rhs = ty[ry[:, None], ry[None, :]]
-                ok = lhs == rhs
+                lhs = img[tx[pre[:, None], pre[None, :]]]
+                ok = lhs == ty
                 fails = (~ok).sum()
                 ex = None
                 if fails:
@@ -372,6 +332,9 @@ def oracle_suite(cap: int = 9, max_size: int = 3) -> dict[str, dict]:
 
     # lemma-eq-under-regepi: X = X1 x X2, E equivalence with E = p1(E) x p2(E)
     # implies both images are equivalences.
+    def is_equivalence(r, n):
+        return is_reflexive(r, n) & is_symmetric(r, n) & is_transitive(r, n)
+
     for n1 in range(1, max_size + 1):
         for n2 in range(1, max_size + 1):
             n = n1 * n2
@@ -379,21 +342,16 @@ def oracle_suite(cap: int = 9, max_size: int = 3) -> dict[str, dict]:
                 continue
             p1 = tuple(i // n2 for i in range(n))
             p2 = tuple(i % n2 for i in range(n))
-            inst = fails = 0
+            es = np.arange(1 << (n * n))
+            e1 = image(p1, es, n, n1)
+            e2 = image(p2, es, n, n2)
+            inst = is_equivalence(es, n) & (rel_product(e1, e2, n1, n2) == es)
+            bad1 = inst & ~is_equivalence(e1, n1)
+            bad2 = inst & ~is_equivalence(e2, n2)
+            fails = bad1.sum() + bad2.sum()
             ex = None
-            for e in range(1 << (n * n)):
-                if not (is_reflexive(e, n) and is_symmetric(e, n) and is_transitive(e, n)):
-                    continue
-                e1 = image(p1, e, n, n1)
-                e2 = image(p2, e, n, n2)
-                if rel_product(e1, e2, n1, n2) != e:
-                    continue
-                inst += 1
-                for ei, ni in ((e1, n1), (e2, n2)):
-                    if not (is_reflexive(ei, ni) and is_symmetric(ei, ni) and is_transitive(ei, ni)):
-                        fails += 1
-                        if ex is None:
-                            ex = {"n1": n1, "n2": n2, "e": e}
-            record("lemma-eq-under-regepi", inst, ex, fails)
+            if fails:
+                ex = {"n1": n1, "n2": n2, "e": int(es[bad1 | bad2][0])}
+            record("lemma-eq-under-regepi", inst.sum(), ex, fails)
 
     return res

@@ -1,6 +1,8 @@
 """The benchmark's tracer (``bench/tracer.py``) patches finext functions and
-methods by name.  A rename inside finext would silently drop those layers
-from ``--trace 1``, so every name it lists must still resolve."""
+methods by name, and keeps extra records (distinct keys, found share,
+latency, RSS growth, CPU time) for some of them by name.  A rename inside
+finext would silently drop those layers or records from ``--trace 1``, so
+every name it lists must still resolve."""
 
 from __future__ import annotations
 
@@ -30,3 +32,11 @@ def test_tracer_hook_names_resolve_in_finext():
         cls = getattr(modules[short], cls_name)
         for meth in methods:
             assert inspect.isfunction(vars(cls).get(meth)), f"{short}.{cls_name}.{meth}"
+    # names are module.function or module.Class.method
+    recorded = tracer.DISTINCT | tracer.FOUND | tracer.LATENCY | tracer.RSS | tracer.CPU
+    for name in sorted(recorded):
+        short, *path = name.split(".")
+        owner = modules[short]
+        for attr in path[:-1]:
+            owner = getattr(owner, attr)
+        assert inspect.isfunction(vars(owner).get(path[-1])), name

@@ -236,6 +236,28 @@ def test_relcalc_command_counts_and_strict_mode(set_file, capsys):
     assert code == 1  # strict escalates the honest inapplicable
 
 
+def test_relcalc_at_cap_16_runs_the_oracle_on_two_by_two_carriers(set_file, tmp_path, capsys):
+    # prod-interchange reaches the product of two 2-point carriers here
+    rep = tmp_path / "r.json"
+    code, out = run(capsys, "relcalc", set_file, "--max-relation-size", "16", "--report", str(rep))
+    assert code == 0
+    assert "summary: 14 pass, 0 fail, 1 inapplicable (15 checks)" in out
+    checks = {c["id"]: c for c in json.load(open(rep))["checks"]}
+    assert checks["identity/prod-interchange"]["details"]["oracle_instances"] == 2689561
+
+
+@pytest.mark.parametrize("command", ["relcalc", "verify-paper"])
+@pytest.mark.parametrize("value", ["-3", "-1", "nine"])
+def test_max_relation_size_must_be_a_non_negative_integer(set_file, capsys, command, value):
+    argv = [command, set_file] if command == "relcalc" else [command]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--max-relation-size", value])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "--max-relation-size: expected an integer >= 0" in out.err
+
+
 def test_report_digest_is_stable_across_runs(set_file, tmp_path, capsys):
     r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run(capsys, "check", set_file, "--mode", "extensive", "--report", str(r1))[0] == 0
