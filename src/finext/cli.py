@@ -30,7 +30,7 @@ import sys
 import time
 from typing import Any, Callable, NoReturn, Sequence
 
-from . import __version__, extensivity
+from . import __version__, extensivity, setrel
 from .algebra import (
     build_category,
     category_from_algebras,
@@ -46,7 +46,7 @@ from .propositions import (
     RELCALC_IDS,
     proposition_suite,
 )
-from .relcalc import IDENTITY_IDS, barr_exact_check, identity_suite, sub_poset
+from .relcalc import IDENTITY_IDS, barr_exact_check, identity_suite, oracle_max_size, sub_poset
 
 _VARIETY_CHOICES = (
     "set", "pointed", "poset", "semilattice", "slat", "lattice", "lat", "monoid", "mon",
@@ -371,9 +371,18 @@ def cmd_srp(args: argparse.Namespace) -> int:
 # -- relcalc ------------------------------------------------------------------
 
 
+def _require_oracle_fits(cap: int, max_size: int | None) -> None:
+    """Exit 2 when the set-relation oracle on carriers up to ``max_size``
+    would build arrays above ``setrel.ORACLE_MASK_LIMIT`` at this cap."""
+    masks = 0 if max_size is None else setrel.oracle_masks(cap, max_size)
+    if masks > setrel.ORACLE_MASK_LIMIT:
+        _fail_usage(f"--max-relation-size {cap} needs oracle arrays of {masks} masks (limit {setrel.ORACLE_MASK_LIMIT})")
+
+
 def cmd_relcalc(args: argparse.Namespace) -> int:
     cat, digest = _load_input(args)
     cap = args.max_relation_size
+    _require_oracle_fits(cap, oracle_max_size(cat))
     objs = _objects(cat, args.object)
     report = Report(
         "relcalc",
@@ -448,6 +457,8 @@ def _parse_suite(raw: str) -> tuple[bool, bool, list[str]]:
 def cmd_verify_paper(args: argparse.Namespace) -> int:
     run2, run3, explicit = _parse_suite(args.suite)
     cap = args.max_relation_size
+    if run3 or set(explicit) & set(IDENTITY_IDS):
+        _require_oracle_fits(cap, 3)  # finset3's identity suite
     roster = [
         {"label": lbl, "variety": kind, "max_carrier": n, "include_empty": empty, "dual": dl}
         for lbl, kind, n, empty, dl in _BUILTINS

@@ -45,7 +45,6 @@ __all__ = [
     "is_coextensive_morphism",
     "category_report",
     "all_binary_coproducts_exist",
-    "all_binary_products_exist",
     "coproduct_disjointness",
     "complement_uniqueness",
     "is_boolean_category",
@@ -320,10 +319,6 @@ def all_binary_coproducts_exist(cat: FinCategory) -> bool:
     )
 
 
-def all_binary_products_exist(cat: FinCategory) -> bool:
-    return all_binary_coproducts_exist(dual_of(cat))
-
-
 def _inclusion_set(cat: FinCategory) -> frozenset[int]:
     s = cat._cache.get("inclusions")
     if s is None:
@@ -337,18 +332,40 @@ def _inclusion_set(cat: FinCategory) -> frozenset[int]:
     return s
 
 
+def _orbit_reps(cat: FinCategory) -> list[int]:
+    """Each morphism's orbit representative: the first morphism, in id
+    order, of its orbit {α∘f∘β : α, β isomorphisms}."""
+    into, inv = limits._isos_into(cat), _iso_info(cat)[1]
+    reps = [-1] * cat.n_mor
+    for f in range(cat.n_mor):
+        if reps[f] < 0:  # a new orbit; inv[a] ranges over the isos out of cod f
+            for b in into[cat._dom_l[f]]:
+                fb = cat.compose(f, b)
+                for a in into[cat._cod_l[f]]:
+                    reps[cat.compose(inv[a], fb)] = f
+    return reps
+
+
 def category_report(cat: FinCategory, mode: str = "extensive") -> dict:
     """Per-morphism statuses plus the category verdict, and the reduced
     verdict quantified over split epis and coproduct inclusions only (the
-    two verdicts must agree when all binary coproducts exist)."""
+    two verdicts must agree when all binary coproducts exist).
+
+    f passes iff α∘f∘β does, for isos α and β, with the same details, so a
+    pass of an orbit's first morphism is copied to the whole orbit.  After a
+    failure each member is decided itself: a failure witness names that
+    morphism's own first failure.  The dual has the same orbits."""
     if mode not in ("extensive", "coextensive"):
         raise ValueError("mode must be extensive or coextensive")
     work = cat if mode == "extensive" else dual_of(cat)
     per: dict[str, CheckStatus] = {}
-    for i in range(work.n_mor):
-        mid = work.mid(i)
-        st = is_extensive_morphism(work, mid)
-        per[mid] = st if mode == "extensive" else _dualized(st)
+    for i, r in enumerate(_orbit_reps(work)):
+        mid, rep = work.mid(i), per.get(work.mid(r))
+        if rep is not None and rep.passed:
+            per[mid] = _ok(**rep.details)
+        else:
+            st = is_extensive_morphism(work, mid)
+            per[mid] = st if mode == "extensive" else _dualized(st)
     reduced_scope = sorted(
         work.mid(m)
         for m in set(_inclusion_set(work))

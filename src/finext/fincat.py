@@ -411,17 +411,15 @@ def dual_of(cat: FinCategory) -> FinCategory:
 def _iso_info(cat: FinCategory) -> tuple[frozenset[int], dict[int, int]]:
     info = cat._cache.get("iso")
     if info is None:
-        isos: set[int] = set()
         inv: dict[int, int] = {}
         for f in range(cat.n_mor):
             a, b = cat._dom_l[f], cat._cod_l[f]
             ia, ib = cat.identity_of.get(a), cat.identity_of.get(b)
             for g in cat.hom(b, a):
                 if cat.compose(g, f) == ia and cat.compose(f, g) == ib:
-                    isos.add(f)
                     inv[f] = g
                     break
-        info = (frozenset(isos), inv)
+        info = (frozenset(inv), inv)
         cat._cache["iso"] = info
     return info
 

@@ -13,6 +13,9 @@ found there is read here as it is.
 
 Search order is fixed everywhere — apexes in object order, legs in hom-set
 order — so the first certified witness is deterministic and cacheable.
+A pullback along an isomorphism is not searched: it is read off the
+inverse, (id, u⁻¹∘f) for an iso u, and transported along the isos into its
+apex to the cone the search would have certified first.
 All functions speak internal integer indexes; callers translate to string
 ids at the reporting boundary.
 """
@@ -32,7 +35,6 @@ __all__ = [
     "coproduct_bases",
     "cotuple",
     "coproduct_of_morphisms",
-    "is_product_cone",
     "product",
     "product_bases",
     "product_of_morphisms",
@@ -41,10 +43,8 @@ __all__ = [
     "kernel_pair",
     "pushout",
     "is_pushout_square",
-    "cokernel_pair",
     "is_coequaliser",
     "coequaliser",
-    "is_equaliser",
     "equaliser",
     "image_factorisation",
 ]
@@ -72,23 +72,15 @@ class UniversalWitness:
 def initial(cat: FinCategory) -> int | None:
     """First object with exactly one morphism to every object, if any."""
     if "initial" not in cat._cache:
-        hit = None
-        for x in range(len(cat.objects)):
-            if all(cat._hom_counts_l[x][y] == 1 for y in range(len(cat.objects))):
-                hit = x
-                break
-        cat._cache["initial"] = hit
+        hc, n = cat._hom_counts_l, len(cat.objects)
+        cat._cache["initial"] = next((x for x in range(n) if all(hc[x][y] == 1 for y in range(n))), None)
     return cat._cache["initial"]
 
 
 def terminal(cat: FinCategory) -> int | None:
     if "terminal" not in cat._cache:
-        hit = None
-        for x in range(len(cat.objects)):
-            if all(cat._hom_counts_l[y][x] == 1 for y in range(len(cat.objects))):
-                hit = x
-                break
-        cat._cache["terminal"] = hit
+        hc, n = cat._hom_counts_l, len(cat.objects)
+        cat._cache["terminal"] = next((x for x in range(n) if all(hc[y][x] == 1 for y in range(n))), None)
     return cat._cache["terminal"]
 
 
@@ -120,27 +112,20 @@ def coproduct(cat: FinCategory, a1: int, a2: int) -> UniversalWitness | None:
     """First certified coproduct of (a1, a2) in apex-then-leg order, cached."""
     cache = cat._cache.setdefault("coproduct", {})
     key = (a1, a2)
-    if key in cache:
-        return cache[key]
-    res = None
-    hc = cat._hom_counts_l
-    n = len(cat.objects)
-    for x in range(n):
-        if any(hc[x][y] != hc[a1][y] * hc[a2][y] for y in range(n)):
-            continue
-        found = None
-        for u in cat.hom(a1, x):
-            for v in cat.hom(a2, x):
-                if _cocone_universal(cat, a1, a2, x, u, v):
-                    found = UniversalWitness("coproduct", x, (u, v))
-                    break
-            if found:
-                break
-        if found:
-            res = found
-            break
-    cache[key] = res
-    return res
+    if key not in cache:
+        hc, n = cat._hom_counts_l, len(cat.objects)
+        apexes = (x for x in range(n) if all(hc[x][y] == hc[a1][y] * hc[a2][y] for y in range(n)))
+        cache[key] = next(
+            (
+                UniversalWitness("coproduct", x, (u, v))
+                for x in apexes
+                for u in cat.hom(a1, x)
+                for v in cat.hom(a2, x)
+                if _cocone_universal(cat, a1, a2, x, u, v)
+            ),
+            None,
+        )
+    return cache[key]
 
 
 def coproduct_bases(cat: FinCategory, x: int) -> tuple[tuple[int, int], ...]:
@@ -207,11 +192,6 @@ def _renamed(kind: str, w: UniversalWitness | None) -> UniversalWitness | None:
     return None if w is None else UniversalWitness(kind, w.apex, w.legs)
 
 
-def is_product_cone(cat: FinCategory, p: int, q: int) -> bool:
-    """Whether (p: X -> A1, q: X -> A2) exhibits X as A1 × A2."""
-    return is_coproduct_cocone(dual_of(cat), p, q)
-
-
 def product(cat: FinCategory, a1: int, a2: int) -> UniversalWitness | None:
     return _renamed("product", coproduct(dual_of(cat), a1, a2))
 
@@ -261,39 +241,6 @@ def _cone_universal(cat: FinCategory, a: int, b: int, p: int, p1: int, p2: int, 
     return True
 
 
-def pullback(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
-    """First certified pullback of the cospan (f: A -> X <- B : u), cached.
-
-    Legs come back as (p1: P -> A, p2: P -> B) with f∘p1 = u∘p2."""
-    if cat._cod_l[f] != cat._cod_l[u]:
-        raise ValueError("pullback needs a cospan (shared codomain)")
-    cache = cat._cache.setdefault("pullback", {})
-    key = (f, u)
-    if key in cache:
-        return cache[key]
-    a, b = cat._dom_l[f], cat._dom_l[u]
-    counts = _cone_counts(cat, f, u)
-    n = len(cat.objects)
-    res = None
-    for p in range(n):
-        if any(cat._hom_counts_l[y][p] != counts[y] for y in range(n)):
-            continue
-        found = None
-        for p1 in cat.hom(p, a):
-            w = cat.compose(f, p1)
-            for p2 in cat.postcompose_fibers(u, p).get(w, ()):
-                if _cone_universal(cat, a, b, p, p1, p2, counts):
-                    found = UniversalWitness("pullback", p, (p1, p2))
-                    break
-            if found:
-                break
-        if found:
-            res = found
-            break
-    cache[key] = res
-    return res
-
-
 def _isos_into(cat: FinCategory) -> dict[int, list[int]]:
     """The isomorphisms of the category grouped by codomain, cached."""
     index = cat._cache.get("isos_into")
@@ -305,6 +252,58 @@ def _isos_into(cat: FinCategory) -> dict[int, list[int]]:
     return index
 
 
+def _cone_orbit(cat: FinCategory, apex: int, w1: int, w2: int) -> list[tuple[int, int]]:
+    """The cones (w1∘i, w2∘i) for i an isomorphism into ``apex``: for a
+    pullback cone (w1, w2), every pullback cone over the same cospan."""
+    return [(cat.compose(w1, i), cat.compose(w2, i)) for i in _isos_into(cat).get(apex, ())]
+
+
+def _pullback_search(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
+    """The first certified pullback cone: apexes in object order, then legs
+    in (p1, p2) hom-set order."""
+    a, b = cat._dom_l[f], cat._dom_l[u]
+    counts = _cone_counts(cat, f, u)
+    n = len(cat.objects)
+    for p in range(n):
+        if any(cat._hom_counts_l[y][p] != counts[y] for y in range(n)):
+            continue
+        for p1 in cat.hom(p, a):
+            for p2 in cat.postcompose_fibers(u, p).get(cat.compose(f, p1), ()):
+                if _cone_universal(cat, a, b, p, p1, p2, counts):
+                    return UniversalWitness("pullback", p, (p1, p2))
+    return None
+
+
+def pullback(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
+    """First certified pullback of the cospan (f: A -> X <- B : u), cached.
+
+    Legs come back as (p1: P -> A, p2: P -> B) with f∘p1 = u∘p2.  Along an
+    iso leg the pullback is (id, u⁻¹∘f), or (f⁻¹∘u, id) for an iso f, put
+    into the search's canonical form: of its orbit (``_cone_orbit``), the
+    cone whose apex comes first in object order, then whose legs have the
+    least (position of p1, position of p2)."""
+    if cat._cod_l[f] != cat._cod_l[u]:
+        raise ValueError("pullback needs a cospan (shared codomain)")
+    cache = cat._cache.setdefault("pullback", {})
+    key = (f, u)
+    if key in cache:
+        return cache[key]
+    isos, inv = _iso_info(cat)
+    if u in isos or f in isos:
+        a, b = cat._dom_l[f], cat._dom_l[u]
+        if u in isos:
+            cone = (a, cat.identity_of[a], cat.compose(inv[u], f))
+        else:
+            cone = (b, cat.compose(inv[f], u), cat.identity_of[b])
+        dom, pos = cat._dom_l, cat._pos
+        p1, p2 = min(_cone_orbit(cat, *cone), key=lambda c: (dom[c[0]], pos[c[0]], pos[c[1]]))
+        res = UniversalWitness("pullback", dom[p1], (p1, p2))
+    else:
+        res = _pullback_search(cat, f, u)
+    cache[key] = res
+    return res
+
+
 def _pullback_squares(cat: FinCategory, f: int, u: int) -> frozenset[tuple[int, int]] | None:
     """Every pullback square over the cospan (f, u) as its side pair
     (p1, p2), or None when the cospan has no pullback.  Cached per cospan."""
@@ -313,12 +312,7 @@ def _pullback_squares(cat: FinCategory, f: int, u: int) -> frozenset[tuple[int, 
     if key in cache:
         return cache[key]
     w = pullback(cat, f, u)
-    res = None
-    if w is not None:
-        w1, w2 = w.legs
-        res = frozenset(
-            (cat.compose(w1, i), cat.compose(w2, i)) for i in _isos_into(cat).get(w.apex, ())
-        )
+    res = None if w is None else frozenset(_cone_orbit(cat, w.apex, *w.legs))
     cache[key] = res  # built locally, published in one assignment
     return res
 
@@ -362,13 +356,6 @@ def is_pushout_square(cat: FinCategory, f: int, g: int, q1: int, q2: int) -> boo
     return is_pullback_square(dual_of(cat), f, g, q1, q2)
 
 
-def cokernel_pair(cat: FinCategory, f: int) -> tuple[int, int, int] | None:
-    w = pushout(cat, f, f)
-    if w is None:
-        return None
-    return (w.apex, w.legs[0], w.legs[1])
-
-
 # -- (co)equalisers ------------------------------------------------------------------
 
 
@@ -397,23 +384,18 @@ def coequaliser(cat: FinCategory, u: int, v: int) -> UniversalWitness | None:
     """First certified coequaliser of (u, v) in apex-then-leg order, cached."""
     cache = cat._cache.setdefault("coequaliser", {})
     key = (u, v)
-    if key in cache:
-        return cache[key]
-    a = cat._cod_l[u]
-    res = None
-    for q in range(len(cat.objects)):
-        for f in cat.hom(a, q):
-            if is_coequaliser(cat, u, v, f):
-                res = UniversalWitness("coequaliser", q, (f,))
-                break
-        if res:
-            break
-    cache[key] = res
-    return res
-
-
-def is_equaliser(cat: FinCategory, u: int, v: int, m: int) -> bool:
-    return is_coequaliser(dual_of(cat), u, v, m)
+    if key not in cache:
+        a = cat._cod_l[u]
+        cache[key] = next(
+            (
+                UniversalWitness("coequaliser", q, (f,))
+                for q in range(len(cat.objects))
+                for f in cat.hom(a, q)
+                if is_coequaliser(cat, u, v, f)
+            ),
+            None,
+        )
+    return cache[key]
 
 
 def equaliser(cat: FinCategory, u: int, v: int) -> UniversalWitness | None:
@@ -434,18 +416,16 @@ def image_factorisation(cat: FinCategory, f: int) -> tuple[int, int] | None:
 
     monos = _mono_set(cat)
     a, b = cat._dom_l[f], cat._cod_l[f]
-    res = None
-    for i in range(len(cat.objects)):
-        for e in cat.hom(a, i):
-            if not _is_regular_epi(cat, e)[0]:
-                continue
-            for m in cat.precompose_fibers(e, b).get(f, ()):
-                if m in monos:
-                    res = (e, m)
-                    break
-            if res:
-                break
-        if res:
-            break
+    res = next(
+        (
+            (e, m)
+            for i in range(len(cat.objects))
+            for e in cat.hom(a, i)
+            if _is_regular_epi(cat, e)[0]
+            for m in cat.precompose_fibers(e, b).get(f, ())
+            if m in monos
+        ),
+        None,
+    )
     cache[f] = res
     return res

@@ -51,6 +51,7 @@ __all__ = [
     "classify_relation",
     "relations_on",
     "identity_suite",
+    "oracle_max_size",
     "IDENTITY_IDS",
     "regular_indicators",
     "barr_exact_check",
@@ -205,32 +206,21 @@ def _pairing(cat: FinCategory, w: limits.UniversalWitness, t1: int, t2: int) -> 
     return None
 
 
-def _rel_prod_witness(cat: FinCategory, x: int, y: int) -> limits.UniversalWitness | None:
-    return limits.product(cat, x, y)
-
-
 def _legs_of(cat: FinCategory, r: Relation) -> tuple[int, int]:
     m = r.cls.rep
     return cat.compose(r.prod.legs[0], m), cat.compose(r.prod.legs[1], m)
 
 
-def relation_from_mono(cat: FinCategory, x: int, y: int, m: int) -> Relation | None:
-    w = _rel_prod_witness(cat, x, y)
-    if w is None or cat._cod_l[m] != w.apex:
-        return None
-    return Relation(x, y, w, class_of(cat, m))
-
-
 def relations_on(cat: FinCategory, x: int, y: int) -> tuple[Relation, ...] | None:
     """Every relation from x to y (None when the ambient product is missing)."""
-    w = _rel_prod_witness(cat, x, y)
+    w = limits.product(cat, x, y)
     if w is None:
         return None
     return tuple(Relation(x, y, w, c) for c in sub_classes(cat, w.apex))
 
 
 def delta(cat: FinCategory, x: int) -> Relation | None:
-    w = _rel_prod_witness(cat, x, x)
+    w = limits.product(cat, x, x)
     if w is None:
         return None
     e = cat.identity_of[x]
@@ -242,14 +232,14 @@ def delta(cat: FinCategory, x: int) -> Relation | None:
 
 def nabla(cat: FinCategory, x: int, y: int | None = None) -> Relation | None:
     y = x if y is None else y
-    w = _rel_prod_witness(cat, x, y)
+    w = limits.product(cat, x, y)
     if w is None:
         return None
     return Relation(x, y, w, class_of(cat, cat.identity_of[w.apex]))
 
 
 def opposite(cat: FinCategory, r: Relation) -> Relation | None:
-    w = _rel_prod_witness(cat, r.tgt, r.src)
+    w = limits.product(cat, r.tgt, r.src)
     if w is None:
         return None
     r1, r2 = _legs_of(cat, r)
@@ -263,7 +253,7 @@ def rel_compose(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
     """Composite relation (first r: X -> Y, then s: Y -> Z)."""
     if r.tgt != s.src:
         raise ValueError("relations not composable")
-    w = _rel_prod_witness(cat, r.src, s.tgt)
+    w = limits.product(cat, r.src, s.tgt)
     if w is None:
         return None
     key = ("rel_compose", r.cls.rep, s.cls.rep, r.src, r.tgt, s.tgt)
@@ -288,13 +278,13 @@ def rel_compose(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
 
 def rel_product(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
     """Product relation on the product object (r on X) x (s on Y)."""
-    wxy = _rel_prod_witness(cat, r.src, s.src)
+    wxy = limits.product(cat, r.src, s.src)
     if wxy is None or r.src != r.tgt or s.src != s.tgt:
         if r.src != r.tgt or s.src != s.tgt:
             raise ValueError("rel_product needs endorelations")
         return None
     xy = wxy.apex
-    amb = _rel_prod_witness(cat, xy, xy)
+    amb = limits.product(cat, xy, xy)
     if amb is None:
         return None
     r0, s0 = cat._dom_l[r.cls.rep], cat._dom_l[s.cls.rep]
@@ -316,7 +306,7 @@ def rel_product(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
 def rel_image(cat: FinCategory, f: int, r: Relation) -> Relation | None:
     """Image of an endorelation on dom f under f (applied to both legs)."""
     x, y = cat._dom_l[f], cat._cod_l[f]
-    wx, wy = _rel_prod_witness(cat, x, x), _rel_prod_witness(cat, y, y)
+    wx, wy = limits.product(cat, x, x), limits.product(cat, y, y)
     if wx is None or wy is None:
         return None
     ff = limits.product_of_morphisms(cat, f, f, tuple(wx.legs), tuple(wy.legs))
@@ -331,7 +321,7 @@ def rel_image(cat: FinCategory, f: int, r: Relation) -> Relation | None:
 def rel_preimage(cat: FinCategory, f: int, r: Relation) -> Relation | None:
     """Preimage of an endorelation on cod f under f."""
     x, y = cat._dom_l[f], cat._cod_l[f]
-    wx, wy = _rel_prod_witness(cat, x, x), _rel_prod_witness(cat, y, y)
+    wx, wy = limits.product(cat, x, x), limits.product(cat, y, y)
     if wx is None or wy is None:
         return None
     ff = limits.product_of_morphisms(cat, f, f, tuple(wx.legs), tuple(wy.legs))
@@ -347,7 +337,7 @@ def eq_of(cat: FinCategory, f: int) -> Relation | None:
     """Kernel relation of f (None when the kernel pair or ambient is missing)."""
     kp = limits.kernel_pair(cat, f)
     x = cat._dom_l[f]
-    w = _rel_prod_witness(cat, x, x)
+    w = limits.product(cat, x, x)
     if kp is None or w is None:
         return None
     h = _pairing(cat, w, kp[1], kp[2])
@@ -465,6 +455,13 @@ def _endo_pools(cat: FinCategory, cap: int) -> list[tuple[int, tuple[Relation, .
     return pools
 
 
+def oracle_max_size(cat: FinCategory) -> int | None:
+    """The largest carrier the set-relation oracle enumerates for ``cat``,
+    or None when ``identity_suite`` runs no oracle on it."""
+    meta = cat.metadata or {}
+    return int(meta.get("max_size", 3)) if meta.get("kind") == "set" else None
+
+
 def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[str, CheckStatus]]:
     """Verify the relation-calculus identities over every in-category
     instance within the ambient cap; on the finite-set builder the concrete
@@ -570,7 +567,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
         for y, ry in endo:
             if not _ambient_ok(sizes, cap, x, y, x, y):
                 continue
-            if _rel_prod_witness(cat, x, y) is None:
+            if limits.product(cat, x, y) is None:
                 continue
             for r, rp in itertools.product(rx, repeat=2):
                 for s, sp in itertools.product(ry, repeat=2):
@@ -735,10 +732,8 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
         res_lemma = None
 
     results: list[tuple[str, CheckStatus]] = []
-    oracle = None
-    meta = cat.metadata or {}
-    if meta.get("kind") == "set":
-        oracle = setrel.oracle_suite(cap=cap, max_size=int(meta.get("max_size", 3)))
+    size = oracle_max_size(cat)
+    oracle = None if size is None else setrel.oracle_suite(cap=cap, max_size=size)
     for ident in IDENTITY_IDS:
         if ident == "lemma-reflexive-splits" and res_lemma is not None:
             results.append((ident, res_lemma))

@@ -21,7 +21,8 @@ those composites form one full table per carrier, built once per call and
 shared by the identities on endorelations.  `delta-unit` composes delta with
 every relation directly, and `prod-interchange` composes only the product
 relations it compares, so no table is built on a carrier of 4 or on a
-product carrier.
+product carrier.  `oracle_masks` is the size of the largest array a call
+builds, which the CLI holds to `ORACLE_MASK_LIMIT` before starting one.
 """
 
 from __future__ import annotations
@@ -43,15 +44,14 @@ __all__ = [
     "is_reflexive",
     "is_symmetric",
     "is_transitive",
-    "pairs_of",
     "mask_of",
     "oracle_suite",
+    "oracle_masks",
+    "ORACLE_MASK_LIMIT",
     "ORACLE_IDENTITY_IDS",
 ]
 
-
-def pairs_of(mask: int, nx: int, ny: int) -> frozenset[tuple[int, int]]:
-    return frozenset((b // ny, b % ny) for b in range(nx * ny) if mask >> b & 1)
+ORACLE_MASK_LIMIT = 1 << 24  # masks in one oracle array: 128 MB of int64
 
 
 def mask_of(pairs: Iterable[tuple[int, int]], nx: int, ny: int) -> int:
@@ -189,6 +189,17 @@ def _shapes(cap: int, max_size: int = 3):
         for ny in range(max_size + 1):
             if nx * ny <= cap:
                 yield nx, ny
+
+
+def oracle_masks(cap: int = 9, max_size: int = 3) -> int:
+    """The number of masks in the largest array `oracle_suite(cap, max_size)`
+    builds: a four-axis prod-interchange grid (with one empty carrier, a
+    composite table) or the relations on the lemma's product carrier.  The
+    relations of one shape, at most 2**cap, never exceed the largest grid."""
+    ns = [n for n in range(max_size + 1) if n * n <= cap]
+    grids = [1 << 2 * (nx * nx + ny * ny) for nx in ns for ny in ns if (nx * ny) ** 2 <= cap]
+    ps = [n1 * n2 for n1 in range(1, max_size + 1) for n2 in range(1, max_size + 1)]
+    return max(grids + [1 << (n * n) for n in ps if n * n <= cap])
 
 
 def oracle_suite(cap: int = 9, max_size: int = 3) -> dict[str, dict]:

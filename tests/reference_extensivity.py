@@ -4,7 +4,8 @@ The condition-two reference enumerates every (top base, bottom base,
 filler pair) instance and judges both squares of each instance, left then
 right, as the original ``check_e2`` and ``is_M_extensive`` loops did.
 ``cocone_universal_n`` is the original n-ary coproduct certificate over
-numpy block columns.
+numpy block columns.  ``category_report`` is the original per-morphism
+loop, which decides every morphism on its own.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
+from finext import extensivity as ext
 from finext import limits
-from finext.fincat import FinCategory
+from finext.fincat import FinCategory, _split_mono_witness, dual_of
 from reference_fincat import block
 
 
@@ -75,3 +77,33 @@ def cocone_universal_n(cat: FinCategory, legs: Sequence[int]) -> bool:
         if np.unique(code).size != k:
             return False
     return True
+
+
+def category_report(cat: FinCategory, mode: str = "extensive") -> dict:
+    """The per-morphism loop: ``is_extensive_morphism`` on every morphism,
+    with no sharing between isomorphic morphisms."""
+    if mode not in ("extensive", "coextensive"):
+        raise ValueError("mode must be extensive or coextensive")
+    work = cat if mode == "extensive" else dual_of(cat)
+    per = {}
+    for i in range(work.n_mor):
+        mid = work.mid(i)
+        st = ext.is_extensive_morphism(work, mid)
+        per[mid] = st if mode == "extensive" else ext._dualized(st)
+    reduced_scope = sorted(
+        work.mid(m)
+        for m in set(ext._inclusion_set(work))
+        | {f for f in range(work.n_mor) if _split_mono_witness(dual_of(work), f) is not None}
+    )
+    verdict = all(st.passed for st in per.values())
+    reduced = all(per[m].passed for m in reduced_scope)
+    has_cops = ext.all_binary_coproducts_exist(work)
+    return {
+        "mode": mode,
+        "morphisms": {m: per[m].as_dict() for m in sorted(per)},
+        "verdict": "pass" if verdict else "fail",
+        "reduced_scope": reduced_scope,
+        "reduced_verdict": "pass" if reduced else "fail",
+        "binary_coproducts_exist": has_cops,
+        "verdicts_agree": (verdict == reduced) if has_cops else None,
+    }

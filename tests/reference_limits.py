@@ -7,7 +7,9 @@ These are the original formulations, kept for differential tests only:
 - ``cocone_universal`` / ``cone_universal``: injectivity of the leg-pair
   map by ``np.unique`` over pair codes ``r1 * M + r2``;
 - ``cotuple`` and ``is_coequaliser``: masks and ``np.unique`` over block
-  columns.
+  columns;
+- ``pullback``: the plain search on every cospan, without reading the
+  pullback along an iso leg off its inverse.
 
 All of them read the original numpy composition blocks
 (``reference_fincat.block``).
@@ -124,3 +126,34 @@ def is_coequaliser(cat: FinCategory, u: int, v: int, f: int) -> bool:
         if np.unique(col).size != k:
             return False
     return True
+
+
+def pullback(cat: FinCategory, f: int, u: int) -> limits.UniversalWitness | None:
+    """The plain pullback search on every cospan, iso legs included: the
+    first apex in object order, then the first legs in (p1, p2) hom-set
+    order, whose cone is certified universal.  Cached under its own key."""
+    cache = cat._cache.setdefault("reference_pullback", {})
+    key = (f, u)
+    if key in cache:
+        return cache[key]
+    a, b = cat._dom_l[f], cat._dom_l[u]
+    counts = limits._cone_counts(cat, f, u)
+    n = len(cat.objects)
+    res = None
+    for p in range(n):
+        if any(cat._hom_counts_l[y][p] != counts[y] for y in range(n)):
+            continue
+        found = None
+        for p1 in cat.hom(p, a):
+            w = cat.compose(f, p1)
+            for p2 in cat.postcompose_fibers(u, p).get(w, ()):
+                if limits._cone_universal(cat, a, b, p, p1, p2, counts):
+                    found = limits.UniversalWitness("pullback", p, (p1, p2))
+                    break
+            if found:
+                break
+        if found:
+            res = found
+            break
+    cache[key] = res
+    return res

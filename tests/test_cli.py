@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finext import cli, setrel
 from finext.algebra import dump_category, enumerate_structures
 from finext.cli import main
 
@@ -256,6 +257,40 @@ def test_max_relation_size_must_be_a_non_negative_integer(set_file, capsys, comm
     out = capsys.readouterr()
     assert out.out == ""
     assert "--max-relation-size: expected an integer >= 0" in out.err
+
+
+def _refuse_work(monkeypatch):
+    """Make every relation-calculus entry point, the built-in categories and
+    the oracle raise if they start."""
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("started work on a rejected cap")
+
+    for name in ("identity_suite", "barr_exact_check", "sub_poset", "proposition_suite", "build_category"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr(setrel, "oracle_suite", refuse)
+
+
+@pytest.mark.parametrize("carrier,cap,masks", [(4, 16, 1 << 34), (3, 36, 1 << 36)])
+def test_relcalc_rejects_a_cap_whose_oracle_cannot_be_built(tmp_path, capsys, monkeypatch, carrier, cap, masks):
+    path = tmp_path / "set.json"
+    assert run(capsys, "gen", "--variety", "set", "--max-carrier", str(carrier), "--output", str(path))[0] == 0
+    _refuse_work(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["relcalc", str(path), "--max-relation-size", str(cap)])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"--max-relation-size {cap} needs oracle arrays of {masks} masks" in out.err
+
+
+@pytest.mark.parametrize("suite", ["all", "relcalc", "delta-unit"])
+def test_verify_paper_rejects_a_cap_whose_oracle_cannot_be_built(capsys, monkeypatch, suite):
+    _refuse_work(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-paper", "--suite", suite, "--max-relation-size", "36"])
+    assert exc.value.code == 2
+    assert f"needs oracle arrays of {1 << 36} masks" in capsys.readouterr().err
 
 
 def test_report_digest_is_stable_across_runs(set_file, tmp_path, capsys):

@@ -1,0 +1,176 @@
+"""Iso-orbit transport checked against the plain searches.
+
+``limits.pullback`` reads a pullback along an iso leg off the inverse and
+puts it into the search's canonical form; ``category_report`` decides one
+morphism per iso orbit and copies its pass to the orbit.  Both are compared
+with their references (``reference_limits.pullback``, the plain search on
+every cospan, and ``reference_extensivity.category_report``, the
+per-morphism loop) on categories in which an object has an isomorphic copy
+(``generators.inflate``), since no built-in category has two distinct
+isomorphic objects.  The canonical apex, the first object isomorphic to the
+certified one, is exercised only there.
+"""
+
+from __future__ import annotations
+
+import functools
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import reference_extensivity
+import reference_limits
+from finext import extensivity as ext
+from finext import limits
+from finext.algebra import build_category
+from finext.fincat import FinCategory, _iso_info, dual_of
+from generators import inflate, lift_id
+from test_fast_paths import _cospans
+
+MODES = ("extensive", "coextensive")
+BASES = {"set2": ("set", 2), "pointed3": ("pointed", 3), "mon2": ("mon", 2), "set3": ("set", 3)}
+
+
+@functools.cache
+def base(name: str) -> FinCategory:
+    return build_category(*BASES[name])[0]
+
+
+@st.composite
+def inflations(draw):
+    """(base name, object to copy, position of the copy)."""
+    name = draw(st.sampled_from(sorted(BASES)))
+    n = len(base(name).objects)
+    return name, draw(st.integers(0, n - 1)), draw(st.integers(0, n))
+
+
+def first_and_last(test):
+    """Add Hypothesis examples that copy each object of each base to
+    position 0 and to the last position."""
+    for name in sorted(BASES):
+        n = len(base(name).objects)
+        for x in range(n):
+            for pos in (0, n):
+                test = example((name, x, pos))(test)
+    return test
+
+
+@first_and_last
+@settings(max_examples=15, deadline=None)
+@given(inflations())
+def test_transported_pullbacks_equal_the_search(case):
+    name, x, pos = case
+    cat = inflate(base(name), x, pos)
+    isos = _iso_info(cat)[0]
+    moved = 0
+    for c in (cat, dual_of(cat)):
+        for f, u in _cospans(c):
+            got = limits.pullback(c, f, u)
+            assert got == reference_limits.pullback(c, f, u), (case, c is cat, f, u)
+            if u in isos:
+                moved += got.apex != c._dom_l[f]
+    # at least the pullback of (id, id) on the later of x and its copy has
+    # the earlier one as its apex
+    assert moved > 0, case
+
+
+def test_iso_legs_are_never_searched(monkeypatch):
+    def refuse(cat, f, u):
+        raise AssertionError(f"searched the iso-leg cospan {(f, u)}")
+
+    monkeypatch.setattr(limits, "_pullback_search", refuse)
+    for cat in (inflate(base("pointed3"), 2, 0), dual_of(inflate(base("set3"), 1, 4))):
+        isos = _iso_info(cat)[0]
+        legs = [(f, u) for f, u in _cospans(cat) if f in isos or u in isos]
+        assert any(f in isos and u not in isos for f, u in legs)
+        for f, u in legs:
+            limits.pullback(cat, f, u)
+
+
+@first_and_last
+@settings(max_examples=10, deadline=None)
+@given(inflations())
+def test_reports_equal_the_per_morphism_loop(case):
+    """Each report equals the seed's: the per-morphism loop over the plain
+    pullback search, run on a second copy of the category."""
+    name, x, pos = case
+    fast = inflate(base(name), x, pos)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limits, "pullback", reference_limits.pullback)
+        plain = inflate(base(name), x, pos)
+        expected = {mode: reference_extensivity.category_report(plain, mode) for mode in MODES}
+    for mode in MODES:
+        assert ext.category_report(fast, mode) == expected[mode], (case, mode)
+
+
+@first_and_last
+@settings(max_examples=10, deadline=None)
+@given(inflations())
+def test_inflation_keeps_statuses_and_copies_share_details(case):
+    """Invariance under equivalence: every lift of a morphism has the
+    original's status, and a lift through the copy has the same status and
+    details as the lift it copies."""
+    name, x, pos = case
+    orig = base(name)
+    cat = inflate(orig, x, pos)
+    over = {o: (False, True) if o == orig.objects[x] else (False,) for o in orig.objects}
+    for mode in MODES:
+        before = ext.category_report(orig, mode)["morphisms"]
+        after = ext.category_report(cat, mode)["morphisms"]
+        for m, mid in enumerate(orig.mor_ids):
+            for sa in over[orig.objects[orig._dom_l[m]]]:
+                for sb in over[orig.objects[orig._cod_l[m]]]:
+                    lift = after[lift_id(mid, sa, sb)]
+                    assert lift["status"] == before[mid]["status"], (case, mode, mid, sa, sb)
+                    assert lift.get("details") == after[mid].get("details"), (case, mode, mid, sa, sb)
+
+
+def _brute_force_reps(cat: FinCategory) -> list[int]:
+    """The least id of {α∘f∘β} over every pair of composable isos."""
+    isos = _iso_info(cat)[0]
+    reps = []
+    for f in range(cat.n_mor):
+        orbit = {
+            cat.compose(a, cat.compose(f, b))
+            for a in isos
+            if cat._dom_l[a] == cat._cod_l[f]
+            for b in isos
+            if cat._cod_l[b] == cat._dom_l[f]
+        }
+        reps.append(min(orbit))
+    return reps
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: base("pointed3"),
+        lambda: build_category("mon", 3)[0],
+        lambda: inflate(base("set3"), 2, 0),
+        lambda: dual_of(inflate(base("mon2"), 1, 3)),
+    ],
+    ids=["pointed3", "mon3", "set3-inflated", "mon2-inflated-dual"],
+)
+def test_orbit_index_matches_brute_force(make):
+    cat = make()
+    assert ext._orbit_reps(cat) == _brute_force_reps(cat)
+
+
+@pytest.mark.parametrize(
+    "kind, n, orbits, morphisms",
+    [("set", 4, 38, 499), ("mon", 3, 175, 194), ("pointed", 3, 16, 23)],
+)
+def test_orbit_counts(set4, kind, n, orbits, morphisms):
+    cat = set4[0] if (kind, n) == ("set", 4) else build_category(kind, n)[0]
+    reps = ext._orbit_reps(cat)
+    assert (len(set(reps)), len(reps)) == (orbits, morphisms)
+    assert ext._orbit_reps(dual_of(cat)) == reps
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_report_entries_own_their_details(mode):
+    for cat in (base("set3"), inflate(base("pointed3"), 1, 0)):
+        entries = ext.category_report(cat, mode)["morphisms"].values()
+        details = [e["details"] for e in entries]
+        assert len({id(d) for d in details}) == len(details)

@@ -112,6 +112,32 @@ def test_oracle_at_cap_16_is_pinned():
     assert all(v["failures"] == 0 and v["counterexample"] is None for v in res.values())
 
 
+@pytest.mark.parametrize("cap,max_size", [(9, 3), (16, 3), (9, 4), (6, 3), (4, 2), (3, 3), (1, 1), (0, 0)])
+def test_oracle_masks_is_the_largest_array_the_oracle_builds(monkeypatch, cap, max_size):
+    # every array at its largest is a kernel's result: a composite table,
+    # the prod-interchange grid, or the images of all relations of a shape
+    sizes = []
+    for name in ("compose", "image", "preimage", "rel_product"):
+
+        def recording(*args, kernel=getattr(setrel, name)):
+            out = kernel(*args)
+            sizes.append(np.size(out))
+            return out
+
+        monkeypatch.setattr(setrel, name, recording)
+    setrel.oracle_suite(cap, max_size)
+    assert setrel.oracle_masks(cap, max_size) == max(sizes)
+    assert setrel.oracle_masks(cap, max_size) <= setrel.ORACLE_MASK_LIMIT
+
+
+@pytest.mark.parametrize("cap,max_size,bits", [(16, 4, 34), (36, 3, 36)])
+def test_oracle_masks_above_the_limit(cap, max_size, bits):
+    # (16, 4): the prod-interchange grid of 1- and 4-point carriers, 2**34
+    # masks (table(4) has 2**32); (36, 3): the lemma on a 6-point carrier
+    assert setrel.oracle_masks(cap, max_size) == 1 << bits
+    assert setrel.oracle_masks(cap, max_size) > setrel.ORACLE_MASK_LIMIT
+
+
 # -- fault injection ---------------------------------------------------------------
 
 
