@@ -774,7 +774,13 @@ def category_from_algebras(
 ) -> tuple[FinCategory, Universe]:
     """The full category on an explicit list of structures, with every hom
     between them.  Morphism ids: ``dom>cod#K`` with K the position of the
-    function table in lexicographic order."""
+    function table in lexicographic order.
+
+    Built from integer data: morphisms are numbered hom-set by hom-set in
+    (dom, cod) order and by K inside each, which is the (dom, cod, id) order
+    ``FinCategory`` sorts string input into (while K has four digits).  So
+    the id of g∘f is the first id of hom(a, c) plus the position K of the
+    table gt∘ft in that hom-set."""
     if names is None:
         names = default_names(kind, algs)
     if max_size is None:
@@ -783,42 +789,36 @@ def category_from_algebras(
     for name, alg in zip(names, algs):
         uni.algebras[name] = alg
 
-    morphisms: list[tuple[str, str, str]] = []
-    identities: dict[str, str] = {}
-    table_index: dict[tuple[str, str, tuple[int, ...]], str] = {}
-    homs: dict[tuple[str, str], list[tuple[str, tuple[int, ...]]]] = {}
-    for da, na in zip(algs, names):
-        for db, nb in zip(algs, names):
-            hs = enumerate_homs(da, db)
-            entry = []
-            for k, tbl in enumerate(hs):
-                mid = f"{na}>{nb}#{k:04d}"
-                morphisms.append((mid, na, nb))
-                table_index[(na, nb, tbl)] = mid
-                uni.maps[mid] = tbl
-                entry.append((mid, tbl))
-                if na == nb and tbl == tuple(range(da.size)):
-                    identities[na] = mid
-            homs[(na, nb)] = entry
+    n = len(algs)
+    mor_ids: list[str] = []
+    dom: list[int] = []
+    cod: list[int] = []
+    identity_of: dict[int, int] = {}
+    homs: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}  # hom(a, b): function table -> id
+    for a, (da, na) in enumerate(zip(algs, names)):
+        for b, (db, nb) in enumerate(zip(algs, names)):
+            tables = enumerate_homs(da, db)
+            homs[a, b] = {tbl: len(mor_ids) + k for k, tbl in enumerate(tables)}
+            for k, tbl in enumerate(tables):
+                mor_ids.append(f"{na}>{nb}#{k:04d}")
+                uni.maps[mor_ids[-1]] = tbl
+            dom += [a] * len(tables)
+            cod += [b] * len(tables)
+        identity_of[a] = homs[a, a][tuple(range(da.size))]
 
-    composition: dict[tuple[str, str], str] = {}
-    for (na, nb), fs in homs.items():
-        for (nb2, nc), gs in homs.items():
-            if nb2 != nb:
-                continue
-            for gid, gt in gs:
-                for fid, ft in fs:
-                    comp = tuple(gt[x] for x in ft)
-                    composition[(gid, fid)] = table_index[(na, nc, comp)]
+    M = len(mor_ids)
+    comp: dict[int, int] = {}
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                ac = homs[a, c]
+                for gt, g in homs[b, c].items():
+                    gk = g * M
+                    for ft, f in homs[a, b].items():
+                        comp[gk + f] = ac[tuple(map(gt.__getitem__, ft))]
 
-    cat = FinCategory(
-        objects=list(names),
-        morphisms=morphisms,
-        identities=identities,
-        composition=composition,
-        metadata={"kind": kind, "max_size": max_size, "sizes": {n: uni.algebras[n].size for n in names}},
-    )
-    return cat, uni
+    meta = {"kind": kind, "max_size": max_size, "sizes": {x: uni.algebras[x].size for x in names}}
+    return FinCategory._of_ints(names, mor_ids, dom, cod, identity_of, comp, meta), uni
 
 
 # -- category files -----------------------------------------------------------

@@ -8,18 +8,18 @@ over this data, so the table itself is re-checkable: ``validate`` re-asserts
 every axiom and reports each violation instead of repairing anything.
 
 Morphism and object ids are strings at the boundary; internally both are
-dense integer indexes so the hot scans stay cheap.  The core is plain
-Python: dom/cod and hom-set sizes are lists, each morphism's position in
-its hom-set is one list built with the hom-sets, and composition is read
-through ``block`` rows of global ids (columns are rows of the dual, which
-shares these indexes and lists).
+dense integer indexes, and every category, its dual included, is set up
+from integer data by one core.  A primal/dual pair keeps one composition
+dict: g∘f is stored at key g*kg + f*kf, with strides (M, 1) on the primal
+and (1, M) on the dual.  Hot scans read it through cached ``block`` rows of
+global ids; a column is a row of the dual.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 __all__ = [
     "FinCategory",
@@ -63,47 +63,66 @@ class FinCategory:
         composition: Mapping[tuple[str, str], str],
         metadata: Mapping[str, Any] | None = None,
     ):
-        if len(set(objects)) != len(objects):
-            raise CategoryDataError("duplicate object ids")
-        self.objects: tuple[str, ...] = tuple(objects)
-        self.obj_index: dict[str, int] = {x: i for i, x in enumerate(self.objects)}
-
-        seen = set()
+        obj_index = {x: i for i, x in enumerate(objects)}
         for mid, d, c in morphisms:
-            if mid in seen:
-                raise CategoryDataError(f"duplicate morphism id {mid!r}")
-            seen.add(mid)
-            if d not in self.obj_index or c not in self.obj_index:
+            if d not in obj_index or c not in obj_index:
                 raise CategoryDataError(f"morphism {mid!r} has unknown dom/cod")
 
         # Deterministic internal order of a constructed category: by
         # (dom, cod, id).  ``dual`` keeps its primal's order instead.
-        ordered = sorted(morphisms, key=lambda m: (self.obj_index[m[1]], self.obj_index[m[2]], m[0]))
-        self.mor_ids: tuple[str, ...] = tuple(m[0] for m in ordered)
-        self.mor_index: dict[str, int] = {m: i for i, m in enumerate(self.mor_ids)}
-        self.n_mor = len(self.mor_ids)
-        self._dom_l: list[int] = [self.obj_index[m[1]] for m in ordered]
-        self._cod_l: list[int] = [self.obj_index[m[2]] for m in ordered]
+        ordered = sorted(morphisms, key=lambda m: (obj_index[m[1]], obj_index[m[2]], m[0]))
+        mor_ids = [m[0] for m in ordered]
+        mor_index = {m: i for i, m in enumerate(mor_ids)}
 
-        self.identity_of: dict[int, int] = {}
+        identity_of: dict[int, int] = {}
         for x, mid in identities.items():
-            if x not in self.obj_index:
+            if x not in obj_index:
                 raise CategoryDataError(f"identity declared for unknown object {x!r}")
-            if mid not in self.mor_index:
+            if mid not in mor_index:
                 raise CategoryDataError(f"identity {mid!r} of {x!r} is not a declared morphism")
-            self.identity_of[self.obj_index[x]] = self.mor_index[mid]
-        self.identity_set = frozenset(self.identity_of.values())
+            identity_of[obj_index[x]] = mor_index[mid]
 
-        M = self.n_mor
-        self._M = M
+        M = len(mor_ids)
         comp: dict[int, int] = {}
         for (g, f), gf in composition.items():
-            if g not in self.mor_index or f not in self.mor_index or gf not in self.mor_index:
+            if g not in mor_index or f not in mor_index or gf not in mor_index:
                 raise CategoryDataError(f"composition entry ({g!r},{f!r})->{gf!r} uses unknown ids")
-            comp[self.mor_index[g] * M + self.mor_index[f]] = self.mor_index[gf]
-        self._comp = comp
+            comp[mor_index[g] * M + mor_index[f]] = mor_index[gf]
 
-        self.metadata: dict[str, Any] = dict(metadata or {})
+        dom, cod = [obj_index[m[1]] for m in ordered], [obj_index[m[2]] for m in ordered]
+        self._setup(objects, mor_ids, dom, cod, identity_of, comp, dict(metadata or {}))
+
+    @classmethod
+    def _of_ints(cls, *args: Any, **kwargs: Any) -> "FinCategory":
+        """A category from integer data, through ``_setup``."""
+        cat = cls.__new__(cls)
+        cat._setup(*args, **kwargs)
+        return cat
+
+    def _setup(
+        self, objects: Sequence[str], mor_ids: Sequence[str], dom: list[int], cod: list[int],
+        identity_of: dict[int, int], comp: dict[int, int], metadata: dict[str, Any],
+        strides: tuple[int, int] | None = None,
+    ) -> None:
+        """The integer core every category goes through: morphism i runs
+        dom[i] -> cod[i], and g∘f is ``comp[g*kg + f*kf]`` with (kg, kf) =
+        ``strides``, by default (M, 1).  The table is checked by ``validate``."""
+        self.objects: tuple[str, ...] = tuple(objects)
+        self.obj_index: dict[str, int] = {x: i for i, x in enumerate(self.objects)}
+        if len(self.obj_index) != len(self.objects):
+            raise CategoryDataError("duplicate object ids")
+        self.mor_ids: tuple[str, ...] = tuple(mor_ids)
+        self.mor_index: dict[str, int] = {m: i for i, m in enumerate(self.mor_ids)}
+        if len(self.mor_index) != len(self.mor_ids):
+            dup = next(m for i, m in enumerate(self.mor_ids) if self.mor_index[m] != i)
+            raise CategoryDataError(f"duplicate morphism id {dup!r}")
+        M = self.n_mor = self._M = len(self.mor_ids)
+        self._dom_l, self._cod_l = dom, cod
+        self.identity_of = identity_of
+        self.identity_set = frozenset(identity_of.values())
+        self._comp = comp
+        self._kg, self._kf = strides or (M, 1)
+        self.metadata = metadata
 
         # hom-sets as ascending int lists, each morphism's position in its
         # hom-set, and _hom_counts_l[a][b] = |hom(a, b)|
@@ -111,7 +130,7 @@ class FinCategory:
         hom: dict[int, list[int]] = {}
         pos = [0] * M
         for i in range(M):
-            ms = hom.setdefault(self._dom_l[i] * n + self._cod_l[i], [])
+            ms = hom.setdefault(dom[i] * n + cod[i], [])
             pos[i] = len(ms)
             ms.append(i)
         self._hom = hom
@@ -120,6 +139,7 @@ class FinCategory:
 
         self._cache: dict[str, Any] = {}
         self._blocks: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
+        self._dual: FinCategory | None = None  # set on both sides by ``dual_of``
 
     # -- basic accessors (int side) -------------------------------------
 
@@ -128,7 +148,7 @@ class FinCategory:
 
     def compose(self, g: int, f: int) -> int | None:
         """g∘f (f first), or None if the pair is not in the table."""
-        return self._comp.get(g * self._M + f)
+        return self._comp.get(g * self._kg + f * self._kf)
 
     def block(self, a: int, b: int, c: int) -> tuple[tuple[int, ...], ...]:
         """Composition block over hom(b,c) x hom(a,b), cached: one row per g
@@ -138,10 +158,9 @@ class FinCategory:
         key = (a, b, c)
         blk = self._blocks.get(key)
         if blk is None:
-            fs = self.hom(a, b)
-            M = self._M
-            get = self._comp.get
-            blk = tuple(tuple([get(g * M + f, -1) for f in fs]) for g in self.hom(b, c))
+            kg, get = self._kg, self._comp.get
+            fks = [f * self._kf for f in self.hom(a, b)]
+            blk = tuple(tuple([get(g * kg + fk, -1) for fk in fks]) for g in self.hom(b, c))
             self._blocks[key] = blk
         return blk
 
@@ -155,7 +174,7 @@ class FinCategory:
 
     def col(self, f: int, dst: int) -> tuple[int, ...]:
         """t∘f for each t in hom(cod f, dst), in hom-set order."""
-        return dual_of(self).row(f, dst)
+        return (self._dual or dual_of(self)).row(f, dst)
 
     def postcompose_fibers(self, g: int, src: int) -> dict[int, list[int]]:
         """For g: B->C, the fibers of hom(src,B) -> hom(src,C), t |-> g∘t."""
@@ -206,6 +225,12 @@ class FinCategory:
 
     # -- serialization ----------------------------------------------------
 
+    def _entries(self) -> Iterator[tuple[int, int, int]]:
+        """Every stored composition entry as (g, f, g∘f), including entries
+        for pairs that are not composable, which no block can hold."""
+        M, kg, kf = self._M, self._kg, self._kf
+        return ((k // kg % M, k // kf % M, v) for k, v in self._comp.items())
+
     def to_json(self) -> dict:
         return {
             "objects": list(self.objects),
@@ -215,8 +240,8 @@ class FinCategory:
             ],
             "identities": {self.objects[x]: self.mor_ids[m] for x, m in sorted(self.identity_of.items())},
             "composition": [
-                {"g": self.mor_ids[k // self._M], "f": self.mor_ids[k % self._M], "gf": self.mor_ids[v]}
-                for k, v in sorted(self._comp.items())
+                {"g": self.mor_ids[g], "f": self.mor_ids[f], "gf": self.mor_ids[v]}
+                for g, f, v in sorted(self._entries())
             ],
             "metadata": self.metadata,
         }
@@ -249,7 +274,6 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
     out: list[Violation] = []
     n = len(cat.objects)
     M = cat._M
-    comp = cat._comp
     dom = cat._dom_l
     cod = cat._cod_l
 
@@ -262,29 +286,23 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
             out.append(Violation("identity-typing", {"object": cat.objects[x], "id": cat.mor_ids[i]}))
 
     # composition totality / typing / no extraneous entries
-    for key, v in comp.items():
-        g, f = key // M, key % M
+    for g, f, v in cat._entries():
         if cod[f] != dom[g]:
             out.append(Violation("comp-extraneous", {"g": cat.mor_ids[g], "f": cat.mor_ids[f]}))
         elif dom[v] != dom[f] or cod[v] != cod[g]:
             out.append(
                 Violation("comp-typing", {"g": cat.mor_ids[g], "f": cat.mor_ids[f], "gf": cat.mor_ids[v]})
             )
-    n_composable = 0
-    for a in range(n):
-        for b in range(n):
-            hab = cat._hom_counts_l[a][b]
-            if not hab:
-                continue
-            for c in range(n):
-                n_composable += hab * cat._hom_counts_l[b][c]
-    if n_composable != len(comp):
+    # composable pairs meet at a middle object b: |hom(-, b)| * |hom(b, -)|
+    hc = cat._hom_counts_l
+    n_composable = sum(sum(hc[a][b] for a in range(n)) * sum(hc[b]) for b in range(n))
+    if n_composable != len(cat._comp):
         for a in range(n):
             for b in range(n):
                 for f in cat.hom(a, b):
                     for c in range(n):
                         for g in cat.hom(b, c):
-                            if g * M + f not in comp:
+                            if cat.compose(g, f) is None:
                                 out.append(
                                     Violation("comp-missing", {"g": cat.mor_ids[g], "f": cat.mor_ids[f]})
                                 )
@@ -295,9 +313,9 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
     for i in range(M):
         e_dom = cat.identity_of.get(dom[i])
         e_cod = cat.identity_of.get(cod[i])
-        if e_dom is not None and comp.get(i * M + e_dom) != i:
+        if e_dom is not None and cat.compose(i, e_dom) != i:
             out.append(Violation("identity-law", {"f": cat.mor_ids[i], "side": "right"}))
-        if e_cod is not None and comp.get(e_cod * M + i) != i:
+        if e_cod is not None and cat.compose(e_cod, i) != i:
             out.append(Violation("identity-law", {"f": cat.mor_ids[i], "side": "left"}))
         if len(out) >= max_violations:
             return out
@@ -363,45 +381,32 @@ def validate_category(data: Mapping[str, Any] | FinCategory) -> FinCategory | li
 
 
 def dual(cat: FinCategory) -> FinCategory:
-    """The opposite category, on the primal's own indexes.
+    """The opposite category, on the primal's own indexes and table.
 
-    The dual shares ``objects``, ``mor_ids``, ``mor_index``, the identities,
-    every hom-set list and the positions in them with ``cat``: dom and cod
-    are swapped, each composition key g∘f becomes f∘g, and hom_op(a, b) is
-    the list of hom(b, a).  So an object or morphism index names the same
-    thing on both sides, and dual(dual(c)) equals c index for index.  The
-    only order invariant is that each hom-set list ascends by id; the global
-    index order is the primal's, not the (dom, cod, id) order of a
-    constructed category."""
-    M = cat._M
-    n = len(cat.objects)
+    dom and cod are swapped, and so are the strides of the composition
+    table, which the dual shares with ``cat``: it reads g∘f where ``cat``
+    stores f∘g.  hom_op(a, b) is hom(b, a) in the same order, so an index
+    names the same thing on both sides and dual(dual(c)) equals c index for
+    index.  Each hom-set ascends by id, but the global index order is the
+    primal's, not the (dom, cod, id) order of a constructed category."""
     meta = dict(cat.metadata)
     kind = meta.get("kind")
     if isinstance(kind, str):
         # builder-specific facts (concrete oracles, carrier sizes as hom
         # bounds) do not transfer to the opposite category
         meta["kind"] = kind[5:] if kind.startswith("dual-") else f"dual-{kind}"
-    d = FinCategory.__new__(FinCategory)
-    d.objects, d.obj_index = cat.objects, cat.obj_index
-    d.mor_ids, d.mor_index, d.n_mor, d._M = cat.mor_ids, cat.mor_index, cat.n_mor, M
-    d._dom_l, d._cod_l, d._pos = cat._cod_l, cat._dom_l, cat._pos
-    d.identity_of, d.identity_set = cat.identity_of, cat.identity_set
-    d._comp = {(k % M) * M + k // M: v for k, v in cat._comp.items()}
-    d.metadata = meta
-    d._hom = {(k % n) * n + k // n: ms for k, ms in cat._hom.items()}
-    d._hom_counts_l = [list(col) for col in zip(*cat._hom_counts_l)]
-    d._cache = {}
-    d._blocks = {}
-    return d
+    return FinCategory._of_ints(
+        cat.objects, cat.mor_ids, cat._cod_l, cat._dom_l, cat.identity_of, cat._comp, meta, (cat._kf, cat._kg)
+    )
 
 
 def dual_of(cat: FinCategory) -> FinCategory:
     """Cached dual; shared by every coextensivity check on this instance."""
-    d = cat._cache.get("dual")
+    d = cat._dual
     if d is None:
         d = dual(cat)
-        d._cache["dual"] = cat  # an involution, so share the pair
-        cat._cache["dual"] = d
+        d._dual = cat  # an involution, so share the pair
+        cat._dual = d
     return d
 
 
@@ -506,15 +511,12 @@ def _is_regular_epi(cat: FinCategory, f: int) -> tuple[bool, tuple[int, int] | N
         cache[f] = res
         return res
     a = cat._dom_l[f]
-    M = cat._M
     for y in range(len(cat.objects)):
         hy = cat.hom(y, a)
         for u in hy:
-            fu = cat._comp[f * M + u]
+            fu = cat.compose(f, u)
             for v in hy:
-                if v < u:
-                    continue
-                if cat._comp[f * M + v] != fu:
+                if v < u or cat.compose(f, v) != fu:
                     continue
                 if limits.is_coequaliser(cat, u, v, f):
                     res = (True, (u, v))
@@ -630,24 +632,22 @@ def morphisms_of_class(cat: FinCategory, cls: str) -> list[str]:
 
 
 def thin_category_from_poset(leq: Sequence[Sequence[bool]], names: Sequence[str] | None = None) -> FinCategory:
-    """The thin category of a finite poset: one morphism x->y iff x <= y."""
+    """The thin category of a finite preorder: one morphism x->y iff x <= y.
+
+    Any preorder is accepted, not only a poset: points with x <= y <= x
+    become distinct isomorphic objects.  A relation that is not transitive
+    raises CategoryDataError; one that is not reflexive lacks identities,
+    which ``validate`` reports."""
     n = len(leq)
     names = list(names) if names is not None else [f"p{i}" for i in range(n)]
-    morphisms = []
-    identities = {}
-    for i in range(n):
-        for j in range(n):
-            if leq[i][j]:
-                mid = f"{names[i]}<={names[j]}"
-                morphisms.append((mid, names[i], names[j]))
-                if i == j:
-                    identities[names[i]] = mid
-    comp = {}
-    for i in range(n):
-        for j in range(n):
-            if not leq[i][j]:
-                continue
-            for k in range(n):
-                if leq[j][k]:
-                    comp[(f"{names[j]}<={names[k]}", f"{names[i]}<={names[j]}")] = f"{names[i]}<={names[k]}"
-    return FinCategory(names, morphisms, identities, comp, metadata={"kind": "poset-as-category"})
+    arrows = [(i, j) for i in range(n) for j in range(n) if leq[i][j]]  # in (dom, cod) order
+    index = {a: k for k, a in enumerate(arrows)}
+    M = len(arrows)
+    try:
+        comp = {index[j, k] * M + index[i, j]: index[i, k] for i, j in arrows for k in range(n) if leq[j][k]}
+    except KeyError:
+        raise CategoryDataError("the order relation is not transitive") from None
+    mor_ids = [f"{names[i]}<={names[j]}" for i, j in arrows]
+    identity_of = {i: index[i, i] for i in range(n) if leq[i][i]}
+    dom, cod = [i for i, _ in arrows], [j for _, j in arrows]
+    return FinCategory._of_ints(names, mor_ids, dom, cod, identity_of, comp, {"kind": "poset-as-category"})

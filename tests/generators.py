@@ -1,6 +1,10 @@
 """Generated categories for the tests: categories with distinct isomorphic
 objects, which no built-in category has.
 
+``preorders()`` is a Hypothesis strategy for random preorders, whose thin
+categories (``fincat.thin_category_from_poset``) have one object per point
+and isomorphic objects on every cycle.
+
 ``inflate(cat, x, pos)`` is the category equivalent to ``cat`` in which
 object x gets an isomorphic copy x' (its id with a trailing "'") at object
 position ``pos``.  Every morphism a -> b lifts to each a' -> b' with a'
@@ -9,6 +13,10 @@ originals, so x and x' are isomorphic through the lifts of x's identity.
 """
 
 from __future__ import annotations
+
+import itertools
+
+from hypothesis import strategies as st
 
 from finext.fincat import FinCategory
 
@@ -44,13 +52,25 @@ def inflate(cat: FinCategory, x: int, pos: int) -> FinCategory:
         o2: lift_id(cat.mid(cat.identity_of[cat.obj_index[o]]), c, c) for o in cat.objects for o2, c in over[o]
     }
     composition = {}
-    M = cat._M
-    for key, gf in cat._comp.items():
-        g, f = key // M, key % M
+    for e in cat.to_json()["composition"]:
+        g, f = cat.m(e["g"]), cat.m(e["f"])
         for a2, ca in over[dom[f]]:
             for b2, cb in over[cod[f]]:
                 for c2, cc in over[cod[g]]:
-                    composition[(lift_id(cat.mid(g), cb, cc), lift_id(cat.mid(f), ca, cb))] = lift_id(
-                        cat.mid(gf), ca, cc
-                    )
+                    composition[(lift_id(e["g"], cb, cc), lift_id(e["f"], ca, cb))] = lift_id(e["gf"], ca, cc)
     return FinCategory(objects, morphisms, identities, composition)
+
+
+@st.composite
+def preorders(draw, max_points: int = 5):
+    """A random preorder on up to ``max_points`` points, as a boolean matrix:
+    the reflexive-transitive closure of random edges i -> j in either
+    direction, so points on a cycle are distinct but isomorphic."""
+    n = draw(st.integers(min_value=1, max_value=max_points))
+    point = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(point, point), max_size=2 * n))
+    leq = [[i == j or (i, j) in edges for j in range(n)] for i in range(n)]
+    for k, i, j in itertools.product(range(n), repeat=3):
+        if leq[i][k] and leq[k][j]:
+            leq[i][j] = True
+    return leq

@@ -11,12 +11,18 @@ differs or holds a masked entry.
 
 ``dual`` rebuilds the opposite category through string ids, so its
 morphisms are re-sorted by (dom, cod, id) of the dual and its indexes
-differ from the primal's; the library's dual keeps the primal's indexes.
+differ from the primal's; the library's dual keeps the primal's indexes
+and reads the primal's composition table through swapped strides.  The
+references read the table through ``compose`` and ``to_json`` only.
+
+``thin_category_from_poset`` builds through string ids and the string
+constructor; the library's builds from integer data.
 """
 
 from __future__ import annotations
 
 import weakref
+from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +40,9 @@ def block(cat: FinCategory, a: int, b: int, c: int) -> np.ndarray:
     if blk is None:
         fs = cat.hom(a, b)
         gs = cat.hom(b, c)
-        M = cat._M
-        comp = cat._comp
+        compose = cat.compose
         blk = np.fromiter(
-            (comp.get(g * M + f, -1) for g in gs for f in fs),
+            (-1 if (gf := compose(g, f)) is None else gf for g in gs for f in fs),
             dtype=np.int32,
             count=len(fs) * len(gs),
         ).reshape(len(gs), len(fs))
@@ -45,12 +50,19 @@ def block(cat: FinCategory, a: int, b: int, c: int) -> np.ndarray:
     return blk
 
 
+def _composition_table(cat: FinCategory) -> dict[int, int]:
+    """The stored composition as {g * M + f: g∘f}, read through ``to_json``,
+    so entries for pairs that are not composable are kept."""
+    m, M = cat.mor_index, cat._M
+    return {m[e["g"]] * M + m[e["f"]]: m[e["gf"]] for e in cat.to_json()["composition"]}
+
+
 def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
     """Re-assert every category axiom by direct scan; return all violations found."""
     out: list[Violation] = []
     n = len(cat.objects)
     M = cat._M
-    comp = cat._comp
+    comp = _composition_table(cat)
     dom = cat._dom_l
     cod = cat._cod_l
 
@@ -209,9 +221,7 @@ def dual(cat: FinCategory) -> FinCategory:
     """The opposite category.  Same object and morphism ids; dom/cod and
     composition order swapped.  dual(dual(c)) equals c up to id identity."""
     M = cat._M
-    comp = {
-        (cat.mor_ids[k % M], cat.mor_ids[k // M]): cat.mor_ids[v] for k, v in cat._comp.items()
-    }
+    comp = {(e["f"], e["g"]): e["gf"] for e in cat.to_json()["composition"]}
     meta = dict(cat.metadata)
     kind = meta.get("kind")
     if isinstance(kind, str):
@@ -223,3 +233,27 @@ def dual(cat: FinCategory) -> FinCategory:
         composition=comp,
         metadata=meta,
     )
+
+
+def thin_category_from_poset(leq: Sequence[Sequence[bool]], names: Sequence[str] | None = None) -> FinCategory:
+    """The thin category of a finite poset: one morphism x->y iff x <= y."""
+    n = len(leq)
+    names = list(names) if names is not None else [f"p{i}" for i in range(n)]
+    morphisms = []
+    identities = {}
+    for i in range(n):
+        for j in range(n):
+            if leq[i][j]:
+                mid = f"{names[i]}<={names[j]}"
+                morphisms.append((mid, names[i], names[j]))
+                if i == j:
+                    identities[names[i]] = mid
+    comp = {}
+    for i in range(n):
+        for j in range(n):
+            if not leq[i][j]:
+                continue
+            for k in range(n):
+                if leq[j][k]:
+                    comp[(f"{names[j]}<={names[k]}", f"{names[i]}<={names[j]}")] = f"{names[i]}<={names[k]}"
+    return FinCategory(names, morphisms, identities, comp, metadata={"kind": "poset-as-category"})

@@ -1,0 +1,121 @@
+"""Integer-native construction checked against the string-keyed reference.
+
+``algebra.category_from_algebras`` and ``fincat.thin_category_from_poset``
+build a category from integer data; ``reference_algebra`` and
+``reference_fincat`` keep the seed's builders, which go through string ids
+and ``FinCategory``'s string constructor.  Both must give the same category
+index for index.  The dual holds no table of its own: it reads its
+primal's through swapped strides.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+
+import reference_algebra
+import reference_fincat
+from finext.algebra import category_from_algebras, default_names, enumerate_structures
+from finext.fincat import CategoryDataError, FinCategory, dual_of, thin_category_from_poset, validate
+from generators import preorders
+from test_fast_paths import _assert_dual_is_an_involution
+
+# every built-in of verify-paper and the benchmark, at the largest size the
+# string reference builds in a few seconds
+BUILTINS = (
+    ("set", 4, None),
+    ("pointed", 3, None),
+    ("poset", 3, True),
+    ("cpos", 3, None),
+    ("slat", 4, None),
+    ("lat", 4, None),
+    ("mon", 3, None),
+)
+
+
+def _assert_same_category(got: FinCategory, ref: FinCategory) -> None:
+    assert got.objects == ref.objects and got.mor_ids == ref.mor_ids
+    assert (got._dom_l, got._cod_l) == (ref._dom_l, ref._cod_l)
+    assert got.identity_of == ref.identity_of and got.identity_set == ref.identity_set
+    n = len(got.objects)
+    for a, b in itertools.product(range(n), repeat=2):
+        assert got.hom(a, b) == ref.hom(a, b), (a, b)
+    assert got._pos == ref._pos and got._hom_counts_l == ref._hom_counts_l
+    assert got.to_json() == ref.to_json()
+    assert validate(got) == validate(ref) == []
+    for c in (got, dual_of(got)):
+        assert dual_of(c)._comp is c._comp
+        _assert_dual_is_an_involution(c)
+    _assert_accessors_read_the_entries(got)
+    # the dual serialises its entries in its own (g, f) order
+    swapped = [{"g": e["f"], "f": e["g"], "gf": e["gf"]} for e in ref.to_json()["composition"]]
+    swapped.sort(key=lambda e: (got.m(e["g"]), got.m(e["f"])))
+    assert dual_of(got).to_json()["composition"] == swapped
+
+
+def _assert_accessors_read_the_entries(cat: FinCategory) -> None:
+    """``compose``, ``block`` and ``col`` read the entries ``to_json`` lists,
+    on the category and, with g and f swapped, on its dual."""
+    d = dual_of(cat)
+    for e in cat.to_json()["composition"]:
+        g, f = cat.m(e["g"]), cat.m(e["f"])
+        assert cat.compose(g, f) == cat.m(e["gf"]) == d.compose(f, g), e
+    n = len(cat.objects)
+    for c in (cat, d):
+        for a, b, x in itertools.product(range(n), repeat=3):
+            assert c.block(a, b, x) == tuple(tuple(c.compose(g, f) for f in c.hom(a, b)) for g in c.hom(b, x))
+        for f, y in itertools.product(range(c.n_mor), range(n)):
+            assert c.col(f, y) == tuple(c.compose(t, f) for t in c.hom(c._cod_l[f], y))
+
+
+@pytest.mark.parametrize("kind, n, empty", BUILTINS, ids=lambda v: str(v))
+def test_int_build_equals_string_reference(kind, n, empty):
+    algs = enumerate_structures(kind, n, empty)
+    cat, uni = category_from_algebras(kind, algs, max_size=n)
+    ref, ref_uni = reference_algebra.category_from_algebras(kind, algs, max_size=n)
+    _assert_same_category(cat, ref)
+    assert list(uni.maps.items()) == list(ref_uni.maps.items())
+    assert uni.algebras == ref_uni.algebras and uni.kind == ref_uni.kind
+    for e in cat.to_json()["composition"]:  # composition is composition of function tables
+        gt, ft = uni.maps[e["g"]], uni.maps[e["f"]]
+        assert uni.maps[e["gf"]] == tuple(gt[x] for x in ft), e
+
+
+def test_int_build_keeps_file_order_and_names():
+    """A category file may list its structures in any order under any names."""
+    algs = enumerate_structures("mon", 3)[::-1]
+    names = [f"M{i}" for i in range(len(algs))]
+    cat, uni = category_from_algebras("mon", algs, names)
+    ref, ref_uni = reference_algebra.category_from_algebras("mon", algs, names)
+    _assert_same_category(cat, ref)
+    assert list(uni.maps.items()) == list(ref_uni.maps.items())
+    assert cat.objects == tuple(names) != tuple(default_names("mon", algs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(preorders())
+def test_thin_category_equals_string_reference(leq):
+    cat = thin_category_from_poset(leq)
+    _assert_same_category(cat, reference_fincat.thin_category_from_poset(leq))
+    for e in cat.to_json()["composition"]:  # (y<=z)∘(x<=y) = x<=z
+        assert e["gf"] == e["f"].split("<=")[0] + "<=" + e["g"].split("<=")[1], e
+
+
+def test_thin_category_rejects_a_relation_that_is_not_transitive():
+    leq = [[True, True, False], [False, True, True], [False, False, True]]
+    for build in (thin_category_from_poset, reference_fincat.thin_category_from_poset):
+        with pytest.raises(CategoryDataError):
+            build(leq)
+
+
+def test_duplicate_ids_are_rejected_on_every_path():
+    # "a>b" to "c" and "a" to "b>c" both name their only morphism "a>b>c#0000"
+    one = enumerate_structures("set", 1)[-1]
+    for build in (category_from_algebras, reference_algebra.category_from_algebras):
+        with pytest.raises(CategoryDataError, match="duplicate morphism id 'a>b>c#0000'"):
+            build("set", [one] * 4, ["a>b", "c", "a", "b>c"])
+    for build in (thin_category_from_poset, reference_fincat.thin_category_from_poset):
+        with pytest.raises(CategoryDataError, match="duplicate object ids"):
+            build([[True, False], [False, True]], ["x", "x"])

@@ -190,12 +190,9 @@ def _product_category(c: FinCategory, d: FinCategory) -> FinCategory:
         for y in range(len(d.objects))
     }
     composition = {
-        (
-            pair(c.mor_ids, k1 // c._M, d.mor_ids, k2 // d._M),
-            pair(c.mor_ids, k1 % c._M, d.mor_ids, k2 % d._M),
-        ): pair(c.mor_ids, v1, d.mor_ids, v2)
-        for k1, v1 in c._comp.items()
-        for k2, v2 in d._comp.items()
+        (f"{e1['g']}|{e2['g']}", f"{e1['f']}|{e2['f']}"): f"{e1['gf']}|{e2['gf']}"
+        for e1 in c.to_json()["composition"]
+        for e2 in d.to_json()["composition"]
     }
     return FinCategory(objects, morphisms, identities, composition)
 
@@ -327,8 +324,7 @@ def _by_id(cat: FinCategory, w: limits.UniversalWitness | None):
 
 
 def _composition_by_id(cat: FinCategory) -> dict:
-    M = cat._M
-    return {(cat.mid(k // M), cat.mid(k % M)): cat.mid(v) for k, v in cat._comp.items()}
+    return {(e["g"], e["f"]): e["gf"] for e in cat.to_json()["composition"]}
 
 
 def _assert_dual_matches_reference(cat: FinCategory, d: FinCategory) -> None:

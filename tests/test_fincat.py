@@ -86,7 +86,7 @@ def test_json_round_trip(golden_thin):
     assert isinstance(rebuilt, FinCategory)
     assert rebuilt.objects == golden_thin.objects
     assert rebuilt.mor_ids == golden_thin.mor_ids
-    assert rebuilt._comp == golden_thin._comp
+    assert rebuilt.to_json()["composition"] == golden_thin.to_json()["composition"]
 
 
 def test_classification_matches_function_tables(set3):

@@ -6,7 +6,8 @@ morphism per iso orbit and copies its pass to the orbit.  Both are compared
 with their references (``reference_limits.pullback``, the plain search on
 every cospan, and ``reference_extensivity.category_report``, the
 per-morphism loop) on categories in which an object has an isomorphic copy
-(``generators.inflate``), since no built-in category has two distinct
+(``generators.inflate``) and on thin categories of random preorders
+(``generators.preorders``), since no built-in category has two distinct
 isomorphic objects.  The canonical apex, the first object isomorphic to the
 certified one, is exercised only there.
 """
@@ -24,9 +25,14 @@ import reference_limits
 from finext import extensivity as ext
 from finext import limits
 from finext.algebra import build_category
-from finext.fincat import FinCategory, _iso_info, dual_of
-from generators import inflate, lift_id
-from test_fast_paths import _cospans
+from finext.fincat import FinCategory, _iso_info, dual_of, thin_category_from_poset
+from generators import inflate, lift_id, preorders
+from test_fast_paths import (
+    _assert_e2_scan_matches_walk,
+    _assert_kernels_match_numpy,
+    _assert_square_table_matches_mediator,
+    _cospans,
+)
 
 MODES = ("extensive", "coextensive")
 BASES = {"set2": ("set", 2), "pointed3": ("pointed", 3), "mon2": ("mon", 2), "set3": ("set", 3)}
@@ -102,6 +108,26 @@ def test_reports_equal_the_per_morphism_loop(case):
         expected = {mode: reference_extensivity.category_report(plain, mode) for mode in MODES}
     for mode in MODES:
         assert ext.category_report(fast, mode) == expected[mode], (case, mode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(preorders())
+def test_preorders_match_the_references(leq):
+    """On a thin category of a preorder and on its dual: the fast paths, the
+    transported pullbacks and both reports equal their references."""
+    for make in (thin_category_from_poset, lambda p: dual_of(thin_category_from_poset(p))):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(limits, "pullback", reference_limits.pullback)
+            plain = make(leq)
+            expected = {mode: reference_extensivity.category_report(plain, mode) for mode in MODES}
+        c = make(leq)
+        for mode in MODES:
+            assert ext.category_report(c, mode) == expected[mode], (leq, mode)
+        _assert_square_table_matches_mediator(c)
+        _assert_kernels_match_numpy(c)
+        _assert_e2_scan_matches_walk(c)
+        for f, u in _cospans(c):
+            assert limits.pullback(c, f, u) == reference_limits.pullback(c, f, u), (leq, f, u)
 
 
 @first_and_last
