@@ -39,7 +39,7 @@ from .algebra import (
     load_category,
 )
 from .extensivity import CheckStatus
-from .fincat import FinCategory, dual_of, validate
+from .fincat import CategoryDataError, FinCategory, dual_of, validate
 from .propositions import (
     PROPOSITION_IDS,
     EXTENSIVITY_IDS,
@@ -189,7 +189,10 @@ def _load_input(args: argparse.Namespace) -> tuple[FinCategory, str]:
             print(f"error: {path}: {msg}", file=sys.stderr)
         raise SystemExit(2)
     kind, algs, names = parsed
-    cat, _uni = category_from_algebras(kind, algs, names)
+    try:
+        cat, _uni = category_from_algebras(kind, algs, names)
+    except CategoryDataError as exc:  # names that make two morphism ids collide
+        _fail_usage(f"{path}: {exc}")
     return cat, hashlib.sha256(raw).hexdigest()
 
 
@@ -237,7 +240,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"{path}: {len(errors)} error(s)")
         return 2
     kind, algs, names = parsed
-    cat, _uni = category_from_algebras(kind, algs, names)
+    try:
+        cat, _uni = category_from_algebras(kind, algs, names)
+    except CategoryDataError as exc:  # names that make two morphism ids collide
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return 2
     violations = validate(cat)
     for v in violations:
         print(f"invalid: {v}")

@@ -11,14 +11,18 @@ Morphism and object ids are strings at the boundary; internally both are
 dense integer indexes, and every category, its dual included, is set up
 from integer data by one core.  A primal/dual pair keeps one composition
 dict: g∘f is stored at key g*kg + f*kf, with strides (M, 1) on the primal
-and (1, M) on the dual.  Hot scans read it through cached ``block`` rows of
-global ids; a column is a row of the dual.
+and (1, M) on the dual.  Every hom-set is a run of consecutive indexes, so
+one morphism's composites with a hom-set are one range of keys.  Hot scans
+read the table through ``rows``, cached per morphism: g∘t for each t into
+dom g, one tuple of global ids per source object.  A column is a row of the
+dual.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Any, Iterator, Mapping, Sequence
 
 __all__ = [
@@ -106,7 +110,9 @@ class FinCategory:
     ) -> None:
         """The integer core every category goes through: morphism i runs
         dom[i] -> cod[i], and g∘f is ``comp[g*kg + f*kf]`` with (kg, kf) =
-        ``strides``, by default (M, 1).  The table is checked by ``validate``."""
+        ``strides``, by default (M, 1).  The table is checked by ``validate``;
+        that every hom-set is a run of consecutive indexes, which ``rows``
+        reads, is checked here."""
         self.objects: tuple[str, ...] = tuple(objects)
         self.obj_index: dict[str, int] = {x: i for i, x in enumerate(self.objects)}
         if len(self.obj_index) != len(self.objects):
@@ -133,13 +139,26 @@ class FinCategory:
             ms = hom.setdefault(dom[i] * n + cod[i], [])
             pos[i] = len(ms)
             ms.append(i)
+        for key, ms in hom.items():
+            if ms[-1] - ms[0] != len(ms) - 1:
+                a, b = divmod(key, n)
+                raise CategoryDataError(
+                    f"hom({self.objects[a]!r}, {self.objects[b]!r}) is not a run of consecutive morphism indexes"
+                )
         self._hom = hom
         self._pos = pos
         self._hom_counts_l = [[len(hom.get(a * n + b, ())) for b in range(n)] for a in range(n)]
+        # _spans[x][y] = (lo, hi): hom(y, x) is the indexes lo..hi-1
+        self._spans = [
+            [(ms[0], ms[-1] + 1) if (ms := hom.get(y * n + x)) else (0, 0) for y in range(n)] for x in range(n)
+        ]
 
         self._cache: dict[str, Any] = {}
+        self._rows: list[list[tuple[int, ...]] | None] = [None] * M
         self._blocks: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
-        self._dual: FinCategory | None = None  # set on both sides by ``dual_of``
+        # set by ``dual_of``: the dual on the category that built it, a weak
+        # reference back on the dual, so refcounting frees the pair
+        self._dual: FinCategory | weakref.ref | None = None
 
     # -- basic accessors (int side) -------------------------------------
 
@@ -150,31 +169,48 @@ class FinCategory:
         """g∘f (f first), or None if the pair is not in the table."""
         return self._comp.get(g * self._kg + f * self._kf)
 
+    def rows(self, g: int) -> list[tuple[int, ...]]:
+        """g∘t for each t in hom(y, dom g), one tuple per source object y, in
+        hom-set order, -1 where the table has no entry.  Cached per g, and
+        published in one assignment.  hom(y, dom g) is the indexes lo..hi-1,
+        so its composites with g are the keys g*kg + t*kf, one range."""
+        r = self._rows[g]
+        if r is None:
+            base, kf, get, misses = g * self._kg, self._kf, self._comp.get, repeat(-1)
+            r = [
+                tuple(map(get, range(base + lo * kf, base + hi * kf, kf), misses))
+                for lo, hi in self._spans[self._dom_l[g]]
+            ]
+            self._rows[g] = r
+        return r
+
+    def cols(self, f: int) -> list[tuple[int, ...]]:
+        """t∘f for each t in hom(cod f, z), one tuple per target object z, in
+        hom-set order: the rows of f in the dual."""
+        return dual_of(self).rows(f)
+
+    def row(self, g: int, src: int) -> tuple[int, ...]:
+        """g∘t for each t in hom(src, dom g), in hom-set order."""
+        return self.rows(g)[src]
+
+    def col(self, f: int, dst: int) -> tuple[int, ...]:
+        """t∘f for each t in hom(cod f, dst), in hom-set order."""
+        return self.cols(f)[dst]
+
     def block(self, a: int, b: int, c: int) -> tuple[tuple[int, ...], ...]:
-        """Composition block over hom(b,c) x hom(a,b), cached: one row per g
-        in hom(b,c), holding the global id of g∘f for each f in hom(a,b), or
-        -1 where the table has no entry.  A column (every g∘f for one f) is
-        a row of the dual: ``dual_of(self).block(c, b, a)[pos_in_hom(f)]``."""
+        """Composition block over hom(b,c) x hom(a,b), cached: the row from
+        a of each g in hom(b,c), holding the global id of g∘f for each f in
+        hom(a,b), or -1 where the table has no entry."""
         key = (a, b, c)
         blk = self._blocks.get(key)
         if blk is None:
-            kg, get = self._kg, self._comp.get
-            fks = [f * self._kf for f in self.hom(a, b)]
-            blk = tuple(tuple([get(g * kg + fk, -1) for fk in fks]) for g in self.hom(b, c))
+            blk = tuple([self.rows(g)[a] for g in self.hom(b, c)])
             self._blocks[key] = blk
         return blk
 
     def pos_in_hom(self, m: int) -> int:
         """Position of m in its hom-set list."""
         return self._pos[m]
-
-    def row(self, g: int, src: int) -> tuple[int, ...]:
-        """g∘t for each t in hom(src, dom g), in hom-set order."""
-        return self.block(src, self._dom_l[g], self._cod_l[g])[self._pos[g]]
-
-    def col(self, f: int, dst: int) -> tuple[int, ...]:
-        """t∘f for each t in hom(cod f, dst), in hom-set order."""
-        return (self._dual or dual_of(self)).row(f, dst)
 
     def postcompose_fibers(self, g: int, src: int) -> dict[int, list[int]]:
         """For g: B->C, the fibers of hom(src,B) -> hom(src,C), t |-> g∘t."""
@@ -401,11 +437,17 @@ def dual(cat: FinCategory) -> FinCategory:
 
 
 def dual_of(cat: FinCategory) -> FinCategory:
-    """Cached dual; shared by every coextensivity check on this instance."""
+    """Cached dual; shared by every coextensivity check on this instance.
+
+    ``cat`` holds its dual, and the dual holds ``cat`` back through a weak
+    reference (an involution, so the pair is shared both ways), so no
+    reference cycle keeps a finished category alive."""
     d = cat._dual
+    if isinstance(d, weakref.ref):
+        d = d()
     if d is None:
         d = dual(cat)
-        d._dual = cat  # an involution, so share the pair
+        d._dual = weakref.ref(cat)
         cat._dual = d
     return d
 
@@ -436,14 +478,8 @@ def is_iso(cat: FinCategory, f: int) -> bool:
 def _mono_set(cat: FinCategory) -> frozenset[int]:
     s = cat._cache.get("monos")
     if s is None:
-        hc, dom = cat._hom_counts_l, cat._dom_l
-        n = len(cat.objects)
         # f is mono iff u |-> f∘u is injective on hom(y, dom f) for every y
-        s = frozenset(
-            f
-            for f in range(cat.n_mor)
-            if all(len(set(cat.row(f, y))) == hc[y][dom[f]] for y in range(n) if hc[y][dom[f]] > 1)
-        )
+        s = frozenset(f for f in range(cat.n_mor) if all(len(set(r)) == len(r) for r in cat.rows(f)))
         cat._cache["monos"] = s
     return s
 
@@ -477,11 +513,7 @@ def _extremal_epi_set(cat: FinCategory) -> frozenset[int]:
         for m in _mono_set(cat):
             if m in isos:
                 continue
-            y = cat._dom_l[m]
-            for a in range(len(cat.objects)):
-                if not cat._hom_counts_l[a][y]:
-                    continue
-                excluded.update(cat.row(m, a))
+            excluded.update(chain.from_iterable(cat.rows(m)))
         s = frozenset(set(range(cat.n_mor)) - excluded)
         cat._cache["extremal_epis"] = s
     return s

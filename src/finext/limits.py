@@ -5,11 +5,14 @@ A candidate diagram is *certified* by checking the defining bijection
 directly: a cocone (u, v) on (A1, A2) with apex X is a coproduct iff for
 every object Y the map h |-> (h∘u, h∘v) from hom(X,Y) to hom(A1,Y)×hom(A2,Y)
 is a bijection.  Cardinality comparison plus an injectivity scan decides
-that; the scan reads, per target, the composites of each leg as a tuple of
-ids (``FinCategory.row`` or ``col``) and counts distinct leg pairs in a
-Python set.  Limits are the colimits of the opposite category, found by the
-same code; ``fincat.dual`` keeps this category's indexes, so a witness
-found there is read here as it is.
+that; the scan reads the composites of each leg as one list of id tuples,
+one per object (``FinCategory.rows`` or ``cols``), and counts distinct leg
+pairs in a Python set.  The commuting cones of a cospan (f, u) are counted
+from sizes, not enumerated: for each s into dom f, the size of u's fibre
+over f∘s, read from a ``Counter`` of u's row cached per leg.  Limits are the
+colimits of the opposite category, found by the same code; ``fincat.dual``
+keeps this category's indexes, so a witness found there is read here as it
+is.
 
 Search order is fixed everywhere — apexes in object order, legs in hom-set
 order — so the first certified witness is deterministic and cacheable.
@@ -22,7 +25,9 @@ ids at the reporting boundary.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 
 from .fincat import FinCategory, dual_of, _iso_info, _mono_set, _epi_set
 
@@ -89,16 +94,11 @@ def terminal(cat: FinCategory) -> int | None:
 
 def _cocone_universal(cat: FinCategory, a1: int, a2: int, x: int, u: int, v: int) -> bool:
     """Bijectivity of h |-> (h∘u, h∘v) for all targets Y."""
-    n = len(cat.objects)
     hc = cat._hom_counts_l
-    for y in range(n):
-        if hc[x][y] != hc[a1][y] * hc[a2][y]:
-            return False
-    for y in range(n):
-        k = hc[x][y]
-        if k > 1 and len(set(zip(cat.col(u, y), cat.col(v, y)))) != k:
-            return False
-    return True
+    if any(k != k1 * k2 for k, k1, k2 in zip(hc[x], hc[a1], hc[a2])):
+        return False
+    # the column of u at Y lists h∘u for each h in hom(x, Y)
+    return all(len(c) < 2 or len(set(zip(c, d))) == len(c) for c, d in zip(cat.cols(u), cat.cols(v)))
 
 
 def is_coproduct_cocone(cat: FinCategory, u: int, v: int) -> bool:
@@ -216,29 +216,25 @@ def product_of_morphisms(
 
 
 def _cone_counts(cat: FinCategory, f: int, u: int) -> list[int]:
-    """|{(s, t) : f∘s = u∘t}| indexed by the cone source Y."""
-    n = len(cat.objects)
-    out = [0] * n
-    for y in range(n):
-        fib_f = cat.postcompose_fibers(f, y)
-        fib_u = cat.postcompose_fibers(u, y)
-        if len(fib_u) < len(fib_f):
-            fib_f, fib_u = fib_u, fib_f
-        out[y] = sum(len(ss) * len(fib_u[w]) for w, ss in fib_f.items() if w in fib_u)
-    return out
+    """|{(s, t) : f∘s = u∘t}| indexed by the cone source Y: the sum over s in
+    hom(Y, dom f) of the size of u's fibre over f∘s.  The fibre sizes are
+    cached per morphism u, the leg that ``check_e1``'s cospans share."""
+    cache = cat._cache.setdefault("fibre_sizes", {})
+    sizes = cache.get(u)
+    if sizes is None:
+        sizes = [Counter(r).get for r in cat.rows(u)]
+        cache[u] = sizes  # built locally, published in one assignment
+    zeros = repeat(0)
+    return [sum(map(size, r, zeros)) for size, r in zip(sizes, cat.rows(f))]
 
 
-def _cone_universal(cat: FinCategory, a: int, b: int, p: int, p1: int, p2: int, counts: list[int]) -> bool:
-    """Injectivity of h |-> (p1∘h, p2∘h) on hom(Y,P) for all Y; with the
-    cardinality filter already matching ``counts`` this is bijectivity onto
-    the commuting cones."""
-    for y in range(len(cat.objects)):
-        k = cat._hom_counts_l[y][p]
-        if k != counts[y]:
-            return False
-        if k > 1 and len(set(zip(cat.row(p1, y), cat.row(p2, y)))) != k:
-            return False
-    return True
+def _cone_universal(cat: FinCategory, p1: int, p2: int, counts: list[int]) -> bool:
+    """Injectivity of h |-> (p1∘h, p2∘h) on hom(Y,P) for all Y, with
+    |hom(Y,P)| matching ``counts``: bijectivity onto the commuting cones."""
+    # the row of p1 from Y lists p1∘h for each h in hom(Y, P)
+    return all(
+        len(r) == k and (k < 2 or len(set(zip(r, s))) == k) for k, r, s in zip(counts, cat.rows(p1), cat.rows(p2))
+    )
 
 
 def _isos_into(cat: FinCategory) -> dict[int, list[int]]:
@@ -261,15 +257,14 @@ def _cone_orbit(cat: FinCategory, apex: int, w1: int, w2: int) -> list[tuple[int
 def _pullback_search(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
     """The first certified pullback cone: apexes in object order, then legs
     in (p1, p2) hom-set order."""
-    a, b = cat._dom_l[f], cat._dom_l[u]
     counts = _cone_counts(cat, f, u)
-    n = len(cat.objects)
-    for p in range(n):
-        if any(cat._hom_counts_l[y][p] != counts[y] for y in range(n)):
+    into = dual_of(cat)._hom_counts_l  # into[p][y] = |hom(y, p)|
+    for p in range(len(cat.objects)):
+        if into[p] != counts:
             continue
-        for p1 in cat.hom(p, a):
+        for p1 in cat.hom(p, cat._dom_l[f]):
             for p2 in cat.postcompose_fibers(u, p).get(cat.compose(f, p1), ()):
-                if _cone_universal(cat, a, b, p, p1, p2, counts):
+                if _cone_universal(cat, p1, p2, counts):
                     return UniversalWitness("pullback", p, (p1, p2))
     return None
 

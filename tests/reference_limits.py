@@ -8,11 +8,14 @@ These are the original formulations, kept for differential tests only:
   map by ``np.unique`` over pair codes ``r1 * M + r2``;
 - ``cotuple`` and ``is_coequaliser``: masks and ``np.unique`` over block
   columns;
+- ``cone_counts``: the commuting cones of a cospan counted from the two
+  legs' fibre dicts (``postcompose_fibers``), not from fibre sizes cached
+  per leg;
 - ``pullback``: the plain search on every cospan, without reading the
-  pullback along an iso leg off its inverse.
+  pullback along an iso leg off its inverse, over ``cone_counts``.
 
-All of them read the original numpy composition blocks
-(``reference_fincat.block``).
+The mediator search and the kernels read the original numpy composition
+blocks (``reference_fincat.block``).
 """
 
 from __future__ import annotations
@@ -128,6 +131,19 @@ def is_coequaliser(cat: FinCategory, u: int, v: int, f: int) -> bool:
     return True
 
 
+def cone_counts(cat: FinCategory, f: int, u: int) -> list[int]:
+    """|{(s, t) : f∘s = u∘t}| indexed by the cone source Y."""
+    n = len(cat.objects)
+    out = [0] * n
+    for y in range(n):
+        fib_f = cat.postcompose_fibers(f, y)
+        fib_u = cat.postcompose_fibers(u, y)
+        if len(fib_u) < len(fib_f):
+            fib_f, fib_u = fib_u, fib_f
+        out[y] = sum(len(ss) * len(fib_u[w]) for w, ss in fib_f.items() if w in fib_u)
+    return out
+
+
 def pullback(cat: FinCategory, f: int, u: int) -> limits.UniversalWitness | None:
     """The plain pullback search on every cospan, iso legs included: the
     first apex in object order, then the first legs in (p1, p2) hom-set
@@ -136,8 +152,8 @@ def pullback(cat: FinCategory, f: int, u: int) -> limits.UniversalWitness | None
     key = (f, u)
     if key in cache:
         return cache[key]
-    a, b = cat._dom_l[f], cat._dom_l[u]
-    counts = limits._cone_counts(cat, f, u)
+    a = cat._dom_l[f]
+    counts = cone_counts(cat, f, u)
     n = len(cat.objects)
     res = None
     for p in range(n):
@@ -147,7 +163,7 @@ def pullback(cat: FinCategory, f: int, u: int) -> limits.UniversalWitness | None
         for p1 in cat.hom(p, a):
             w = cat.compose(f, p1)
             for p2 in cat.postcompose_fibers(u, p).get(w, ()):
-                if limits._cone_universal(cat, a, b, p, p1, p2, counts):
+                if limits._cone_universal(cat, p1, p2, counts):
                     found = limits.UniversalWitness("pullback", p, (p1, p2))
                     break
             if found:

@@ -81,6 +81,17 @@ def test_validate_rejects_malformed_files(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "check", "relcalc", "srp"])
+def test_object_names_that_collide_in_morphism_ids_are_an_input_error(tmp_path, command):
+    # "a>b" to "c" and "a" to "b>c" both name their only morphism "a>b>c#0000"
+    bad = tmp_path / "collide.json"
+    names = ["a>b", "c", "a", "b>c"]
+    bad.write_text(json.dumps({"variety": "set", "algebras": [{"name": x, "carrier": 1} for x in names]}))
+    code, output = _run_quietly([command, str(bad)])
+    assert code == 2, output
+    assert "duplicate morphism id 'a>b>c#0000'" in output and "Traceback" not in output
+
+
 def _run_quietly(argv: list[str]) -> tuple[int, str]:
     """``run`` without capsys, for Hypothesis; returns stdout plus stderr."""
     out, err = io.StringIO(), io.StringIO()

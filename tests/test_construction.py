@@ -56,8 +56,9 @@ def _assert_same_category(got: FinCategory, ref: FinCategory) -> None:
 
 
 def _assert_accessors_read_the_entries(cat: FinCategory) -> None:
-    """``compose``, ``block`` and ``col`` read the entries ``to_json`` lists,
-    on the category and, with g and f swapped, on its dual."""
+    """``compose``, ``block``, ``rows`` and ``col`` read the entries
+    ``to_json`` lists, on the category and, with g and f swapped, on its
+    dual."""
     d = dual_of(cat)
     for e in cat.to_json()["composition"]:
         g, f = cat.m(e["g"]), cat.m(e["f"])
@@ -68,6 +69,7 @@ def _assert_accessors_read_the_entries(cat: FinCategory) -> None:
             assert c.block(a, b, x) == tuple(tuple(c.compose(g, f) for f in c.hom(a, b)) for g in c.hom(b, x))
         for f, y in itertools.product(range(c.n_mor), range(n)):
             assert c.col(f, y) == tuple(c.compose(t, f) for t in c.hom(c._cod_l[f], y))
+            assert c.rows(f)[y] == tuple(c.compose(f, t) for t in c.hom(y, c._dom_l[f]))
 
 
 @pytest.mark.parametrize("kind, n, empty", BUILTINS, ids=lambda v: str(v))
@@ -119,3 +121,25 @@ def test_duplicate_ids_are_rejected_on_every_path():
     for build in (thin_category_from_poset, reference_fincat.thin_category_from_poset):
         with pytest.raises(CategoryDataError, match="duplicate object ids"):
             build([[True, False], [False, True]], ["x", "x"])
+
+
+def test_hom_sets_must_be_runs_of_consecutive_indexes():
+    # hom(x, x) = {0, 2} with hom(x, y) = {1} between them; rows read each
+    # hom-set as one range of indexes
+    with pytest.raises(CategoryDataError, match="hom\\('x', 'x'\\) is not a run of consecutive"):
+        FinCategory._of_ints(["x", "y"], ["e", "f", "g"], [0, 0, 0], [0, 1, 0], {0: 0}, {}, {})
+    with pytest.raises(CategoryDataError, match="hom\\('y', 'x'\\)"):
+        FinCategory._of_ints(["x", "y"], ["f", "e", "g"], [1, 0, 1], [0, 0, 0], {0: 1}, {}, {})
+
+
+def test_constructor_sorts_shuffled_input_into_runs():
+    data = category_from_algebras("set", enumerate_structures("set", 2))[0].to_json()
+    shuffled = data["morphisms"][::-1]
+    for order in (shuffled, shuffled[1::2] + shuffled[::2]):
+        cat = FinCategory.from_json({**data, "morphisms": order, "composition": data["composition"][::-1]})
+        n = len(cat.objects)
+        for a, b in itertools.product(range(n), repeat=2):
+            lo, hi = cat._spans[b][a]
+            assert cat.hom(a, b) == list(range(lo, hi)) and hi - lo == cat._hom_counts_l[a][b], (a, b)
+        assert cat.to_json() == data
+        _assert_accessors_read_the_entries(cat)

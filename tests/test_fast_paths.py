@@ -5,10 +5,11 @@ The references live in ``reference_limits``, ``reference_extensivity`` and
 categories of ``verify-paper``, on one product category, on the duals of
 these, and on thin categories of random posets drawn by Hypothesis.
 
-The composition blocks (rows of ids, columns read from the dual) and every
-kernel that reads them are compared with the seed's numpy versions, and
-``validate`` with the seed's under single-entry faults and past its
-violation cap.
+The composition rows, columns (rows of the dual) and blocks, and every
+kernel that reads them, are compared with the seed's numpy versions, the
+cone counts with the seed's fibre-dict count, both also on tables with
+single-entry faults, and ``validate`` with the seed's under single-entry
+faults and past its violation cap.
 
 The index-preserving ``dual`` is compared with the string-id reference
 dual: the two categories agree once their ids are matched, and every
@@ -21,6 +22,7 @@ import itertools
 import math
 import sys
 import threading
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -86,16 +88,28 @@ def _assert_square_table_matches_mediator(cat: FinCategory) -> int:
     return checked
 
 
-def _assert_kernels_match_numpy(cat: FinCategory) -> None:
+def _assert_table_readers_match_reference(cat: FinCategory) -> None:
+    """Blocks, rows and columns equal the numpy blocks read through
+    ``compose`` (-1 where the table has no entry), and the cone counts of
+    every cospan equal the fibre-dict count."""
     n = len(cat.objects)
     for a, b, c in itertools.product(range(n), repeat=3):
         assert cat.block(a, b, c) == tuple(map(tuple, reference_fincat.block(cat, a, b, c).tolist())), (a, b, c)
     for f in range(cat.n_mor):
         a, b = cat._dom_l[f], cat._cod_l[f]
-        assert cat.hom(a, b)[cat.pos_in_hom(f)] == f
-        for z in range(n):
-            col = reference_fincat.block(cat, a, b, z)[:, cat.pos_in_hom(f)]
-            assert cat.col(f, z) == tuple(col.tolist()), (f, z)
+        pos = cat.pos_in_hom(f)
+        assert cat.hom(a, b)[pos] == f
+        rows = [tuple(reference_fincat.block(cat, y, a, b)[pos].tolist()) for y in range(n)]
+        cols = [tuple(reference_fincat.block(cat, a, b, z)[:, pos].tolist()) for z in range(n)]
+        assert cat.rows(f) == rows and cat.cols(f) == cols, f
+        assert [cat.row(f, y) for y in range(n)] == rows and [cat.col(f, z) for z in range(n)] == cols, f
+    for f, u in _cospans(cat):
+        assert limits._cone_counts(cat, f, u) == reference_limits.cone_counts(cat, f, u), (f, u)
+
+
+def _assert_kernels_match_numpy(cat: FinCategory) -> None:
+    n = len(cat.objects)
+    _assert_table_readers_match_reference(cat)
     assert _mono_set(cat) == reference_fincat.mono_set(cat)
     assert _extremal_epi_set(cat) == reference_fincat.extremal_epi_set(cat)
     for a1, a2, x in itertools.product(range(n), repeat=3):
@@ -126,7 +140,7 @@ def _assert_kernels_match_numpy(cat: FinCategory) -> None:
         counts = limits._cone_counts(cat, f, u)
         for p1, p2 in _commuting_squares(cat, f, u):
             p = cat._dom_l[p1]
-            assert limits._cone_universal(cat, a, b, p, p1, p2, counts) == reference_limits.cone_universal(
+            assert limits._cone_universal(cat, p1, p2, counts) == reference_limits.cone_universal(
                 cat, a, b, p, p1, p2, counts
             ), (f, u, p1, p2)
 
@@ -237,15 +251,26 @@ def test_condition_two_scan_matches_instance_walk(small_category):
 
 
 def test_square_table_is_consistent_under_threads():
-    """Threads filling one category's square table concurrently (as a
-    threaded library caller may) all read the sequential answers."""
+    """Threads filling one category's row lists, fibre-size cache and square
+    table concurrently (as a threaded library caller may) all read the
+    sequential answers, and every cache ends holding them."""
     ref = build_category("set", 3)[0]
+    morphisms = list(range(ref.n_mor))
+    cospans = list(_cospans(ref))[::3]
     squares = [(f, u, p1, p2) for f, u in _cospans(ref) for p1, p2 in _commuting_squares(ref, f, u)][::5]
+    expected_rows = {g: (ref.rows(g), ref.cols(g)) for g in morphisms}
+    expected_counts = {fu: limits._cone_counts(ref, *fu) for fu in cospans}
     expected = {sq: limits.is_pullback_square(ref, *sq) for sq in squares}
     cat = build_category("set", 3)[0]
     mismatches: list = []
 
     def worker(shift: int) -> None:
+        for g in morphisms[shift % ref.n_mor :] + morphisms[: shift % ref.n_mor]:
+            if (cat.rows(g), cat.cols(g)) != expected_rows[g]:
+                mismatches.append(g)
+        for fu in cospans[shift % len(cospans) :] + cospans[: shift % len(cospans)]:
+            if limits._cone_counts(cat, *fu) != expected_counts[fu]:
+                mismatches.append(fu)
         for sq in squares[shift:] + squares[:shift]:
             if limits.is_pullback_square(cat, *sq) != expected[sq]:
                 mismatches.append(sq)
@@ -262,6 +287,28 @@ def test_square_table_is_consistent_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert mismatches == []
+    assert cat._rows == ref._rows and dual_of(cat)._rows == dual_of(ref)._rows
+    sizes = {u: [get.__self__ for get in gets] for u, gets in cat._cache["fibre_sizes"].items()}
+    assert sizes == {u: [Counter(r) for r in ref.rows(u)] for u in sizes}
+    assert {u for _f, u in cospans} <= set(sizes)
+
+
+def test_table_readers_match_the_references_on_fault_injected_tables():
+    """Single-entry faults leave a missing entry, which reads -1, or a wrong
+    or mistyped composite, which rows and columns read as stored."""
+    makes = (
+        lambda: build_category("set", 2)[0],
+        lambda: build_category("mon", 2)[0],
+        lambda: thin_category_from_poset([[True, True, True], [False, True, True], [False, False, True]]),
+    )
+    for make in makes:
+        for label, data in _mutants(make()):
+            faulty = FinCategory.from_json(data)
+            for c in (faulty, dual_of(faulty)):
+                _assert_table_readers_match_reference(c)
+                if label == "missing":
+                    assert any(-1 in r for f in range(c.n_mor) for r in c.rows(f)), label
+                    assert any(-1 in r for f in range(c.n_mor) for r in c.cols(f)), label
 
 
 @st.composite

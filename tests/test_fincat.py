@@ -1,7 +1,12 @@
 """Category data structure: coherence, duality, classification."""
 
+import gc
+import weakref
+
 import pytest
 
+from finext.algebra import build_category
+from finext.extensivity import category_report
 from finext.fincat import (
     CategoryDataError,
     FinCategory,
@@ -60,6 +65,28 @@ def test_dual_swaps_hom_sets(set3):
     assert len(d.hom(1, 2)) == len(cat.hom(2, 1))
     assert d.metadata["kind"] == "dual-set"
     assert dual_of(d).metadata["kind"] == "set"
+
+
+@pytest.mark.parametrize("mode", ["extensive", "coextensive"])
+def test_a_category_and_its_dual_are_freed_by_refcounting(mode):
+    """The dual holds its primal weakly, so no reference cycle keeps a
+    finished category, its dual or their caches alive."""
+    gc.disable()
+    try:
+        cat = build_category("set", 2)[0]
+        category_report(cat, mode)
+        d = dual_of(cat)
+        assert dual_of(d) is cat
+        refs = [weakref.ref(cat), weakref.ref(d)]
+        del cat, d
+        assert [r() for r in refs] == [None, None]
+        # a dual outliving its primal builds a new dual when asked
+        d = dual_of(build_category("set", 2)[0])
+        again = dual_of(d)
+        assert dual_of(again) is d
+        assert again.to_json() == build_category("set", 2)[0].to_json()
+    finally:
+        gc.enable()
 
 
 def test_validate_reports_bad_composition():

@@ -31,6 +31,7 @@ from test_fast_paths import (
     _assert_e2_scan_matches_walk,
     _assert_kernels_match_numpy,
     _assert_square_table_matches_mediator,
+    _assert_table_readers_match_reference,
     _cospans,
 )
 
@@ -71,6 +72,7 @@ def test_transported_pullbacks_equal_the_search(case):
     isos = _iso_info(cat)[0]
     moved = 0
     for c in (cat, dual_of(cat)):
+        _assert_table_readers_match_reference(c)
         for f, u in _cospans(c):
             got = limits.pullback(c, f, u)
             assert got == reference_limits.pullback(c, f, u), (case, c is cat, f, u)
