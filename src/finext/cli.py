@@ -32,6 +32,7 @@ from typing import Any, Callable, NoReturn, Sequence
 
 from . import __version__, extensivity, setrel
 from .algebra import (
+    _VARIETY_ALIASES,
     build_category,
     category_from_algebras,
     dump_category,
@@ -51,12 +52,6 @@ from .relcalc import IDENTITY_IDS, barr_exact_check, identity_suite, oracle_max_
 _VARIETY_CHOICES = (
     "set", "pointed", "poset", "semilattice", "slat", "lattice", "lat", "monoid", "mon",
 )
-_CANON_VARIETY = {
-    "set": "set", "pointed": "pointed", "poset": "poset",
-    "semilattice": "slat", "slat": "slat",
-    "lattice": "lat", "lat": "lat",
-    "monoid": "mon", "mon": "mon",
-}
 
 
 # -- reports ------------------------------------------------------------------
@@ -200,7 +195,7 @@ def _load_input(args: argparse.Namespace) -> tuple[FinCategory, str]:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    variety = _CANON_VARIETY[args.variety]
+    variety = _VARIETY_ALIASES[args.variety]
     if args.connected:
         if variety != "poset":
             _fail_usage("--connected applies to --variety poset only")

@@ -319,19 +319,6 @@ def all_binary_coproducts_exist(cat: FinCategory) -> bool:
     )
 
 
-def _inclusion_set(cat: FinCategory) -> frozenset[int]:
-    s = cat._cache.get("inclusions")
-    if s is None:
-        acc: set[int] = set()
-        for x in range(len(cat.objects)):
-            for u, v in limits.coproduct_bases(cat, x):
-                acc.add(u)
-                acc.add(v)
-        s = frozenset(acc)
-        cat._cache["inclusions"] = s
-    return s
-
-
 def _orbit_reps(cat: FinCategory) -> list[int]:
     """Each morphism's orbit representative: the first morphism, in id
     order, of its orbit {α∘f∘β : α, β isomorphisms}."""
@@ -368,7 +355,7 @@ def category_report(cat: FinCategory, mode: str = "extensive") -> dict:
             per[mid] = st if mode == "extensive" else _dualized(st)
     reduced_scope = sorted(
         work.mid(m)
-        for m in set(_inclusion_set(work))
+        for m in set(limits.coproduct_legs(work))
         | {f for f in range(work.n_mor) if _split_mono_witness(dual_of(work), f) is not None}
     )
     verdict = all(st.passed for st in per.values())
@@ -466,7 +453,7 @@ def is_boolean_category(cat: FinCategory) -> CheckStatus:
     z = limits.initial(cat)
     if z is None or not all_binary_coproducts_exist(cat):
         return _na({"kind": "missing-finite-coproducts"})
-    inclusions = _inclusion_set(cat)
+    inclusions = limits.coproduct_legs(cat)
     n = len(cat.objects)
     pullbacks = 0
     for u in sorted(inclusions):
@@ -511,66 +498,6 @@ def is_boolean_category(cat: FinCategory) -> CheckStatus:
 # -- strict refinement --------------------------------------------------------------
 
 
-def _product_cone_n(cat: FinCategory, legs: Sequence[int]) -> bool:
-    return _cocone_universal_n(dual_of(cat), legs)
-
-
-def _cocone_universal_n(cat: FinCategory, legs: Sequence[int]) -> bool:
-    """n-ary analogue of the coproduct certificate: h |-> (h∘leg_i)_i is a
-    bijection hom(X,Y) -> prod_i hom(A_i,Y) for every Y."""
-    x = cat._cod_l[legs[0]]
-    if any(cat._cod_l[m] != x for m in legs):
-        return False
-    doms = [cat._dom_l[m] for m in legs]
-    n = len(cat.objects)
-    hc = cat._hom_counts_l
-    for y in range(n):
-        prod = 1
-        for a in doms:
-            prod *= hc[a][y]
-        if hc[x][y] != prod:
-            return False
-    for y in range(n):
-        k = hc[x][y]
-        if k > 1 and len(set(zip(*(cat.col(m, y) for m in legs)))) != k:
-            return False
-    return True
-
-
-def _coproduct_bases_n(cat: FinCategory, x: int, arity: int) -> tuple[tuple[int, ...], ...]:
-    """All certified arity-n coproduct cocones with apex x (cached)."""
-    if arity == 2:
-        return limits.coproduct_bases(cat, x)
-    cache = cat._cache.setdefault("coproduct_bases_n", {})
-    key = (x, arity)
-    if key in cache:
-        return cache[key]
-    n = len(cat.objects)
-    hc = cat._hom_counts_l
-    out: list[tuple[int, ...]] = []
-    for doms in itertools.product(range(n), repeat=arity):
-        ok = True
-        for y in range(n):
-            prod = 1
-            for a in doms:
-                prod *= hc[a][y]
-            if hc[x][y] != prod:
-                ok = False
-                break
-        if not ok:
-            continue
-        for legs in itertools.product(*(cat.hom(a, x) for a in doms)):
-            if _cocone_universal_n(cat, legs):
-                out.append(legs)
-    res = tuple(out)
-    cache[key] = res
-    return res
-
-
-def _product_bases_n(cat: FinCategory, x: int, arity: int) -> tuple[tuple[int, ...], ...]:
-    return _coproduct_bases_n(dual_of(cat), x, arity)
-
-
 def _grid_for(cat: FinCategory, cone_a: Sequence[int], cone_b: Sequence[int]) -> dict | None:
     """Try the canonical pushout grid for two product cones on the same apex:
     corners are pushouts of leg pairs, margins must be certified product cones."""
@@ -583,10 +510,10 @@ def _grid_for(cat: FinCategory, cone_a: Sequence[int], cone_b: Sequence[int]) ->
                 return None
             corner[(i, j)] = w
     for i in range(la):
-        if not _product_cone_n(cat, [corner[(i, j)].legs[0] for j in range(lb)]):
+        if not limits.is_product_cone(cat, *(corner[(i, j)].legs[0] for j in range(lb))):
             return None
     for j in range(lb):
-        if not _product_cone_n(cat, [corner[(i, j)].legs[1] for i in range(la)]):
+        if not limits.is_product_cone(cat, *(corner[(i, j)].legs[1] for i in range(la))):
             return None
     return {
         "corners": {f"{i},{j}": cat.oid(corner[(i, j)].apex) for i in range(la) for j in range(lb)},
@@ -603,7 +530,7 @@ def _grid_search(cat: FinCategory, cone_a: Sequence[int], cone_b: Sequence[int])
     la, lb = len(cone_a), len(cone_b)
     doms_a = [cat._dom_l[m] for m in cone_a]
     doms_b = [cat._dom_l[m] for m in cone_b]
-    row_choices = [_product_bases_n(cat, a, lb) for a in doms_a]
+    row_choices = [limits.product_bases(cat, a, lb) for a in doms_a]
 
     def rec(i: int, rows: list[tuple[int, ...]]) -> dict | None:
         if i == la:
@@ -618,7 +545,7 @@ def _grid_search(cat: FinCategory, cone_a: Sequence[int], cone_b: Sequence[int])
                     opts = [o + [b] for o in opts for b in cands]
                     if not opts:
                         break
-                col = next((tuple(o) for o in opts if _product_cone_n(cat, o)), None)
+                col = next((tuple(o) for o in opts if limits.is_product_cone(cat, *o)), None)
                 if col is None:
                     return None
                 chosen.append(col)
@@ -653,9 +580,9 @@ def has_finite_srp(cat: FinCategory, oid: str, k: int) -> CheckStatus:
     x = cat.o(oid)
     pairs = 0
     for m in range(2, k + 1):
-        cones_m = _product_bases_n(cat, x, m)
+        cones_m = limits.product_bases(cat, x, m)
         for n_ar in range(2, k + 1):
-            cones_n = cones_m if n_ar == m else _product_bases_n(cat, x, n_ar)
+            cones_n = cones_m if n_ar == m else limits.product_bases(cat, x, n_ar)
             for ca in cones_m:
                 for cb in cones_n:
                     pairs += 1

@@ -651,12 +651,7 @@ def morphisms_of_class(cat: FinCategory, cls: str) -> list[str]:
     else:  # coproduct-inclusion, or product-projection as inclusions of the dual
         from . import limits
 
-        work = cat if cls == "coproduct-inclusion" else d
-        sel = set()
-        for x in range(len(cat.objects)):
-            for u, v in limits.coproduct_bases(work, x):
-                sel.add(u)
-                sel.add(v)
+        sel = limits.coproduct_legs(cat if cls == "coproduct-inclusion" else d)
     return sorted((cat.mid(f) for f in sel))
 
 

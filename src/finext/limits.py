@@ -2,17 +2,22 @@
 search.
 
 A candidate diagram is *certified* by checking the defining bijection
-directly: a cocone (u, v) on (A1, A2) with apex X is a coproduct iff for
-every object Y the map h |-> (h∘u, h∘v) from hom(X,Y) to hom(A1,Y)×hom(A2,Y)
-is a bijection.  Cardinality comparison plus an injectivity scan decides
-that; the scan reads the composites of each leg as one list of id tuples,
-one per object (``FinCategory.rows`` or ``cols``), and counts distinct leg
-pairs in a Python set.  The commuting cones of a cospan (f, u) are counted
-from sizes, not enumerated: for each s into dom f, the size of u's fibre
-over f∘s, read from a ``Counter`` of u's row cached per leg.  Limits are the
-colimits of the opposite category, found by the same code; ``fincat.dual``
-keeps this category's indexes, so a witness found there is read here as it
-is.
+directly: a cocone of legs u_i: A_i -> X is a coproduct iff for every
+object Y the map h |-> (h∘u_i)_i from hom(X,Y) to the product of the
+hom(A_i,Y) is a bijection.  One certificate, ``_cocone_universal``, decides
+that at every arity by cardinality comparison plus an injectivity scan; the
+scan reads the composites of each leg as one list of id tuples, one per
+object (``FinCategory.rows`` or ``cols``), and counts distinct leg tuples in
+a Python set.  The certified cocones with apex X are searched once per
+(apex, arity) and cached (``coproduct_bases``); whether given legs form a
+coproduct, the first coproduct of two objects and the set of coproduct
+inclusions are lookups in these bases, not certified again.
+
+The commuting cones of a cospan (f, u) are counted from sizes, not
+enumerated: for each s into dom f, the size of u's fibre over f∘s, read
+from a ``Counter`` of u's row cached per leg.  Limits are the colimits of
+the opposite category, found by the same code; ``fincat.dual`` keeps this
+category's indexes, so a witness found there is read here as it is.
 
 Search order is fixed everywhere — apexes in object order, legs in hom-set
 order — so the first certified witness is deterministic and cacheable.
@@ -25,9 +30,12 @@ ids at the reporting boundary.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
+from math import prod
+from typing import Sequence
 
 from .fincat import FinCategory, dual_of, _iso_info, _mono_set, _epi_set
 
@@ -38,10 +46,12 @@ __all__ = [
     "is_coproduct_cocone",
     "coproduct",
     "coproduct_bases",
+    "coproduct_legs",
     "cotuple",
     "coproduct_of_morphisms",
     "product",
     "product_bases",
+    "is_product_cone",
     "product_of_morphisms",
     "pullback",
     "is_pullback_square",
@@ -92,63 +102,82 @@ def terminal(cat: FinCategory) -> int | None:
 # -- coproducts -----------------------------------------------------------------
 
 
-def _cocone_universal(cat: FinCategory, a1: int, a2: int, x: int, u: int, v: int) -> bool:
-    """Bijectivity of h |-> (h∘u, h∘v) for all targets Y."""
-    hc = cat._hom_counts_l
-    if any(k != k1 * k2 for k, k1, k2 in zip(hc[x], hc[a1], hc[a2])):
-        return False
-    # the column of u at Y lists h∘u for each h in hom(x, Y)
-    return all(len(c) < 2 or len(set(zip(c, d))) == len(c) for c, d in zip(cat.cols(u), cat.cols(v)))
+def _counts_fit(hc: list[list[int]], x: int, parts: Sequence[int]) -> bool:
+    """Whether |hom(x, Y)| is the product of the |hom(a, Y)|, a in parts, for
+    every Y: the cardinality half of the certificate, which the base search
+    also reads to skip parts before enumerating their legs."""
+    return all(k == prod(ks) for k, *ks in zip(hc[x], *(hc[a] for a in parts)))
 
 
-def is_coproduct_cocone(cat: FinCategory, u: int, v: int) -> bool:
-    """Whether the cocone (u: A1 -> X, v: A2 -> X) exhibits X as A1 + A2."""
-    if cat._cod_l[u] != cat._cod_l[v]:
+def _cocone_universal(cat: FinCategory, legs: tuple[int, ...]) -> bool:
+    """The coproduct certificate, at every arity: bijectivity of
+    h |-> (h∘leg)_leg from hom(X,Y) onto the product of the hom(A_i,Y), for
+    every Y, where the legs run A_i -> X."""
+    hc, dom = cat._hom_counts_l, cat._dom_l
+    if not _counts_fit(hc, cat._cod_l[legs[0]], [dom[m] for m in legs]):
         return False
-    return _cocone_universal(cat, cat._dom_l[u], cat._dom_l[v], cat._cod_l[u], u, v)
+    # the column of a leg at Y lists h∘leg for each h in hom(X, Y)
+    return all(len(cs[0]) < 2 or len(set(zip(*cs))) == len(cs[0]) for cs in zip(*map(cat.cols, legs)))
+
+
+def coproduct_bases(cat: FinCategory, x: int, arity: int = 2) -> tuple[tuple[int, ...], ...]:
+    """Every certified coproduct cocone of ``arity`` legs with apex x: parts
+    in ``itertools.product`` order, then legs in hom-set order.  Cached per
+    (apex, arity); this is the quantification set for the
+    decomposition-respecting checks, and every other coproduct question is
+    a lookup in it."""
+    cache = cat._cache.setdefault("coproduct_bases", {})
+    key = (x, arity)
+    if key not in cache:
+        hc = cat._hom_counts_l
+        cache[key] = tuple(
+            legs
+            for parts in itertools.product(range(len(cat.objects)), repeat=arity)
+            if _counts_fit(hc, x, parts)
+            for legs in itertools.product(*(cat.hom(a, x) for a in parts))
+            if _cocone_universal(cat, legs)
+        )
+    return cache[key]
+
+
+def is_coproduct_cocone(cat: FinCategory, *legs: int) -> bool:
+    """Whether the legs (A_i -> X) exhibit X as the coproduct of the A_i:
+    membership in the certified bases of X, whose set is cached."""
+    cache = cat._cache.setdefault("coproduct_cocones", {})
+    key = (cat._cod_l[legs[0]], len(legs))
+    cocones = cache.get(key)
+    if cocones is None:
+        cocones = cache[key] = frozenset(coproduct_bases(cat, *key))
+    return legs in cocones
 
 
 def coproduct(cat: FinCategory, a1: int, a2: int) -> UniversalWitness | None:
-    """First certified coproduct of (a1, a2) in apex-then-leg order, cached."""
+    """First certified coproduct of (a1, a2): apexes in object order, then
+    the first base on those parts.  Cached."""
     cache = cat._cache.setdefault("coproduct", {})
     key = (a1, a2)
     if key not in cache:
-        hc, n = cat._hom_counts_l, len(cat.objects)
-        apexes = (x for x in range(n) if all(hc[x][y] == hc[a1][y] * hc[a2][y] for y in range(n)))
+        dom = cat._dom_l
         cache[key] = next(
             (
                 UniversalWitness("coproduct", x, (u, v))
-                for x in apexes
-                for u in cat.hom(a1, x)
-                for v in cat.hom(a2, x)
-                if _cocone_universal(cat, a1, a2, x, u, v)
+                for x in range(len(cat.objects))
+                for u, v in coproduct_bases(cat, x)
+                if (dom[u], dom[v]) == key
             ),
             None,
         )
     return cache[key]
 
 
-def coproduct_bases(cat: FinCategory, x: int) -> tuple[tuple[int, int], ...]:
-    """Every certified binary coproduct cocone with apex x, in deterministic
-    (part-pair, leg-lex) order.  Cached; this is the quantification set for
-    the decomposition-respecting checks."""
-    cache = cat._cache.setdefault("coproduct_bases", {})
-    if x in cache:
-        return cache[x]
-    out: list[tuple[int, int]] = []
-    n = len(cat.objects)
-    hc = cat._hom_counts_l
-    for a1 in range(n):
-        for a2 in range(n):
-            if any(hc[x][y] != hc[a1][y] * hc[a2][y] for y in range(n)):
-                continue
-            for u in cat.hom(a1, x):
-                for v in cat.hom(a2, x):
-                    if _cocone_universal(cat, a1, a2, x, u, v):
-                        out.append((u, v))
-    res = tuple(out)
-    cache[x] = res
-    return res
+def coproduct_legs(cat: FinCategory) -> frozenset[int]:
+    """The legs of every certified binary coproduct cocone: the coproduct
+    inclusions.  Cached."""
+    legs = cat._cache.get("coproduct_legs")
+    if legs is None:
+        legs = frozenset(m for x in range(len(cat.objects)) for base in coproduct_bases(cat, x) for m in base)
+        cat._cache["coproduct_legs"] = legs
+    return legs
 
 
 def cotuple(cat: FinCategory, u: int, v: int, t1: int, t2: int) -> int | None:
@@ -196,9 +225,14 @@ def product(cat: FinCategory, a1: int, a2: int) -> UniversalWitness | None:
     return _renamed("product", coproduct(dual_of(cat), a1, a2))
 
 
-def product_bases(cat: FinCategory, x: int) -> tuple[tuple[int, int], ...]:
-    """Every certified binary product cone with apex x."""
-    return coproduct_bases(dual_of(cat), x)
+def product_bases(cat: FinCategory, x: int, arity: int = 2) -> tuple[tuple[int, ...], ...]:
+    """Every certified product cone of ``arity`` legs with apex x."""
+    return coproduct_bases(dual_of(cat), x, arity)
+
+
+def is_product_cone(cat: FinCategory, *legs: int) -> bool:
+    """Whether the legs (X -> A_i) exhibit X as the product of the A_i."""
+    return is_coproduct_cocone(dual_of(cat), *legs)
 
 
 def product_of_morphisms(

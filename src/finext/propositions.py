@@ -39,8 +39,6 @@ from .extensivity import (
     commutation_check,
     has_binary_srp,
     has_finite_srp,
-    _inclusion_set,
-    _product_cone_n,
     _all_parallel_pairs,
 )
 
@@ -341,7 +339,7 @@ def lemma_product_lift_mono(cat: FinCategory, **_) -> CheckStatus:
                             continue
                         for q2 in cat.postcompose_fibers(m2, a).get(p2, ()):
                             t.checked += 1
-                            if not _product_cone_n(cat, (q1, q2)) and t.witness is None:
+                            if not limits.is_product_cone(cat, q1, q2) and t.witness is None:
                                 t.witness = {
                                     "kind": "lifted-row-not-product",
                                     "object": cat.oid(a),
@@ -480,7 +478,7 @@ def _is_regular_mono(cat: FinCategory, m: int) -> bool:
 def prop_inclusion_regular_mono(cat: FinCategory, **_) -> CheckStatus:
     """If every coproduct inclusion satisfies the forced-squares condition,
     coproducts are disjoint and inclusions are regular monomorphisms."""
-    incs = sorted(_inclusion_set(cat))
+    incs = sorted(limits.coproduct_legs(cat))
     if not incs:
         return _na({"kind": "no-coproduct-inclusions"})
     for i in incs:
@@ -505,7 +503,7 @@ def prop_e1_implies_extensive(cat: FinCategory, **_) -> CheckStatus:
     dis = coproduct_disjointness(cat)
     if not dis.passed:
         return _na({"kind": "coproducts-not-disjoint", "inner": dis.witness})
-    for i in sorted(_inclusion_set(cat)):
+    for i in sorted(limits.coproduct_legs(cat)):
         if not check_e1(cat, cat.mid(i)).passed:
             return _na({"kind": "inclusion-fails-E1", "morphism": cat.mid(i)})
     t = _Tally()
@@ -524,7 +522,7 @@ def cor_inclusion_ext_equiv(cat: FinCategory, **_) -> CheckStatus:
     and all inclusions pass the one-row check."""
     if limits.initial(cat) is None:
         return _na({"kind": "no-initial"})
-    incs = sorted(_inclusion_set(cat))
+    incs = sorted(limits.coproduct_legs(cat))
     side1 = all(_ext(cat, i).passed for i in incs)
     dis = coproduct_disjointness(cat)
     side2 = dis.passed and all(check_e1(cat, cat.mid(i)).passed for i in incs)
@@ -540,7 +538,7 @@ def cor_inclusion_ext_equiv(cat: FinCategory, **_) -> CheckStatus:
 def prop_pullback_stability(cat: FinCategory, **_) -> CheckStatus:
     """When all inclusions are extensive, pulling an extensive morphism back
     along an inclusion yields an extensive morphism."""
-    incs = sorted(_inclusion_set(cat))
+    incs = sorted(limits.coproduct_legs(cat))
     for i in incs:
         if not _ext(cat, i).passed:
             return _na({"kind": "inclusion-not-extensive", "morphism": cat.mid(i)})
@@ -740,8 +738,8 @@ def prop_commute_split_mono_coextensive(cat: FinCategory, *, seed: int = 0,
     report = category_report(cat, "coextensive")
     if report["verdict"] == "pass":
         return _ok(commutation=comm.details, morphisms=cat.n_mor)
-    bad = next(e for e in report["morphisms"] if e["status"] == "fail")
-    return _fail({"kind": "category-not-coextensive", "morphism": bad["id"], "inner": bad["witness"]})
+    mid, bad = next((m, e) for m, e in report["morphisms"].items() if e["status"] == "fail")
+    return _fail({"kind": "category-not-coextensive", "morphism": mid, "inner": bad["witness"]})
 
 
 def thm_barr_exact(cat: FinCategory, *, max_relation_size: int = 9, **_) -> CheckStatus:

@@ -4,12 +4,14 @@ The condition-two reference enumerates every (top base, bottom base,
 filler pair) instance and judges both squares of each instance, left then
 right, as the original ``check_e2`` and ``is_M_extensive`` loops did.
 ``cocone_universal_n`` is the original n-ary coproduct certificate over
-numpy block columns.  ``category_report`` is the original per-morphism
-loop, which decides every morphism on its own.
+numpy block columns, and ``coproduct_bases_n`` the original n-ary search
+for every cocone it certifies on one apex.  ``category_report`` is the
+original per-morphism loop, which decides every morphism on its own.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -79,6 +81,30 @@ def cocone_universal_n(cat: FinCategory, legs: Sequence[int]) -> bool:
     return True
 
 
+def coproduct_bases_n(cat: FinCategory, x: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """Every certified coproduct cocone of ``arity`` legs with apex x: parts
+    in ``itertools.product`` order, then legs in hom-set order.  Not cached,
+    and searched at arity 2 as at any other."""
+    n = len(cat.objects)
+    hc = cat._hom_counts_l
+    out: list[tuple[int, ...]] = []
+    for doms in itertools.product(range(n), repeat=arity):
+        ok = True
+        for y in range(n):
+            prod = 1
+            for a in doms:
+                prod *= hc[a][y]
+            if hc[x][y] != prod:
+                ok = False
+                break
+        if not ok:
+            continue
+        for legs in itertools.product(*(cat.hom(a, x) for a in doms)):
+            if cocone_universal_n(cat, legs):
+                out.append(legs)
+    return tuple(out)
+
+
 def category_report(cat: FinCategory, mode: str = "extensive") -> dict:
     """The per-morphism loop: ``is_extensive_morphism`` on every morphism,
     with no sharing between isomorphic morphisms."""
@@ -92,7 +118,7 @@ def category_report(cat: FinCategory, mode: str = "extensive") -> dict:
         per[mid] = st if mode == "extensive" else ext._dualized(st)
     reduced_scope = sorted(
         work.mid(m)
-        for m in set(ext._inclusion_set(work))
+        for m in set(limits.coproduct_legs(work))
         | {f for f in range(work.n_mor) if _split_mono_witness(dual_of(work), f) is not None}
     )
     verdict = all(st.passed for st in per.values())

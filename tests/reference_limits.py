@@ -6,6 +6,8 @@ These are the original formulations, kept for differential tests only:
   certified pullback and test that it is an isomorphism;
 - ``cocone_universal`` / ``cone_universal``: injectivity of the leg-pair
   map by ``np.unique`` over pair codes ``r1 * M + r2``;
+- ``coproduct``: the binary search over apexes and legs, certifying each
+  candidate with ``cocone_universal``, not read from cached bases;
 - ``cotuple`` and ``is_coequaliser``: masks and ``np.unique`` over block
   columns;
 - ``cone_counts``: the commuting cones of a cospan counted from the two
@@ -68,6 +70,24 @@ def cocone_universal(cat: FinCategory, a1: int, a2: int, x: int, u: int, v: int)
         if np.unique(r1 * M + r2).size != k:
             return False
     return True
+
+
+def coproduct(cat: FinCategory, a1: int, a2: int) -> limits.UniversalWitness | None:
+    """The first certified coproduct of (a1, a2): apexes whose hom counts
+    are the products of the parts' in object order, then legs (u, v) in
+    hom-set order.  Not cached."""
+    hc, n = cat._hom_counts_l, len(cat.objects)
+    apexes = (x for x in range(n) if all(hc[x][y] == hc[a1][y] * hc[a2][y] for y in range(n)))
+    return next(
+        (
+            limits.UniversalWitness("coproduct", x, (u, v))
+            for x in apexes
+            for u in cat.hom(a1, x)
+            for v in cat.hom(a2, x)
+            if cocone_universal(cat, a1, a2, x, u, v)
+        ),
+        None,
+    )
 
 
 def cone_universal(cat: FinCategory, a: int, b: int, p: int, p1: int, p2: int, counts: list[int]) -> bool:

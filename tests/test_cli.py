@@ -71,6 +71,15 @@ def test_gen_connected_only_applies_to_posets(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("alias, short", [("semilattice", "slat"), ("lattice", "lat"), ("monoid", "mon")])
+def test_gen_variety_alias_writes_the_same_file_as_its_short_name(tmp_path, capsys, alias, short):
+    paths = {name: tmp_path / f"{name}.json" for name in (alias, short)}
+    for name, path in paths.items():
+        code, _ = run(capsys, "gen", "--variety", name, "--max-carrier", "2", "--output", str(path))
+        assert code == 0
+    assert paths[alias].read_bytes() == paths[short].read_bytes()
+
+
 def test_validate_rejects_malformed_files(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"algebras": "nope"}')

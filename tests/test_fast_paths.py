@@ -9,7 +9,10 @@ The composition rows, columns (rows of the dual) and blocks, and every
 kernel that reads them, are compared with the seed's numpy versions, the
 cone counts with the seed's fibre-dict count, both also on tables with
 single-entry faults, and ``validate`` with the seed's under single-entry
-faults and past its violation cap.
+faults and past its violation cap.  The one coproduct certificate is
+compared with the seed's binary and n-ary ones, and the answers read from
+the cached bases (``coproduct``, ``is_coproduct_cocone``,
+``is_product_cone``) with the seed's searches.
 
 The index-preserving ``dual`` is compared with the string-id reference
 dual: the two categories agree once their ids are matched, and every
@@ -107,6 +110,33 @@ def _assert_table_readers_match_reference(cat: FinCategory) -> None:
         assert limits._cone_counts(cat, f, u) == reference_limits.cone_counts(cat, f, u), (f, u)
 
 
+def _assert_coproducts_match_reference(cat: FinCategory) -> None:
+    """``coproduct``, the bases of arity 2 and 3, the coproduct inclusions,
+    ``is_coproduct_cocone`` and ``is_product_cone`` equal the seed's
+    searches and certificate: the membership tests on every pair of
+    morphisms, codomains shared or not, and on every triple that widens a
+    binary base by one morphism."""
+    n = len(cat.objects)
+    d = dual_of(cat)
+    for a1, a2 in itertools.product(range(n), repeat=2):
+        assert limits.coproduct(cat, a1, a2) == reference_limits.coproduct(cat, a1, a2), (a1, a2)
+    inclusions = set()
+    for x, arity in itertools.product(range(n), (2, 3)):
+        expected = reference_extensivity.coproduct_bases_n(cat, x, arity)
+        assert limits.coproduct_bases(cat, x, arity) == expected, (x, arity)
+        if arity == 2:
+            inclusions.update(m for base in expected for m in base)
+    assert limits.coproduct_legs(cat) == inclusions
+    assert morphisms_of_class(cat, "coproduct-inclusion") == sorted(cat.mid(m) for m in inclusions)
+    for legs in itertools.product(range(cat.n_mor), repeat=2):
+        assert limits.is_coproduct_cocone(cat, *legs) == reference_extensivity.cocone_universal_n(cat, legs), legs
+        assert limits.is_product_cone(cat, *legs) == reference_extensivity.cocone_universal_n(d, legs), legs
+    for base in {b for x in range(n) for b in limits.coproduct_bases(cat, x)}:
+        for m in range(cat.n_mor):
+            legs = (*base, m)
+            assert limits.is_coproduct_cocone(cat, *legs) == reference_extensivity.cocone_universal_n(cat, legs), legs
+
+
 def _assert_kernels_match_numpy(cat: FinCategory) -> None:
     n = len(cat.objects)
     _assert_table_readers_match_reference(cat)
@@ -115,9 +145,8 @@ def _assert_kernels_match_numpy(cat: FinCategory) -> None:
     for a1, a2, x in itertools.product(range(n), repeat=3):
         for u in cat.hom(a1, x):
             for v in cat.hom(a2, x):
-                fast = limits._cocone_universal(cat, a1, a2, x, u, v)
+                fast = limits._cocone_universal(cat, (u, v))
                 assert fast == reference_limits.cocone_universal(cat, a1, a2, x, u, v), (u, v)
-                assert ext._cocone_universal_n(cat, (u, v)) == fast, (u, v)
                 if not fast:
                     continue
                 for z in range(n):
@@ -128,7 +157,8 @@ def _assert_kernels_match_numpy(cat: FinCategory) -> None:
             if any(cat._hom_counts_l[x][y] != math.prod(cat._hom_counts_l[a][y] for a in doms) for y in range(n)):
                 continue
             for legs in itertools.product(*(cat.hom(a, x) for a in doms)):
-                assert ext._cocone_universal_n(cat, legs) == reference_extensivity.cocone_universal_n(cat, legs), legs
+                assert limits._cocone_universal(cat, legs) == reference_extensivity.cocone_universal_n(cat, legs), legs
+    _assert_coproducts_match_reference(cat)
     for y, a in itertools.product(range(n), repeat=2):
         out = [f for q in range(n) for f in cat.hom(a, q)]
         for u, v in itertools.combinations_with_replacement(cat.hom(y, a), 2):

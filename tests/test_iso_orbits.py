@@ -9,7 +9,8 @@ per-morphism loop) on categories in which an object has an isomorphic copy
 (``generators.inflate``) and on thin categories of random preorders
 (``generators.preorders``), since no built-in category has two distinct
 isomorphic objects.  The canonical apex, the first object isomorphic to the
-certified one, is exercised only there.
+certified one, is exercised only there.  The coproduct answers read from the
+cached bases are compared with the seed's searches on the same categories.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from finext.algebra import build_category
 from finext.fincat import FinCategory, _iso_info, dual_of, thin_category_from_poset
 from generators import inflate, lift_id, preorders
 from test_fast_paths import (
+    _assert_coproducts_match_reference,
     _assert_e2_scan_matches_walk,
     _assert_kernels_match_numpy,
     _assert_square_table_matches_mediator,
@@ -73,6 +75,7 @@ def test_transported_pullbacks_equal_the_search(case):
     moved = 0
     for c in (cat, dual_of(cat)):
         _assert_table_readers_match_reference(c)
+        _assert_coproducts_match_reference(c)
         for f, u in _cospans(c):
             got = limits.pullback(c, f, u)
             assert got == reference_limits.pullback(c, f, u), (case, c is cat, f, u)

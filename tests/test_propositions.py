@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from finext import propositions
 from finext.propositions import (
     PROPOSITION_IDS,
     EXTENSIVITY_IDS,
@@ -108,6 +109,27 @@ def test_commutation_statement_runs_nonvacuously_on_the_dual(dual_set3):
     st = res["prop-commute-split-mono-coextensive"]
     assert st.passed
     assert st.details["commutation"] == {"tested": 25, "inapplicable": 0}
+
+
+def test_a_failing_coextensive_report_names_the_failing_morphism(dual_set3, monkeypatch):
+    """Fault injection: with one morphism of FinSet≤3^op made to fail the
+    coextensive report, the statement fails and names that morphism and
+    its witness."""
+    mid = sorted(dual_set3.mor_ids)[len(dual_set3.mor_ids) // 2]
+    injected = {"kind": "injected-fault", "morphism": mid}
+    real_report = propositions.category_report
+
+    def report_with_one_failure(cat, mode="extensive"):
+        rep = real_report(cat, mode)
+        rep["morphisms"][mid] = {"status": "fail", "witness": injected}
+        rep["verdict"] = "fail"
+        return rep
+
+    monkeypatch.setattr(propositions, "category_report", report_with_one_failure)
+    res = dict(proposition_suite(dual_set3, selection=["prop-commute-split-mono-coextensive"]))
+    st = res["prop-commute-split-mono-coextensive"]
+    assert st.status == "fail"
+    assert st.witness == {"kind": "category-not-coextensive", "morphism": mid, "inner": injected}
 
 
 def test_selection_limits_and_orders_the_run(set3):
