@@ -260,17 +260,15 @@ def _morphism_units(cat: FinCategory, mid: str, mode: str) -> list[tuple[str, Ch
     if mode == "extensive":
         one = extensivity.check_e1(cat, mid)
         two = extensivity.check_e2(cat, mid)
-        combined = extensivity.is_extensive_morphism(cat, mid)
         labels = ("E1", "E2")
     else:
         one = extensivity.check_c1(cat, mid)
         two = extensivity.check_c2(cat, mid)
-        combined = extensivity.is_coextensive_morphism(cat, mid)
         labels = ("C1", "C2")
     return [
         (f"{mid}/{labels[0]}", one),
         (f"{mid}/{labels[1]}", two),
-        (f"{mid}/{mode}", combined),
+        (f"{mid}/{mode}", extensivity.morphism_status(cat, cat.m(mid), mode)),
     ]
 
 
@@ -299,13 +297,11 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.srp is not None:
             units = _srp_units(cat, objs, args.srp)
         else:
-            combined = (
-                extensivity.is_extensive_morphism if mode == "extensive" else extensivity.is_coextensive_morphism
-            )
             for oid in objs:
+                ident = cat.identity_of[cat.obj_index[oid]]
                 units.append(
-                    lambda oid=oid: [
-                        (f"{oid}/identity-{mode}", combined(cat, cat.mid(cat.identity_of[cat.obj_index[oid]])))
+                    lambda oid=oid, ident=ident: [
+                        (f"{oid}/identity-{mode}", extensivity.morphism_status(cat, ident, mode))
                     ]
                 )
     else:

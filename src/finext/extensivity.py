@@ -18,13 +18,17 @@ kinds to the co-side vocabulary.
 
 All quantifications are exhaustive over the finite category.  Results are
 three-valued (`pass` / `fail` / `inapplicable`) with serializable witnesses.
+
+`morphism_status` holds the one verdict per morphism and mode, decided on
+first read and copied across iso orbits; `category_report`, the proposition
+suite and the relation calculus read it instead of deciding again.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from .fincat import (
     FinCategory,
@@ -43,6 +47,7 @@ __all__ = [
     "check_c2",
     "is_extensive_morphism",
     "is_coextensive_morphism",
+    "morphism_status",
     "category_report",
     "all_binary_coproducts_exist",
     "coproduct_disjointness",
@@ -321,16 +326,43 @@ def all_binary_coproducts_exist(cat: FinCategory) -> bool:
 
 def _orbit_reps(cat: FinCategory) -> list[int]:
     """Each morphism's orbit representative: the first morphism, in id
-    order, of its orbit {α∘f∘β : α, β isomorphisms}."""
-    into, inv = limits._isos_into(cat), _iso_info(cat)[1]
-    reps = [-1] * cat.n_mor
-    for f in range(cat.n_mor):
-        if reps[f] < 0:  # a new orbit; inv[a] ranges over the isos out of cod f
-            for b in into[cat._dom_l[f]]:
-                fb = cat.compose(f, b)
-                for a in into[cat._cod_l[f]]:
-                    reps[cat.compose(inv[a], fb)] = f
+    order, of its orbit {α∘f∘β : α, β isomorphisms}.  Cached per category."""
+    reps = cat._cache.get("orbit_reps")
+    if reps is None:
+        into, inv = limits._isos_into(cat), _iso_info(cat)[1]
+        reps = [-1] * cat.n_mor
+        for f in range(cat.n_mor):
+            if reps[f] < 0:  # a new orbit; inv[a] ranges over the isos out of cod f
+                for b in into[cat._dom_l[f]]:
+                    fb = cat.compose(f, b)
+                    for a in into[cat._cod_l[f]]:
+                        reps[cat.compose(inv[a], fb)] = f
+        cat._cache["orbit_reps"] = reps  # built locally, published in one assignment
     return reps
+
+
+def morphism_status(cat: FinCategory, f: int, mode: str = "extensive") -> CheckStatus:
+    """Whether morphism index f is extensive (or coextensive), read from
+    the category's verdict store; every caller shares the stored statuses,
+    so none may mutate one.
+
+    The coextensive verdict is the dual's extensive one, renamed to the
+    co-side vocabulary, so each mode has its own store.  f passes iff
+    α∘f∘β does, for isos α and β, with the same details: a miss whose
+    orbit representative has a stored pass copies it.  Any other miss is
+    decided by ``is_extensive_morphism``, so a failure witness names f's
+    own first failure."""
+    if mode not in ("extensive", "coextensive"):
+        raise ValueError("mode must be extensive or coextensive")
+    if mode == "coextensive":
+        return _dualized(morphism_status(dual_of(cat), f))
+    store = cat._cache.setdefault("verdicts", {})
+    st = store.get(f)
+    if st is None:
+        rep = store.get(_orbit_reps(cat)[f])
+        st = _ok(**rep.details) if rep is not None and rep.passed else is_extensive_morphism(cat, cat.mid(f))
+        store[f] = st
+    return st
 
 
 def category_report(cat: FinCategory, mode: str = "extensive") -> dict:
@@ -338,21 +370,13 @@ def category_report(cat: FinCategory, mode: str = "extensive") -> dict:
     verdict quantified over split epis and coproduct inclusions only (the
     two verdicts must agree when all binary coproducts exist).
 
-    f passes iff α∘f∘β does, for isos α and β, with the same details, so a
-    pass of an orbit's first morphism is copied to the whole orbit.  After a
-    failure each member is decided itself: a failure witness names that
-    morphism's own first failure.  The dual has the same orbits."""
+    Each status is ``morphism_status``, read in index order, so a pass of
+    an orbit's first morphism is copied to the orbit, and a report reads
+    what earlier checks on the category have already decided."""
     if mode not in ("extensive", "coextensive"):
         raise ValueError("mode must be extensive or coextensive")
     work = cat if mode == "extensive" else dual_of(cat)
-    per: dict[str, CheckStatus] = {}
-    for i, r in enumerate(_orbit_reps(work)):
-        mid, rep = work.mid(i), per.get(work.mid(r))
-        if rep is not None and rep.passed:
-            per[mid] = _ok(**rep.details)
-        else:
-            st = is_extensive_morphism(work, mid)
-            per[mid] = st if mode == "extensive" else _dualized(st)
+    per = {work.mid(i): morphism_status(cat, i, mode) for i in range(cat.n_mor)}
     reduced_scope = sorted(
         work.mid(m)
         for m in set(limits.coproduct_legs(work))
@@ -529,7 +553,6 @@ def _grid_search(cat: FinCategory, cone_a: Sequence[int], cone_b: Sequence[int])
     product cones on the A_i."""
     la, lb = len(cone_a), len(cone_b)
     doms_a = [cat._dom_l[m] for m in cone_a]
-    doms_b = [cat._dom_l[m] for m in cone_b]
     row_choices = [limits.product_bases(cat, a, lb) for a in doms_a]
 
     def rec(i: int, rows: list[tuple[int, ...]]) -> dict | None:

@@ -37,7 +37,7 @@ from itertools import repeat
 from math import prod
 from typing import Sequence
 
-from .fincat import FinCategory, dual_of, _iso_info, _mono_set, _epi_set
+from .fincat import FinCategory, dual_of, _iso_info, _mono_set
 
 __all__ = [
     "UniversalWitness",

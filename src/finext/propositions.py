@@ -32,8 +32,7 @@ from .extensivity import (
     check_e2,
     check_c1,
     check_c2,
-    is_extensive_morphism,
-    is_coextensive_morphism,
+    morphism_status,
     category_report,
     coproduct_disjointness,
     commutation_check,
@@ -45,28 +44,10 @@ from .extensivity import (
 __all__ = ["PROPOSITION_IDS", "EXTENSIVITY_IDS", "RELCALC_IDS", "proposition_suite"]
 
 
-# -- memoized per-morphism statuses ------------------------------------------------
-
-
-def _ext(cat: FinCategory, f: int) -> CheckStatus:
-    memo = cat._cache.setdefault("prop_ext", {})
-    if f not in memo:
-        memo[f] = is_extensive_morphism(cat, cat.mid(f))
-    return memo[f]
-
-
-def _coext(cat: FinCategory, f: int) -> CheckStatus:
-    memo = cat._cache.setdefault("prop_coext", {})
-    if f not in memo:
-        memo[f] = is_coextensive_morphism(cat, cat.mid(f))
-    return memo[f]
-
-
 def _all_identities(cat: FinCategory, mode: str) -> tuple[bool, dict | None]:
     """Whether every identity is extensive/coextensive; first failure witness."""
-    run = _ext if mode == "extensive" else _coext
     for x, e in sorted(cat.identity_of.items()):
-        st = run(cat, e)
+        st = morphism_status(cat, e, mode)
         if not st.passed:
             return False, {"morphism": cat.mid(e), "inner": st.witness}
     return True, None
@@ -104,10 +85,10 @@ def prop_composite(cat: FinCategory, **_) -> CheckStatus:
     """Composites of extensive morphisms are extensive."""
     t = _Tally()
     for f, g, gf in _composable_pairs(cat):
-        if not (_ext(cat, f).passed and _ext(cat, g).passed):
+        if not (morphism_status(cat, f).passed and morphism_status(cat, g).passed):
             continue
         t.checked += 1
-        st = _ext(cat, gf)
+        st = morphism_status(cat, gf)
         if not st.passed and t.witness is None:
             t.witness = {
                 "kind": "composite-not-extensive",
@@ -150,9 +131,9 @@ def lemma_left_factor(cat: FinCategory, **_) -> CheckStatus:
     t = _Tally()
     hyp_cache: dict[int, bool] = {}
     for f, g, gf in _composable_pairs(cat):
-        if not _ext(cat, gf).passed:
+        if not morphism_status(cat, gf).passed:
             continue
-        if _ext(cat, f).passed:
+        if morphism_status(cat, f).passed:
             t.checked += 1
             continue
         if g not in hyp_cache:
@@ -167,7 +148,7 @@ def lemma_left_factor(cat: FinCategory, **_) -> CheckStatus:
                 "first": cat.mid(f),
                 "second": cat.mid(g),
                 "composite": cat.mid(gf),
-                "inner": _ext(cat, f).witness,
+                "inner": morphism_status(cat, f).witness,
             }
     return t.status()
 
@@ -251,10 +232,10 @@ def prop_c1_coext(cat: FinCategory, **_) -> CheckStatus:
         if not check_c2(cat, cat.mid(cat.identity_of[cat._cod_l[f]])).passed:
             continue
         t.checked += 1
-        st = _coext(cat, f)
+        st = morphism_status(cat, f, "coextensive")
         if not st.passed and t.witness is None:
             t.witness = {"kind": "not-coextensive", "morphism": cat.mid(f), "inner": st.witness}
-        if not _ext(cat, f).passed:
+        if not morphism_status(cat, f).passed:
             literal_failures += 1
     return t.status(literal_extensive_failures=literal_failures)
 
@@ -265,10 +246,7 @@ def cor_e1_shortcut(cat: FinCategory, **_) -> CheckStatus:
     details: dict = {}
     witness = None
     applied = 0
-    for mode, one_row, full in (
-        ("extensive", check_e1, _ext),
-        ("coextensive", check_c1, _coext),
-    ):
+    for mode, one_row in (("extensive", check_e1), ("coextensive", check_c1)):
         gate, gate_wit = _all_identities(cat, mode)
         details[f"{mode}_gate"] = gate
         if not gate:
@@ -277,7 +255,7 @@ def cor_e1_shortcut(cat: FinCategory, **_) -> CheckStatus:
         applied += 1
         mismatches = 0
         for f in range(cat.n_mor):
-            if full(cat, f).status != one_row(cat, cat.mid(f)).status:
+            if morphism_status(cat, f, mode).status != one_row(cat, cat.mid(f)).status:
                 mismatches += 1
                 if witness is None:
                     witness = {
@@ -285,7 +263,7 @@ def cor_e1_shortcut(cat: FinCategory, **_) -> CheckStatus:
                         "mode": mode,
                         "morphism": cat.mid(f),
                         "one_row": one_row(cat, cat.mid(f)).status,
-                        "full": full(cat, f).status,
+                        "full": morphism_status(cat, f, mode).status,
                     }
         details[f"{mode}_mismatches"] = mismatches
     if witness is not None:
@@ -299,12 +277,12 @@ def cor_iso_identity(cat: FinCategory, **_) -> CheckStatus:
     """All isomorphisms are extensive (dually coextensive) exactly when all
     identities are."""
     isos = sorted(_iso_info(cat)[0])
-    for mode, run in (("extensive", _ext), ("coextensive", _coext)):
+    for mode in ("extensive", "coextensive"):
         ids_ok, _w = _all_identities(cat, mode)
         isos_ok = True
         iso_wit = None
         for h in isos:
-            if not run(cat, h).passed:
+            if not morphism_status(cat, h, mode).passed:
                 isos_ok = False
                 iso_wit = cat.mid(h)
                 break
@@ -396,7 +374,7 @@ def prop_extremal_identity(cat: FinCategory, **_) -> CheckStatus:
         bases = limits.product_bases(cat, a)
         if not bases:
             continue
-        lhs = _coext(cat, cat.identity_of[a]).passed
+        lhs = morphism_status(cat, cat.identity_of[a], "coextensive").passed
         rhs = all(p1 in extremal and p2 in extremal for p1, p2 in bases)
         t.checked += 1
         if lhs and not rhs and t.witness is None:
@@ -417,7 +395,7 @@ def prop_extremal_identity(cat: FinCategory, **_) -> CheckStatus:
                 t.witness = {
                     "kind": "identity-not-coextensive",
                     "object": cat.oid(a),
-                    "inner": _coext(cat, cat.identity_of[a]).witness,
+                    "inner": morphism_status(cat, cat.identity_of[a], "coextensive").witness,
                 }
     return t.status(
         kernel_pairs_complete=kp_complete,
@@ -511,7 +489,7 @@ def prop_e1_implies_extensive(cat: FinCategory, **_) -> CheckStatus:
         if not check_e1(cat, cat.mid(f)).passed:
             continue
         t.checked += 1
-        st = _ext(cat, f)
+        st = morphism_status(cat, f)
         if not st.passed and t.witness is None:
             t.witness = {"kind": "one-row-but-not-extensive", "morphism": cat.mid(f), "inner": st.witness}
     return t.status()
@@ -523,7 +501,7 @@ def cor_inclusion_ext_equiv(cat: FinCategory, **_) -> CheckStatus:
     if limits.initial(cat) is None:
         return _na({"kind": "no-initial"})
     incs = sorted(limits.coproduct_legs(cat))
-    side1 = all(_ext(cat, i).passed for i in incs)
+    side1 = all(morphism_status(cat, i).passed for i in incs)
     dis = coproduct_disjointness(cat)
     side2 = dis.passed and all(check_e1(cat, cat.mid(i)).passed for i in incs)
     if side1 == side2:
@@ -540,11 +518,11 @@ def prop_pullback_stability(cat: FinCategory, **_) -> CheckStatus:
     along an inclusion yields an extensive morphism."""
     incs = sorted(limits.coproduct_legs(cat))
     for i in incs:
-        if not _ext(cat, i).passed:
+        if not morphism_status(cat, i).passed:
             return _na({"kind": "inclusion-not-extensive", "morphism": cat.mid(i)})
     t = _Tally()
     for f in range(cat.n_mor):
-        if not _ext(cat, f).passed:
+        if not morphism_status(cat, f).passed:
             continue
         for i in incs:
             if cat._cod_l[i] != cat._cod_l[f]:
@@ -555,7 +533,7 @@ def prop_pullback_stability(cat: FinCategory, **_) -> CheckStatus:
                 if t.witness is None:
                     t.witness = {"kind": "pullback-missing", "morphism": cat.mid(f), "inclusion": cat.mid(i)}
                 continue
-            st = _ext(cat, w.legs[1])
+            st = morphism_status(cat, w.legs[1])
             if not st.passed and t.witness is None:
                 t.witness = {
                     "kind": "pulled-back-not-extensive",
@@ -669,7 +647,7 @@ def prop_srp_binary_iff_coext_projections(cat: FinCategory, **_) -> CheckStatus:
         bases = limits.product_bases(cat, a)
         if not bases:
             continue
-        coext = all(_coext(cat, p).passed for base in bases for p in base)
+        coext = all(morphism_status(cat, p, "coextensive").passed for base in bases for p in base)
         srp = has_binary_srp(cat, cat.oid(a))
         if srp.status == "inapplicable":
             t.vacuous += 1
@@ -694,7 +672,7 @@ def thm_finite_srp(cat: FinCategory, *, srp_arity: int = 3, **_) -> CheckStatus:
         bases = limits.product_bases(cat, a)
         if not bases:
             continue
-        if not all(_coext(cat, p).passed for base in bases for p in base):
+        if not all(morphism_status(cat, p, "coextensive").passed for base in bases for p in base):
             t.vacuous += 1
             continue
         t.checked += 1
@@ -719,7 +697,7 @@ def prop_commute_split_mono_coextensive(cat: FinCategory, *, seed: int = 0,
     for m in range(cat.n_mor):
         if _split_mono_witness(cat, m) is None:
             continue
-        if not _coext(cat, m).passed:
+        if not morphism_status(cat, m, "coextensive").passed:
             return _na({"kind": "split-mono-not-coextensive", "morphism": cat.mid(m)})
     for q in range(cat.n_mor):
         if not _is_regular_epi(cat, q)[0]:

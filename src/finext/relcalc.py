@@ -17,18 +17,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 from .fincat import (
     FinCategory,
-    dual_of,
-    _iso_info,
     _mono_set,
     _is_regular_epi,
     _split_mono_witness,
 )
 from . import limits
-from .extensivity import CheckStatus, _ok, _fail, _na
+from .extensivity import CheckStatus, _ok, _fail, _na, morphism_status
 from . import setrel
 
 __all__ = [
@@ -689,13 +686,11 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
 
     # lemma-reflexive-splits: gated on split monos being coextensive
     t = out["lemma-reflexive-splits"]
-    from .extensivity import is_coextensive_morphism
-
     gate_witness = None
     for m in range(cat.n_mor):
         if _split_mono_witness(cat, m) is None:
             continue
-        st = is_coextensive_morphism(cat, cat.mid(m))
+        st = morphism_status(cat, m, "coextensive")
         if st.failed:
             gate_witness = {"kind": "split-mono-not-coextensive", "morphism": cat.mid(m)}
             break
@@ -801,8 +796,6 @@ def barr_exact_check(cat: FinCategory, max_relation_size: int = 9) -> CheckStatu
     """Check the exactness route to coextensivity: when the regularity and
     effectiveness evidence is clean, split monos being coextensive must be
     equivalent to the whole category being coextensive."""
-    from .extensivity import is_coextensive_morphism
-
     reg = regular_indicators(cat)
     eff_checked = 0
     eff_skipped = 0
@@ -826,13 +819,13 @@ def barr_exact_check(cat: FinCategory, max_relation_size: int = 9) -> CheckStatu
     for m in range(cat.n_mor):
         if _split_mono_witness(cat, m) is None:
             continue
-        st = is_coextensive_morphism(cat, cat.mid(m))
+        st = morphism_status(cat, m, "coextensive")
         if st.failed:
             split_fail = {"morphism": cat.mid(m), "witness": st.witness}
             break
     coext_fail = None
     for m in range(cat.n_mor):
-        st = is_coextensive_morphism(cat, cat.mid(m))
+        st = morphism_status(cat, m, "coextensive")
         if st.failed:
             coext_fail = {"morphism": cat.mid(m), "witness": st.witness}
             break

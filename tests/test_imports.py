@@ -1,0 +1,41 @@
+"""Every module of the package reads every name it imports.
+
+No linter runs on the tree, so this scans each module's syntax tree: a name
+bound by an import statement and never read, nor listed in ``__all__``,
+fails the module."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "finext"
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [f"line {line}: {name}" for name, line in sorted(bound.items(), key=lambda kv: kv[1]) if name not in read]
+
+
+def test_the_scan_sees_an_unused_import():
+    src = "from typing import Any, Sequence\nimport os.path\n\ndef f(x: Sequence) -> None:\n    pass\n"
+    assert unused_imports(src) == ["line 1: Any", "line 2: os"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_unused_imports(module):
+    assert unused_imports((PACKAGE / module).read_text()) == []

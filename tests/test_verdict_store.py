@@ -1,0 +1,132 @@
+"""The shared verdict store and a theorem read off it.
+
+``extensivity.morphism_status`` keeps one (co)extensivity verdict per
+morphism and mode, filled on first read, copying a pass across an iso orbit.
+It is compared with the per-morphism loop
+(``reference_extensivity.category_report``, every morphism decided by
+``is_extensive_morphism``) in whatever order it is read: ascending,
+descending, shuffled, and after ``category_report`` has filled the store.
+The two modes are read in turn on each morphism, so each must keep its own
+store.  The categories are the built-ins of ``verify-paper``, thin
+categories of random preorders, inflated categories and the duals of all of
+them.
+
+Carboni, Lack and Walters: in an extensive category coproducts are disjoint,
+so wherever the extensive report passes, ``coproduct_disjointness`` does
+not fail.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+from hypothesis import given, settings
+
+import reference_extensivity
+from finext import extensivity as ext
+from finext.algebra import build_category
+from finext.cli import _BUILTINS, _build_builtin
+from finext.fincat import dual_of, thin_category_from_poset
+from finext.propositions import proposition_suite
+from generators import inflate, preorders
+from test_iso_orbits import base, inflations
+
+MODES = ("extensive", "coextensive")
+builtins = pytest.mark.parametrize("entry", _BUILTINS, ids=[entry[0] for entry in _BUILTINS])
+
+
+def _read_orders(n: int) -> dict[str, list[int]]:
+    shuffled = list(range(n))
+    random.Random(n).shuffle(shuffled)
+    return {"ascending": list(range(n)), "descending": list(range(n - 1, -1, -1)), "shuffled": shuffled}
+
+
+def _assert_store_matches_loop(make) -> None:
+    """``make()`` builds a fresh instance of one category; each read order
+    starts from an empty store."""
+    expected = {mode: reference_extensivity.category_report(make(), mode) for mode in MODES}
+
+    def read_all(cat, order, label):
+        for f in order:
+            for mode in MODES:
+                got = ext.morphism_status(cat, f, mode).as_dict()
+                assert got == expected[mode]["morphisms"][cat.mid(f)], (label, mode, cat.mid(f))
+
+    n = make().n_mor
+    for label, order in _read_orders(n).items():
+        cat = make()
+        read_all(cat, order, label)
+        if label == "shuffled":  # a report over a filled store is unchanged
+            for mode in MODES:
+                assert ext.category_report(cat, mode) == expected[mode], (label, mode)
+    cat = make()
+    for mode in MODES:
+        ext.category_report(cat, mode)
+    read_all(cat, range(n), "after category_report")
+
+
+@builtins
+def test_store_matches_the_loop_on_builtins(entry):
+    _assert_store_matches_loop(lambda: _build_builtin(entry))
+    _assert_store_matches_loop(lambda: dual_of(_build_builtin(entry)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(preorders())
+def test_store_matches_the_loop_on_preorders(leq):
+    _assert_store_matches_loop(lambda: thin_category_from_poset(leq))
+    _assert_store_matches_loop(lambda: dual_of(thin_category_from_poset(leq)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(inflations())
+def test_store_matches_the_loop_on_inflations(case):
+    name, x, pos = case
+    _assert_store_matches_loop(lambda: inflate(base(name), x, pos))
+    _assert_store_matches_loop(lambda: dual_of(inflate(base(name), x, pos)))
+
+
+@builtins
+def test_propositions_read_a_filled_store_unchanged(entry):
+    fresh = [(ident, st.as_dict()) for ident, st in proposition_suite(_build_builtin(entry))]
+    filled = _build_builtin(entry)
+    for f in _read_orders(filled.n_mor)["shuffled"]:
+        for mode in MODES:
+            ext.morphism_status(filled, f, mode)
+    assert [(ident, st.as_dict()) for ident, st in proposition_suite(filled)] == fresh
+
+
+# -- Carboni, Lack and Walters -----------------------------------------------------
+
+
+def _extensive_implies_disjoint(cat) -> bool:
+    """Whether the extensive report passes; asserts disjointness when it does."""
+    if ext.category_report(cat, "extensive")["verdict"] != "pass":
+        return False
+    dis = ext.coproduct_disjointness(cat)
+    assert dis.status != "fail", (cat.objects, dis.witness)
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(preorders())
+def test_extensive_preorders_have_disjoint_coproducts(leq):
+    _extensive_implies_disjoint(thin_category_from_poset(leq))
+    _extensive_implies_disjoint(dual_of(thin_category_from_poset(leq)))
+
+
+CLW_BASES = (("set", 2), ("pointed", 3), ("mon", 2), ("set", 3), ("poset", 2), ("slat", 3))
+
+
+def test_extensive_inflations_have_disjoint_coproducts():
+    """Each object of each base copied to the first and to the last position,
+    and the duals: 80 categories, some of them extensive."""
+    extensive = 0
+    for kind, n in CLW_BASES:
+        orig = build_category(kind, n)[0]
+        for x in range(len(orig.objects)):
+            for pos in (0, len(orig.objects)):
+                cat = inflate(orig, x, pos)
+                extensive += _extensive_implies_disjoint(cat) + _extensive_implies_disjoint(dual_of(cat))
+    assert extensive > 0
