@@ -6,6 +6,11 @@ composition table over composable pairs.  Everything downstream (limits,
 extensivity checks, the relation calculus) is decided by exhaustive scans
 over this data, so the table itself is re-checkable: ``validate`` re-asserts
 every axiom and reports each violation instead of repairing anything.
+Associativity (h∘g)∘f = h∘(g∘f) is checked only for g in a generating set S
+of the table (Light's test); on FinSet≤4, S holds 51 of the 499 morphisms.
+The full walk over every composable triple runs when an earlier axiom is
+violated or the law fails through S, so the violations reported never
+depend on S.
 
 Morphism and object ids are strings at the boundary; internally both are
 dense integer indexes, and every category, its dual included, is set up
@@ -155,7 +160,6 @@ class FinCategory:
 
         self._cache: dict[str, Any] = {}
         self._rows: list[list[tuple[int, ...]] | None] = [None] * M
-        self._blocks: dict[tuple[int, int, int], tuple[tuple[int, ...], ...]] = {}
         # set by ``dual_of``: the dual on the category that built it, a weak
         # reference back on the dual, so refcounting frees the pair
         self._dual: FinCategory | weakref.ref | None = None
@@ -198,15 +202,10 @@ class FinCategory:
         return self.cols(f)[dst]
 
     def block(self, a: int, b: int, c: int) -> tuple[tuple[int, ...], ...]:
-        """Composition block over hom(b,c) x hom(a,b), cached: the row from
-        a of each g in hom(b,c), holding the global id of g∘f for each f in
-        hom(a,b), or -1 where the table has no entry."""
-        key = (a, b, c)
-        blk = self._blocks.get(key)
-        if blk is None:
-            blk = tuple([self.rows(g)[a] for g in self.hom(b, c)])
-            self._blocks[key] = blk
-        return blk
+        """Composition block over hom(b,c) x hom(a,b): the row from a of each
+        g in hom(b,c), holding the global id of g∘f for each f in hom(a,b),
+        or -1 where the table has no entry."""
+        return tuple([self.rows(g)[a] for g in self.hom(b, c)])
 
     def pos_in_hom(self, m: int) -> int:
         """Position of m in its hom-set list."""
@@ -305,8 +304,74 @@ def _positions(cat: FinCategory, rows: Sequence[Sequence[int]], a: int, c: int) 
     return [list(map(get, row)) for row in rows]
 
 
+def _generating_set(cat: FinCategory) -> list[int]:
+    """A generating set S of a total, well-typed table, in index order: a
+    morphism joins S when it is not yet in the closure of S and the
+    identities under the table's composition.  The closure grows
+    incrementally: each element that enters it is composed once with every
+    member of S on each side, never rebuilt.  Every element enters as an
+    identity, a member of S, or a composite of a member of S with an
+    earlier element, which is what Light's test needs."""
+    dom, cod, pos, rows = cat._dom_l, cat._cod_l, cat._pos, cat.rows
+    n = len(cat.objects)
+    seen = bytearray(cat._M)
+    for e in cat.identity_set:
+        seen[e] = 1
+    gens: list[int] = []
+    out_of: list[list[int]] = [[] for _ in range(n)]  # members of S by domain
+    into: list[list[int]] = [[] for _ in range(n)]  # members of S by codomain
+    for m in range(cat._M):
+        if seen[m]:
+            continue
+        gens.append(m)
+        out_of[dom[m]].append(m)
+        into[cod[m]].append(m)
+        seen[m] = 1
+        todo = [m]
+        while todo:
+            y = todo.pop()
+            a, p, y_rows = dom[y], pos[y], rows(y)
+            # x∘y for x out of cod y, then y∘x for x into dom y
+            for z in chain([rows(x)[a][p] for x in out_of[cod[y]]], [y_rows[dom[x]][pos[x]] for x in into[a]]):
+                if not seen[z]:
+                    seen[z] = 1
+                    todo.append(z)
+    return gens
+
+
+def _associative_through(cat: FinCategory, gens: Sequence[int]) -> bool:
+    """Whether (h∘g)∘f = h∘(g∘f) for every g in ``gens`` and every
+    composable h and f, on a total, well-typed table.  Per (g, h) and source
+    object a, the row h∘(g∘-) is rows(h)[a] read at the positions of
+    rows(g)[a], compared at once with rows(h∘g)[a]."""
+    dom, cod, pos, rows = cat._dom_l, cat._cod_l, cat._pos, cat.rows
+    get = pos.__getitem__
+    for g in gens:
+        b, p = dom[g], pos[g]
+        g_pos = [(a, list(map(get, r))) for a, r in enumerate(rows(g)) if r]
+        for d in range(len(cat.objects)):
+            for h in cat.hom(cod[g], d):
+                h_rows = rows(h)
+                hg_rows = rows(h_rows[b][p])
+                for a, ps in g_pos:
+                    if tuple(map(h_rows[a].__getitem__, ps)) != hg_rows[a]:
+                        return False
+    return True
+
+
 def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
-    """Re-assert every category axiom by direct scan; return all violations found."""
+    """Re-assert every category axiom by direct scan; return all violations
+    found, at most ``max_violations``.
+
+    Associativity is checked through a generating set S of the table
+    (``_generating_set``) when the identity, totality, typing and
+    identity-law scans found nothing: (h∘g)∘f = h∘(g∘f) for g in S only.
+    That is Light's associativity test (Clifford and Preston, *The
+    Algebraic Theory of Semigroups* I, §1.2): the morphisms g through which
+    the law holds contain the identities and are closed under composition,
+    so they are all morphisms once they contain S.  On any earlier finding,
+    or when the law fails through some g in S, every composable triple is
+    walked, so the violations and their order do not depend on S."""
     out: list[Violation] = []
     n = len(cat.objects)
     M = cat._M
@@ -356,12 +421,21 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
         if len(out) >= max_violations:
             return out
 
+    # associativity through a generating set, on a table found sound so far
+    if not out and _associative_through(cat, _generating_set(cat)):
+        return out
+
     # associativity: h∘(g∘f) == (h∘g)∘f per object quadruple.  For each g,
     # the rows h∘(g∘-) over h are compared at once with the rows (h∘g)∘-;
     # only a quadruple that differs, or holds a missing or mistyped
     # composite, is walked triple by triple.  Such a composite masks the
     # triples it enters: the composition-table scans above report it.
-    pos = cat._pos
+    pos, rows = cat._pos, cat.rows
+
+    def block(a: int, b: int, c: int) -> list[tuple[int, ...]]:
+        """[g][f] -> g∘f over hom(b, c) x hom(a, b), -1 where missing."""
+        return [rows(g)[a] for g in cat.hom(b, c)]
+
     for a in range(n):
         for b in range(n):
             fs = cat.hom(a, b)
@@ -371,15 +445,15 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
                 gs = cat.hom(b, c)
                 if not gs:
                     continue
-                gf_blk = cat.block(a, b, c)  # [g][f] -> g∘f in hom(a,c)
+                gf_blk = block(a, b, c)  # [g][f] -> g∘f in hom(a,c)
                 gf_pos = _positions(cat, gf_blk, a, c)
                 for d in range(n):
                     hs = cat.hom(c, d)
                     if not hs:
                         continue
-                    hg_blk = cat.block(b, c, d)  # [h][g] -> h∘g in hom(b,d)
-                    h_rows = cat.block(a, c, d)  # [h][x] -> h∘x for x in hom(a,c)
-                    y_rows = cat.block(a, b, d)  # [y][f] -> y∘f for y in hom(b,d)
+                    hg_blk = block(b, c, d)  # [h][g] -> h∘g in hom(b,d)
+                    h_rows = block(a, c, d)  # [h][x] -> h∘x for x in hom(a,c)
+                    y_rows = block(a, b, d)  # [y][f] -> y∘f for y in hom(b,d)
                     hg_pos = None if gf_pos is None else _positions(cat, list(zip(*hg_blk)), b, d)  # [g][h]
                     if hg_pos is not None:
                         x_cols = list(zip(*h_rows))  # [x][h] -> h∘x

@@ -17,6 +17,12 @@ references read the table through ``compose`` and ``to_json`` only.
 
 ``thin_category_from_poset`` builds through string ids and the string
 constructor; the library's builds from integer data.
+
+``closure`` and ``generating_set`` are brute-force versions of the
+generating set that the library's ``validate`` checks associativity
+through: the closure composes every composable pair of the set until
+nothing new appears, and the generating set recomputes it from scratch
+after each member it adds.
 """
 
 from __future__ import annotations
@@ -257,3 +263,27 @@ def thin_category_from_poset(leq: Sequence[Sequence[bool]], names: Sequence[str]
                 if leq[j][k]:
                     comp[(f"{names[j]}<={names[k]}", f"{names[i]}<={names[j]}")] = f"{names[i]}<={names[k]}"
     return FinCategory(names, morphisms, identities, comp, metadata={"kind": "poset-as-category"})
+
+
+def closure(cat: FinCategory, gens: Sequence[int]) -> set[int]:
+    """The closure of ``gens`` and the identities under the table's
+    composition: compose every composable pair until nothing new appears."""
+    dom, cod = cat._dom_l, cat._cod_l
+    got = set(gens) | cat.identity_set
+    while True:
+        new = {cat.compose(g, f) for g in got for f in got if dom[g] == cod[f]} - got
+        if not new:
+            return got
+        got |= new
+
+
+def generating_set(cat: FinCategory) -> list[int]:
+    """In index order, every morphism outside the closure of the members
+    before it and the identities."""
+    gens: list[int] = []
+    closed = closure(cat, gens)
+    for m in range(cat.n_mor):
+        if m not in closed:
+            gens.append(m)
+            closed = closure(cat, gens)
+    return gens

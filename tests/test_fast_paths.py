@@ -9,7 +9,11 @@ The composition rows, columns (rows of the dual) and blocks, and every
 kernel that reads them, are compared with the seed's numpy versions, the
 cone counts with the seed's fibre-dict count, both also on tables with
 single-entry faults, and ``validate`` with the seed's under single-entry
-faults and past its violation cap.  The one coproduct certificate is
+faults and past its violation cap, also on duals, inflated categories
+(``generators.inflate``) and thin categories of random preorders
+(``generators.preorders``).  The generating set that ``validate`` checks
+associativity through is compared with a brute-force one: its closure with
+the identities is every morphism.  The one coproduct certificate is
 compared with the seed's binary and n-ary ones, and the answers read from
 the cached bases (``coproduct``, ``is_coproduct_cocone``,
 ``is_product_cone``) with the seed's searches.
@@ -35,6 +39,7 @@ import reference_extensivity
 import reference_fincat
 import reference_limits
 from finext import extensivity as ext
+from finext import fincat
 from finext import limits
 from finext.algebra import build_category
 from finext.extensivity import _dualized, _e2_first_failure
@@ -42,6 +47,7 @@ from finext.fincat import (
     _CLASSES,
     FinCategory,
     _extremal_epi_set,
+    _generating_set,
     _iso_info,
     _mono_set,
     classify_morphism,
@@ -51,6 +57,7 @@ from finext.fincat import (
     thin_category_from_poset,
     validate,
 )
+from generators import inflate, preorders
 
 # (variety, max carrier, include_empty), as verify-paper builds them.  Its
 # lat4 is left out: 1,261,216 commuting squares take about 25 s through
@@ -561,18 +568,23 @@ def _assert_validate_matches_reference_on_mutants(cat: FinCategory) -> set[str]:
     return kinds
 
 
+ALL_KINDS = {"comp-missing", "comp-typing", "identity-law", "assoc"}
+CHAIN3 = [[True, True, True], [False, True, True], [False, False, True]]
+
+
 @pytest.mark.parametrize(
     "make, expected_kinds",
     [
-        (lambda: build_category("set", 2)[0], {"comp-missing", "comp-typing", "identity-law", "assoc"}),
+        (lambda: build_category("set", 2)[0], ALL_KINDS),
         (lambda: build_category("poset", 1, True)[0], {"comp-missing", "comp-typing", "identity-law"}),
-        (
-            lambda: thin_category_from_poset([[True, True, True], [False, True, True], [False, False, True]]),
-            {"comp-missing", "comp-typing", "identity-law", "assoc"},
-        ),
-        (lambda: build_category("mon", 2)[0], {"comp-missing", "comp-typing", "identity-law", "assoc"}),
+        (lambda: thin_category_from_poset(CHAIN3), ALL_KINDS),
+        (lambda: build_category("mon", 2)[0], ALL_KINDS),
+        (lambda: dual_of(build_category("set", 2)[0]), ALL_KINDS),
+        (lambda: dual_of(thin_category_from_poset(CHAIN3)), ALL_KINDS),
+        (lambda: inflate(build_category("poset", 1, True)[0], 1, 0), ALL_KINDS),
+        (lambda: dual_of(inflate(build_category("pointed", 2)[0], 1, 0)), ALL_KINDS),
     ],
-    ids=["set2", "golden-poset", "chain3", "mon2"],
+    ids=["set2", "golden-poset", "chain3", "mon2", "set2-op", "chain3-op", "golden-inflated", "pointed2-inflated-op"],
 )
 def test_validate_matches_reference_under_fault_injection(make, expected_kinds):
     assert _assert_validate_matches_reference_on_mutants(make()) == expected_kinds
@@ -584,6 +596,12 @@ def test_validate_matches_reference_on_random_poset_mutants(leq):
     _assert_validate_matches_reference_on_mutants(thin_category_from_poset(leq))
 
 
+@settings(max_examples=15, deadline=None)
+@given(preorders(max_points=3))
+def test_validate_matches_reference_on_random_preorder_mutants(leq):
+    _assert_validate_matches_reference_on_mutants(thin_category_from_poset(leq))
+
+
 @pytest.mark.parametrize("kind, n", [("pointed", 3), ("mon", 3)])
 def test_validate_stops_at_the_violation_cap_like_the_reference(kind, n):
     faulty = _scrambled(build_category(kind, n)[0])
@@ -591,3 +609,46 @@ def test_validate_stops_at_the_violation_cap_like_the_reference(kind, n):
     found = validate(faulty)
     assert len(found) == 50 and found == reference_fincat.validate(faulty)
     assert {v.kind for v in found} == {"assoc"}
+
+
+# -- the generating set that validate checks associativity through ------------
+
+
+def _assert_generating_set_matches_reference(cat: FinCategory) -> None:
+    gens = _generating_set(cat)
+    assert reference_fincat.closure(cat, gens) == set(range(cat.n_mor))
+    assert gens == reference_fincat.generating_set(cat)
+
+
+def test_generating_set_matches_brute_force(small_category):
+    for c in (small_category, dual_of(small_category)):
+        _assert_generating_set_matches_reference(c)
+
+
+@pytest.mark.parametrize(
+    "kind, n, x, pos", [("set", 2, 1, 0), ("mon", 2, 0, 2), ("pointed", 3, 2, 3), ("set", 3, 0, 4)]
+)
+def test_generating_set_matches_brute_force_on_inflations(kind, n, x, pos):
+    cat = inflate(build_category(kind, n)[0], x, pos)
+    for c in (cat, dual_of(cat)):
+        _assert_generating_set_matches_reference(c)
+
+
+@settings(max_examples=40, deadline=None)
+@given(preorders())
+def test_generating_set_matches_brute_force_on_random_preorders(leq):
+    cat = thin_category_from_poset(leq)
+    for c in (cat, dual_of(cat)):
+        _assert_generating_set_matches_reference(c)
+
+
+def test_sound_tables_skip_the_full_associativity_walk(small_category, monkeypatch):
+    """A table whose earlier scans find nothing and which is associative
+    through its generating set is never walked triple by triple."""
+
+    def refuse(*_args):
+        raise AssertionError("the full associativity walk ran on a sound table")
+
+    monkeypatch.setattr(fincat, "_positions", refuse)
+    for c in (small_category, dual_of(small_category)):
+        assert validate(c) == []

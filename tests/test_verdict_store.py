@@ -18,6 +18,7 @@ not fail.
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -95,6 +96,40 @@ def test_propositions_read_a_filled_store_unchanged(entry):
         for mode in MODES:
             ext.morphism_status(filled, f, mode)
     assert [(ident, st.as_dict()) for ident, st in proposition_suite(filled)] == fresh
+
+
+def _mutate(entry: dict) -> int:
+    """Edit a report entry's details and witness in place, at the top level
+    and inside every nested list or dict; the number of nested edits."""
+    nested = 0
+    for part in ("details", "witness"):
+        data = entry.get(part)
+        if data is None:
+            continue
+        for value in data.values():
+            if isinstance(value, list):
+                value.append("edited")
+                nested += 1
+            elif isinstance(value, dict):
+                value["edited"] = True
+                nested += 1
+        data["edited"] = True
+    return nested
+
+
+def test_editing_a_report_leaves_the_store_unchanged():
+    """FinSet≤2: its coextensive failures carry witnesses with nested lists."""
+    cat = build_category("set", 2)[0]
+    nested = 0
+    for mode in MODES:
+        stored = [ext.morphism_status(cat, f, mode).as_dict() for f in range(cat.n_mor)]
+        first, second = ext.category_report(cat, mode), ext.category_report(cat, mode)
+        expected = copy.deepcopy(second)
+        nested += sum(map(_mutate, first["morphisms"].values()))
+        assert [ext.morphism_status(cat, f, mode).as_dict() for f in range(cat.n_mor)] == stored, mode
+        assert second == expected, mode
+        assert ext.category_report(cat, mode) == expected, mode
+    assert nested > 0
 
 
 # -- Carboni, Lack and Walters -----------------------------------------------------
