@@ -806,19 +806,18 @@ def category_from_algebras(
             cod += [b] * len(tables)
         identity_of[a] = homs[a, a][tuple(range(da.size))]
 
-    M = len(mor_ids)
-    comp: dict[int, int] = {}
+    # rows[g][a]: the id of gt∘ft for each ft in hom(a, dom g)
+    rows = [[()] * n for _ in mor_ids]
     for a in range(n):
         for b in range(n):
+            fts = list(homs[a, b])
             for c in range(n):
                 ac = homs[a, c]
                 for gt, g in homs[b, c].items():
-                    gk = g * M
-                    for ft, f in homs[a, b].items():
-                        comp[gk + f] = ac[tuple(map(gt.__getitem__, ft))]
+                    rows[g][a] = tuple([ac[tuple(map(gt.__getitem__, ft))] for ft in fts])
 
     meta = {"kind": kind, "max_size": max_size, "sizes": {x: uni.algebras[x].size for x in names}}
-    return FinCategory._of_ints(names, mor_ids, dom, cod, identity_of, comp, meta), uni
+    return FinCategory._of_ints(names, mor_ids, dom, cod, identity_of, rows, meta), uni
 
 
 # -- category files -----------------------------------------------------------

@@ -13,22 +13,20 @@ violated or the law fails through S, so the violations reported never
 depend on S.
 
 Morphism and object ids are strings at the boundary; internally both are
-dense integer indexes, and every category, its dual included, is set up
-from integer data by one core.  A primal/dual pair keeps one composition
-dict: g∘f is stored at key g*kg + f*kf, with strides (M, 1) on the primal
-and (1, M) on the dual.  Every hom-set is a run of consecutive indexes, so
-one morphism's composites with a hom-set are one range of keys.  Hot scans
-read the table through ``rows``, cached per morphism: g∘t for each t into
-dom g, one tuple of global ids per source object.  A column is a row of the
-dual.
+dense integer indexes, every hom-set is a run of consecutive indexes, and
+every category, its dual included, is set up from integer data by one
+core.  The composition table is stored as rows: ``rows(g)`` holds g∘t for
+each t into dom g, one tuple per source object, -1 where there is no
+entry.  A primal and its dual share their tables: each one's columns are
+the other's rows.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import Any, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import Any, Mapping, Sequence
 
 __all__ = [
     "FinCategory",
@@ -91,15 +89,17 @@ class FinCategory:
                 raise CategoryDataError(f"identity {mid!r} of {x!r} is not a declared morphism")
             identity_of[obj_index[x]] = mor_index[mid]
 
-        M = len(mor_ids)
-        comp: dict[int, int] = {}
+        comp: dict[tuple[int, int], int] = {}
         for (g, f), gf in composition.items():
             if g not in mor_index or f not in mor_index or gf not in mor_index:
                 raise CategoryDataError(f"composition entry ({g!r},{f!r})->{gf!r} uses unknown ids")
-            comp[mor_index[g] * M + mor_index[f]] = mor_index[gf]
+            comp[mor_index[g], mor_index[f]] = mor_index[gf]
 
         dom, cod = [obj_index[m[1]] for m in ordered], [obj_index[m[2]] for m in ordered]
-        self._setup(objects, mor_ids, dom, cod, identity_of, comp, dict(metadata or {}))
+        self._setup(objects, mor_ids, dom, cod, identity_of, [None] * len(mor_ids), dict(metadata or {}), extra=comp)
+        # composable entries move into the rows; pairs that do not compose stay
+        for g, x in enumerate(dom):
+            self._rows[g] = [tuple([comp.pop((g, t), -1) for t in range(*span)]) for span in self._spans[x]]
 
     @classmethod
     def _of_ints(cls, *args: Any, **kwargs: Any) -> "FinCategory":
@@ -109,15 +109,16 @@ class FinCategory:
         return cat
 
     def _setup(
-        self, objects: Sequence[str], mor_ids: Sequence[str], dom: list[int], cod: list[int],
-        identity_of: dict[int, int], comp: dict[int, int], metadata: dict[str, Any],
-        strides: tuple[int, int] | None = None,
+        self, objects: Sequence[str], mor_ids: Sequence[str], dom: list[int], cod: list[int], identity_of: dict[int, int],
+        rows: list, metadata: dict[str, Any], cols: list | None = None, extra: dict[tuple[int, int], int] | None = None,
     ) -> None:
         """The integer core every category goes through: morphism i runs
-        dom[i] -> cod[i], and g∘f is ``comp[g*kg + f*kf]`` with (kg, kf) =
-        ``strides``, by default (M, 1).  The table is checked by ``validate``;
-        that every hom-set is a run of consecutive indexes, which ``rows``
-        reads, is checked here."""
+        dom[i] -> cod[i], ``rows[g]`` is ``rows(g)`` and ``cols[f]`` is
+        ``cols(f)``, or None to be gathered from the other, complete table.
+        ``extra`` holds the entries (g, f) -> g∘f of pairs that do not
+        compose.  ``validate`` checks the table; that every hom-set is a run
+        of consecutive indexes, which the rows are laid out by, is checked
+        here."""
         self.objects: tuple[str, ...] = tuple(objects)
         self.obj_index: dict[str, int] = {x: i for i, x in enumerate(self.objects)}
         if len(self.obj_index) != len(self.objects):
@@ -131,8 +132,9 @@ class FinCategory:
         self._dom_l, self._cod_l = dom, cod
         self.identity_of = identity_of
         self.identity_set = frozenset(identity_of.values())
-        self._comp = comp
-        self._kg, self._kf = strides or (M, 1)
+        self._rows: list[list[tuple[int, ...]] | None] = rows
+        self._cols: list[list[tuple[int, ...]] | None] = [None] * M if cols is None else cols
+        self._extra = {} if extra is None else extra
         self.metadata = metadata
 
         # hom-sets as ascending int lists, each morphism's position in its
@@ -159,7 +161,6 @@ class FinCategory:
         ]
 
         self._cache: dict[str, Any] = {}
-        self._rows: list[list[tuple[int, ...]] | None] = [None] * M
         # set by ``dual_of``: the dual on the category that built it, a weak
         # reference back on the dual, so refcounting frees the pair
         self._dual: FinCategory | weakref.ref | None = None
@@ -170,28 +171,30 @@ class FinCategory:
         return self._hom.get(a * len(self.objects) + b, [])
 
     def compose(self, g: int, f: int) -> int | None:
-        """g∘f (f first), or None if the pair is not in the table."""
-        return self._comp.get(g * self._kg + f * self._kf)
+        """g∘f (f first), or None if not in the table.  Read off cols(f) while g's row is not stored."""
+        if self._cod_l[f] != self._dom_l[g]:
+            return self._extra.get((g, f))
+        r = self._rows[g]
+        gf = r[self._dom_l[f]][self._pos[f]] if r else self._cols[f][self._cod_l[g]][self._pos[g]]
+        return None if gf < 0 else gf
 
     def rows(self, g: int) -> list[tuple[int, ...]]:
         """g∘t for each t in hom(y, dom g), one tuple per source object y, in
-        hom-set order, -1 where the table has no entry.  Cached per g, and
-        published in one assignment.  hom(y, dom g) is the indexes lo..hi-1,
-        so its composites with g are the keys g*kg + t*kf, one range."""
-        r = self._rows[g]
-        if r is None:
-            base, kf, get, misses = g * self._kg, self._kf, self._comp.get, repeat(-1)
-            r = [
-                tuple(map(get, range(base + lo * kf, base + hi * kf, kf), misses))
-                for lo, hi in self._spans[self._dom_l[g]]
-            ]
-            self._rows[g] = r
-        return r
+        hom-set order, -1 where the table has no entry."""
+        return self._rows[g] or self._gather(g, self._spans[self._dom_l[g]], self._cod_l[g], self._cols, self._rows)
 
     def cols(self, f: int) -> list[tuple[int, ...]]:
         """t∘f for each t in hom(cod f, z), one tuple per target object z, in
         hom-set order: the rows of f in the dual."""
-        return dual_of(self).rows(f)
+        b = self._cod_l[f]
+        return self._cols[f] or self._gather(f, [s[b] for s in self._spans], self._dom_l[f], self._rows, self._cols)
+
+    def _gather(self, m: int, spans: list, x: int, other: list, table: list) -> list[tuple[int, ...]]:
+        """m's row or column read off the other, complete table: other[t][x]
+        at m's position for each t in each span, published in one assignment."""
+        p = self._pos[m]
+        got = table[m] = [tuple([other[t][x][p] for t in range(*span)]) for span in spans]
+        return got
 
     def row(self, g: int, src: int) -> tuple[int, ...]:
         """g∘t for each t in hom(src, dom g), in hom-set order."""
@@ -260,13 +263,12 @@ class FinCategory:
 
     # -- serialization ----------------------------------------------------
 
-    def _entries(self) -> Iterator[tuple[int, int, int]]:
-        """Every stored composition entry as (g, f, g∘f), including entries
-        for pairs that are not composable, which no block can hold."""
-        M, kg, kf = self._M, self._kg, self._kf
-        return ((k // kg % M, k // kf % M, v) for k, v in self._comp.items())
-
     def to_json(self) -> dict:
+        """The category by ids; composition entries in (g, f) index order."""
+        entries = [(g, f, v) for (g, f), v in self._extra.items()]
+        for g, x in enumerate(self._dom_l):
+            for (lo, hi), r in zip(self._spans[x], self.rows(g)):
+                entries += [(g, f, v) for f, v in zip(range(lo, hi), r) if v >= 0]
         return {
             "objects": list(self.objects),
             "morphisms": [
@@ -276,7 +278,7 @@ class FinCategory:
             "identities": {self.objects[x]: self.mor_ids[m] for x, m in sorted(self.identity_of.items())},
             "composition": [
                 {"g": self.mor_ids[g], "f": self.mor_ids[f], "gf": self.mor_ids[v]}
-                for g, f, v in sorted(self._entries())
+                for g, f, v in sorted(entries)
             ],
             "metadata": self.metadata,
         }
@@ -371,7 +373,10 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
     the law holds contain the identities and are closed under composition,
     so they are all morphisms once they contain S.  On any earlier finding,
     or when the law fails through some g in S, every composable triple is
-    walked, so the violations and their order do not depend on S."""
+    walked, so the violations and their order do not depend on S.
+
+    Extraneous and mistyped entries are reported in (g, f) index order, then
+    missing ones in (dom f, cod f, f, cod g, g) order."""
     out: list[Violation] = []
     n = len(cat.objects)
     M = cat._M
@@ -386,29 +391,24 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
         elif dom[i] != x or cod[i] != x:
             out.append(Violation("identity-typing", {"object": cat.objects[x], "id": cat.mor_ids[i]}))
 
-    # composition totality / typing / no extraneous entries
-    for g, f, v in cat._entries():
-        if cod[f] != dom[g]:
-            out.append(Violation("comp-extraneous", {"g": cat.mor_ids[g], "f": cat.mor_ids[f]}))
-        elif dom[v] != dom[f] or cod[v] != cod[g]:
-            out.append(
-                Violation("comp-typing", {"g": cat.mor_ids[g], "f": cat.mor_ids[f], "gf": cat.mor_ids[v]})
-            )
-    # composable pairs meet at a middle object b: |hom(-, b)| * |hom(b, -)|
-    hc = cat._hom_counts_l
-    n_composable = sum(sum(hc[a][b] for a in range(n)) * sum(hc[b]) for b in range(n))
-    if n_composable != len(cat._comp):
-        for a in range(n):
-            for b in range(n):
-                for f in cat.hom(a, b):
-                    for c in range(n):
-                        for g in cat.hom(b, c):
-                            if cat.compose(g, f) is None:
-                                out.append(
-                                    Violation("comp-missing", {"g": cat.mor_ids[g], "f": cat.mor_ids[f]})
-                                )
-                                if len(out) >= max_violations:
-                                    return out
+    # composition: an entry for a pair that does not compose is extraneous,
+    # and a row entry outside hom(a, cod g) is mistyped, or missing if -1
+    bad: list[tuple[int, int, int | None]] = [(g, f, None) for g, f in cat._extra]
+    spans = cat._spans
+    for g in range(M):
+        for (lo, hi), (f_lo, _), r in zip(spans[cod[g]], spans[dom[g]], cat.rows(g)):
+            if r and (min(r) < lo or max(r) >= hi):
+                bad += [(g, f, v) for f, v in enumerate(r, f_lo) if not lo <= v < hi]
+    for g, f, v in sorted(bad, key=lambda e: e[:2]):
+        ids = {"g": cat.mor_ids[g], "f": cat.mor_ids[f]}
+        if v is None:
+            out.append(Violation("comp-extraneous", ids))
+        elif v >= 0:
+            out.append(Violation("comp-typing", {**ids, "gf": cat.mor_ids[v]}))
+    for _, _, f, _, g in sorted((dom[f], cod[f], f, cod[g], g) for g, f, v in bad if v == -1):
+        out.append(Violation("comp-missing", {"g": cat.mor_ids[g], "f": cat.mor_ids[f]}))
+        if len(out) >= max_violations:
+            return out
 
     # identity laws
     for i in range(M):
@@ -493,20 +493,21 @@ def validate_category(data: Mapping[str, Any] | FinCategory) -> FinCategory | li
 def dual(cat: FinCategory) -> FinCategory:
     """The opposite category, on the primal's own indexes and table.
 
-    dom and cod are swapped, and so are the strides of the composition
-    table, which the dual shares with ``cat``: it reads g∘f where ``cat``
-    stores f∘g.  hom_op(a, b) is hom(b, a) in the same order, so an index
-    names the same thing on both sides and dual(dual(c)) equals c index for
-    index.  Each hom-set ascends by id, but the global index order is the
-    primal's, not the (dom, cod, id) order of a constructed category."""
+    dom and cod are swapped, and so are the rows and columns, which the
+    dual holds instead of ``cat``: dual(dual(c)) holds c's very row table.
+    hom_op(a, b) is hom(b, a) in the same order, so an index names the same
+    thing on both sides.  Each hom-set ascends by id, but the global index
+    order is the primal's, not the (dom, cod, id) order of a constructed
+    category."""
     meta = dict(cat.metadata)
     kind = meta.get("kind")
     if isinstance(kind, str):
         # builder-specific facts (concrete oracles, carrier sizes as hom
         # bounds) do not transfer to the opposite category
         meta["kind"] = kind[5:] if kind.startswith("dual-") else f"dual-{kind}"
+    extra = {(f, g): gf for (g, f), gf in cat._extra.items()}
     return FinCategory._of_ints(
-        cat.objects, cat.mor_ids, cat._cod_l, cat._dom_l, cat.identity_of, cat._comp, meta, (cat._kf, cat._kg)
+        cat.objects, cat.mor_ids, cat._cod_l, cat._dom_l, cat.identity_of, cat._cols, meta, cat._rows, extra
     )
 
 
@@ -743,12 +744,12 @@ def thin_category_from_poset(leq: Sequence[Sequence[bool]], names: Sequence[str]
     names = list(names) if names is not None else [f"p{i}" for i in range(n)]
     arrows = [(i, j) for i in range(n) for j in range(n) if leq[i][j]]  # in (dom, cod) order
     index = {a: k for k, a in enumerate(arrows)}
-    M = len(arrows)
     try:
-        comp = {index[j, k] * M + index[i, j]: index[i, k] for i, j in arrows for k in range(n) if leq[j][k]}
+        # the row of j<=k from i holds i<=k when i <= j
+        rows = [[(index[i, k],) if leq[i][j] else () for i in range(n)] for j, k in arrows]
     except KeyError:
         raise CategoryDataError("the order relation is not transitive") from None
     mor_ids = [f"{names[i]}<={names[j]}" for i, j in arrows]
     identity_of = {i: index[i, i] for i in range(n) if leq[i][i]}
     dom, cod = [i for i, _ in arrows], [j for _, j in arrows]
-    return FinCategory._of_ints(names, mor_ids, dom, cod, identity_of, comp, {"kind": "poset-as-category"})
+    return FinCategory._of_ints(names, mor_ids, dom, cod, identity_of, rows, {"kind": "poset-as-category"})

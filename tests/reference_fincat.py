@@ -12,8 +12,12 @@ differs or holds a masked entry.
 ``dual`` rebuilds the opposite category through string ids, so its
 morphisms are re-sorted by (dom, cod, id) of the dual and its indexes
 differ from the primal's; the library's dual keeps the primal's indexes
-and reads the primal's composition table through swapped strides.  The
-references read the table through ``compose`` and ``to_json`` only.
+and holds the primal's row table as its columns.  The references read the
+table through ``compose`` and ``to_json`` only.
+
+``validate`` counts only the stored entries of composable pairs against
+the number of composable pairs, so an extraneous entry cannot hide a
+missing one.
 
 ``thin_category_from_poset`` builds through string ids and the string
 constructor; the library's builds from integer data.
@@ -97,7 +101,7 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
                 continue
             for c in range(n):
                 n_composable += hab * cat._hom_counts_l[b][c]
-    if n_composable != len(comp):
+    if n_composable != sum(cod[key % M] == dom[key // M] for key in comp):
         for a in range(n):
             for b in range(n):
                 for f in cat.hom(a, b):

@@ -20,7 +20,6 @@ from finext import relcalc as rc
 from finext import setrel
 from finext.algebra import (
     all_congruences,
-    build_category,
     center_of_monoid,
     enumerate_structures,
     pushout_surjections,

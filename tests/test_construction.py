@@ -4,8 +4,8 @@
 build a category from integer data; ``reference_algebra`` and
 ``reference_fincat`` keep the seed's builders, which go through string ids
 and ``FinCategory``'s string constructor.  Both must give the same category
-index for index.  The dual holds no table of its own: it reads its
-primal's through swapped strides.
+index for index.  A dual's columns are its primal's row table itself, and
+its rows are gathered from them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from hypothesis import given, settings
 import reference_algebra
 import reference_fincat
 from finext.algebra import category_from_algebras, default_names, enumerate_structures
-from finext.fincat import CategoryDataError, FinCategory, dual_of, thin_category_from_poset, validate
+from finext.fincat import CategoryDataError, FinCategory, dual, dual_of, thin_category_from_poset, validate
 from generators import preorders
 from test_fast_paths import _assert_dual_is_an_involution
 
@@ -46,16 +46,16 @@ def _assert_same_category(got: FinCategory, ref: FinCategory) -> None:
     assert got.to_json() == ref.to_json()
     assert validate(got) == validate(ref) == []
     for c in (got, dual_of(got)):
-        assert dual_of(c)._comp is c._comp
+        assert dual_of(c)._cols is c._rows and dual(dual(c))._rows is c._rows
         _assert_dual_is_an_involution(c)
-    _assert_accessors_read_the_entries(got)
+    _assert_accessors_read_the_table(got)
     # the dual serialises its entries in its own (g, f) order
     swapped = [{"g": e["f"], "f": e["g"], "gf": e["gf"]} for e in ref.to_json()["composition"]]
     swapped.sort(key=lambda e: (got.m(e["g"]), got.m(e["f"])))
     assert dual_of(got).to_json()["composition"] == swapped
 
 
-def _assert_accessors_read_the_entries(cat: FinCategory) -> None:
+def _assert_accessors_read_the_table(cat: FinCategory) -> None:
     """``compose``, ``block``, ``rows`` and ``col`` read the entries
     ``to_json`` lists, on the category and, with g and f swapped, on its
     dual."""
@@ -127,9 +127,9 @@ def test_hom_sets_must_be_runs_of_consecutive_indexes():
     # hom(x, x) = {0, 2} with hom(x, y) = {1} between them; rows read each
     # hom-set as one range of indexes
     with pytest.raises(CategoryDataError, match="hom\\('x', 'x'\\) is not a run of consecutive"):
-        FinCategory._of_ints(["x", "y"], ["e", "f", "g"], [0, 0, 0], [0, 1, 0], {0: 0}, {}, {})
+        FinCategory._of_ints(["x", "y"], ["e", "f", "g"], [0, 0, 0], [0, 1, 0], {0: 0}, [], {})
     with pytest.raises(CategoryDataError, match="hom\\('y', 'x'\\)"):
-        FinCategory._of_ints(["x", "y"], ["f", "e", "g"], [1, 0, 1], [0, 0, 0], {0: 1}, {}, {})
+        FinCategory._of_ints(["x", "y"], ["f", "e", "g"], [1, 0, 1], [0, 0, 0], {0: 1}, [], {})
 
 
 def test_constructor_sorts_shuffled_input_into_runs():
@@ -142,4 +142,4 @@ def test_constructor_sorts_shuffled_input_into_runs():
             lo, hi = cat._spans[b][a]
             assert cat.hom(a, b) == list(range(lo, hi)) and hi - lo == cat._hom_counts_l[a][b], (a, b)
         assert cat.to_json() == data
-        _assert_accessors_read_the_entries(cat)
+        _assert_accessors_read_the_table(cat)

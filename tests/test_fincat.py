@@ -80,13 +80,28 @@ def test_a_category_and_its_dual_are_freed_by_refcounting(mode):
         refs = [weakref.ref(cat), weakref.ref(d)]
         del cat, d
         assert [r() for r in refs] == [None, None]
-        # a dual outliving its primal builds a new dual when asked
+        # a dual outliving its primal reads the primal's table on, and
+        # builds a new dual when asked
         d = dual_of(build_category("set", 2)[0])
+        assert d._dual() is None
+        primal = build_category("set", 2)[0]
+        fresh = dual_of(primal)
+        morphisms = range(d.n_mor)
+        assert [d.rows(g) for g in morphisms] == [fresh.rows(g) for g in morphisms]
+        assert [d.cols(f) for f in morphisms] == [fresh.cols(f) for f in morphisms]
+        assert validate(d) == validate(fresh) == []
         again = dual_of(d)
         assert dual_of(again) is d
-        assert again.to_json() == build_category("set", 2)[0].to_json()
+        assert again.to_json() == primal.to_json()
     finally:
         gc.enable()
+
+
+def test_compose_is_none_on_pairs_that_do_not_compose():
+    cat = build_category("set", 2)[0]
+    for c in (cat, dual_of(cat)):
+        pairs = [(g, f) for g in range(c.n_mor) for f in range(c.n_mor) if c._cod_l[f] != c._dom_l[g]]
+        assert pairs and all(c.compose(g, f) is None for g, f in pairs)
 
 
 def test_validate_reports_bad_composition():

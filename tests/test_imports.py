@@ -1,4 +1,5 @@
-"""Every module of the package reads every name it imports.
+"""Every module of the package, and every test module, reads every name it
+imports.
 
 No linter runs on the tree, so this scans each module's syntax tree: a name
 bound by an import statement and never read, nor listed in ``__all__``,
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "finext"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "finext"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +41,8 @@ def test_the_scan_sees_an_unused_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_no_unused_imports(module):
     assert unused_imports((PACKAGE / module).read_text()) == []
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
+def test_no_unused_imports_in_tests(module):
+    assert unused_imports((TESTS / module).read_text()) == []

@@ -200,7 +200,7 @@ def test_orbit_counts(set4, kind, n, orbits, morphisms):
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_report_entries_own_their_details(mode):
+def test_each_report_entry_owns_its_details(mode):
     for cat in (base("set3"), inflate(base("pointed3"), 1, 0)):
         entries = ext.category_report(cat, mode)["morphisms"].values()
         details = [e["details"] for e in entries]

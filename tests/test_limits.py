@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 
 from finext import limits
-from finext.fincat import dual_of
 
 
 def _sizes(cat, uni):
