@@ -536,45 +536,37 @@ def is_boolean_category(cat: FinCategory) -> CheckStatus:
 # -- strict refinement --------------------------------------------------------------
 
 
-def _grid_for(cat: FinCategory, cone_a: Sequence[int], cone_b: Sequence[int]) -> dict | None:
-    """Try the canonical pushout grid for two product cones on the same apex:
-    corners are pushouts of leg pairs, margins must be certified product cones."""
+def _grid_for(cat: FinCategory, cone_a: Sequence[int], cone_b: Sequence[int]) -> bool:
+    """Whether the canonical pushout grid refines two product cones on the
+    same apex: corners are pushouts of leg pairs, and its margins are
+    certified product cones."""
     la, lb = len(cone_a), len(cone_b)
     corner: dict[tuple[int, int], limits.UniversalWitness] = {}
     for i, ai in enumerate(cone_a):
         for j, bj in enumerate(cone_b):
             w = limits.pushout(cat, ai, bj)
             if w is None:
-                return None
+                return False
             corner[(i, j)] = w
-    for i in range(la):
-        if not limits.is_product_cone(cat, *(corner[(i, j)].legs[0] for j in range(lb))):
-            return None
-    for j in range(lb):
-        if not limits.is_product_cone(cat, *(corner[(i, j)].legs[1] for i in range(la))):
-            return None
-    return {
-        "corners": {f"{i},{j}": cat.oid(corner[(i, j)].apex) for i in range(la) for j in range(lb)},
-        "a_margins": {str(i): [cat.mid(corner[(i, j)].legs[0]) for j in range(lb)] for i in range(la)},
-        "b_margins": {str(j): [cat.mid(corner[(i, j)].legs[1]) for i in range(la)] for j in range(lb)},
-    }
+    return all(
+        limits.is_product_cone(cat, *(corner[(i, j)].legs[0] for j in range(lb))) for i in range(la)
+    ) and all(limits.is_product_cone(cat, *(corner[(i, j)].legs[1] for i in range(la))) for j in range(lb))
 
 
-def _grid_search(cat: FinCategory, cone_a: Sequence[int], cone_b: Sequence[int]) -> dict | None:
-    """Exhaustive grid search: choose a product cone on each A_i (fixing the
-    corner row), recover the B_j legs by fiber lookup, and demand every B_j
-    margin is a certified product cone.  Complete: any valid grid's rows are
-    product cones on the A_i."""
+def _grid_search(cat: FinCategory, cone_a: Sequence[int], cone_b: Sequence[int]) -> bool:
+    """Exhaustive grid search: whether some choice of a product cone on each
+    A_i (fixing the corner row), with the B_j legs recovered by fiber lookup,
+    makes every B_j margin a certified product cone.  Complete: any valid
+    grid's rows are product cones on the A_i."""
     la, lb = len(cone_a), len(cone_b)
     doms_a = [cat._dom_l[m] for m in cone_a]
     row_choices = [limits.product_bases(cat, a, lb) for a in doms_a]
 
-    def rec(i: int, rows: list[tuple[int, ...]]) -> dict | None:
+    def rec(i: int, rows: list[tuple[int, ...]]) -> bool:
         if i == la:
             comps = [[cat.compose(rows[i2][j], cone_a[i2]) for j in range(lb)] for i2 in range(la)]
-            # Columns are independent once the rows are fixed: pick any
-            # certified product-cone column for each j.
-            chosen: list[tuple[int, ...]] = []
+            # Columns are independent once the rows are fixed: each j needs
+            # some certified product-cone column.
             for j in range(lb):
                 opts: list[list[int]] = [[]]
                 for i2 in range(la):
@@ -582,24 +574,10 @@ def _grid_search(cat: FinCategory, cone_a: Sequence[int], cone_b: Sequence[int])
                     opts = [o + [b] for o in opts for b in cands]
                     if not opts:
                         break
-                col = next((tuple(o) for o in opts if limits.is_product_cone(cat, *o)), None)
-                if col is None:
-                    return None
-                chosen.append(col)
-            return {
-                "corners": {
-                    f"{i2},{j}": cat.oid(cat._cod_l[rows[i2][j]])
-                    for i2 in range(la)
-                    for j in range(lb)
-                },
-                "a_margins": {str(i2): [cat.mid(m) for m in rows[i2]] for i2 in range(la)},
-                "b_margins": {str(j): [cat.mid(chosen[j][i2]) for i2 in range(la)] for j in range(lb)},
-            }
-        for row in row_choices[i]:
-            res = rec(i + 1, rows + [row])
-            if res is not None:
-                return res
-        return None
+                if not any(limits.is_product_cone(cat, *o) for o in opts):
+                    return False
+            return True
+        return any(rec(i + 1, rows + [row]) for row in row_choices[i])
 
     return rec(0, [])
 
@@ -623,8 +601,7 @@ def has_finite_srp(cat: FinCategory, oid: str, k: int) -> CheckStatus:
             for ca in cones_m:
                 for cb in cones_n:
                     pairs += 1
-                    grid = _grid_for(cat, ca, cb) or _grid_search(cat, ca, cb)
-                    if grid is None:
+                    if not (_grid_for(cat, ca, cb) or _grid_search(cat, ca, cb)):
                         return _fail(
                             {
                                 "kind": "no-grid",

@@ -19,6 +19,14 @@ from a ``Counter`` of u's row cached per leg.  Limits are the colimits of
 the opposite category, found by the same code; ``fincat.dual`` keeps this
 category's indexes, so a witness found there is read here as it is.
 
+The forks of a parallel pair (u, v) are counted once per pair, as the
+number of t out of cod u with t∘u = t∘v into each object, and cached
+(``_fork_counts``).  A coequalising f is universal exactly when the hom
+counts of its codomain equal these fork counts and f is epi: epi makes
+t |-> t∘f injective for every target, and equal counts make it onto.  So
+``is_coequaliser`` is three lookups, and the coequaliser search skips every
+apex whose hom counts differ from the fork counts.
+
 Search order is fixed everywhere — apexes in object order, legs in hom-set
 order — so the first certified witness is deterministic and cacheable.
 A pullback along an isomorphism is not searched: it is read off the
@@ -35,9 +43,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from math import prod
+from operator import eq
 from typing import Sequence
 
-from .fincat import FinCategory, dual_of, _iso_info, _mono_set
+from .fincat import FinCategory, dual_of, _epi_set, _iso_info, _mono_set
 
 __all__ = [
     "UniversalWitness",
@@ -388,39 +397,48 @@ def is_pushout_square(cat: FinCategory, f: int, g: int, q1: int, q2: int) -> boo
 # -- (co)equalisers ------------------------------------------------------------------
 
 
+def _fork_counts(cat: FinCategory, u: int, v: int) -> list[int]:
+    """|{t ∈ hom(cod u, z) : t∘u = t∘v}| indexed by z: the forks of the
+    parallel pair (u, v), cached per pair."""
+    cache = cat._cache.setdefault("fork_counts", {})
+    counts = cache.get((u, v))
+    if counts is None:
+        counts = [sum(map(eq, cu, cv)) for cu, cv in zip(cat.cols(u), cat.cols(v))]
+        cache[(u, v)] = counts  # built locally, published in one assignment
+    return counts
+
+
 def is_coequaliser(cat: FinCategory, u: int, v: int, f: int) -> bool:
-    """Whether f coequalises the parallel pair (u, v) universally."""
-    if cat._dom_l[u] != cat._dom_l[v] or cat._cod_l[u] != cat._cod_l[v]:
-        return False
-    a = cat._cod_l[u]
-    if cat._dom_l[f] != a:
-        return False
-    if cat.compose(f, u) != cat.compose(f, v):
-        return False
-    q = cat._cod_l[f]
-    for z in range(len(cat.objects)):
-        # t |-> t∘f from hom(q,z) onto the t in hom(a,z) with t∘u = t∘v
-        fork = sum(tu == tv for tu, tv in zip(cat.col(u, z), cat.col(v, z)))
-        k = cat._hom_counts_l[q][z]
-        if k != fork:
-            return False
-        if k > 1 and len(set(cat.col(f, z))) != k:
-            return False
-    return True
+    """Whether f coequalises the parallel pair (u, v) universally: f∘u = f∘v,
+    |hom(cod f, z)| is the number of forks into z for every z, and f is epi."""
+    dom, cod = cat._dom_l, cat._cod_l
+    return (
+        dom[u] == dom[v]
+        and cod[u] == cod[v] == dom[f]
+        and cat.compose(f, u) == cat.compose(f, v)
+        and cat._hom_counts_l[cod[f]] == _fork_counts(cat, u, v)
+        and f in _epi_set(cat)
+    )
 
 
 def coequaliser(cat: FinCategory, u: int, v: int) -> UniversalWitness | None:
-    """First certified coequaliser of (u, v) in apex-then-leg order, cached."""
+    """First coequaliser of (u, v), cached: apexes in object order, skipping
+    those whose hom counts are not the fork counts, then the first epi in
+    hom-set order that coequalises the pair.  None for a non-parallel pair."""
     cache = cat._cache.setdefault("coequaliser", {})
     key = (u, v)
     if key not in cache:
         a = cat._cod_l[u]
+        parallel = cat._dom_l[u] == cat._dom_l[v] and cat._cod_l[v] == a
+        counts = _fork_counts(cat, u, v) if parallel else None  # None matches no apex
+        epis = _epi_set(cat)
         cache[key] = next(
             (
                 UniversalWitness("coequaliser", q, (f,))
-                for q in range(len(cat.objects))
+                for q, row in enumerate(cat._hom_counts_l)
+                if row == counts
                 for f in cat.hom(a, q)
-                if is_coequaliser(cat, u, v, f)
+                if f in epis and cat.compose(f, u) == cat.compose(f, v)
             ),
             None,
         )

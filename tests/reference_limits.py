@@ -10,6 +10,9 @@ These are the original formulations, kept for differential tests only:
   candidate with ``cocone_universal``, not read from cached bases;
 - ``cotuple`` and ``is_coequaliser``: masks and ``np.unique`` over block
   columns;
+- ``coequaliser``: the first-certified search, apexes in object order, then
+  legs in hom-set order, certifying each candidate with ``is_coequaliser``,
+  with no apex filtered by fork counts;
 - ``cone_counts``: the commuting cones of a cospan counted from the two
   legs' fibre dicts (``postcompose_fibers``), not from fibre sizes cached
   per leg;
@@ -149,6 +152,21 @@ def is_coequaliser(cat: FinCategory, u: int, v: int, f: int) -> bool:
         if np.unique(col).size != k:
             return False
     return True
+
+
+def coequaliser(cat: FinCategory, u: int, v: int) -> limits.UniversalWitness | None:
+    """The first f out of cod u, apexes in object order and then legs in
+    hom-set order, that ``is_coequaliser`` certifies for (u, v).  Not cached."""
+    a = cat._cod_l[u]
+    return next(
+        (
+            limits.UniversalWitness("coequaliser", q, (f,))
+            for q in range(len(cat.objects))
+            for f in cat.hom(a, q)
+            if is_coequaliser(cat, u, v, f)
+        ),
+        None,
+    )
 
 
 def cone_counts(cat: FinCategory, f: int, u: int) -> list[int]:

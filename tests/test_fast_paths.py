@@ -16,7 +16,10 @@ associativity through is compared with a brute-force one: its closure with
 the identities is every morphism.  The one coproduct certificate is
 compared with the seed's binary and n-ary ones, and the answers read from
 the cached bases (``coproduct``, ``is_coproduct_cocone``,
-``is_product_cone``) with the seed's searches.
+``is_product_cone``) with the seed's searches.  On every parallel pair,
+``is_coequaliser``, ``coequaliser`` and ``equaliser`` are compared with the
+seed's certificate and first-certified search, and ``_is_regular_epi``
+with the set of morphisms that coequalise some pair.
 
 The index-preserving ``dual`` is compared with the string-id reference
 dual: the two categories agree once their ids are matched, and every
@@ -144,6 +147,37 @@ def _assert_coproducts_match_reference(cat: FinCategory) -> None:
             assert limits.is_coproduct_cocone(cat, *legs) == reference_extensivity.cocone_universal_n(cat, legs), legs
 
 
+def _parallel_pairs(cat: FinCategory):
+    """Every parallel pair (u, v) with u <= v."""
+    n = len(cat.objects)
+    for y, a in itertools.product(range(n), repeat=2):
+        yield from itertools.combinations_with_replacement(cat.hom(y, a), 2)
+
+
+def _assert_coequalisers_match_reference(cat: FinCategory) -> None:
+    """On every parallel pair (u, v): ``is_coequaliser`` for every f out of
+    cod u equals the seed's certificate; ``coequaliser`` of (u, v) and of
+    (v, u) equals the seed's first-certified search, and ``equaliser`` that
+    search on the dual.  ``_is_regular_epi`` holds exactly for the f that
+    coequalise some pair, with a witness pair the seed's certificate accepts."""
+    n = len(cat.objects)
+    d = dual_of(cat)
+    regular = set()
+    for u, v in _parallel_pairs(cat):
+        out = [f for q in range(n) for f in cat.hom(cat._cod_l[u], q)]
+        certified = {f for f in out if reference_limits.is_coequaliser(cat, u, v, f)}
+        assert {f for f in out if limits.is_coequaliser(cat, u, v, f)} == certified, (u, v)
+        regular |= certified
+        expected = reference_limits.coequaliser(cat, u, v)
+        assert limits.coequaliser(cat, u, v) == expected == limits.coequaliser(cat, v, u), (u, v)
+        expected = limits._renamed("equaliser", reference_limits.coequaliser(d, u, v))
+        assert limits.equaliser(cat, u, v) == expected, (u, v)
+    for f in range(cat.n_mor):
+        ok, pair = fincat._is_regular_epi(cat, f)
+        assert ok == (f in regular), f
+        assert ok == (pair is not None and reference_limits.is_coequaliser(cat, *pair, f)), f
+
+
 def _assert_kernels_match_numpy(cat: FinCategory) -> None:
     n = len(cat.objects)
     _assert_table_readers_match_reference(cat)
@@ -166,12 +200,7 @@ def _assert_kernels_match_numpy(cat: FinCategory) -> None:
             for legs in itertools.product(*(cat.hom(a, x) for a in doms)):
                 assert limits._cocone_universal(cat, legs) == reference_extensivity.cocone_universal_n(cat, legs), legs
     _assert_coproducts_match_reference(cat)
-    for y, a in itertools.product(range(n), repeat=2):
-        out = [f for q in range(n) for f in cat.hom(a, q)]
-        for u, v in itertools.combinations_with_replacement(cat.hom(y, a), 2):
-            for f in out:
-                if cat.compose(f, u) == cat.compose(f, v):
-                    assert limits.is_coequaliser(cat, u, v, f) == reference_limits.is_coequaliser(cat, u, v, f)
+    _assert_coequalisers_match_reference(cat)
     for f, u in _cospans(cat):
         a, b = cat._dom_l[f], cat._dom_l[u]
         counts = limits._cone_counts(cat, f, u)

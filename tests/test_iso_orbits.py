@@ -10,7 +10,9 @@ per-morphism loop) on categories in which an object has an isomorphic copy
 (``generators.preorders``), since no built-in category has two distinct
 isomorphic objects.  The canonical apex, the first object isomorphic to the
 certified one, is exercised only there.  The coproduct answers read from the
-cached bases are compared with the seed's searches on the same categories.
+cached bases are compared with the seed's searches on the same categories,
+and so are the coequalisers, which must form one orbit {i∘q : i an iso
+out of the apex of q} per parallel pair.
 """
 
 from __future__ import annotations
@@ -29,12 +31,14 @@ from finext.algebra import build_category
 from finext.fincat import FinCategory, _iso_info, dual_of, thin_category_from_poset
 from generators import inflate, lift_id, preorders
 from test_fast_paths import (
+    _assert_coequalisers_match_reference,
     _assert_coproducts_match_reference,
     _assert_e2_scan_matches_walk,
     _assert_kernels_match_numpy,
     _assert_square_table_matches_mediator,
     _assert_table_readers_match_reference,
     _cospans,
+    _parallel_pairs,
 )
 
 MODES = ("extensive", "coextensive")
@@ -83,6 +87,34 @@ def test_transported_pullbacks_equal_the_search(case):
                 moved += got.apex != c._dom_l[f]
     # at least the pullback of (id, id) on the later of x and its copy has
     # the earlier one as its apex
+    assert moved > 0, case
+
+
+@first_and_last
+@settings(max_examples=10, deadline=None)
+@given(inflations())
+def test_coequalisers_are_one_iso_orbit(case):
+    """Coequalisers are unique up to unique iso: the f that
+    ``is_coequaliser`` accepts for (u, v) are exactly i∘q for q the
+    coequaliser found and i an iso out of its apex.  The answers also equal
+    the seed's certificate and search, here and on the dual."""
+    name, x, pos = case
+    cat = inflate(base(name), x, pos)
+    moved = 0
+    for c in (cat, dual_of(cat)):
+        _assert_coequalisers_match_reference(c)
+        isos_out = {}
+        for i in _iso_info(c)[0]:
+            isos_out.setdefault(c._dom_l[i], []).append(i)
+        n = len(c.objects)
+        for u, v in _parallel_pairs(c):
+            w = limits.coequaliser(c, u, v)
+            orbit = set() if w is None else {c.compose(i, w.legs[0]) for i in isos_out[w.apex]}
+            out = [f for q in range(n) for f in c.hom(c._cod_l[u], q)]
+            assert {f for f in out if limits.is_coequaliser(c, u, v, f)} == orbit, (case, c is cat, u, v)
+            moved += any(c._cod_l[f] != w.apex for f in orbit)
+    # x and its copy are isomorphic, so a coequaliser into either has
+    # another one into the other
     assert moved > 0, case
 
 
