@@ -19,6 +19,12 @@ Enumeration is exhaustive up to isomorphism (canonical form = minimum
 encoding over carrier permutations, with constants pinned).  Hom-sets are
 enumerated by backtracking in lexicographic order of the function table, so
 every id assigned downstream is deterministic.
+
+``category_from_algebras`` composes function tables as byte strings: with
+ft and gt as ``bytes``, gt∘ft is ``ft.translate(gt padded to 256 bytes)``,
+so each row of the composition table is filled by ``map`` in C and read back
+to ids through one bytes -> id dict per hom-set.  This bounds every carrier
+by 256 elements; ``load_category`` reports a larger one as an error.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
-from .fincat import FinCategory
+from .fincat import CategoryDataError, FinCategory
 
 __all__ = [
     "Signature",
@@ -780,13 +786,22 @@ def category_from_algebras(
     (dom, cod) order and by K inside each, which is the (dom, cod, id) order
     ``FinCategory`` sorts string input into (while K has four digits).  So
     the id of g∘f is the first id of hom(a, c) plus the position K of the
-    table gt∘ft in that hom-set."""
+    table gt∘ft in that hom-set.
+
+    Each function table is held as ``bytes`` here (``uni.maps`` keeps the
+    tuples), so gt∘ft is ``ft.translate(gt)`` with gt padded to 256 bytes,
+    and a row of the composition table is one ``map`` over hom(a, dom g)
+    run in C, read back to ids through hom(a, c)'s bytes -> id dict.  Hence
+    a carrier may have at most 256 elements; a larger one raises
+    ``CategoryDataError``."""
     if names is None:
         names = default_names(kind, algs)
     if max_size is None:
         max_size = max((a.size for a in algs), default=0)
     uni = Universe(kind)
     for name, alg in zip(names, algs):
+        if alg.size > 256:
+            raise CategoryDataError(f"{name}: carrier above 256")
         uni.algebras[name] = alg
 
     n = len(algs)
@@ -794,27 +809,31 @@ def category_from_algebras(
     dom: list[int] = []
     cod: list[int] = []
     identity_of: dict[int, int] = {}
-    homs: dict[tuple[int, int], dict[tuple[int, ...], int]] = {}  # hom(a, b): function table -> id
+    homs: dict[tuple[int, int], dict[bytes, int]] = {}  # hom(a, b): table bytes -> id
     for a, (da, na) in enumerate(zip(algs, names)):
         for b, (db, nb) in enumerate(zip(algs, names)):
             tables = enumerate_homs(da, db)
-            homs[a, b] = {tbl: len(mor_ids) + k for k, tbl in enumerate(tables)}
+            homs[a, b] = {bytes(tbl): len(mor_ids) + k for k, tbl in enumerate(tables)}
             for k, tbl in enumerate(tables):
                 mor_ids.append(f"{na}>{nb}#{k:04d}")
                 uni.maps[mor_ids[-1]] = tbl
             dom += [a] * len(tables)
             cod += [b] * len(tables)
-        identity_of[a] = homs[a, a][tuple(range(da.size))]
+        identity_of[a] = homs[a, a][bytes(range(da.size))]
 
-    # rows[g][a]: the id of gt∘ft for each ft in hom(a, dom g)
+    # rows[g][a]: the id of gt∘ft for each ft in hom(a, dom g).  Every byte
+    # of ft is below |dom g| = len(gt), so the padding is never read.
     rows = [[()] * n for _ in mor_ids]
-    for a in range(n):
-        for b in range(n):
-            fts = list(homs[a, b])
-            for c in range(n):
-                ac = homs[a, c]
-                for gt, g in homs[b, c].items():
-                    rows[g][a] = tuple([ac[tuple(map(gt.__getitem__, ft))] for ft in fts])
+    fts = {ab: list(h) for ab, h in homs.items()}
+    translate, repeat = bytes.translate, itertools.repeat
+    for b in range(n):
+        for c in range(n):
+            # gt padded to a translation table, for one (b, c) at a time
+            gs = [(gt.ljust(256, b"\0"), rows[g]) for gt, g in homs[b, c].items()]
+            for a in range(n):
+                ac, ab = homs[a, c].__getitem__, fts[a, b]
+                for gtab, row in gs:
+                    row[a] = tuple(map(ac, map(translate, ab, repeat(gtab))))
 
     meta = {"kind": kind, "max_size": max_size, "sizes": {x: uni.algebras[x].size for x in names}}
     return FinCategory._of_ints(names, mor_ids, dom, cod, identity_of, rows, meta), uni
@@ -956,6 +975,9 @@ def load_category(data: Mapping[str, Any]) -> tuple[tuple[str, list[FinAlgebra],
         n = entry.get("carrier")
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             errors.append(f"{where}: carrier must be a nonnegative integer")
+            continue
+        if n > 256:  # function tables are bytes
+            errors.append(f"{where}: carrier above 256")
             continue
         ops: dict[str, Any] = {}
         rels: dict[str, Any] = {}

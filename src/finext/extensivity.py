@@ -539,12 +539,14 @@ def is_boolean_category(cat: FinCategory) -> CheckStatus:
 def _grid_for(cat: FinCategory, cone_a: Sequence[int], cone_b: Sequence[int]) -> bool:
     """Whether the canonical pushout grid refines two product cones on the
     same apex: corners are pushouts of leg pairs, and its margins are
-    certified product cones."""
+    certified product cones.  A corner is the pullback of (ai, bj) in the
+    dual, whose legs are the pushout's, as the dual shares these indexes."""
     la, lb = len(cone_a), len(cone_b)
+    dual = dual_of(cat)
     corner: dict[tuple[int, int], limits.UniversalWitness] = {}
     for i, ai in enumerate(cone_a):
         for j, bj in enumerate(cone_b):
-            w = limits.pushout(cat, ai, bj)
+            w = limits.pullback(dual, ai, bj)
             if w is None:
                 return False
             corner[(i, j)] = w

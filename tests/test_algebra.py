@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
 from finext.algebra import (
     FinAlgebra,
     all_congruences,
+    category_from_algebras,
     center_of_monoid,
     congruence_generate,
     congruence_lattice,
@@ -20,6 +23,7 @@ from finext.algebra import (
     quotient,
     validate_algebra,
 )
+from finext.fincat import CategoryDataError
 
 
 def test_enumeration_counts_up_to_isomorphism():
@@ -215,6 +219,17 @@ def test_load_reports_structured_errors():
         {"algebras": [{"name": "P", "carrier": 2}], "variety": "pointed"}
     )
     assert any("basepoint must be an element index" in e for e in errors)
+
+
+def test_carriers_above_256_are_rejected_when_loaded_and_when_built():
+    """Function tables are composed as bytes, so a carrier has at most 256
+    elements."""
+    parsed, errors = load_category({"variety": "set", "algebras": [{"name": "X", "carrier": 257}]})
+    assert parsed is None and errors == ["algebras[0] (X): carrier above 256"]
+    parsed, errors = load_category({"variety": "set", "algebras": [{"name": "X", "carrier": 256}]})
+    assert errors == [] and parsed is not None and parsed[1][0].size == 256
+    with pytest.raises(CategoryDataError, match="^X: carrier above 256$"):
+        category_from_algebras("set", [FinAlgebra("set", 1), FinAlgebra("set", 257)], ["Y", "X"])
 
 
 def test_load_infers_kind_without_variety_field():

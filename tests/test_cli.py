@@ -101,6 +101,15 @@ def test_object_names_that_collide_in_morphism_ids_are_an_input_error(tmp_path, 
     assert "duplicate morphism id 'a>b>c#0000'" in output and "Traceback" not in output
 
 
+@pytest.mark.parametrize("command", ["validate", "check", "relcalc", "srp"])
+def test_a_carrier_above_256_is_an_input_error(tmp_path, command):
+    bad = tmp_path / "big.json"
+    bad.write_text(json.dumps({"variety": "set", "algebras": [{"name": "X", "carrier": 257}]}))
+    code, output = _run_quietly([command, str(bad)])
+    assert code == 2, output
+    assert "algebras[0] (X): carrier above 256" in output and "Traceback" not in output
+
+
 def _run_quietly(argv: list[str]) -> tuple[int, str]:
     """``run`` without capsys, for Hypothesis; returns stdout plus stderr."""
     out, err = io.StringIO(), io.StringIO()

@@ -10,14 +10,23 @@ its rows are gathered from them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_algebra
 import reference_fincat
-from finext.algebra import category_from_algebras, default_names, enumerate_structures
+from finext.algebra import (
+    FinAlgebra,
+    category_from_algebras,
+    default_names,
+    direct_product,
+    enumerate_homs,
+    enumerate_structures,
+)
 from finext.fincat import CategoryDataError, FinCategory, dual, dual_of, thin_category_from_poset, validate
 from generators import preorders
 from test_fast_paths import _assert_dual_is_an_involution
@@ -94,6 +103,50 @@ def test_int_build_keeps_file_order_and_names():
     _assert_same_category(cat, ref)
     assert list(uni.maps.items()) == list(ref_uni.maps.items())
     assert cat.objects == tuple(names) != tuple(default_names("mon", algs))
+
+
+# Mon≤4 and Lat≤4, and FinSet≤3 and Pos≤2 with their empty structures
+_POOLS = {"mon": (4, None), "lat": (4, None), "set": (3, True), "poset": (2, True)}
+
+
+@functools.cache
+def _pool(kind: str) -> tuple[list[FinAlgebra], list[FinAlgebra]]:
+    """The kind's structures, and the factors drawn for products: those with
+    at most five endomorphisms, so that every product's hom-sets stay small
+    enough for the reference (the largest, a 16-element monoid, has 625
+    endomorphisms)."""
+    algs = enumerate_structures(kind, *_POOLS[kind])
+    return algs, [x for x in algs if len(enumerate_homs(x, x)) <= 5]
+
+
+@st.composite
+def algebra_lists(draw) -> tuple[str, list[FinAlgebra], list[str]]:
+    """A shuffled, renamed list of structures of one kind: a sublist of the
+    kind's pool (repeats allowed), direct products of two factors (carriers
+    up to 16), and, for sets and posets, the empty structure."""
+    kind = draw(st.sampled_from(sorted(_POOLS)))
+    algs, factors = _pool(kind)
+    picked = draw(st.lists(st.sampled_from(algs), min_size=1, max_size=4))
+    for x, y in draw(st.lists(st.tuples(st.sampled_from(factors), st.sampled_from(factors)), max_size=2)):
+        picked.append(direct_product(x, y)[0])
+    if kind in ("set", "poset"):
+        picked.append(algs[0])
+    picked = draw(st.permutations(picked))
+    n = len(picked)
+    names = draw(st.lists(st.text("abxyz019_", min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    return kind, picked, names
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebra_lists())
+def test_byte_table_kernel_equals_string_reference(data):
+    """The composition rows filled by ``bytes.translate`` are the reference's
+    entry-by-entry composites, on structures in any order under any names."""
+    kind, algs, names = data
+    cat, uni = category_from_algebras(kind, algs, names)
+    ref, ref_uni = reference_algebra.category_from_algebras(kind, algs, names)
+    _assert_same_category(cat, ref)
+    assert list(uni.maps.items()) == list(ref_uni.maps.items())
 
 
 @settings(max_examples=60, deadline=None)
