@@ -30,6 +30,7 @@ by 256 elements; ``load_category`` reports a larger one as an error.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -64,7 +65,6 @@ class Signature:
 
     kind: str
     constants: tuple[str, ...] = ()
-    unary: tuple[str, ...] = ()
     binary: tuple[str, ...] = ()
     relations: tuple[str, ...] = ()
 
@@ -102,8 +102,6 @@ class FinAlgebra:
         self.ops: dict[str, Any] = {}
         for name in self.signature.constants:
             self.ops[name] = int(ops[name])  # type: ignore[index]
-        for name in self.signature.unary:
-            self.ops[name] = tuple(ops[name])  # type: ignore[index]
         for name in self.signature.binary:
             self.ops[name] = tuple(tuple(row) for row in ops[name])  # type: ignore[index]
         self.rels: dict[str, tuple[tuple[bool, ...], ...]] = {}
@@ -115,8 +113,6 @@ class FinAlgebra:
         parts: list[Any] = [self.size]
         for name in self.signature.constants:
             parts.append(self.ops[name])
-        for name in self.signature.unary:
-            parts.extend(self.ops[name])
         for name in self.signature.binary:
             for row in self.ops[name]:
                 parts.extend(row)
@@ -134,9 +130,6 @@ class FinAlgebra:
         ops: dict[str, Any] = {}
         for name in self.signature.constants:
             ops[name] = perm[self.ops[name]]
-        for name in self.signature.unary:
-            t = self.ops[name]
-            ops[name] = tuple(perm[t[inv[i]]] for i in range(n))
         for name in self.signature.binary:
             t = self.ops[name]
             ops[name] = tuple(tuple(perm[t[inv[i]][inv[j]]] for j in range(n)) for i in range(n))
@@ -158,21 +151,6 @@ class FinAlgebra:
             if best is None or key < best:
                 best = key
         return best if best is not None else self.encode()
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "size": self.size,
-            "ops": {
-                k: (v if isinstance(v, int) else [list(r) if isinstance(r, tuple) else r for r in v])
-                for k, v in self.ops.items()
-            },
-            "rels": {k: [[int(x) for x in row] for row in v] for k, v in self.rels.items()},
-        }
-
-    @staticmethod
-    def from_json(data: Mapping[str, Any]) -> "FinAlgebra":
-        return FinAlgebra(data["kind"], data["size"], data.get("ops", {}), data.get("rels", {}))
 
     def __repr__(self):
         return f"FinAlgebra({self.kind}, n={self.size})"
@@ -221,12 +199,8 @@ def validate_algebra(alg: FinAlgebra) -> list[str]:
         if isinstance(v, int):
             if not (0 <= v < n):
                 out.append(f"constant {name} out of range")
-        elif isinstance(v, tuple) and v and isinstance(v[0], int):
-            if len(v) != n or any(not (0 <= x < n) for x in v):
-                out.append(f"unary {name} malformed")
-        else:
-            if len(v) != n or any(len(r) != n or any(not (0 <= x < n) for x in r) for r in v):
-                out.append(f"binary {name} malformed")
+        elif len(v) != n or any(len(r) != n or any(not (0 <= x < n) for x in r) for r in v):
+            out.append(f"binary {name} malformed")
     if out:
         return out
     k = alg.kind
@@ -319,15 +293,8 @@ def _meet_table(leq: Sequence[Sequence[bool]], n: int) -> tuple | None:
 
 
 def _join_table(leq: Sequence[Sequence[bool]], n: int) -> tuple | None:
-    t = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            upper = [z for z in range(n) if leq[x][z] and leq[y][z]]
-            best = [z for z in upper if all(leq[z][w] for w in upper)]
-            if len(best) != 1:
-                return None
-            t[x][y] = best[0]
-    return tuple(tuple(r) for r in t)
+    """Least-upper-bound table: the meet table of the converse order."""
+    return _meet_table([[leq[y][x] for y in range(n)] for x in range(n)], n)
 
 
 def _enumerate_monoids(n: int) -> list[FinAlgebra]:
@@ -429,8 +396,9 @@ def enumerate_structures(kind: str, max_size: int, include_empty: bool | None = 
 # -- homomorphisms ------------------------------------------------------------
 
 
-def enumerate_homs(a: FinAlgebra, b: FinAlgebra) -> list[tuple[int, ...]]:
-    """All structure-preserving maps a -> b, in lexicographic table order."""
+def enumerate_homs(a: FinAlgebra, b: FinAlgebra, limit: int | None = None) -> list[tuple[int, ...]]:
+    """All structure-preserving maps a -> b, in lexicographic table order;
+    only the first ``limit`` of them when a limit is given."""
     n, m = a.size, b.size
     if n == 0:
         return [()]
@@ -446,7 +414,6 @@ def enumerate_homs(a: FinAlgebra, b: FinAlgebra) -> list[tuple[int, ...]]:
             return []
         forced[ca] = cb
     bin_ops = [(a.ops[o], b.ops[o]) for o in sig.binary]
-    un_ops = [(a.ops[o], b.ops[o]) for o in sig.unary]
     rel_ps = [(a.rels[r], b.rels[r]) for r in sig.relations]
     out: list[tuple[int, ...]] = []
 
@@ -461,12 +428,6 @@ def enumerate_homs(a: FinAlgebra, b: FinAlgebra) -> list[tuple[int, ...]]:
                     z = ta[x][y]
                     if z <= k and f[z] != tb[fx][f[y]]:
                         return False
-        for ta, tb in un_ops:
-            for x in range(k + 1):
-                if x == k or ta[x] == k:
-                    z = ta[x]
-                    if z <= k and f[z] != tb[f[x]]:
-                        return False
         for ra, rb in rel_ps:
             for x in range(k + 1):
                 if ra[x][k] and not rb[f[x]][v]:
@@ -475,16 +436,18 @@ def enumerate_homs(a: FinAlgebra, b: FinAlgebra) -> list[tuple[int, ...]]:
                     return False
         return True
 
-    def rec(k: int):
+    def rec(k: int) -> bool:
+        """Extend f from position k; False once ``limit`` maps are found."""
         if k == n:
             out.append(tuple(f))
-            return
+            return len(out) != limit
         choices = (forced[k],) if k in forced else range(m)
         for v in choices:
             f[k] = v
-            if ok_after(k):
-                rec(k + 1)
+            if ok_after(k) and not rec(k + 1):
+                return False
         f[k] = -1
+        return True
 
     rec(0)
     return out
@@ -501,8 +464,6 @@ def direct_product(a: FinAlgebra, b: FinAlgebra) -> tuple[FinAlgebra, list[tuple
     ops: dict[str, Any] = {}
     for c in sig.constants:
         ops[c] = idx[(a.ops[c], b.ops[c])]
-    for u in sig.unary:
-        ops[u] = tuple(idx[(a.ops[u][x], b.ops[u][y])] for x, y in pairs)
     for o in sig.binary:
         ta, tb = a.ops[o], b.ops[o]
         ops[o] = tuple(
@@ -550,7 +511,6 @@ def congruence_generate(alg: FinAlgebra, pairs: Iterable[tuple[int, int]]) -> tu
         union(x, y)
     changed = True
     bin_tables = [alg.ops[o] for o in alg.signature.binary]
-    un_tables = [alg.ops[o] for o in alg.signature.unary]
     while changed:
         changed = False
         for t in bin_tables:
@@ -563,11 +523,6 @@ def congruence_generate(alg: FinAlgebra, pairs: Iterable[tuple[int, int]]) -> tu
                             changed = True
                         if union(t[z][x], t[z][y]):
                             changed = True
-        for t in un_tables:
-            for x in range(n):
-                for y in range(n):
-                    if _uf_find(parent, x) == _uf_find(parent, y) and union(t[x], t[y]):
-                        changed = True
     return _canon_partition(parent)
 
 
@@ -606,12 +561,6 @@ def _is_congruence(alg: FinAlgebra, rep: tuple[int, ...]) -> bool:
                 for z in range(n):
                     if rep[t[x][z]] != rep[t[y][z]] or rep[t[z][x]] != rep[t[z][y]]:
                         return False
-    for o in alg.signature.unary:
-        t = alg.ops[o]
-        for x in range(alg.size):
-            for y in range(x + 1, alg.size):
-                if rep[x] == rep[y] and rep[t[x]] != rep[t[y]]:
-                    return False
     return True
 
 
@@ -679,8 +628,6 @@ def quotient(alg: FinAlgebra, rep: tuple[int, ...]) -> tuple[FinAlgebra, tuple[i
     ops: dict[str, Any] = {}
     for c in sig.constants:
         ops[c] = proj[alg.ops[c]]
-    for u in sig.unary:
-        ops[u] = tuple(proj[alg.ops[u][reps[i]]] for i in range(m))
     for o in sig.binary:
         t = alg.ops[o]
         ops[o] = tuple(tuple(proj[t[reps[i]][reps[j]]] for j in range(m)) for i in range(m))
@@ -728,6 +675,13 @@ def center_of_monoid(alg: FinAlgebra) -> list[int]:
 
 # -- category builders ----------------------------------------------------------
 
+# The enumeration budget of ``category_from_algebras``: every ``finext gen``
+# output (carriers up to 4) fits, the largest being Poset≤4 with the empty
+# poset at 19,727 morphisms and 15,212,056 composable pairs, built in about
+# 190 MB.  A single 6-element set (46,656 maps, 2.2e9 pairs) does not.
+MAX_MORPHISMS = 2**15
+MAX_COMPOSABLE_PAIRS = 2**24
+
 
 @dataclass
 class Universe:
@@ -737,9 +691,6 @@ class Universe:
     kind: str
     algebras: dict[str, FinAlgebra] = field(default_factory=dict)
     maps: dict[str, tuple[int, ...]] = field(default_factory=dict)
-
-    def size(self, oid: str) -> int:
-        return self.algebras[oid].size
 
 
 def default_names(kind: str, algs: Sequence[FinAlgebra]) -> list[str]:
@@ -793,7 +744,10 @@ def category_from_algebras(
     and a row of the composition table is one ``map`` over hom(a, dom g)
     run in C, read back to ids through hom(a, c)'s bytes -> id dict.  Hence
     a carrier may have at most 256 elements; a larger one raises
-    ``CategoryDataError``."""
+    ``CategoryDataError``, and so does a category past the enumeration
+    budget: the hom-sets are enumerated only up to ``MAX_MORPHISMS``
+    morphisms in all, and the table is filled only for at most
+    ``MAX_COMPOSABLE_PAIRS`` composable pairs."""
     if names is None:
         names = default_names(kind, algs)
     if max_size is None:
@@ -812,7 +766,9 @@ def category_from_algebras(
     homs: dict[tuple[int, int], dict[bytes, int]] = {}  # hom(a, b): table bytes -> id
     for a, (da, na) in enumerate(zip(algs, names)):
         for b, (db, nb) in enumerate(zip(algs, names)):
-            tables = enumerate_homs(da, db)
+            tables = enumerate_homs(da, db, MAX_MORPHISMS + 1 - len(mor_ids))
+            if len(mor_ids) + len(tables) > MAX_MORPHISMS:
+                raise CategoryDataError(f"more than {MAX_MORPHISMS} morphisms: above the enumeration budget")
             homs[a, b] = {bytes(tbl): len(mor_ids) + k for k, tbl in enumerate(tables)}
             for k, tbl in enumerate(tables):
                 mor_ids.append(f"{na}>{nb}#{k:04d}")
@@ -820,6 +776,11 @@ def category_from_algebras(
             dom += [a] * len(tables)
             cod += [b] * len(tables)
         identity_of[a] = homs[a, a][bytes(range(da.size))]
+    # the composable pairs (g, f) through b are |out of b| x |into b|
+    out_of, into = Counter(dom), Counter(cod)
+    pairs = sum(out_of[b] * into[b] for b in range(n))
+    if pairs > MAX_COMPOSABLE_PAIRS:
+        raise CategoryDataError(f"{pairs} composable pairs: above the enumeration budget of {MAX_COMPOSABLE_PAIRS}")
 
     # rows[g][a]: the id of gt∘ft for each ft in hom(a, dom g).  Every byte
     # of ft is below |dom g| = len(gt), so the padding is never read.
@@ -848,12 +809,11 @@ def category_from_algebras(
 # A pointed structure's point travels as "basepoint", an order relation as
 # "order" (the list of related pairs, reflexive pairs included); everything
 # else is an operation table under "ops" with the arity the signature
-# declares (0 -> int, 1 -> flat list, 2 -> nested list).
+# declares (0 -> int, 2 -> nested list).
 
 
 def _signature_json(sig: Signature) -> list[dict]:
     out = [{"name": c, "arity": 0} for c in sig.constants if (sig.kind, c) != ("pointed", "pt")]
-    out += [{"name": u, "arity": 1} for u in sig.unary]
     out += [{"name": b, "arity": 2} for b in sig.binary]
     return out
 
@@ -877,8 +837,6 @@ def dump_category(
                 entry["basepoint"] = alg.ops[c]
             else:
                 ops[c] = alg.ops[c]
-        for u in sig.unary:
-            ops[u] = list(alg.ops[u])
         for b in sig.binary:
             ops[b] = [list(row) for row in alg.ops[b]]
         if ops:
@@ -986,7 +944,7 @@ def load_category(data: Mapping[str, Any]) -> tuple[tuple[str, list[FinAlgebra],
         if not isinstance(raw_ops, Mapping):
             errors.append(f"{where}: ops must be an object")
             continue
-        known = set(sig.constants) | set(sig.unary) | set(sig.binary)
+        known = set(sig.constants) | set(sig.binary)
         for op_name in raw_ops:
             if op_name not in known or (kind, op_name) == ("pointed", "pt"):
                 errors.append(f"{where}: unknown operation {op_name!r}")
@@ -1003,17 +961,6 @@ def load_category(data: Mapping[str, Any]) -> tuple[tuple[str, list[FinAlgebra],
                 bad = True
             else:
                 ops[c] = v
-        for u in sig.unary:
-            t = raw_ops.get(u)
-            if (
-                not isinstance(t, list)
-                or len(t) != n
-                or any(not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < n for x in t)
-            ):
-                errors.append(f"{where}: ops.{u} must be a length-{n} table of element indices")
-                bad = True
-            else:
-                ops[u] = tuple(t)
         for b in sig.binary:
             t = raw_ops.get(b)
             ok = (

@@ -561,8 +561,7 @@ def _grid_search(cat: FinCategory, cone_a: Sequence[int], cone_b: Sequence[int])
     makes every B_j margin a certified product cone.  Complete: any valid
     grid's rows are product cones on the A_i."""
     la, lb = len(cone_a), len(cone_b)
-    doms_a = [cat._dom_l[m] for m in cone_a]
-    row_choices = [limits.product_bases(cat, a, lb) for a in doms_a]
+    row_choices = [limits.product_bases(cat, cat._cod_l[m], lb) for m in cone_a]
 
     def rec(i: int, rows: list[tuple[int, ...]]) -> bool:
         if i == la:

@@ -8,9 +8,9 @@ over this data, so the table itself is re-checkable: ``validate`` re-asserts
 every axiom and reports each violation instead of repairing anything.
 Associativity (h∘g)∘f = h∘(g∘f) is checked only for g in a generating set S
 of the table (Light's test); on FinSet≤4, S holds 51 of the 499 morphisms.
-The full walk over every composable triple runs when an earlier axiom is
-violated or the law fails through S, so the violations reported never
-depend on S.
+When an earlier axiom is violated or the law fails through S, one plain
+walk over every composable triple reports the failures, so the violations
+reported never depend on S.
 
 Morphism and object ids are strings at the boundary; internally both are
 dense integer indexes, every hom-set is a run of consecutive indexes, and
@@ -297,15 +297,6 @@ class FinCategory:
 # -- validation -----------------------------------------------------------
 
 
-def _positions(cat: FinCategory, rows: Sequence[Sequence[int]], a: int, c: int) -> list[list[int]] | None:
-    """The position in hom(a, c) of every id in ``rows``, row by row; None
-    when some entry is missing (-1) or lies outside hom(a, c)."""
-    if not set(cat.hom(a, c)).issuperset(chain.from_iterable(rows)):
-        return None
-    get = cat._pos.__getitem__
-    return [list(map(get, row)) for row in rows]
-
-
 def _generating_set(cat: FinCategory) -> list[int]:
     """A generating set S of a total, well-typed table, in index order: a
     morphism joins S when it is not yet in the closure of S and the
@@ -361,6 +352,38 @@ def _associative_through(cat: FinCategory, gens: Sequence[int]) -> bool:
     return True
 
 
+def _associativity_walk(cat: FinCategory, out: list[Violation], max_violations: int) -> list[Violation]:
+    """``out`` plus each triple with h∘(g∘f) != (h∘g)∘f, in (a, b, c, d, h,
+    g, f) order for f: a -> b, g: b -> c, h: c -> d, up to ``max_violations``
+    in all.  A missing or mistyped g∘f or h∘g, or a missing outer composite,
+    masks the triples it enters: the composition-table scans report it."""
+    n, ids = len(cat.objects), cat.mor_ids
+    dom, cod, pos, rows = cat._dom_l, cat._cod_l, cat._pos, cat.rows
+    for a in range(n):
+        for b in range(n):
+            fs = cat.hom(a, b)
+            if not fs:
+                continue
+            for c in range(n):
+                gs = cat.hom(b, c)
+                for d in range(n):
+                    for h in cat.hom(c, d):
+                        h_rows = rows(h)
+                        for g in gs:
+                            hg = h_rows[b][pos[g]]
+                            if hg < 0 or dom[hg] != b or cod[hg] != d:
+                                continue
+                            for f, gf, hg_f in zip(fs, rows(g)[a], rows(hg)[a]):
+                                if gf < 0 or dom[gf] != a or cod[gf] != c:
+                                    continue
+                                h_gf = h_rows[a][pos[gf]]
+                                if h_gf != hg_f and h_gf >= 0 and hg_f >= 0:
+                                    out.append(Violation("assoc", {"h": ids[h], "g": ids[g], "f": ids[f]}))
+                                    if len(out) >= max_violations:
+                                        return out
+    return out
+
+
 def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
     """Re-assert every category axiom by direct scan; return all violations
     found, at most ``max_violations``.
@@ -373,7 +396,8 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
     the law holds contain the identities and are closed under composition,
     so they are all morphisms once they contain S.  On any earlier finding,
     or when the law fails through some g in S, every composable triple is
-    walked, so the violations and their order do not depend on S.
+    walked (``_associativity_walk``), so the violations and their order do
+    not depend on S.
 
     Extraneous and mistyped entries are reported in (g, f) index order, then
     missing ones in (dom f, cod f, f, cod g, g) order."""
@@ -424,60 +448,7 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
     # associativity through a generating set, on a table found sound so far
     if not out and _associative_through(cat, _generating_set(cat)):
         return out
-
-    # associativity: h∘(g∘f) == (h∘g)∘f per object quadruple.  For each g,
-    # the rows h∘(g∘-) over h are compared at once with the rows (h∘g)∘-;
-    # only a quadruple that differs, or holds a missing or mistyped
-    # composite, is walked triple by triple.  Such a composite masks the
-    # triples it enters: the composition-table scans above report it.
-    pos, rows = cat._pos, cat.rows
-
-    def block(a: int, b: int, c: int) -> list[tuple[int, ...]]:
-        """[g][f] -> g∘f over hom(b, c) x hom(a, b), -1 where missing."""
-        return [rows(g)[a] for g in cat.hom(b, c)]
-
-    for a in range(n):
-        for b in range(n):
-            fs = cat.hom(a, b)
-            if not fs:
-                continue
-            for c in range(n):
-                gs = cat.hom(b, c)
-                if not gs:
-                    continue
-                gf_blk = block(a, b, c)  # [g][f] -> g∘f in hom(a,c)
-                gf_pos = _positions(cat, gf_blk, a, c)
-                for d in range(n):
-                    hs = cat.hom(c, d)
-                    if not hs:
-                        continue
-                    hg_blk = block(b, c, d)  # [h][g] -> h∘g in hom(b,d)
-                    h_rows = block(a, c, d)  # [h][x] -> h∘x for x in hom(a,c)
-                    y_rows = block(a, b, d)  # [y][f] -> y∘f for y in hom(b,d)
-                    hg_pos = None if gf_pos is None else _positions(cat, list(zip(*hg_blk)), b, d)  # [g][h]
-                    if hg_pos is not None:
-                        x_cols = list(zip(*h_rows))  # [x][h] -> h∘x
-                        # per g: rows h∘(g∘-) over h, against rows (h∘g)∘-
-                        if all(
-                            list(zip(*map(x_cols.__getitem__, ps))) == list(map(y_rows.__getitem__, qs))
-                            for ps, qs in zip(gf_pos, hg_pos)
-                        ):
-                            continue
-                    for hi, h_row in enumerate(h_rows):
-                        for gi, hg in enumerate(hg_blk[hi]):
-                            if hg < 0 or dom[hg] != b or cod[hg] != d:
-                                continue
-                            rhs = y_rows[pos[hg]]
-                            for fi, gf in enumerate(gf_blk[gi]):
-                                if gf < 0 or dom[gf] != a or cod[gf] != c:
-                                    continue
-                                lhs, r = h_row[pos[gf]], rhs[fi]
-                                if lhs != r and lhs >= 0 and r >= 0:
-                                    ids = {"h": hs[hi], "g": gs[gi], "f": fs[fi]}
-                                    out.append(Violation("assoc", {k: cat.mor_ids[i] for k, i in ids.items()}))
-                                    if len(out) >= max_violations:
-                                        return out
-    return out
+    return _associativity_walk(cat, out, max_violations)
 
 
 def validate_category(data: Mapping[str, Any] | FinCategory) -> FinCategory | list[Violation]:

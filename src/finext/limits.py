@@ -78,16 +78,8 @@ __all__ = [
 class UniversalWitness:
     """A certified universal diagram: its apex and legs, in internal indexes."""
 
-    kind: str  # coproduct | product | pullback | pushout | coequaliser | equaliser
     apex: int
     legs: tuple[int, ...]
-
-    def to_json(self, cat: FinCategory) -> dict:
-        return {
-            "kind": self.kind,
-            "apex": cat.oid(self.apex),
-            "legs": [cat.mid(m) for m in self.legs],
-        }
 
 
 # -- initial / terminal --------------------------------------------------------
@@ -169,7 +161,7 @@ def coproduct(cat: FinCategory, a1: int, a2: int) -> UniversalWitness | None:
         dom = cat._dom_l
         cache[key] = next(
             (
-                UniversalWitness("coproduct", x, (u, v))
+                UniversalWitness(x, (u, v))
                 for x in range(len(cat.objects))
                 for u, v in coproduct_bases(cat, x)
                 if (dom[u], dom[v]) == key
@@ -224,14 +216,8 @@ def coproduct_of_morphisms(
 # -- products (through the dual) ---------------------------------------------------
 
 
-def _renamed(kind: str, w: UniversalWitness | None) -> UniversalWitness | None:
-    """A witness certified in the dual, under its primal kind; the dual
-    shares this category's indexes, so apex and legs carry over as they are."""
-    return None if w is None else UniversalWitness(kind, w.apex, w.legs)
-
-
 def product(cat: FinCategory, a1: int, a2: int) -> UniversalWitness | None:
-    return _renamed("product", coproduct(dual_of(cat), a1, a2))
+    return coproduct(dual_of(cat), a1, a2)
 
 
 def product_bases(cat: FinCategory, x: int, arity: int = 2) -> tuple[tuple[int, ...], ...]:
@@ -308,7 +294,7 @@ def _pullback_search(cat: FinCategory, f: int, u: int) -> UniversalWitness | Non
         for p1 in cat.hom(p, cat._dom_l[f]):
             for p2 in cat.postcompose_fibers(u, p).get(cat.compose(f, p1), ()):
                 if _cone_universal(cat, p1, p2, counts):
-                    return UniversalWitness("pullback", p, (p1, p2))
+                    return UniversalWitness(p, (p1, p2))
     return None
 
 
@@ -335,7 +321,7 @@ def pullback(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
             cone = (b, cat.compose(inv[f], u), cat.identity_of[b])
         dom, pos = cat._dom_l, cat._pos
         p1, p2 = min(_cone_orbit(cat, *cone), key=lambda c: (dom[c[0]], pos[c[0]], pos[c[1]]))
-        res = UniversalWitness("pullback", dom[p1], (p1, p2))
+        res = UniversalWitness(dom[p1], (p1, p2))
     else:
         res = _pullback_search(cat, f, u)
     cache[key] = res
@@ -386,7 +372,7 @@ def pushout(cat: FinCategory, f: int, g: int) -> UniversalWitness | None:
     """First certified pushout of the span (f: A -> B1, g: A -> B2).
 
     Legs come back as (q1: B1 -> Q, q2: B2 -> Q) with q1∘f = q2∘g."""
-    return _renamed("pushout", pullback(dual_of(cat), f, g))
+    return pullback(dual_of(cat), f, g)
 
 
 def is_pushout_square(cat: FinCategory, f: int, g: int, q1: int, q2: int) -> bool:
@@ -434,7 +420,7 @@ def coequaliser(cat: FinCategory, u: int, v: int) -> UniversalWitness | None:
         epis = _epi_set(cat)
         cache[key] = next(
             (
-                UniversalWitness("coequaliser", q, (f,))
+                UniversalWitness(q, (f,))
                 for q, row in enumerate(cat._hom_counts_l)
                 if row == counts
                 for f in cat.hom(a, q)
@@ -446,7 +432,7 @@ def coequaliser(cat: FinCategory, u: int, v: int) -> UniversalWitness | None:
 
 
 def equaliser(cat: FinCategory, u: int, v: int) -> UniversalWitness | None:
-    return _renamed("equaliser", coequaliser(dual_of(cat), u, v))
+    return coequaliser(dual_of(cat), u, v)
 
 
 # -- image factorisation ---------------------------------------------------------------

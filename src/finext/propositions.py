@@ -43,6 +43,10 @@ from .extensivity import (
 
 __all__ = ["PROPOSITION_IDS", "EXTENSIVITY_IDS", "RELCALC_IDS", "proposition_suite"]
 
+SAMPLE_BOUND = 25  # sampled instances of a sampling check
+INNER_BOUND = 400  # inner fillers per sampled instance of the common-coequaliser lemma
+SRP_ARITY = 3  # highest product arity of the strict-refinement theorem
+
 
 def _all_identities(cat: FinCategory, mode: str) -> tuple[bool, dict | None]:
     """Whether every identity is extensive/coextensive; first failure witness."""
@@ -548,8 +552,7 @@ def prop_pullback_stability(cat: FinCategory, **_) -> CheckStatus:
 # -- coequaliser interaction ----------------------------------------------------------
 
 
-def lemma_common_coequaliser(cat: FinCategory, *, seed: int = 0, sample_bound: int = 25,
-                             inner_bound: int = 400, **_) -> CheckStatus:
+def lemma_common_coequaliser(cat: FinCategory, *, seed: int = 0, **_) -> CheckStatus:
     """Over a coequaliser diagram mapped forward by an epimorphism, the right
     square is a pushout exactly when the image row is a coequaliser.  Sampled
     over (top diagram, epi) pairs; the inner fillers are enumerated up to a
@@ -571,7 +574,7 @@ def lemma_common_coequaliser(cat: FinCategory, *, seed: int = 0, sample_bound: i
         by_dom.setdefault(cat._dom_l[m], []).append(m)
     sampled = 0
     for (u1, v1, q1), e in combos:
-        if sampled >= sample_bound:
+        if sampled >= SAMPLE_BOUND:
             break
         sampled += 1
         x1 = cat._cod_l[u1]
@@ -590,7 +593,7 @@ def lemma_common_coequaliser(cat: FinCategory, *, seed: int = 0, sample_bound: i
                     continue
                 g = gs[0]  # q1 is a coequaliser, hence epi: unique
                 inner += 1
-                if inner > inner_bound:
+                if inner > INNER_BOUND:
                     break
                 t.checked += 1
                 push = limits.is_pushout_square(cat, q1, f, g, q2)
@@ -605,7 +608,7 @@ def lemma_common_coequaliser(cat: FinCategory, *, seed: int = 0, sample_bound: i
                         "right_square_pushout": push,
                         "bottom_row_coequaliser": coeq,
                     }
-            if inner > inner_bound:
+            if inner > INNER_BOUND:
                 break
     return t.status(sampled_pairs=sampled, seed=seed)
 
@@ -664,7 +667,7 @@ def prop_srp_binary_iff_coext_projections(cat: FinCategory, **_) -> CheckStatus:
     return t.status()
 
 
-def thm_finite_srp(cat: FinCategory, *, srp_arity: int = 3, **_) -> CheckStatus:
+def thm_finite_srp(cat: FinCategory, **_) -> CheckStatus:
     """An object with coextensive product projections has the strict
     refinement property at every arity up to the bound."""
     t = _Tally()
@@ -676,14 +679,13 @@ def thm_finite_srp(cat: FinCategory, *, srp_arity: int = 3, **_) -> CheckStatus:
             t.vacuous += 1
             continue
         t.checked += 1
-        st = has_finite_srp(cat, cat.oid(a), srp_arity)
+        st = has_finite_srp(cat, cat.oid(a), SRP_ARITY)
         if st.failed and t.witness is None:
             t.witness = {"kind": "srp-fails", "object": cat.oid(a), "inner": st.witness}
-    return t.status(arity_bound=srp_arity)
+    return t.status(arity_bound=SRP_ARITY)
 
 
-def prop_commute_split_mono_coextensive(cat: FinCategory, *, seed: int = 0,
-                                        sample_bound: int = 30, **_) -> CheckStatus:
+def prop_commute_split_mono_coextensive(cat: FinCategory, *, seed: int = 0, **_) -> CheckStatus:
     """Products commuting with coequalisers plus coextensive split monos
     (with regular-epi terminal morphisms and the needed pushouts) force the
     whole category coextensive."""
@@ -710,7 +712,7 @@ def prop_commute_split_mono_coextensive(cat: FinCategory, *, seed: int = 0,
                         "regular_epi": cat.mid(q),
                         "projection": cat.mid(p),
                     })
-    comm = commutation_check(cat, "products-coequalisers", sample_bound=sample_bound, seed=seed)
+    comm = commutation_check(cat, "products-coequalisers", sample_bound=SAMPLE_BOUND, seed=seed)
     if not comm.passed:
         return _na({"kind": "products-do-not-commute-with-coequalisers", "inner": comm.witness})
     report = category_report(cat, "coextensive")
@@ -755,20 +757,10 @@ EXTENSIVITY_IDS = tuple(i for i in PROPOSITION_IDS if i not in RELCALC_IDS)
 
 
 def proposition_suite(cat: FinCategory, selection: list[str] | None = None, *,
-                      seed: int = 0, sample_bound: int = 25, srp_arity: int = 3,
-                      max_relation_size: int = 9) -> list[tuple[str, CheckStatus]]:
+                      seed: int = 0, max_relation_size: int = 9) -> list[tuple[str, CheckStatus]]:
     """Run the selected statement checkers (all of them by default)."""
     ids = list(PROPOSITION_IDS) if selection is None else list(selection)
     unknown = [i for i in ids if i not in _RUNNERS]
     if unknown:
         raise KeyError(f"unknown proposition ids: {', '.join(sorted(unknown))}")
-    out = []
-    for ident in ids:
-        out.append((ident, _RUNNERS[ident](
-            cat,
-            seed=seed,
-            sample_bound=sample_bound,
-            srp_arity=srp_arity,
-            max_relation_size=max_relation_size,
-        )))
-    return out
+    return [(ident, _RUNNERS[ident](cat, seed=seed, max_relation_size=max_relation_size)) for ident in ids]

@@ -83,7 +83,7 @@ def coproduct(cat: FinCategory, a1: int, a2: int) -> limits.UniversalWitness | N
     apexes = (x for x in range(n) if all(hc[x][y] == hc[a1][y] * hc[a2][y] for y in range(n)))
     return next(
         (
-            limits.UniversalWitness("coproduct", x, (u, v))
+            limits.UniversalWitness(x, (u, v))
             for x in apexes
             for u in cat.hom(a1, x)
             for v in cat.hom(a2, x)
@@ -160,7 +160,7 @@ def coequaliser(cat: FinCategory, u: int, v: int) -> limits.UniversalWitness | N
     a = cat._cod_l[u]
     return next(
         (
-            limits.UniversalWitness("coequaliser", q, (f,))
+            limits.UniversalWitness(q, (f,))
             for q in range(len(cat.objects))
             for f in cat.hom(a, q)
             if is_coequaliser(cat, u, v, f)
@@ -202,7 +202,7 @@ def pullback(cat: FinCategory, f: int, u: int) -> limits.UniversalWitness | None
             w = cat.compose(f, p1)
             for p2 in cat.postcompose_fibers(u, p).get(w, ()):
                 if limits._cone_universal(cat, p1, p2, counts):
-                    found = limits.UniversalWitness("pullback", p, (p1, p2))
+                    found = limits.UniversalWitness(p, (p1, p2))
                     break
             if found:
                 break

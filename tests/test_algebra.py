@@ -6,8 +6,10 @@ import itertools
 
 import pytest
 
+from finext import algebra
 from finext.algebra import (
     FinAlgebra,
+    build_category,
     all_congruences,
     category_from_algebras,
     center_of_monoid,
@@ -230,6 +232,42 @@ def test_carriers_above_256_are_rejected_when_loaded_and_when_built():
     assert errors == [] and parsed is not None and parsed[1][0].size == 256
     with pytest.raises(CategoryDataError, match="^X: carrier above 256$"):
         category_from_algebras("set", [FinAlgebra("set", 1), FinAlgebra("set", 257)], ["Y", "X"])
+
+
+def test_enumerate_homs_stops_at_its_limit():
+    four, three = FinAlgebra("set", 4), FinAlgebra("set", 3)
+    every = enumerate_homs(four, three)
+    assert len(every) == 81
+    assert enumerate_homs(four, three, 10) == every[:10]
+    assert enumerate_homs(four, three, 81) == enumerate_homs(four, three, 1000) == every
+
+
+def test_the_enumeration_budget_is_exact(monkeypatch):
+    """Set≤3 has 60 morphisms and 1,678 composable pairs: a budget of exactly
+    that builds it, one less of either raises."""
+    sets = enumerate_structures("set", 3)
+    for morphisms, pairs, message in [
+        (60, 1678, None),
+        (59, 1678, "^more than 59 morphisms: above the enumeration budget$"),
+        (60, 1677, "^1678 composable pairs: above the enumeration budget of 1677$"),
+    ]:
+        monkeypatch.setattr(algebra, "MAX_MORPHISMS", morphisms)
+        monkeypatch.setattr(algebra, "MAX_COMPOSABLE_PAIRS", pairs)
+        if message is None:
+            assert category_from_algebras("set", sets)[0].n_mor == 60
+        else:
+            with pytest.raises(CategoryDataError, match=message):
+                category_from_algebras("set", sets)
+
+
+def test_the_enumeration_budget_admits_every_generated_file_and_no_six_element_set():
+    # Poset≤4 with the empty poset is the largest output of ``finext gen``
+    cat, _ = build_category("poset", 4, include_empty=True)
+    assert cat.n_mor == 19727
+    with pytest.raises(CategoryDataError, match="enumeration budget"):
+        category_from_algebras("set", [FinAlgebra("set", 6)])
+    with pytest.raises(CategoryDataError, match="composable pairs"):
+        category_from_algebras("set", [FinAlgebra("set", 5), FinAlgebra("set", 5)], ["X", "Y"])
 
 
 def test_load_infers_kind_without_variety_field():

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finext import cli, setrel
-from finext.algebra import dump_category, enumerate_structures
+from finext.algebra import FinAlgebra, dump_category, enumerate_structures
 from finext.cli import main
 
 
@@ -35,6 +35,16 @@ def set_file(tmp_path, capsys):
     path = tmp_path / "set3.json"
     code, _ = run(capsys, "gen", "--variety", "set", "--max-carrier", "3", "--output", str(path))
     assert code == 0
+    return str(path)
+
+
+@pytest.fixture()
+def klein_file(tmp_path):
+    """The trivial monoid, Z2 and the Klein four-group V4."""
+    ops = [[[0]], [[0, 1], [1, 0]], [[x ^ y for y in range(4)] for x in range(4)]]
+    algs = [FinAlgebra("mon", len(op), {"e": 0, "op": op}) for op in ops]
+    path = tmp_path / "klein.json"
+    path.write_text(json.dumps(dump_category("mon", algs, ["1", "Z2", "V4"])))
     return str(path)
 
 
@@ -108,6 +118,24 @@ def test_a_carrier_above_256_is_an_input_error(tmp_path, command):
     code, output = _run_quietly([command, str(bad)])
     assert code == 2, output
     assert "algebras[0] (X): carrier above 256" in output and "Traceback" not in output
+
+
+@pytest.mark.parametrize("command", ["validate", "check", "relcalc", "srp"])
+@pytest.mark.parametrize(
+    "carriers, message",
+    [
+        ([8], "more than 32768 morphisms: above the enumeration budget"),
+        ([5, 5], "78125000 composable pairs: above the enumeration budget of 16777216"),
+    ],
+    ids=["morphisms", "pairs"],
+)
+def test_a_category_past_the_enumeration_budget_is_an_input_error(tmp_path, command, carriers, message):
+    big = tmp_path / "big.json"
+    algebras = [{"name": f"X{i}", "carrier": n} for i, n in enumerate(carriers)]
+    big.write_text(json.dumps({"variety": "set", "algebras": algebras}))
+    code, output = _run_quietly([command, str(big)])
+    assert code == 2, output
+    assert output == f"error: {big}: {message}\n"
 
 
 def _run_quietly(argv: list[str]) -> tuple[int, str]:
@@ -218,13 +246,16 @@ def test_check_unknown_morphism_is_a_usage_error(set_file, capsys):
     assert code == 2
 
 
-def test_check_object_identity_and_srp_paths(set_file, capsys):
+def test_check_object_identity_and_srp_paths(set_file, klein_file, capsys):
     code, out = run(capsys, "check", set_file, "--object", "s1", "--mode", "coextensive")
     assert code == 0
     assert "s1/identity-coextensive" in out
     code, out = run(capsys, "check", set_file, "--object", "s0", "--srp", "2")
+    assert code == 0
+    assert "pass          s0/srp-2" in out
+    code, out = run(capsys, "check", klein_file, "--object", "V4", "--srp", "2")
     assert code == 1
-    assert "s0/srp-2" in out and "no-grid" in out
+    assert "V4/srp-2" in out and "no-grid" in out
 
 
 def test_two_point_chain_report_carries_the_frozen_square(chain_file, tmp_path, capsys):
@@ -251,11 +282,15 @@ def test_two_point_chain_report_carries_the_frozen_square(chain_file, tmp_path, 
     assert "category/coextensive" in ids
 
 
-def test_srp_command_scans_every_object(set_file, capsys):
+def test_srp_command_scans_every_object(set_file, klein_file, capsys):
     code, out = run(capsys, "srp", set_file)
-    assert code == 1  # the empty set has no grid
+    assert code == 0
     assert "s0/srp-2" in out
     assert "(4 checks)" in out
+    code, out = run(capsys, "srp", klein_file)
+    assert code == 1  # V4 = Z2 x Z2 splits two ways with no common grid
+    assert "fail          V4/srp-2  [no-grid]" in out
+    assert "summary: 2 pass, 1 fail, 0 inapplicable (3 checks)" in out
 
 
 def test_relcalc_command_counts_and_strict_mode(set_file, capsys):

@@ -10,7 +10,7 @@ counterexample, with one exact failing square frozen below.
 from __future__ import annotations
 
 from finext import extensivity as ext
-from finext.algebra import build_category
+from finext.algebra import FinAlgebra, build_category, category_from_algebras
 from finext.fincat import _CLASSES, dual_of, thin_category_from_poset
 
 
@@ -166,14 +166,30 @@ def test_commutation_check_rejects_unknown_direction(set3):
         raise AssertionError("unknown direction must be rejected")
 
 
+def _klein_monoids():
+    """The trivial monoid, Z2 and the Klein four-group V4 = Z2 x Z2, whose
+    two decompositions (p1, p2) and (p1, p1 + p2) have no common grid."""
+    z2 = FinAlgebra("mon", 2, {"e": 0, "op": [[0, 1], [1, 0]]})
+    v4 = FinAlgebra("mon", 4, {"e": 0, "op": [[x ^ y for y in range(4)] for x in range(4)]})
+    return category_from_algebras("mon", [FinAlgebra("mon", 1, {"e": 0, "op": [[0]]}), z2, v4], ["1", "Z2", "V4"])
+
+
 def test_binary_srp_statuses(set3):
     cat, _ = set3
-    st = ext.has_binary_srp(cat, "s0")
-    assert st.failed
-    assert st.witness["kind"] == "no-grid"
-    assert "decomposition_a" in st.witness and "decomposition_b" in st.witness
+    # the empty set's decompositions (s0, s0) and (s0, s1) refine each other
+    assert ext.has_binary_srp(cat, "s0").as_dict() == {"status": "pass", "details": {"pairs": 49}}
     for oid in ("s1", "s2", "s3"):
         assert ext.has_binary_srp(cat, oid).passed, oid
+    mon, _ = _klein_monoids()
+    st = ext.has_binary_srp(mon, "V4")
+    assert st.failed and st.details == {"pairs": 116}
+    assert st.witness == {
+        "kind": "no-grid",
+        "object": "V4",
+        "decomposition_a": ["V4>Z2#0001", "V4>Z2#0002"],
+        "decomposition_b": ["V4>Z2#0001", "V4>Z2#0003"],
+    }
+    assert ext.has_binary_srp(mon, "Z2").passed
 
 
 def test_finite_srp_covers_higher_arities(set3):
@@ -181,7 +197,8 @@ def test_finite_srp_covers_higher_arities(set3):
     st = ext.has_finite_srp(cat, "s2", 3)
     assert st.passed
     assert st.details == {"pairs": 100}
-    assert ext.has_finite_srp(cat, "s0", 2).failed
+    assert ext.has_finite_srp(cat, "s0", 2).as_dict() == {"status": "pass", "details": {"pairs": 49}}
+
 
 
 def test_class_restricted_check_smoke(set3):

@@ -19,7 +19,10 @@ the cached bases (``coproduct``, ``is_coproduct_cocone``,
 ``is_product_cone``) with the seed's searches.  On every parallel pair,
 ``is_coequaliser``, ``coequaliser`` and ``equaliser`` are compared with the
 seed's certificate and first-certified search, and ``_is_regular_epi``
-with the set of morphisms that coequalise some pair.
+with the set of morphisms that coequalise some pair.  The strict-refinement
+grid search finds a grid wherever the pushout grid refines two product
+cones, and refines every product cone with itself where a terminal object
+exists, also on thin categories of random preorders with a top point.
 
 The index-preserving ``dual`` is compared with the string-id reference
 dual: the two categories agree once their ids are matched, and every
@@ -170,8 +173,7 @@ def _assert_coequalisers_match_reference(cat: FinCategory) -> None:
         regular |= certified
         expected = reference_limits.coequaliser(cat, u, v)
         assert limits.coequaliser(cat, u, v) == expected == limits.coequaliser(cat, v, u), (u, v)
-        expected = limits._renamed("equaliser", reference_limits.coequaliser(d, u, v))
-        assert limits.equaliser(cat, u, v) == expected, (u, v)
+        assert limits.equaliser(cat, u, v) == reference_limits.coequaliser(d, u, v), (u, v)
     for f in range(cat.n_mor):
         ok, pair = fincat._is_regular_epi(cat, f)
         assert ok == (f in regular), f
@@ -554,7 +556,9 @@ def _mutants(cat: FinCategory):
     Then, where two morphisms do not compose, an entry for them, alone and
     in place of a missing entry (which keeps the number of entries), and
     the whole table in reverse order with that entry and two mistyped
-    composites, whose violations are reported in (g, f) order."""
+    composites, whose violations are reported in (g, f) order.  Last, the
+    sound table with its first identity undeclared, which only the full
+    associativity walk can clear."""
     data = cat.to_json()
     table = data["composition"]
     ids = [m["id"] for m in data["morphisms"]]
@@ -578,6 +582,10 @@ def _mutants(cat: FinCategory):
         for e in (faulty[0], faulty[-2]):
             e["gf"] = next(m for m in ids if typing[m] != typing[e["gf"]])
         yield "shuffled", {**data, "composition": faulty[::-1]}
+    identities = dict(data["identities"])
+    if identities:
+        del identities[next(iter(identities))]
+        yield "identity-undeclared", {**data, "identities": identities}
 
 
 def _scrambled(cat: FinCategory) -> FinCategory:
@@ -611,11 +619,13 @@ def _assert_validate_matches_reference_on_mutants(cat: FinCategory) -> set[str]:
         assert validate(faulty, max_violations=2) == reference_fincat.validate(faulty, max_violations=2), label
         if label != "wrong":
             assert found, label
+        if label == "identity-undeclared":
+            assert [v.kind for v in found] == ["identity-missing"]
         kinds.update(v.kind for v in found)
     return kinds
 
 
-ALL_KINDS = {"comp-missing", "comp-extraneous", "comp-typing", "identity-law", "assoc"}
+ALL_KINDS = {"comp-missing", "comp-extraneous", "comp-typing", "identity-law", "identity-missing", "assoc"}
 CHAIN3 = [[True, True, True], [False, True, True], [False, False, True]]
 
 
@@ -658,6 +668,45 @@ def test_validate_stops_at_the_violation_cap_like_the_reference(kind, n):
     assert {v.kind for v in found} == {"assoc"}
 
 
+# -- the strict-refinement grid search ----------------------------------------
+
+
+def _assert_cones_refine_themselves(cat: FinCategory) -> None:
+    """With a terminal object 1, a product cone (a1, a2) on X refines itself
+    through the rows (id, !) on A1 = A1 x 1 and (!, id) on A2 = 1 x A2."""
+    assert limits.terminal(cat) is not None
+    for x in range(len(cat.objects)):
+        for cone in limits.product_bases(cat, x):
+            assert ext._grid_search(cat, cone, cone), [cat.mid(m) for m in cone]
+
+
+def test_grid_search_refines_every_product_cone_with_itself(small_category):
+    _assert_cones_refine_themselves(small_category)
+    # slat3 and cpos3 have no initial structure, so their duals no terminal
+    # object, and there a cone need not refine itself
+    if limits.initial(small_category) is not None:
+        _assert_cones_refine_themselves(dual_of(small_category))
+
+
+@settings(max_examples=40, deadline=None)
+@given(preorders(max_points=4))
+def test_grid_search_refines_every_product_cone_with_itself_on_random_preorders(leq):
+    top = [row + [True] for row in leq] + [[False] * len(leq) + [True]]
+    _assert_cones_refine_themselves(thin_category_from_poset(top))
+
+
+def test_grid_search_finds_every_pushout_grid(small_category):
+    found = 0
+    for c in (small_category, dual_of(small_category)):
+        for x in range(len(c.objects)):
+            cones = limits.product_bases(c, x)
+            for ca, cb in itertools.product(cones, repeat=2):
+                if ext._grid_for(c, ca, cb):
+                    found += 1
+                    assert ext._grid_search(c, ca, cb), (c.oid(x), ca, cb)
+    assert found
+
+
 # -- the generating set that validate checks associativity through ------------
 
 
@@ -696,6 +745,10 @@ def test_sound_tables_skip_the_full_associativity_walk(small_category, monkeypat
     def refuse(*_args):
         raise AssertionError("the full associativity walk ran on a sound table")
 
-    monkeypatch.setattr(fincat, "_positions", refuse)
+    monkeypatch.setattr(fincat, "_associativity_walk", refuse)
     for c in (small_category, dual_of(small_category)):
         assert validate(c) == []
+    # the patched walk is the one validate runs on a table with a finding
+    undeclared = FinCategory.from_json({**small_category.to_json(), "identities": {}})
+    with pytest.raises(AssertionError, match="walk ran"):
+        validate(undeclared)
