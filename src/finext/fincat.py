@@ -196,14 +196,6 @@ class FinCategory:
         got = table[m] = [tuple([other[t][x][p] for t in range(*span)]) for span in spans]
         return got
 
-    def row(self, g: int, src: int) -> tuple[int, ...]:
-        """g∘t for each t in hom(src, dom g), in hom-set order."""
-        return self.rows(g)[src]
-
-    def col(self, f: int, dst: int) -> tuple[int, ...]:
-        """t∘f for each t in hom(cod f, dst), in hom-set order."""
-        return self.cols(f)[dst]
-
     def block(self, a: int, b: int, c: int) -> tuple[tuple[int, ...], ...]:
         """Composition block over hom(b,c) x hom(a,b): the row from a of each
         g in hom(b,c), holding the global id of g∘f for each f in hom(a,b),
@@ -221,7 +213,7 @@ class FinCategory:
         fib = cache.get(key)
         if fib is None:
             fib = {}
-            for t, gt in zip(self.hom(src, self._dom_l[g]), self.row(g, src)):
+            for t, gt in zip(self.hom(src, self._dom_l[g]), self.rows(g)[src]):
                 fib.setdefault(gt, []).append(t)
             cache[key] = fib
         return fib
@@ -233,7 +225,7 @@ class FinCategory:
         fib = cache.get(key)
         if fib is None:
             fib = {}
-            for t, tf in zip(self.hom(self._cod_l[f], dst), self.col(f, dst)):
+            for t, tf in zip(self.hom(self._cod_l[f], dst), self.cols(f)[dst]):
                 fib.setdefault(tf, []).append(t)
             cache[key] = fib
         return fib

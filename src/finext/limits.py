@@ -189,7 +189,7 @@ def cotuple(cat: FinCategory, u: int, v: int, t1: int, t2: int) -> int | None:
     z = cat._cod_l[t1]
     if cat._cod_l[t2] != z:
         return None
-    for h, hu, hv in zip(cat.hom(x, z), cat.col(u, z), cat.col(v, z)):
+    for h, hu, hv in zip(cat.hom(x, z), cat.cols(u)[z], cat.cols(v)[z]):
         if hu == t1 and hv == t2:
             return h
     return None

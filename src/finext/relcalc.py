@@ -16,6 +16,7 @@ category; the suite runners count those as skipped instances and report
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .fincat import (
@@ -208,6 +209,23 @@ def _legs_of(cat: FinCategory, r: Relation) -> tuple[int, int]:
     return cat.compose(r.prod.legs[0], m), cat.compose(r.prod.legs[1], m)
 
 
+def _tabulated(cat: FinCategory, x: int, y: int, t1: int, t2: int) -> Relation | None:
+    """The relation from x to y tabulated by (t1, t2): the class of their
+    pairing into the chosen product x × y."""
+    w = limits.product(cat, x, y)
+    h = None if w is None else _pairing(cat, w, t1, t2)
+    return None if h is None else Relation(x, y, w, class_of(cat, h))
+
+
+def _squared(cat: FinCategory, f: int) -> int | None:
+    """f × f from the chosen square of dom f to the chosen square of cod f."""
+    x, y = cat._dom_l[f], cat._cod_l[f]
+    wx, wy = limits.product(cat, x, x), limits.product(cat, y, y)
+    if wx is None or wy is None:
+        return None
+    return limits.product_of_morphisms(cat, f, f, tuple(wx.legs), tuple(wy.legs))
+
+
 def relations_on(cat: FinCategory, x: int, y: int) -> tuple[Relation, ...] | None:
     """Every relation from x to y (None when the ambient product is missing)."""
     w = limits.product(cat, x, y)
@@ -217,14 +235,8 @@ def relations_on(cat: FinCategory, x: int, y: int) -> tuple[Relation, ...] | Non
 
 
 def delta(cat: FinCategory, x: int) -> Relation | None:
-    w = limits.product(cat, x, x)
-    if w is None:
-        return None
     e = cat.identity_of[x]
-    h = _pairing(cat, w, e, e)
-    if h is None:
-        return None
-    return Relation(x, x, w, class_of(cat, h))
+    return _tabulated(cat, x, x, e, e)
 
 
 def nabla(cat: FinCategory, x: int, y: int | None = None) -> Relation | None:
@@ -236,14 +248,8 @@ def nabla(cat: FinCategory, x: int, y: int | None = None) -> Relation | None:
 
 
 def opposite(cat: FinCategory, r: Relation) -> Relation | None:
-    w = limits.product(cat, r.tgt, r.src)
-    if w is None:
-        return None
     r1, r2 = _legs_of(cat, r)
-    h = _pairing(cat, w, r2, r1)
-    if h is None:
-        return None
-    return Relation(r.tgt, r.src, w, class_of(cat, h))
+    return _tabulated(cat, r.tgt, r.src, r2, r1)
 
 
 def rel_compose(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
@@ -275,18 +281,15 @@ def rel_compose(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
 
 def rel_product(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
     """Product relation on the product object (r on X) x (s on Y)."""
+    if r.src != r.tgt or s.src != s.tgt:
+        raise ValueError("rel_product needs endorelations")
     wxy = limits.product(cat, r.src, s.src)
-    if wxy is None or r.src != r.tgt or s.src != s.tgt:
-        if r.src != r.tgt or s.src != s.tgt:
-            raise ValueError("rel_product needs endorelations")
+    if wxy is None:
         return None
     xy = wxy.apex
     amb = limits.product(cat, xy, xy)
-    if amb is None:
-        return None
-    r0, s0 = cat._dom_l[r.cls.rep], cat._dom_l[s.cls.rep]
-    w0 = limits.product(cat, r0, s0)
-    if w0 is None:
+    w0 = limits.product(cat, cat._dom_l[r.cls.rep], cat._dom_l[s.cls.rep])
+    if amb is None or w0 is None:
         return None
     r1, r2 = _legs_of(cat, r)
     s1, s2 = _legs_of(cat, s)
@@ -302,45 +305,25 @@ def rel_product(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
 
 def rel_image(cat: FinCategory, f: int, r: Relation) -> Relation | None:
     """Image of an endorelation on dom f under f (applied to both legs)."""
-    x, y = cat._dom_l[f], cat._cod_l[f]
-    wx, wy = limits.product(cat, x, x), limits.product(cat, y, y)
-    if wx is None or wy is None:
-        return None
-    ff = limits.product_of_morphisms(cat, f, f, tuple(wx.legs), tuple(wy.legs))
-    if ff is None:
-        return None
-    img = direct_image(cat, ff, r.cls)
-    if img is None:
-        return None
-    return Relation(y, y, wy, img)
+    ff = _squared(cat, f)
+    img = None if ff is None else direct_image(cat, ff, r.cls)
+    y = cat._cod_l[f]
+    return None if img is None else Relation(y, y, limits.product(cat, y, y), img)
 
 
 def rel_preimage(cat: FinCategory, f: int, r: Relation) -> Relation | None:
     """Preimage of an endorelation on cod f under f."""
-    x, y = cat._dom_l[f], cat._cod_l[f]
-    wx, wy = limits.product(cat, x, x), limits.product(cat, y, y)
-    if wx is None or wy is None:
-        return None
-    ff = limits.product_of_morphisms(cat, f, f, tuple(wx.legs), tuple(wy.legs))
-    if ff is None:
-        return None
-    pre = inverse_image(cat, ff, r.cls)
-    if pre is None:
-        return None
-    return Relation(x, x, wx, pre)
+    ff = _squared(cat, f)
+    pre = None if ff is None else inverse_image(cat, ff, r.cls)
+    x = cat._dom_l[f]
+    return None if pre is None else Relation(x, x, limits.product(cat, x, x), pre)
 
 
 def eq_of(cat: FinCategory, f: int) -> Relation | None:
     """Kernel relation of f (None when the kernel pair or ambient is missing)."""
     kp = limits.kernel_pair(cat, f)
     x = cat._dom_l[f]
-    w = limits.product(cat, x, x)
-    if kp is None or w is None:
-        return None
-    h = _pairing(cat, w, kp[1], kp[2])
-    if h is None:
-        return None
-    return Relation(x, x, w, class_of(cat, h))
+    return None if kp is None else _tabulated(cat, x, x, kp[1], kp[2])
 
 
 def classify_relation(cat: FinCategory, r: Relation) -> RelationFlags:
@@ -414,32 +397,6 @@ def _ambient_ok(sizes: dict[int, int] | None, cap: int, *objs: int) -> bool:
     return prod <= cap
 
 
-class _Tally:
-    def __init__(self):
-        self.checked = 0
-        self.skipped = 0
-        self.witness: dict | None = None
-
-    def ok(self):
-        self.checked += 1
-
-    def skip(self):
-        self.skipped += 1
-
-    def fail(self, witness: dict):
-        self.checked += 1
-        if self.witness is None:
-            self.witness = witness
-
-    def status(self, **extra) -> CheckStatus:
-        details = {"instances": self.checked, "skipped": self.skipped, **extra}
-        if self.witness is not None:
-            return CheckStatus("fail", self.witness, details)
-        if self.checked == 0:
-            return CheckStatus("inapplicable", {"kind": "no-instances"}, details)
-        return CheckStatus("pass", None, details)
-
-
 def _endo_pools(cat: FinCategory, cap: int) -> list[tuple[int, tuple[Relation, ...]]]:
     sizes = _sizes(cat)
     pools = []
@@ -459,294 +416,237 @@ def oracle_max_size(cat: FinCategory) -> int | None:
     return int(meta.get("max_size", 3)) if meta.get("kind") == "set" else None
 
 
-def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[str, CheckStatus]]:
-    """Verify the relation-calculus identities over every in-category
-    instance within the ambient cap; on the finite-set builder the concrete
-    bitmask oracle runs the same identities exhaustively and its counts are
-    merged into the result."""
+def _split_mono_not_coextensive(cat: FinCategory) -> int | None:
+    """The first split mono whose coextensive check fails, if any."""
+    return next(
+        (m for m in range(cat.n_mor)
+         if _split_mono_witness(cat, m) is not None and morphism_status(cat, m, "coextensive").failed),
+        None,
+    )
+
+
+def _decomposed(cat: FinCategory, p1: int, p2: int, r: Relation) -> tuple[Relation, Relation, bool] | None:
+    """The images i1, i2 of an endorelation r on the apex of the product cone
+    (p1, p2), and whether r is i1 × i2 read on the apex through the pairing
+    of (p1, p2) into the chosen product; None when a piece is missing."""
+    i1, i2 = rel_image(cat, p1, r), rel_image(cat, p2, r)
+    pr = None if i1 is None or i2 is None else rel_product(cat, i1, i2)
+    if pr is None:
+        return None
+    phi = _pairing(cat, limits.product(cat, i1.src, i2.src), p1, p2)
+    back = rel_preimage(cat, phi, pr)
+    return None if back is None else (i1, i2, back.cls == r.cls)
+
+
+def _instances(cat: FinCategory, cap: int) -> Iterator[tuple[str, Iterator[bool | dict | None]]]:
+    """Each identity of IDENTITY_IDS with its instances, in order.  An
+    instance yields None when it is skipped, True when it holds and its
+    witness when it fails; one whose hypothesis fails yields nothing."""
     sizes = _sizes(cat)
-    cap = max_relation_size
     n = len(cat.objects)
     endo = _endo_pools(cat, cap)
     endo_idx = dict(endo)
-    out: dict[str, _Tally] = {i: _Tally() for i in IDENTITY_IDS}
-
-    # delta-unit over all relation pools (cross pairs included)
-    t = out["delta-unit"]
-    for x in range(n):
-        for y in range(n):
-            if not _ambient_ok(sizes, cap, x, y):
-                continue
-            rels = relations_on(cat, x, y)
-            if rels is None:
-                continue
-            dx, dy = delta(cat, x), delta(cat, y)
-            for r in rels:
-                if dx is None or dy is None:
-                    t.skip()
-                    continue
-                left = rel_compose(cat, dx, r)
-                right = rel_compose(cat, r, dy)
-                if left is None or right is None:
-                    t.skip()
-                elif left.cls != r.cls or right.cls != r.cls:
-                    t.fail({"kind": "identity-violated", "relation": r.as_dict(cat)})
-                else:
-                    t.ok()
-
-    # nabla-absorb over reflexive endorelations
-    t = out["nabla-absorb"]
-    for x, rels in endo:
-        d = delta(cat, x)
-        nb = nabla(cat, x)
-        for r in rels:
-            if d is None or nb is None or not sub_leq(cat, d.cls, r.cls):
-                if d is None or nb is None:
-                    t.skip()
-                continue
-            left = rel_compose(cat, nb, r)
-            right = rel_compose(cat, r, nb)
-            if left is None or right is None:
-                t.skip()
-            elif left.cls != nb.cls or right.cls != nb.cls:
-                t.fail({"kind": "identity-violated", "relation": r.as_dict(cat)})
-            else:
-                t.ok()
-
-    # img-lax-functorial: f(R∘S) <= f(R)∘f(S)
-    t = out["img-lax-functorial"]
-    for f in range(cat.n_mor):
-        x, y = cat._dom_l[f], cat._cod_l[f]
-        if x not in endo_idx or y not in endo_idx:
-            continue
-        rels = endo_idx[x]
-        for r in rels:
-            for s in rels:
-                comp = rel_compose(cat, r, s)
-                ir, i_s = rel_image(cat, f, r), rel_image(cat, f, s)
-                if comp is None or ir is None or i_s is None:
-                    t.skip()
-                    continue
-                lhs = rel_image(cat, f, comp)
-                rhs = rel_compose(cat, ir, i_s)
-                if lhs is None or rhs is None:
-                    t.skip()
-                elif not sub_leq(cat, lhs.cls, rhs.cls):
-                    t.fail({
-                        "kind": "identity-violated",
-                        "morphism": cat.mid(f),
-                        "r": r.as_dict(cat),
-                        "s": s.as_dict(cat),
-                    })
-                else:
-                    t.ok()
-
-    # transitive-idempotent: reflexive r transitive <-> r∘r == r
-    t = out["transitive-idempotent"]
-    for x, rels in endo:
-        d = delta(cat, x)
-        if d is None:
-            continue
-        for r in rels:
-            if not sub_leq(cat, d.cls, r.cls):
-                continue
-            rr = rel_compose(cat, r, r)
-            if rr is None:
-                t.skip()
-            elif sub_leq(cat, rr.cls, r.cls) != (rr.cls == r.cls):
-                t.fail({"kind": "identity-violated", "relation": r.as_dict(cat)})
-            else:
-                t.ok()
-
-    # prod-interchange, with the combined carrier capped as well
-    t = out["prod-interchange"]
-    for x, rx in endo:
-        for y, ry in endo:
-            if not _ambient_ok(sizes, cap, x, y, x, y):
-                continue
-            if limits.product(cat, x, y) is None:
-                continue
-            for r, rp in itertools.product(rx, repeat=2):
-                for s, sp in itertools.product(ry, repeat=2):
-                    cr, cs = rel_compose(cat, r, rp), rel_compose(cat, s, sp)
-                    pr, pp = rel_product(cat, r, s), rel_product(cat, rp, sp)
-                    if cr is None or cs is None or pr is None or pp is None:
-                        t.skip()
-                        continue
-                    lhs = rel_product(cat, cr, cs)
-                    rhs = rel_compose(cat, pr, pp)
-                    if lhs is None or rhs is None:
-                        t.skip()
-                    elif lhs.cls != rhs.cls:
-                        t.fail({
-                            "kind": "identity-violated",
-                            "r": r.as_dict(cat), "rp": rp.as_dict(cat),
-                            "s": s.as_dict(cat), "sp": sp.as_dict(cat),
-                        })
-                    else:
-                        t.ok()
-
-    # the three regular-epi identities
     regepis = [
         f for f in range(cat.n_mor)
         if cat._dom_l[f] in endo_idx and cat._cod_l[f] in endo_idx
         and _is_regular_epi(cat, f)[0]
     ]
-    t = out["img-preimg"]
-    for f in regepis:
-        for r in endo_idx[cat._cod_l[f]]:
-            pre = rel_preimage(cat, f, r)
-            if pre is None:
-                t.skip()
-                continue
-            img = rel_image(cat, f, pre)
-            if img is None:
-                t.skip()
-            elif img.cls != r.cls:
-                t.fail({"kind": "identity-violated", "morphism": cat.mid(f), "relation": r.as_dict(cat)})
-            else:
-                t.ok()
 
-    t = out["preimg-img"]
-    for f in regepis:
-        e = eq_of(cat, f)
-        for r in endo_idx[cat._dom_l[f]]:
-            img = rel_image(cat, f, r)
-            if img is None or e is None:
-                t.skip()
-                continue
-            lhs = rel_preimage(cat, f, img)
-            er = rel_compose(cat, e, r)
-            rhs = None if er is None else rel_compose(cat, er, e)
-            if lhs is None or rhs is None:
-                t.skip()
-            elif lhs.cls != rhs.cls:
-                t.fail({"kind": "identity-violated", "morphism": cat.mid(f), "relation": r.as_dict(cat)})
-            else:
-                t.ok()
+    def violated(f: int | None = None, **rels: Relation) -> dict:
+        out = {"kind": "identity-violated"} if f is None else {"kind": "identity-violated", "morphism": cat.mid(f)}
+        out.update((k, r.as_dict(cat)) for k, r in rels.items())
+        return out
 
-    t = out["img-of-preimg-comp"]
-    for f in regepis:
-        rels = endo_idx[cat._cod_l[f]]
-        for r in rels:
-            for s in rels:
-                pr, ps = rel_preimage(cat, f, r), rel_preimage(cat, f, s)
-                rs = rel_compose(cat, r, s)
-                if pr is None or ps is None or rs is None:
-                    t.skip()
-                    continue
-                comp = rel_compose(cat, pr, ps)
-                lhs = None if comp is None else rel_image(cat, f, comp)
-                if lhs is None:
-                    t.skip()
-                elif lhs.cls != rs.cls:
-                    t.fail({
-                        "kind": "identity-violated",
-                        "morphism": cat.mid(f),
-                        "r": r.as_dict(cat), "s": s.as_dict(cat),
-                    })
-                else:
-                    t.ok()
-
-    # lemma-eq-under-regepi: E equivalence, E = p1(E) x p2(E), projections
-    # regular epi => images are equivalences
-    t = out["lemma-eq-under-regepi"]
-    for x, rels in endo:
-        for p1, p2 in limits.product_bases(cat, x):
-            if not (_is_regular_epi(cat, p1)[0] and _is_regular_epi(cat, p2)[0]):
+    def delta_unit():
+        for x, y in itertools.product(range(n), repeat=2):
+            rels = relations_on(cat, x, y) if _ambient_ok(sizes, cap, x, y) else None
+            if rels is None:
                 continue
+            dx, dy = delta(cat, x), delta(cat, y)
             for r in rels:
-                fl = classify_relation(cat, r)
-                if fl.equivalence is not True:
+                if dx is None or dy is None:
+                    yield None
                     continue
-                i1, i2 = rel_image(cat, p1, r), rel_image(cat, p2, r)
-                if i1 is None or i2 is None:
-                    t.skip()
-                    continue
-                try:
-                    pr = rel_product(cat, i1, i2)
-                except ValueError:
-                    pr = None
-                if pr is None or pr.src != x:
-                    t.skip()
-                    continue
-                if pr.cls != r.cls:
-                    continue  # hypothesis of the lemma not satisfied
-                f1, f2 = classify_relation(cat, i1), classify_relation(cat, i2)
-                if f1.equivalence is None or f2.equivalence is None:
-                    t.skip()
-                elif f1.equivalence and f2.equivalence:
-                    t.ok()
+                left, right = rel_compose(cat, dx, r), rel_compose(cat, r, dy)
+                if left is None or right is None:
+                    yield None
                 else:
-                    t.fail({
-                        "kind": "image-not-equivalence",
-                        "object": cat.oid(x),
-                        "relation": r.as_dict(cat),
-                    })
+                    yield left.cls == r.cls == right.cls or violated(relation=r)
 
-    # lemma-reflexive-splits: gated on split monos being coextensive
-    t = out["lemma-reflexive-splits"]
-    gate_witness = None
-    for m in range(cat.n_mor):
-        if _split_mono_witness(cat, m) is None:
-            continue
-        st = morphism_status(cat, m, "coextensive")
-        if st.failed:
-            gate_witness = {"kind": "split-mono-not-coextensive", "morphism": cat.mid(m)}
-            break
-    if gate_witness is not None:
-        out["lemma-reflexive-splits"] = _Tally()
-        res_lemma = CheckStatus("inapplicable", gate_witness, {})
-    else:
+    def nabla_absorb():
+        for x, rels in endo:
+            d, nb = delta(cat, x), nabla(cat, x)
+            for r in rels:
+                if d is None or nb is None:
+                    yield None
+                elif sub_leq(cat, d.cls, r.cls):
+                    left, right = rel_compose(cat, nb, r), rel_compose(cat, r, nb)
+                    if left is None or right is None:
+                        yield None
+                    else:
+                        yield left.cls == nb.cls == right.cls or violated(relation=r)
+
+    def img_lax_functorial():  # f(R∘S) <= f(R)∘f(S)
+        for f in range(cat.n_mor):
+            rels = endo_idx.get(cat._dom_l[f])
+            if rels is None or cat._cod_l[f] not in endo_idx:
+                continue
+            for r, s in itertools.product(rels, repeat=2):
+                comp = rel_compose(cat, r, s)
+                ir, i_s = rel_image(cat, f, r), rel_image(cat, f, s)
+                if comp is None or ir is None or i_s is None:
+                    yield None
+                    continue
+                lhs, rhs = rel_image(cat, f, comp), rel_compose(cat, ir, i_s)
+                if lhs is None or rhs is None:
+                    yield None
+                else:
+                    yield sub_leq(cat, lhs.cls, rhs.cls) or violated(f, r=r, s=s)
+
+    def transitive_idempotent():  # reflexive r: transitive <-> r∘r == r
         for x, rels in endo:
             d = delta(cat, x)
             if d is None:
                 continue
-            for p1, p2 in limits.product_bases(cat, x):
-                for r in rels:
-                    if not sub_leq(cat, d.cls, r.cls):
-                        continue
-                    i1, i2 = rel_image(cat, p1, r), rel_image(cat, p2, r)
-                    if i1 is None or i2 is None:
-                        t.skip()
-                        continue
-                    try:
-                        pr = rel_product(cat, i1, i2)
-                    except ValueError:
-                        pr = None
-                    if pr is None or pr.src != x:
-                        t.skip()
-                    elif pr.cls != r.cls:
-                        t.fail({
-                            "kind": "reflexive-not-decomposed",
-                            "object": cat.oid(x),
-                            "relation": r.as_dict(cat),
-                        })
-                    else:
-                        t.ok()
-        res_lemma = None
+            for r in rels:
+                if sub_leq(cat, d.cls, r.cls):
+                    rr = rel_compose(cat, r, r)
+                    yield None if rr is None else (
+                        sub_leq(cat, rr.cls, r.cls) == (rr.cls == r.cls) or violated(relation=r)
+                    )
 
-    results: list[tuple[str, CheckStatus]] = []
-    size = oracle_max_size(cat)
-    oracle = None if size is None else setrel.oracle_suite(cap=cap, max_size=size)
-    for ident in IDENTITY_IDS:
-        if ident == "lemma-reflexive-splits" and res_lemma is not None:
-            results.append((ident, res_lemma))
+    def prod_interchange():  # the combined carrier is capped as well
+        for (x, rx), (y, ry) in itertools.product(endo, repeat=2):
+            if not _ambient_ok(sizes, cap, x, y, x, y) or limits.product(cat, x, y) is None:
+                continue
+            for (r, rp), (s, sp) in itertools.product(itertools.product(rx, repeat=2), itertools.product(ry, repeat=2)):
+                cr, cs = rel_compose(cat, r, rp), rel_compose(cat, s, sp)
+                pr, pp = rel_product(cat, r, s), rel_product(cat, rp, sp)
+                if cr is None or cs is None or pr is None or pp is None:
+                    yield None
+                    continue
+                lhs, rhs = rel_product(cat, cr, cs), rel_compose(cat, pr, pp)
+                if lhs is None or rhs is None:
+                    yield None
+                else:
+                    yield lhs.cls == rhs.cls or violated(r=r, rp=rp, s=s, sp=sp)
+
+    def img_preimg():
+        for f in regepis:
+            for r in endo_idx[cat._cod_l[f]]:
+                pre = rel_preimage(cat, f, r)
+                img = None if pre is None else rel_image(cat, f, pre)
+                yield None if img is None else (img.cls == r.cls or violated(f, relation=r))
+
+    def preimg_img():
+        for f in regepis:
+            e = eq_of(cat, f)
+            for r in endo_idx[cat._dom_l[f]]:
+                img = rel_image(cat, f, r)
+                if img is None or e is None:
+                    yield None
+                    continue
+                lhs, er = rel_preimage(cat, f, img), rel_compose(cat, e, r)
+                rhs = None if er is None else rel_compose(cat, er, e)
+                if lhs is None or rhs is None:
+                    yield None
+                else:
+                    yield lhs.cls == rhs.cls or violated(f, relation=r)
+
+    def img_of_preimg_comp():
+        for f in regepis:
+            for r, s in itertools.product(endo_idx[cat._cod_l[f]], repeat=2):
+                pr, ps, rs = rel_preimage(cat, f, r), rel_preimage(cat, f, s), rel_compose(cat, r, s)
+                comp = None if pr is None or ps is None or rs is None else rel_compose(cat, pr, ps)
+                lhs = None if comp is None else rel_image(cat, f, comp)
+                yield None if lhs is None else (lhs.cls == rs.cls or violated(f, r=r, s=s))
+
+    def lemma_eq_under_regepi():
+        # E an equivalence with E = p1(E) x p2(E) and regular-epi projections
+        # => both images are equivalences
+        for x, rels in endo:
+            for p1, p2 in limits.product_bases(cat, x):
+                if not (_is_regular_epi(cat, p1)[0] and _is_regular_epi(cat, p2)[0]):
+                    continue
+                for r in rels:
+                    if classify_relation(cat, r).equivalence is not True:
+                        continue
+                    dec = _decomposed(cat, p1, p2, r)
+                    if dec is None:
+                        yield None
+                    elif dec[2]:  # the hypothesis E = p1(E) x p2(E)
+                        e1, e2 = (classify_relation(cat, i).equivalence for i in dec[:2])
+                        if e1 is None or e2 is None:
+                            yield None
+                        else:
+                            yield (e1 and e2) or {
+                                "kind": "image-not-equivalence", "object": cat.oid(x), "relation": r.as_dict(cat),
+                            }
+
+    def lemma_reflexive_splits():
+        for x, rels in endo:
+            d = delta(cat, x)
+            if d is None:
+                continue
+            for (p1, p2), r in itertools.product(limits.product_bases(cat, x), rels):
+                if sub_leq(cat, d.cls, r.cls):
+                    dec = _decomposed(cat, p1, p2, r)
+                    yield None if dec is None else (dec[2] or {
+                        "kind": "reflexive-not-decomposed", "object": cat.oid(x), "relation": r.as_dict(cat),
+                    })
+
+    return zip(IDENTITY_IDS, (
+        delta_unit(), nabla_absorb(), img_lax_functorial(), transitive_idempotent(), prod_interchange(),
+        img_preimg(), preimg_img(), img_of_preimg_comp(), lemma_eq_under_regepi(), lemma_reflexive_splits(),
+    ))
+
+
+def _tally(instances: Iterator[bool | dict | None]) -> CheckStatus:
+    """Count the checked and skipped instances and keep the first witness."""
+    checked = skipped = 0
+    witness = None
+    for outcome in instances:
+        if outcome is None:
+            skipped += 1
             continue
-        st = out[ident].status()
-        if oracle is not None and ident in oracle:
-            orc = oracle[ident]
-            st.details["oracle_instances"] = int(orc["instances"])
-            st.details["oracle_failures"] = int(orc["failures"])
-            if orc["failures"] and not st.failed:
-                st = CheckStatus(
-                    "fail",
-                    {"kind": "oracle-counterexample", **(orc["counterexample"] or {})},
-                    st.details,
-                )
-            if st.status == "inapplicable" and not orc["failures"] and orc["instances"]:
-                st = CheckStatus("pass", None, st.details)
+        checked += 1
+        if outcome is not True and witness is None:
+            witness = outcome
+    details = {"instances": checked, "skipped": skipped}
+    if witness is not None:
+        return CheckStatus("fail", witness, details)
+    if checked == 0:
+        return CheckStatus("inapplicable", {"kind": "no-instances"}, details)
+    return CheckStatus("pass", None, details)
+
+
+def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[str, CheckStatus]]:
+    """Verify the relation-calculus identities over every in-category
+    instance within the ambient cap; on the finite-set builder the concrete
+    bitmask oracle runs the same identities exhaustively and its counts are
+    merged into the result.  ``lemma-reflexive-splits`` is gated on split
+    monos being coextensive."""
+    cap = max_relation_size
+    gate = _split_mono_not_coextensive(cat)
+    results = []
+    for ident, instances in _instances(cat, cap):
+        if ident == "lemma-reflexive-splits" and gate is not None:
+            st = CheckStatus("inapplicable", {"kind": "split-mono-not-coextensive", "morphism": cat.mid(gate)}, {})
+        else:
+            st = _tally(instances)
         results.append((ident, st))
+    size = oracle_max_size(cat)
+    oracle = {} if size is None else setrel.oracle_suite(cap=cap, max_size=size)
+    for ident, st in results:
+        orc = oracle.get(ident)
+        if orc is None:
+            continue
+        st.details["oracle_instances"] = int(orc["instances"])
+        st.details["oracle_failures"] = int(orc["failures"])
+        if orc["failures"] and not st.failed:
+            st.status, st.witness = "fail", {"kind": "oracle-counterexample", **(orc["counterexample"] or {})}
+        elif st.status == "inapplicable" and not orc["failures"] and orc["instances"]:
+            st.status, st.witness = "pass", None
     return results
 
 
@@ -797,39 +697,25 @@ def barr_exact_check(cat: FinCategory, max_relation_size: int = 9) -> CheckStatu
     effectiveness evidence is clean, split monos being coextensive must be
     equivalent to the whole category being coextensive."""
     reg = regular_indicators(cat)
-    eff_checked = 0
-    eff_skipped = 0
+    eff_checked = eff_skipped = 0
     eff_witness = None
-    for x, rels in _endo_pools(cat, max_relation_size):
-        for r in rels:
-            fl = classify_relation(cat, r)
-            if fl.equivalence is not True:
-                continue
-            if fl.effective is None:
-                eff_skipped += 1
-            elif fl.effective:
-                eff_checked += 1
-            else:
-                eff_witness = {"kind": "equivalence-not-effective", "object": cat.oid(x), "relation": r.as_dict(cat)}
-                break
-        if eff_witness:
-            break
-
-    split_fail = None
-    for m in range(cat.n_mor):
-        if _split_mono_witness(cat, m) is None:
+    for x, r in ((x, r) for x, rels in _endo_pools(cat, max_relation_size) for r in rels):
+        fl = classify_relation(cat, r)
+        if fl.equivalence is not True:
             continue
-        st = morphism_status(cat, m, "coextensive")
-        if st.failed:
-            split_fail = {"morphism": cat.mid(m), "witness": st.witness}
-            break
-    coext_fail = None
-    for m in range(cat.n_mor):
-        st = morphism_status(cat, m, "coextensive")
-        if st.failed:
-            coext_fail = {"morphism": cat.mid(m), "witness": st.witness}
+        if fl.effective is None:
+            eff_skipped += 1
+        elif fl.effective:
+            eff_checked += 1
+        else:
+            eff_witness = {"kind": "equivalence-not-effective", "object": cat.oid(x), "relation": r.as_dict(cat)}
             break
 
+    def failure(m: int | None) -> dict | None:
+        return None if m is None else {"morphism": cat.mid(m), "witness": morphism_status(cat, m, "coextensive").witness}
+
+    split_fail = failure(_split_mono_not_coextensive(cat))
+    coext_fail = failure(next((m for m in range(cat.n_mor) if morphism_status(cat, m, "coextensive").failed), None))
     details = {
         "regularity": reg.as_dict(),
         "effective_equivalences": eff_checked,

@@ -52,20 +52,22 @@ def _assert_same_category(got: FinCategory, ref: FinCategory) -> None:
     for a, b in itertools.product(range(n), repeat=2):
         assert got.hom(a, b) == ref.hom(a, b), (a, b)
     assert got._pos == ref._pos and got._hom_counts_l == ref._hom_counts_l
-    assert got.to_json() == ref.to_json()
-    assert validate(got) == validate(ref) == []
+    data = got.to_json()
+    assert data == ref.to_json()
+    for c, r in ((got, ref), (dual_of(got), dual_of(ref))):
+        assert [c.rows(g) for g in range(c.n_mor)] == [r.rows(g) for g in range(r.n_mor)]
+    assert validate(got) == []  # equal tables, equal verdicts
     for c in (got, dual_of(got)):
         assert dual_of(c)._cols is c._rows and dual(dual(c))._rows is c._rows
         _assert_dual_is_an_involution(c)
-    _assert_accessors_read_the_table(got)
     # the dual serialises its entries in its own (g, f) order
-    swapped = [{"g": e["f"], "f": e["g"], "gf": e["gf"]} for e in ref.to_json()["composition"]]
+    swapped = [{"g": e["f"], "f": e["g"], "gf": e["gf"]} for e in data["composition"]]
     swapped.sort(key=lambda e: (got.m(e["g"]), got.m(e["f"])))
     assert dual_of(got).to_json()["composition"] == swapped
 
 
 def _assert_accessors_read_the_table(cat: FinCategory) -> None:
-    """``compose``, ``block``, ``rows`` and ``col`` read the entries
+    """``compose``, ``block``, ``rows`` and ``cols`` read the entries
     ``to_json`` lists, on the category and, with g and f swapped, on its
     dual."""
     d = dual_of(cat)
@@ -77,7 +79,7 @@ def _assert_accessors_read_the_table(cat: FinCategory) -> None:
         for a, b, x in itertools.product(range(n), repeat=3):
             assert c.block(a, b, x) == tuple(tuple(c.compose(g, f) for f in c.hom(a, b)) for g in c.hom(b, x))
         for f, y in itertools.product(range(c.n_mor), range(n)):
-            assert c.col(f, y) == tuple(c.compose(t, f) for t in c.hom(c._cod_l[f], y))
+            assert c.cols(f)[y] == tuple(c.compose(t, f) for t in c.hom(c._cod_l[f], y))
             assert c.rows(f)[y] == tuple(c.compose(f, t) for t in c.hom(y, c._dom_l[f]))
 
 

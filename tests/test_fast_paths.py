@@ -118,7 +118,7 @@ def _assert_table_readers_match_reference(cat: FinCategory) -> None:
         rows = [tuple(reference_fincat.block(cat, y, a, b)[pos].tolist()) for y in range(n)]
         cols = [tuple(reference_fincat.block(cat, a, b, z)[:, pos].tolist()) for z in range(n)]
         assert cat.rows(f) == rows and cat.cols(f) == cols, f
-        assert [cat.row(f, y) for y in range(n)] == rows and [cat.col(f, z) for z in range(n)] == cols, f
+        assert [cat.rows(f)[y] for y in range(n)] == rows and [cat.cols(f)[z] for z in range(n)] == cols, f
     for f, u in _cospans(cat):
         assert limits._cone_counts(cat, f, u) == reference_limits.cone_counts(cat, f, u), (f, u)
 

@@ -1,12 +1,29 @@
-"""Relation calculus via subobjects of binary products, checked two ways:
-structurally (flags, dualities, suite verdicts) and against the concrete
-bitmask oracle that computes the same operations from membership tables."""
+"""Relation calculus via subobjects of binary products, checked three ways:
+structurally (flags, dualities, suite verdicts), against the concrete
+bitmask oracle that computes the same operations from membership tables,
+and against the seed's suite in ``reference_relcalc``.  The comparison
+covers every status, witness and detail on the built-in categories of
+``verify-paper``, FinSet≤4, an inflated category (``generators.inflate``),
+thin categories of random preorders (``generators.preorders``) and the
+duals of these, also with faults injected into relation composition and
+classification."""
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import itertools
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+
+import reference_relcalc
+from finext import limits, setrel
 from finext import relcalc as rc
-from finext import setrel
+from finext.fincat import dual_of, thin_category_from_poset
 from finext.relcalc import IDENTITY_IDS
+from generators import inflate, preorders
 
 
 def _sizes(cat, uni):
@@ -208,3 +225,85 @@ def test_exactness_report_on_lattices(lat4):
     assert d["split_monos_coextensive"] is False
     assert d["split_mono_counterexample"]["morphism"] == "L1>L2#0000"
     assert d["split_mono_counterexample"]["witness"]["kind"] == "bottom-row-not-product"
+
+
+def test_product_lemmas_read_the_relation_through_the_cone(set4):
+    """In FinSet≤4^op, s2 has six product cones.  Three of them differ from
+    the chosen ones by the swap of s2, and along each of those, two of the
+    four reflexive relations on s2 failed to decompose while the product of
+    their images was read on the chosen product as if on s2 itself."""
+    cat = dual_of(set4[0])
+    assert len(limits.product_bases(cat, cat.o("s2"))) == 6
+    by_id = dict(rc.identity_suite(cat))
+    for cid, instances in (("lemma-eq-under-regepi", 23), ("lemma-reflexive-splits", 29)):
+        assert by_id[cid].passed and by_id[cid].details == {"instances": instances, "skipped": 0}, cid
+
+
+def _faulty_compose(real):
+    """``real`` with some composites missing and some replaced by the full
+    relation, chosen asymmetrically in the two factors."""
+
+    def rel_compose(cat, r, s):
+        out = real(cat, r, s)
+        k = None if out is None else (3 * r.cls.rep + s.cls.rep) % 7
+        if k == 0:
+            return None
+        return rc.nabla(cat, out.src, out.tgt) if k == 1 else out
+
+    return rel_compose
+
+
+def _faulty_classify(real):
+    """``real`` calling every third relation an equivalence."""
+
+    def classify_relation(cat, r):
+        flags = real(cat, r)
+        return dataclasses.replace(flags, equivalence=True) if r.cls.rep % 3 == 0 else flags
+
+    return classify_relation
+
+
+def _as_rows(results):
+    return [(cid, st.status, st.witness, st.details) for cid, st in results]
+
+
+def _assert_suite_equals_the_reference(cat) -> None:
+    """Equal statuses, witnesses and details, without and with the faults,
+    which both suites see through ``finext.relcalc``; and the constructors
+    the reference keeps give the same relations."""
+    for faulty in (False, True):
+        with contextlib.ExitStack() as stack:
+            if faulty:
+                stack.enter_context(mock.patch.object(rc, "rel_compose", _faulty_compose(rc.rel_compose)))
+                stack.enter_context(mock.patch.object(rc, "classify_relation", _faulty_classify(rc.classify_relation)))
+            assert _as_rows(rc.identity_suite(cat)) == _as_rows(reference_relcalc.identity_suite(cat))
+    objects = range(len(cat.objects))
+    for x in objects:
+        assert rc.delta(cat, x) == reference_relcalc.delta(cat, x), x
+        for r in itertools.chain.from_iterable(filter(None, (rc.relations_on(cat, x, y) for y in objects))):
+            assert rc.opposite(cat, r) == reference_relcalc.opposite(cat, r), r
+    for f in range(cat.n_mor):
+        assert rc.eq_of(cat, f) == reference_relcalc.eq_of(cat, f), f
+
+
+# the verify-paper built-ins (finset3-op is the dual of set3) and FinSet≤4
+@pytest.mark.parametrize("name", ["set3", "pointed3", "golden", "slat3", "lat4", "cpos3", "mon3", "set4"])
+def test_identity_suite_equals_the_reference(request, name):
+    cat, _ = request.getfixturevalue(name)
+    for c in (cat, dual_of(cat)):
+        _assert_suite_equals_the_reference(c)
+
+
+def test_identity_suite_equals_the_reference_on_an_inflation(dual_set3):
+    # a copy of the terminal s1, whose product with s2 is s2 through an iso
+    cat = inflate(dual_set3, dual_set3.o("s1"), 0)
+    for c in (cat, dual_of(cat)):
+        _assert_suite_equals_the_reference(c)
+
+
+@settings(max_examples=30, deadline=None)
+@given(preorders())
+def test_identity_suite_equals_the_reference_on_preorders(leq):
+    cat = thin_category_from_poset(leq)
+    for c in (cat, dual_of(cat)):
+        _assert_suite_equals_the_reference(c)
