@@ -501,17 +501,17 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
 
     if explicit:
         label = "finset3"
+
+        def listed_identities() -> list[tuple[str, CheckStatus]]:
+            by_id = dict(identity_suite(cats[label], max_relation_size=cap))
+            return [(f"{label}/{cid}", by_id[cid]) for cid in explicit if cid in IDENTITY_IDS]
+
         for cid in explicit:
             if cid in PROPOSITION_IDS:
                 units.append(prop_unit(label, cid))
             elif cid in IDENTITY_IDS:
-                units.append(
-                    lambda cid=cid: [
-                        (f"{label}/{iid}", st)
-                        for iid, st in identity_suite(cats[label], max_relation_size=cap)
-                        if iid == cid
-                    ]
-                )
+                if listed_identities not in units:  # one run, at the first listed identity
+                    units.append(listed_identities)
             else:
                 units.append(barr_unit(label))
     if run2:

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from .fincat import (
     FinCategory,
@@ -113,6 +113,27 @@ def _fail(witness: dict, **details) -> CheckStatus:
 
 def _na(witness: dict, **details) -> CheckStatus:
     return CheckStatus("inapplicable", witness, details)
+
+
+def _tally(instances: Iterable[bool | dict | None], skip: str, **extra) -> CheckStatus:
+    """A check quantified over instances, each None when skipped (counted
+    under ``skip``), True when it holds, or its witness: fail with the first
+    witness, inapplicable when no instance was checked, else pass."""
+    checked = skipped = 0
+    witness = None
+    for outcome in instances:
+        if outcome is None:
+            skipped += 1
+            continue
+        checked += 1
+        if outcome is not True and witness is None:
+            witness = outcome
+    details = {"instances": checked, skip: skipped, **extra}
+    if witness is not None:
+        return _fail(witness, **details)
+    if checked == 0:
+        return _na({"kind": "no-instances"}, **details)
+    return _ok(**details)
 
 
 # Witness-kind translation between the primal vocabulary and the dual one.

@@ -6,10 +6,19 @@ instance, fail with a replayable witness when an instance violates it, and
 inapplicable (with the failing hypothesis) when the category lacks the
 structure the statement requires.  A fail is a defect to escalate, never an
 expected outcome.
+
+Most runners are one instance generator read by ``extensivity._tally``.
+An instance yields None when it is vacuous (the statement's hypothesis
+fails on it), True when it holds, or its witness, built only on failure;
+a candidate outside the statement's scope yields nothing.  The status is
+fail with the first witness, inapplicable (kind ``no-instances``) when no
+instance was checked, and pass otherwise; its details count ``instances``
+and ``vacuous``.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .fincat import (
@@ -20,7 +29,6 @@ from .fincat import (
     _is_regular_epi,
     _iso_info,
     _mono_set,
-    _split_mono_witness,
 )
 from . import limits, relcalc
 from .extensivity import (
@@ -28,6 +36,7 @@ from .extensivity import (
     _ok,
     _fail,
     _na,
+    _tally,
     check_e1,
     check_e2,
     check_c1,
@@ -67,94 +76,63 @@ def _composable_pairs(cat: FinCategory):
             yield f, g, cat.compose(g, f)
 
 
-class _Tally:
-    def __init__(self):
-        self.checked = 0
-        self.vacuous = 0
-        self.witness: dict | None = None
-
-    def status(self, **extra) -> CheckStatus:
-        details = {"instances": self.checked, "vacuous": self.vacuous, **extra}
-        if self.witness is not None:
-            return CheckStatus("fail", self.witness, details)
-        if self.checked == 0:
-            return CheckStatus("inapplicable", {"kind": "no-instances"}, details)
-        return CheckStatus("pass", None, details)
-
-
 # -- composition and factor statements ----------------------------------------------
 
 
 def prop_composite(cat: FinCategory, **_) -> CheckStatus:
     """Composites of extensive morphisms are extensive."""
-    t = _Tally()
-    for f, g, gf in _composable_pairs(cat):
-        if not (morphism_status(cat, f).passed and morphism_status(cat, g).passed):
-            continue
-        t.checked += 1
-        st = morphism_status(cat, gf)
-        if not st.passed and t.witness is None:
-            t.witness = {
-                "kind": "composite-not-extensive",
-                "first": cat.mid(f),
-                "second": cat.mid(g),
-                "composite": cat.mid(gf),
-                "inner": st.witness,
-            }
-    return t.status()
+    return _tally((
+        morphism_status(cat, gf).passed or {
+            "kind": "composite-not-extensive",
+            "first": cat.mid(f),
+            "second": cat.mid(g),
+            "composite": cat.mid(gf),
+            "inner": morphism_status(cat, gf).witness,
+        }
+        for f, g, gf in _composable_pairs(cat)
+        if morphism_status(cat, f).passed and morphism_status(cat, g).passed
+    ), "vacuous")
 
 
 def _squares_exist_hypothesis(cat: FinCategory, g: int) -> bool:
     """For every coproduct presentation of dom g there are pullback squares
     over some coproduct presentation of cod g."""
     y, z = cat._dom_l[g], cat._cod_l[g]
-    for y1, y2 in limits.coproduct_bases(cat, y):
-        found = False
-        for z1, z2 in limits.coproduct_bases(cat, z):
-            t1 = cat.compose(g, y1)
-            t2 = cat.compose(g, y2)
-            for g1 in cat.postcompose_fibers(z1, cat._dom_l[y1]).get(t1, ()):
-                if not limits.is_pullback_square(cat, g, z1, y1, g1):
-                    continue
-                for g2 in cat.postcompose_fibers(z2, cat._dom_l[y2]).get(t2, ()):
-                    if limits.is_pullback_square(cat, g, z2, y2, g2):
-                        found = True
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if not found:
-            return False
-    return True
+    return all(
+        any(
+            limits.is_pullback_square(cat, g, z2, y2, g2)
+            for z1, z2 in limits.coproduct_bases(cat, z)
+            for g1 in cat.postcompose_fibers(z1, cat._dom_l[y1]).get(cat.compose(g, y1), ())
+            if limits.is_pullback_square(cat, g, z1, y1, g1)
+            for g2 in cat.postcompose_fibers(z2, cat._dom_l[y2]).get(cat.compose(g, y2), ())
+        )
+        for y1, y2 in limits.coproduct_bases(cat, y)
+    )
 
 
 def lemma_left_factor(cat: FinCategory, **_) -> CheckStatus:
     """If g∘f is extensive and g sits over pullback squares for every
     coproduct presentation of its domain, then f is extensive."""
-    t = _Tally()
-    hyp_cache: dict[int, bool] = {}
-    for f, g, gf in _composable_pairs(cat):
-        if not morphism_status(cat, gf).passed:
-            continue
-        if morphism_status(cat, f).passed:
-            t.checked += 1
-            continue
-        if g not in hyp_cache:
-            hyp_cache[g] = _squares_exist_hypothesis(cat, g)
-        if not hyp_cache[g]:
-            t.vacuous += 1
-            continue
-        t.checked += 1
-        if t.witness is None:
-            t.witness = {
+    hypothesis: dict[int, bool] = {}
+
+    def instances():
+        for f, g, gf in _composable_pairs(cat):
+            if not morphism_status(cat, gf).passed:
+                continue
+            if morphism_status(cat, f).passed:
+                yield True
+                continue
+            if g not in hypothesis:
+                hypothesis[g] = _squares_exist_hypothesis(cat, g)
+            yield {
                 "kind": "left-factor-not-extensive",
                 "first": cat.mid(f),
                 "second": cat.mid(g),
                 "composite": cat.mid(gf),
                 "inner": morphism_status(cat, f).witness,
-            }
-    return t.status()
+            } if hypothesis[g] else None
+
+    return _tally(instances(), "vacuous")
 
 
 # -- isomorphism and identity statements --------------------------------------------
@@ -163,13 +141,16 @@ def lemma_left_factor(cat: FinCategory, **_) -> CheckStatus:
 def prop_iso_c1_e1(cat: FinCategory, **_) -> CheckStatus:
     """Every isomorphism satisfies both the pushout-row condition and the
     pullback-row condition."""
-    t = _Tally()
-    for h in sorted(_iso_info(cat)[0]):
-        t.checked += 1
-        for name, st in (("C1", check_c1(cat, cat.mid(h))), ("E1", check_e1(cat, cat.mid(h)))):
-            if st.failed and t.witness is None:
-                t.witness = {"kind": "iso-fails-" + name, "morphism": cat.mid(h), "inner": st.witness}
-    return t.status()
+
+    def instances():
+        for h in sorted(_iso_info(cat)[0]):
+            checks = (("C1", check_c1(cat, cat.mid(h))), ("E1", check_e1(cat, cat.mid(h))))
+            yield next((
+                {"kind": "iso-fails-" + name, "morphism": cat.mid(h), "inner": st.witness}
+                for name, st in checks if st.failed
+            ), True)
+
+    return _tally(instances(), "vacuous")
 
 
 def _product_decompositions(cat: FinCategory, h: int):
@@ -187,61 +168,57 @@ def _product_decompositions(cat: FinCategory, h: int):
                     yield f1, f2
 
 
-def prop_iso_c2_product_iso(cat: FinCategory, **_) -> CheckStatus:
-    """All isomorphisms satisfy the two-square pushout condition exactly when
-    a product of morphisms can only be an isomorphism if both factors are."""
+def _iso_biconditional(cat: FinCategory, identities_witness: dict | None, decompositions,
+                       side: str, parts: str) -> CheckStatus:
+    """Identities pass (no ``identities_witness``) exactly when every
+    decomposition of an isomorphism into two parts has both parts isos."""
     isos = _iso_info(cat)[0]
-    lhs_witness = None
-    for h in sorted(isos):
-        st = check_c2(cat, cat.mid(h))
-        if st.failed:
-            lhs_witness = {"morphism": cat.mid(h), "inner": st.witness}
-            break
-    lhs = lhs_witness is None
-    rhs_witness = None
     instances = 0
+    witness = None
     for h in sorted(isos):
-        for f1, f2 in _product_decompositions(cat, h):
+        for f1, f2 in decompositions(cat, h):
             instances += 1
-            if (f1 in isos) != (f2 in isos) or f1 not in isos:
-                if rhs_witness is None:
-                    rhs_witness = {
-                        "product": cat.mid(h),
-                        "factors": [cat.mid(f1), cat.mid(f2)],
-                    }
-    rhs = rhs_witness is None
+            if witness is None and not (f1 in isos and f2 in isos):
+                witness = {side: cat.mid(h), parts: [cat.mid(f1), cat.mid(f2)]}
+    lhs, rhs = identities_witness is None, witness is None
     details = {
         "identities_side": lhs,
-        "product_side": rhs,
+        f"{side}_side": rhs,
         "decompositions": instances,
-        "identities_witness": lhs_witness,
-        "product_witness": rhs_witness,
+        "identities_witness": identities_witness,
+        f"{side}_witness": witness,
     }
     if instances == 0 and not lhs:
-        return _na({"kind": "no-product-decompositions"}, **details)
+        return _na({"kind": f"no-{side}-decompositions"}, **details)
     if lhs == rhs:
         return _ok(**details)
     return _fail({"kind": "biconditional-violated", **details})
+
+
+def prop_iso_c2_product_iso(cat: FinCategory, **_) -> CheckStatus:
+    """All isomorphisms satisfy the two-square pushout condition exactly when
+    a product of morphisms can only be an isomorphism if both factors are."""
+    statuses = ((h, check_c2(cat, cat.mid(h))) for h in sorted(_iso_info(cat)[0]))
+    witness = next(({"morphism": cat.mid(h), "inner": st.witness} for h, st in statuses if st.failed), None)
+    return _iso_biconditional(cat, witness, _product_decompositions, "product", "factors")
 
 
 def prop_c1_coext(cat: FinCategory, **_) -> CheckStatus:
     """A morphism with pushouts along product legs, whose codomain identity
     satisfies the two-square condition, is coextensive.  The weaker reading
     (plain extensivity of the same morphism) is reported but not asserted."""
-    t = _Tally()
-    literal_failures = 0
-    for f in range(cat.n_mor):
-        if not check_c1(cat, cat.mid(f)).passed:
-            continue
-        if not check_c2(cat, cat.mid(cat.identity_of[cat._cod_l[f]])).passed:
-            continue
-        t.checked += 1
-        st = morphism_status(cat, f, "coextensive")
-        if not st.passed and t.witness is None:
-            t.witness = {"kind": "not-coextensive", "morphism": cat.mid(f), "inner": st.witness}
-        if not morphism_status(cat, f).passed:
-            literal_failures += 1
-    return t.status(literal_extensive_failures=literal_failures)
+    literal: list[bool] = []
+
+    def instances():
+        for f in range(cat.n_mor):
+            if check_c1(cat, cat.mid(f)).passed and check_c2(cat, cat.mid(cat.identity_of[cat._cod_l[f]])).passed:
+                st = morphism_status(cat, f, "coextensive")
+                literal.append(morphism_status(cat, f).passed)
+                yield st.passed or {"kind": "not-coextensive", "morphism": cat.mid(f), "inner": st.witness}
+
+    st = _tally(instances(), "vacuous")
+    st.details["literal_extensive_failures"] = literal.count(False)
+    return st
 
 
 def cor_e1_shortcut(cat: FinCategory, **_) -> CheckStatus:
@@ -308,28 +285,21 @@ def lemma_product_lift_mono(cat: FinCategory, **_) -> CheckStatus:
     """Factoring both legs of a product cone through monomorphisms yields
     another product cone."""
     monos = _mono_set(cat)
-    t = _Tally()
-    for a in range(len(cat.objects)):
-        for p1, p2 in limits.product_bases(cat, a):
-            for m1 in monos:
-                if cat._cod_l[m1] != cat._cod_l[p1]:
-                    continue
-                q1s = cat.postcompose_fibers(m1, a).get(p1, ())
-                for q1 in q1s:
-                    for m2 in monos:
-                        if cat._cod_l[m2] != cat._cod_l[p2]:
-                            continue
-                        for q2 in cat.postcompose_fibers(m2, a).get(p2, ()):
-                            t.checked += 1
-                            if not limits.is_product_cone(cat, q1, q2) and t.witness is None:
-                                t.witness = {
-                                    "kind": "lifted-row-not-product",
-                                    "object": cat.oid(a),
-                                    "base": [cat.mid(p1), cat.mid(p2)],
-                                    "monos": [cat.mid(m1), cat.mid(m2)],
-                                    "lifted": [cat.mid(q1), cat.mid(q2)],
-                                }
-    return t.status()
+    return _tally((
+        limits.is_product_cone(cat, q1, q2) or {
+            "kind": "lifted-row-not-product",
+            "object": cat.oid(a),
+            "base": [cat.mid(p1), cat.mid(p2)],
+            "monos": [cat.mid(m1), cat.mid(m2)],
+            "lifted": [cat.mid(q1), cat.mid(q2)],
+        }
+        for a in range(len(cat.objects))
+        for p1, p2 in limits.product_bases(cat, a)
+        for m1 in monos if cat._cod_l[m1] == cat._cod_l[p1]
+        for q1 in cat.postcompose_fibers(m1, a).get(p1, ())
+        for m2 in monos if cat._cod_l[m2] == cat._cod_l[p2]
+        for q2 in cat.postcompose_fibers(m2, a).get(p2, ())
+    ), "vacuous")
 
 
 def lemma_product_mono_reflect(cat: FinCategory, **_) -> CheckStatus:
@@ -337,33 +307,18 @@ def lemma_product_mono_reflect(cat: FinCategory, **_) -> CheckStatus:
     mono forces both factors mono."""
     monos = _mono_set(cat)
     epis = _epi_set(cat)
-    t = _Tally()
-    for h in sorted(monos):
-        p, q = cat._dom_l[h], cat._cod_l[h]
-        for q1, q2 in limits.product_bases(cat, p):
-            if q1 not in epis or q2 not in epis:
-                continue
-            for p1, p2 in limits.product_bases(cat, q):
-                if p1 not in epis or p2 not in epis:
-                    continue
-                t1, t2 = cat.compose(p1, h), cat.compose(p2, h)
-                for f1 in cat.precompose_fibers(q1, cat._cod_l[p1]).get(t1, ()):
-                    for f2 in cat.precompose_fibers(q2, cat._cod_l[p2]).get(t2, ()):
-                        t.checked += 1
-                        if (f1 not in monos or f2 not in monos) and t.witness is None:
-                            t.witness = {
-                                "kind": "factor-not-mono",
-                                "product": cat.mid(h),
-                                "factors": [cat.mid(f1), cat.mid(f2)],
-                            }
-    return t.status()
-
-
-def _kernel_pairs_complete(cat: FinCategory) -> tuple[bool, str | None]:
-    for f in range(cat.n_mor):
-        if limits.kernel_pair(cat, f) is None:
-            return False, cat.mid(f)
-    return True, None
+    return _tally((
+        (f1 in monos and f2 in monos) or {
+            "kind": "factor-not-mono",
+            "product": cat.mid(h),
+            "factors": [cat.mid(f1), cat.mid(f2)],
+        }
+        for h in sorted(monos)
+        for q1, q2 in limits.product_bases(cat, cat._dom_l[h]) if q1 in epis and q2 in epis
+        for p1, p2 in limits.product_bases(cat, cat._cod_l[h]) if p1 in epis and p2 in epis
+        for f1 in cat.precompose_fibers(q1, cat._cod_l[p1]).get(cat.compose(p1, h), ())
+        for f2 in cat.precompose_fibers(q2, cat._cod_l[p2]).get(cat.compose(p2, h), ())
+    ), "vacuous")
 
 
 def prop_extremal_identity(cat: FinCategory, **_) -> CheckStatus:
@@ -371,41 +326,27 @@ def prop_extremal_identity(cat: FinCategory, **_) -> CheckStatus:
     to be an extremal epimorphism; with all kernel pairs present the two are
     equivalent."""
     extremal = _extremal_epi_set(cat)
-    kp_complete, kp_missing = _kernel_pairs_complete(cat)
-    t = _Tally()
-    converse_checked = 0
-    for a in range(len(cat.objects)):
-        bases = limits.product_bases(cat, a)
-        if not bases:
-            continue
-        lhs = morphism_status(cat, cat.identity_of[a], "coextensive").passed
-        rhs = all(p1 in extremal and p2 in extremal for p1, p2 in bases)
-        t.checked += 1
-        if lhs and not rhs and t.witness is None:
-            bad = next(
-                cat.mid(p)
-                for base in bases
-                for p in base
-                if p not in extremal
-            )
-            t.witness = {
-                "kind": "projection-not-extremal",
-                "object": cat.oid(a),
-                "projection": bad,
-            }
-        if kp_complete:
-            converse_checked += 1
-            if rhs and not lhs and t.witness is None:
-                t.witness = {
-                    "kind": "identity-not-coextensive",
-                    "object": cat.oid(a),
-                    "inner": morphism_status(cat, cat.identity_of[a], "coextensive").witness,
-                }
-    return t.status(
-        kernel_pairs_complete=kp_complete,
-        kernel_pair_missing=kp_missing,
-        converse_checked=converse_checked,
-    )
+    missing = next((f for f in range(cat.n_mor) if limits.kernel_pair(cat, f) is None), None)
+    complete = missing is None
+
+    def instances():
+        for a in range(len(cat.objects)):
+            bases = limits.product_bases(cat, a)
+            if not bases:
+                continue
+            coext = morphism_status(cat, cat.identity_of[a], "coextensive")
+            bad = next((p for base in bases for p in base if p not in extremal), None)
+            if coext.passed and bad is not None:
+                yield {"kind": "projection-not-extremal", "object": cat.oid(a), "projection": cat.mid(bad)}
+            elif complete and bad is None and not coext.passed:
+                yield {"kind": "identity-not-coextensive", "object": cat.oid(a), "inner": coext.witness}
+            else:
+                yield True
+
+    st = _tally(instances(), "vacuous", kernel_pairs_complete=complete,
+                kernel_pair_missing=None if complete else cat.mid(missing))
+    st.details["converse_checked"] = st.details["instances"] if complete else 0
+    return st
 
 
 def _sum_decompositions(cat: FinCategory, h: int):
@@ -426,35 +367,10 @@ def _sum_decompositions(cat: FinCategory, h: int):
 def prop_conservativity(cat: FinCategory, **_) -> CheckStatus:
     """Identities are extensive exactly when a sum of morphisms can only be
     an isomorphism if both summands are."""
-    isos = _iso_info(cat)[0]
-    lhs, lhs_wit = _all_identities(cat, "extensive")
-    rhs_witness = None
-    instances = 0
-    for h in sorted(isos):
-        for f1, f2 in _sum_decompositions(cat, h):
-            instances += 1
-            if (f1 not in isos or f2 not in isos) and rhs_witness is None:
-                rhs_witness = {"sum": cat.mid(h), "summands": [cat.mid(f1), cat.mid(f2)]}
-    rhs = rhs_witness is None
-    details = {
-        "identities_side": lhs,
-        "sum_side": rhs,
-        "decompositions": instances,
-        "identities_witness": lhs_wit,
-        "sum_witness": rhs_witness,
-    }
-    if instances == 0 and not lhs:
-        return _na({"kind": "no-sum-decompositions"}, **details)
-    if lhs == rhs:
-        return _ok(**details)
-    return _fail({"kind": "biconditional-violated", **details})
+    return _iso_biconditional(cat, _all_identities(cat, "extensive")[1], _sum_decompositions, "sum", "summands")
 
 
 # -- coproduct inclusion statements ---------------------------------------------------
-
-
-def _is_regular_mono(cat: FinCategory, m: int) -> bool:
-    return _is_regular_epi(dual_of(cat), m)[0]
 
 
 def prop_inclusion_regular_mono(cat: FinCategory, **_) -> CheckStatus:
@@ -471,7 +387,7 @@ def prop_inclusion_regular_mono(cat: FinCategory, **_) -> CheckStatus:
     if dis.failed:
         return _fail({"kind": "coproducts-not-disjoint", "inner": dis.witness}, inclusions=len(incs))
     for i in incs:
-        if not _is_regular_mono(cat, i):
+        if not _is_regular_epi(dual_of(cat), i)[0]:  # i is a regular mono
             return _fail({"kind": "inclusion-not-regular-mono", "morphism": cat.mid(i)}, inclusions=len(incs))
     return _ok(inclusions=len(incs), disjointness=dis.status)
 
@@ -488,15 +404,12 @@ def prop_e1_implies_extensive(cat: FinCategory, **_) -> CheckStatus:
     for i in sorted(limits.coproduct_legs(cat)):
         if not check_e1(cat, cat.mid(i)).passed:
             return _na({"kind": "inclusion-fails-E1", "morphism": cat.mid(i)})
-    t = _Tally()
-    for f in range(cat.n_mor):
-        if not check_e1(cat, cat.mid(f)).passed:
-            continue
-        t.checked += 1
-        st = morphism_status(cat, f)
-        if not st.passed and t.witness is None:
-            t.witness = {"kind": "one-row-but-not-extensive", "morphism": cat.mid(f), "inner": st.witness}
-    return t.status()
+    return _tally((
+        morphism_status(cat, f).passed or {
+            "kind": "one-row-but-not-extensive", "morphism": cat.mid(f), "inner": morphism_status(cat, f).witness,
+        }
+        for f in range(cat.n_mor) if check_e1(cat, cat.mid(f)).passed
+    ), "vacuous")
 
 
 def cor_inclusion_ext_equiv(cat: FinCategory, **_) -> CheckStatus:
@@ -524,29 +437,28 @@ def prop_pullback_stability(cat: FinCategory, **_) -> CheckStatus:
     for i in incs:
         if not morphism_status(cat, i).passed:
             return _na({"kind": "inclusion-not-extensive", "morphism": cat.mid(i)})
-    t = _Tally()
-    for f in range(cat.n_mor):
-        if not morphism_status(cat, f).passed:
-            continue
-        for i in incs:
-            if cat._cod_l[i] != cat._cod_l[f]:
+
+    def instances():
+        for f in range(cat.n_mor):
+            if not morphism_status(cat, f).passed:
                 continue
-            t.checked += 1
-            w = limits.pullback(cat, f, i)
-            if w is None:
-                if t.witness is None:
-                    t.witness = {"kind": "pullback-missing", "morphism": cat.mid(f), "inclusion": cat.mid(i)}
-                continue
-            st = morphism_status(cat, w.legs[1])
-            if not st.passed and t.witness is None:
-                t.witness = {
+            for i in incs:
+                if cat._cod_l[i] != cat._cod_l[f]:
+                    continue
+                w = limits.pullback(cat, f, i)
+                if w is None:
+                    yield {"kind": "pullback-missing", "morphism": cat.mid(f), "inclusion": cat.mid(i)}
+                    continue
+                st = morphism_status(cat, w.legs[1])
+                yield st.passed or {
                     "kind": "pulled-back-not-extensive",
                     "morphism": cat.mid(f),
                     "inclusion": cat.mid(i),
                     "pulled_back": cat.mid(w.legs[1]),
                     "inner": st.witness,
                 }
-    return t.status(inclusions=len(incs))
+
+    return _tally(instances(), "vacuous", inclusions=len(incs))
 
 
 # -- coequaliser interaction ----------------------------------------------------------
@@ -566,68 +478,58 @@ def lemma_common_coequaliser(cat: FinCategory, *, seed: int = 0, **_) -> CheckSt
     combos = [
         (top, e) for top in tops for e in epis if cat._dom_l[e] == cat._dom_l[top[0]]
     ]
-    rng = random.Random(seed)
-    rng.shuffle(combos)
-    t = _Tally()
+    random.Random(seed).shuffle(combos)
+    sampled = combos[:SAMPLE_BOUND]
     by_dom: dict[int, list[int]] = {}
     for m in range(cat.n_mor):
         by_dom.setdefault(cat._dom_l[m], []).append(m)
-    sampled = 0
-    for (u1, v1, q1), e in combos:
-        if sampled >= SAMPLE_BOUND:
-            break
-        sampled += 1
-        x1 = cat._cod_l[u1]
-        c2 = cat._cod_l[e]
-        inner = 0
-        for f in by_dom.get(x1, ()):
+
+    def fillers(u1: int, v1: int, q1: int, e: int):
+        """(u2, v2, q2, f, g) for each f out of cod u1 whose composites with
+        u1 and v1 factor through e, and each q2 with q2∘f = g∘q1."""
+        for f in by_dom.get(cat._cod_l[u1], ()):
             x2 = cat._cod_l[f]
             u2s = cat.precompose_fibers(e, x2).get(cat.compose(f, u1), ())
             v2s = cat.precompose_fibers(e, x2).get(cat.compose(f, v1), ())
             if not u2s or not v2s:
                 continue
-            u2, v2 = u2s[0], v2s[0]  # e is epi, so the fillers are unique
             for q2 in by_dom.get(x2, ()):
                 gs = cat.precompose_fibers(q1, cat._cod_l[q2]).get(cat.compose(q2, f), ())
-                if not gs:
-                    continue
-                g = gs[0]  # q1 is a coequaliser, hence epi: unique
-                inner += 1
-                if inner > INNER_BOUND:
-                    break
-                t.checked += 1
+                if gs:  # e is epi and q1 a coequaliser, so u2, v2 and g are unique
+                    yield u2s[0], v2s[0], q2, f, gs[0]
+
+    def instances():
+        for (u1, v1, q1), e in sampled:
+            for u2, v2, q2, f, g in itertools.islice(fillers(u1, v1, q1, e), INNER_BOUND):
                 push = limits.is_pushout_square(cat, q1, f, g, q2)
                 coeq = limits.is_coequaliser(cat, u2, v2, q2)
-                if push != coeq and t.witness is None:
-                    t.witness = {
-                        "kind": "pushout-coequaliser-disagree",
-                        "top": [cat.mid(u1), cat.mid(v1), cat.mid(q1)],
-                        "epi": cat.mid(e),
-                        "bottom": [cat.mid(u2), cat.mid(v2), cat.mid(q2)],
-                        "square": {"f": cat.mid(f), "g": cat.mid(g)},
-                        "right_square_pushout": push,
-                        "bottom_row_coequaliser": coeq,
-                    }
-            if inner > INNER_BOUND:
-                break
-    return t.status(sampled_pairs=sampled, seed=seed)
+                yield push == coeq or {
+                    "kind": "pushout-coequaliser-disagree",
+                    "top": [cat.mid(u1), cat.mid(v1), cat.mid(q1)],
+                    "epi": cat.mid(e),
+                    "bottom": [cat.mid(u2), cat.mid(v2), cat.mid(q2)],
+                    "square": {"f": cat.mid(f), "g": cat.mid(g)},
+                    "right_square_pushout": push,
+                    "bottom_row_coequaliser": coeq,
+                }
+
+    return _tally(instances(), "vacuous", sampled_pairs=len(sampled), seed=seed)
 
 
-def _all_base_legs_regular_epi(cat: FinCategory) -> tuple[bool, str | None]:
-    for a in range(len(cat.objects)):
-        for p1, p2 in limits.product_bases(cat, a):
-            for p in (p1, p2):
-                if not _is_regular_epi(cat, p)[0]:
-                    return False, cat.mid(p)
-    return True, None
+def _irregular_projection(cat: FinCategory) -> int | None:
+    """The first product projection that is not a regular epimorphism."""
+    return next((
+        p for a in range(len(cat.objects)) for base in limits.product_bases(cat, a) for p in base
+        if not _is_regular_epi(cat, p)[0]
+    ), None)
 
 
 def lemma_codisjoint(cat: FinCategory, **_) -> CheckStatus:
     """When every product projection is a regular epimorphism, products are
     co-disjoint (coproducts in the opposite category are disjoint)."""
-    ok, bad = _all_base_legs_regular_epi(cat)
-    if not ok:
-        return _na({"kind": "projection-not-regular-epi", "morphism": bad})
+    bad = _irregular_projection(cat)
+    if bad is not None:
+        return _na({"kind": "projection-not-regular-epi", "morphism": cat.mid(bad)})
     dis = coproduct_disjointness(dual_of(cat))
     if dis.status == "inapplicable":
         return _na({"kind": "dual-disjointness-inapplicable", "inner": dis.witness})
@@ -642,47 +544,43 @@ def lemma_codisjoint(cat: FinCategory, **_) -> CheckStatus:
 def prop_srp_binary_iff_coext_projections(cat: FinCategory, **_) -> CheckStatus:
     """With all projections regular epi: an object's projections are all
     coextensive exactly when it has the binary strict refinement property."""
-    ok, bad = _all_base_legs_regular_epi(cat)
-    if not ok:
-        return _na({"kind": "projection-not-regular-epi", "morphism": bad})
-    t = _Tally()
-    for a in range(len(cat.objects)):
-        bases = limits.product_bases(cat, a)
-        if not bases:
-            continue
-        coext = all(morphism_status(cat, p, "coextensive").passed for base in bases for p in base)
-        srp = has_binary_srp(cat, cat.oid(a))
-        if srp.status == "inapplicable":
-            t.vacuous += 1
-            continue
-        t.checked += 1
-        if coext != srp.passed and t.witness is None:
-            t.witness = {
-                "kind": "srp-coextensive-disagree",
-                "object": cat.oid(a),
-                "projections_coextensive": coext,
-                "binary_srp": srp.passed,
-                "srp_witness": srp.witness,
-            }
-    return t.status()
+    bad = _irregular_projection(cat)
+    if bad is not None:
+        return _na({"kind": "projection-not-regular-epi", "morphism": cat.mid(bad)})
+
+    def instances():
+        for a in range(len(cat.objects)):
+            bases = limits.product_bases(cat, a)
+            if bases:
+                coext = all(morphism_status(cat, p, "coextensive").passed for base in bases for p in base)
+                srp = has_binary_srp(cat, cat.oid(a))
+                yield coext == srp.passed or {
+                    "kind": "srp-coextensive-disagree",
+                    "object": cat.oid(a),
+                    "projections_coextensive": coext,
+                    "binary_srp": srp.passed,
+                    "srp_witness": srp.witness,
+                }
+
+    return _tally(instances(), "vacuous")
 
 
 def thm_finite_srp(cat: FinCategory, **_) -> CheckStatus:
     """An object with coextensive product projections has the strict
     refinement property at every arity up to the bound."""
-    t = _Tally()
-    for a in range(len(cat.objects)):
-        bases = limits.product_bases(cat, a)
-        if not bases:
-            continue
-        if not all(morphism_status(cat, p, "coextensive").passed for base in bases for p in base):
-            t.vacuous += 1
-            continue
-        t.checked += 1
-        st = has_finite_srp(cat, cat.oid(a), SRP_ARITY)
-        if st.failed and t.witness is None:
-            t.witness = {"kind": "srp-fails", "object": cat.oid(a), "inner": st.witness}
-    return t.status(arity_bound=SRP_ARITY)
+
+    def instances():
+        for a in range(len(cat.objects)):
+            bases = limits.product_bases(cat, a)
+            if not bases:
+                continue
+            if not all(morphism_status(cat, p, "coextensive").passed for base in bases for p in base):
+                yield None
+                continue
+            st = has_finite_srp(cat, cat.oid(a), SRP_ARITY)
+            yield not st.failed or {"kind": "srp-fails", "object": cat.oid(a), "inner": st.witness}
+
+    return _tally(instances(), "vacuous", arity_bound=SRP_ARITY)
 
 
 def prop_commute_split_mono_coextensive(cat: FinCategory, *, seed: int = 0, **_) -> CheckStatus:
@@ -696,11 +594,9 @@ def prop_commute_split_mono_coextensive(cat: FinCategory, *, seed: int = 0, **_)
         h = cat.hom(x, term)
         if len(h) != 1 or not _is_regular_epi(cat, h[0])[0]:
             return _na({"kind": "terminal-morphism-not-regular-epi", "object": cat.oid(x)})
-    for m in range(cat.n_mor):
-        if _split_mono_witness(cat, m) is None:
-            continue
-        if not morphism_status(cat, m, "coextensive").passed:
-            return _na({"kind": "split-mono-not-coextensive", "morphism": cat.mid(m)})
+    m = relcalc._split_mono_not_coextensive(cat)
+    if m is not None:
+        return _na({"kind": "split-mono-not-coextensive", "morphism": cat.mid(m)})
     for q in range(cat.n_mor):
         if not _is_regular_epi(cat, q)[0]:
             continue

@@ -15,6 +15,7 @@ category; the suite runners count those as skipped instances and report
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .fincat import (
     _split_mono_witness,
 )
 from . import limits
-from .extensivity import CheckStatus, _ok, _fail, _na, morphism_status
+from .extensivity import CheckStatus, _ok, _fail, _na, _tally, morphism_status
 from . import setrel
 
 __all__ = [
@@ -563,19 +564,23 @@ def _instances(cat: FinCategory, cap: int) -> Iterator[tuple[str, Iterator[bool 
 
     def lemma_eq_under_regepi():
         # E an equivalence with E = p1(E) x p2(E) and regular-epi projections
-        # => both images are equivalences
+        # => both images are equivalences; each relation is classified once
+        @functools.cache
+        def equivalence(r: Relation) -> bool | None:
+            return classify_relation(cat, r).equivalence
+
         for x, rels in endo:
             for p1, p2 in limits.product_bases(cat, x):
                 if not (_is_regular_epi(cat, p1)[0] and _is_regular_epi(cat, p2)[0]):
                     continue
                 for r in rels:
-                    if classify_relation(cat, r).equivalence is not True:
+                    if equivalence(r) is not True:
                         continue
                     dec = _decomposed(cat, p1, p2, r)
                     if dec is None:
                         yield None
                     elif dec[2]:  # the hypothesis E = p1(E) x p2(E)
-                        e1, e2 = (classify_relation(cat, i).equivalence for i in dec[:2])
+                        e1, e2 = (equivalence(i) for i in dec[:2])
                         if e1 is None or e2 is None:
                             yield None
                         else:
@@ -601,25 +606,6 @@ def _instances(cat: FinCategory, cap: int) -> Iterator[tuple[str, Iterator[bool 
     ))
 
 
-def _tally(instances: Iterator[bool | dict | None]) -> CheckStatus:
-    """Count the checked and skipped instances and keep the first witness."""
-    checked = skipped = 0
-    witness = None
-    for outcome in instances:
-        if outcome is None:
-            skipped += 1
-            continue
-        checked += 1
-        if outcome is not True and witness is None:
-            witness = outcome
-    details = {"instances": checked, "skipped": skipped}
-    if witness is not None:
-        return CheckStatus("fail", witness, details)
-    if checked == 0:
-        return CheckStatus("inapplicable", {"kind": "no-instances"}, details)
-    return CheckStatus("pass", None, details)
-
-
 def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[str, CheckStatus]]:
     """Verify the relation-calculus identities over every in-category
     instance within the ambient cap; on the finite-set builder the concrete
@@ -633,7 +619,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
         if ident == "lemma-reflexive-splits" and gate is not None:
             st = CheckStatus("inapplicable", {"kind": "split-mono-not-coextensive", "morphism": cat.mid(gate)}, {})
         else:
-            st = _tally(instances)
+            st = _tally(instances, "skipped")
         results.append((ident, st))
     size = oracle_max_size(cat)
     oracle = {} if size is None else setrel.oracle_suite(cap=cap, max_size=size)

@@ -383,6 +383,26 @@ def test_verify_paper_single_statement(tmp_path, capsys):
     assert doc["checks"][0]["id"] == "finset3/prop-composite"
 
 
+def test_verify_paper_runs_the_identity_suite_once_for_listed_ids(set3, tmp_path, capsys, monkeypatch):
+    real, calls = cli.identity_suite, []
+
+    def identity_suite(cat, max_relation_size=9):
+        calls.append(cat)
+        return real(cat, max_relation_size=max_relation_size)
+
+    monkeypatch.setattr(cli, "identity_suite", identity_suite)
+    rep = tmp_path / "r.json"
+    code, _ = run(capsys, "verify-paper", "--suite", "delta-unit,nabla-absorb", "--report", str(rep))
+    assert code == 0 and len(calls) == 1
+    # the entries of one suite run per listed id
+    by_id = dict(real(set3[0]))
+    want = cli.Report("verify-paper", {}, "")
+    for cid in ("delta-unit", "nabla-absorb"):
+        want.add(f"finset3/{cid}", by_id[cid], 0.0)
+    got = [{k: v for k, v in e.items() if k != "timing_ms"} for e in json.load(open(rep))["checks"]]
+    assert got == [{k: v for k, v in e.items() if k != "timing_ms"} for e in json.loads(json.dumps(want.entries))]
+
+
 def test_verify_paper_rejects_unknown_ids(capsys):
     code, _ = run(capsys, "verify-paper", "--suite", "nope")
     assert code == 2

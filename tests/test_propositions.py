@@ -1,17 +1,31 @@
 """The named-statement suite: stable ids, frozen verdicts on the reference
-categories, and honest inapplicability where a hypothesis cannot be staged."""
+categories, and honest inapplicability where a hypothesis cannot be staged.
+The suite is also compared with the seed's runners in
+``reference_propositions``: every status, witness and detail, on the
+built-in categories of ``verify-paper``, an inflated category
+(``generators.inflate``), thin categories of random preorders
+(``generators.preorders``) and the duals of these, also with a fault
+injected into the verdicts both suites read."""
 
 from __future__ import annotations
 
-import pytest
+import contextlib
+from unittest import mock
 
-from finext import propositions
+import pytest
+from hypothesis import given, settings
+
+import reference_propositions
+from finext import propositions, relcalc
+from finext.extensivity import CheckStatus
+from finext.fincat import dual_of, thin_category_from_poset
 from finext.propositions import (
     PROPOSITION_IDS,
     EXTENSIVITY_IDS,
     RELCALC_IDS,
     proposition_suite,
 )
+from generators import inflate, preorders
 
 SET3_EXPECTED = {
     "prop-composite": "pass",
@@ -151,3 +165,89 @@ def test_suite_is_deterministic(set3):
     a = [(cid, st.as_dict()) for cid, st in proposition_suite(cat, seed=3)]
     b = [(cid, st.as_dict()) for cid, st in proposition_suite(cat, seed=3)]
     assert a == b
+
+
+def _flipped(real):
+    """``real`` with the verdict of every fourth morphism flipped, the same
+    on every call."""
+
+    def morphism_status(cat, f, mode="extensive"):
+        st = real(cat, f, mode)
+        if f % 4:
+            return st
+        return CheckStatus("pass") if st.failed else CheckStatus("fail", {"kind": "injected-fault"})
+
+    return morphism_status
+
+
+@contextlib.contextmanager
+def _flipped_verdicts():
+    """The fault wherever the suites read ``morphism_status``: in
+    ``finext.propositions``, which the reference reads too, and in
+    ``finext.relcalc``, which the split-mono gate and ``thm-barr-exact``
+    of both suites read."""
+    with contextlib.ExitStack() as stack:
+        for module in (propositions, relcalc):
+            stack.enter_context(mock.patch.object(module, "morphism_status", _flipped(module.morphism_status)))
+        yield
+
+
+@contextlib.contextmanager
+def _one_srp_search_per_object():
+    """``has_finite_srp``, which both suites call and neither changes, run
+    once per (category, object, arity) while the context is open: it is
+    the costliest step of both suites, and the fault does not reach it."""
+    memo = {}
+    real = propositions.has_finite_srp
+
+    def has_finite_srp(cat, oid, k):
+        key = (id(cat), oid, k)
+        if key not in memo:
+            memo[key] = real(cat, oid, k)
+        return memo[key]
+
+    with contextlib.ExitStack() as stack:
+        for module in (propositions, reference_propositions):
+            stack.enter_context(mock.patch.object(module, "has_finite_srp", has_finite_srp))
+        yield
+
+
+def _as_rows(results):
+    return [(cid, st.status, st.witness, st.details) for cid, st in results]
+
+
+def _assert_suite_equals_the_reference(cat) -> None:
+    """Equal statuses, witnesses and details, without and with the fault, at
+    seeds 0 and 5."""
+    with _one_srp_search_per_object():
+        for faulty in (False, True):
+            for seed in (0, 5):
+                with _flipped_verdicts() if faulty else contextlib.nullcontext():
+                    got = _as_rows(proposition_suite(cat, seed=seed))
+                    assert got == _as_rows(reference_propositions.proposition_suite(cat, seed=seed)), (faulty, seed)
+
+
+# the verify-paper built-ins; finset3-op is the dual of set3
+@pytest.mark.parametrize("name", ["set3", "pointed3", "golden", "slat3", "lat4", "cpos3", "mon3"])
+def test_suite_equals_the_reference(request, name):
+    cat, _ = request.getfixturevalue(name)
+    for c in (cat, dual_of(cat)):
+        _assert_suite_equals_the_reference(c)
+
+
+def test_suite_equals_the_reference_on_an_inflation(dual_set3):
+    # a copy of the terminal s1, whose product with s2 is s2 through an iso
+    cat = inflate(dual_set3, dual_set3.o("s1"), 0)
+    for c in (cat, dual_of(cat)):
+        _assert_suite_equals_the_reference(c)
+
+
+# at five points Hypothesis soon draws the five-element clique, where one
+# example takes about 10 s: each object carries 125 ternary product cones,
+# and the strict-refinement search pairs all of them
+@settings(max_examples=30, deadline=None)
+@given(preorders(max_points=4))
+def test_suite_equals_the_reference_on_preorders(leq):
+    cat = thin_category_from_poset(leq)
+    for c in (cat, dual_of(cat)):
+        _assert_suite_equals_the_reference(c)

@@ -239,6 +239,26 @@ def test_product_lemmas_read_the_relation_through_the_cone(set4):
         assert by_id[cid].passed and by_id[cid].details == {"instances": instances, "skipped": 0}, cid
 
 
+def test_the_regular_epi_lemma_classifies_each_relation_once(set4, monkeypatch):
+    """On FinSet≤4^op the seed's loop classified 18 relations in 141 calls,
+    once per product cone; the suite classifies each of them once, and
+    no other."""
+    cat = dual_of(set4[0])
+    real, calls = rc.classify_relation, []
+
+    def classify_relation(c, r):
+        calls.append(r)
+        return real(c, r)
+
+    monkeypatch.setattr(rc, "classify_relation", classify_relation)
+    rc.identity_suite(cat)
+    ours = list(calls)
+    calls.clear()
+    reference_relcalc.identity_suite(cat)
+    assert len(calls) == 141 and len(set(calls)) == 18
+    assert len(ours) == len(set(ours)) and set(ours) == set(calls)
+
+
 def _faulty_compose(real):
     """``real`` with some composites missing and some replaced by the full
     relation, chosen asymmetrically in the two factors."""
