@@ -494,17 +494,27 @@ def dual_of(cat: FinCategory) -> FinCategory:
 
 
 def _iso_info(cat: FinCategory) -> tuple[frozenset[int], dict[int, int]]:
+    """The isomorphisms and their inverses, cached.  The inverse of f: a -> b
+    is the g in hom(b, a) with f∘g = id_b, read from rows(f)[b], and
+    g∘f = id_a, read from rows(g)[a] at f's position.  A dual made by
+    ``dual_of`` reads its primal's: f is an iso of C^op exactly when it is
+    one of C, with the same inverse."""
     info = cat._cache.get("iso")
     if info is None:
-        inv: dict[int, int] = {}
-        for f in range(cat.n_mor):
-            a, b = cat._dom_l[f], cat._cod_l[f]
-            ia, ib = cat.identity_of.get(a), cat.identity_of.get(b)
-            for g in cat.hom(b, a):
-                if cat.compose(g, f) == ia and cat.compose(f, g) == ib:
-                    inv[f] = g
-                    break
-        info = (frozenset(inv), inv)
+        primal = cat._dual() if isinstance(cat._dual, weakref.ref) else None
+        if primal is not None:
+            info = _iso_info(primal)
+        else:
+            dom, cod, pos, rows, ident = cat._dom_l, cat._cod_l, cat._pos, cat.rows, cat.identity_of
+            inv: dict[int, int] = {}
+            for f in range(cat.n_mor):
+                a, b = dom[f], cod[f]
+                ia, ib, p = ident.get(a), ident.get(b), pos[f]
+                for g, fg in zip(cat.hom(b, a), rows(f)[b]):
+                    if fg == ib and rows(g)[a][p] == ia:
+                        inv[f] = g
+                        break
+            info = (frozenset(inv), inv)
         cat._cache["iso"] = info
     return info
 

@@ -9,9 +9,13 @@ that at every arity by cardinality comparison plus an injectivity scan; the
 scan reads the composites of each leg as one list of id tuples, one per
 object (``FinCategory.rows`` or ``cols``), and counts distinct leg tuples in
 a Python set.  The certified cocones with apex X are searched once per
-(apex, arity) and cached (``coproduct_bases``); whether given legs form a
-coproduct, the first coproduct of two objects and the set of coproduct
-inclusions are lookups in these bases, not certified again.
+(apex, arity) and cached (``coproduct_bases``).  Their parts come from one
+index per arity, which groups the tuples of objects by the pointwise
+product of their hom-count rows and is read at X's row
+(``_parts_index``), so the legs found there need only the injectivity
+scan.  Whether given legs form a coproduct, the first coproduct of two
+objects and the set of coproduct inclusions are lookups in these bases,
+not certified again.
 
 The commuting cones of a cospan (f, u) are counted from sizes, not
 enumerated: for each s into dom f, the size of u's fibre over f∘s, read
@@ -31,7 +35,11 @@ Search order is fixed everywhere — apexes in object order, legs in hom-set
 order — so the first certified witness is deterministic and cacheable.
 A pullback along an isomorphism is not searched: it is read off the
 inverse, (id, u⁻¹∘f) for an iso u, and transported along the isos into its
-apex to the cone the search would have certified first.
+apex to the cone the search would have certified first, a minimum over
+row reads.  Any other cospan (f, u) is searched once per orbit under the
+automorphisms γ of its codomain: (γ∘f, γ∘u) has the same commuting cones,
+since γ is mono, so the search certifies the same first cone, and only the
+least pair of the orbit, read from the rows of the γ, is searched.
 All functions speak internal integer indexes; callers translate to string
 ids at the reporting boundary.
 """
@@ -105,38 +113,58 @@ def terminal(cat: FinCategory) -> int | None:
 
 def _counts_fit(hc: list[list[int]], x: int, parts: Sequence[int]) -> bool:
     """Whether |hom(x, Y)| is the product of the |hom(a, Y)|, a in parts, for
-    every Y: the cardinality half of the certificate, which the base search
-    also reads to skip parts before enumerating their legs."""
+    every Y: the cardinality half of the certificate."""
     return all(k == prod(ks) for k, *ks in zip(hc[x], *(hc[a] for a in parts)))
+
+
+def _cocone_injective(cat: FinCategory, legs: tuple[int, ...]) -> bool:
+    """The injectivity half of the certificate: h |-> (h∘leg)_leg is
+    injective on hom(X, Y) for every Y, where the legs run A_i -> X."""
+    # the column of a leg at Y lists h∘leg for each h in hom(X, Y)
+    return all(len(cs[0]) < 2 or len(set(zip(*cs))) == len(cs[0]) for cs in zip(*map(cat.cols, legs)))
 
 
 def _cocone_universal(cat: FinCategory, legs: tuple[int, ...]) -> bool:
     """The coproduct certificate, at every arity: bijectivity of
     h |-> (h∘leg)_leg from hom(X,Y) onto the product of the hom(A_i,Y), for
     every Y, where the legs run A_i -> X."""
-    hc, dom = cat._hom_counts_l, cat._dom_l
-    if not _counts_fit(hc, cat._cod_l[legs[0]], [dom[m] for m in legs]):
-        return False
-    # the column of a leg at Y lists h∘leg for each h in hom(X, Y)
-    return all(len(cs[0]) < 2 or len(set(zip(*cs))) == len(cs[0]) for cs in zip(*map(cat.cols, legs)))
+    dom = cat._dom_l
+    return _counts_fit(cat._hom_counts_l, cat._cod_l[legs[0]], [dom[m] for m in legs]) and _cocone_injective(cat, legs)
+
+
+def _parts_index(cat: FinCategory, arity: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
+    """The ``arity``-tuples of objects grouped by the pointwise product of
+    their hom-count rows, in ``itertools.product`` order; only products that
+    are some object's row are kept.  The parts that fit apex x are the entry
+    at x's row.  Cached per arity."""
+    cache = cat._cache.setdefault("coproduct_parts", {})
+    index = cache.get(arity)
+    if index is None:
+        hc = cat._hom_counts_l
+        index = {tuple(r): [] for r in hc}
+        for parts in itertools.product(range(len(cat.objects)), repeat=arity):
+            fits = index.get(tuple(map(prod, zip(*(hc[a] for a in parts)))))
+            if fits is not None:
+                fits.append(parts)
+        cache[arity] = index  # built locally, published in one assignment
+    return index
 
 
 def coproduct_bases(cat: FinCategory, x: int, arity: int = 2) -> tuple[tuple[int, ...], ...]:
     """Every certified coproduct cocone of ``arity`` legs with apex x: parts
-    in ``itertools.product`` order, then legs in hom-set order.  Cached per
-    (apex, arity); this is the quantification set for the
-    decomposition-respecting checks, and every other coproduct question is
-    a lookup in it."""
+    in ``itertools.product`` order, then legs in hom-set order.  The parts
+    whose hom counts fit x are read from ``_parts_index``, so their legs
+    need only the injectivity scan.  Cached per (apex, arity); this is the
+    quantification set for the decomposition-respecting checks, and every
+    other coproduct question is a lookup in it."""
     cache = cat._cache.setdefault("coproduct_bases", {})
     key = (x, arity)
     if key not in cache:
-        hc = cat._hom_counts_l
         cache[key] = tuple(
             legs
-            for parts in itertools.product(range(len(cat.objects)), repeat=arity)
-            if _counts_fit(hc, x, parts)
+            for parts in _parts_index(cat, arity)[tuple(cat._hom_counts_l[x])]
             for legs in itertools.product(*(cat.hom(a, x) for a in parts))
-            if _cocone_universal(cat, legs)
+            if _cocone_injective(cat, legs)
         )
     return cache[key]
 
@@ -277,10 +305,39 @@ def _isos_into(cat: FinCategory) -> dict[int, list[int]]:
     return index
 
 
+def _automorphism_rows(cat: FinCategory, x: int) -> list[list[tuple[int, ...]]]:
+    """``rows(γ)`` for each automorphism γ of x, cached per object."""
+    cache = cat._cache.setdefault("automorphism_rows", {})
+    got = cache.get(x)
+    if got is None:
+        got = cache[x] = [cat.rows(i) for i in _isos_into(cat).get(x, ()) if cat._dom_l[i] == x]
+    return got
+
+
 def _cone_orbit(cat: FinCategory, apex: int, w1: int, w2: int) -> list[tuple[int, int]]:
-    """The cones (w1∘i, w2∘i) for i an isomorphism into ``apex``: for a
-    pullback cone (w1, w2), every pullback cone over the same cospan."""
-    return [(cat.compose(w1, i), cat.compose(w2, i)) for i in _isos_into(cat).get(apex, ())]
+    """The cones (w1∘i, w2∘i) for i an isomorphism into ``apex``, read from
+    the rows of w1 and w2: for a pullback cone (w1, w2), every pullback cone
+    over the same cospan."""
+    r1, r2, dom, pos = cat.rows(w1), cat.rows(w2), cat._dom_l, cat._pos
+    return [(r1[dom[i]][pos[i]], r2[dom[i]][pos[i]]) for i in _isos_into(cat).get(apex, ())]
+
+
+def _least_cone(cat: FinCategory, apex: int, w1: int, w2: int) -> UniversalWitness:
+    """The least cone of ``_cone_orbit``: the apex y0 first in object order
+    with an isomorphism into ``apex``, then the least (w1∘i, w2∘i) over the
+    isomorphisms i: y0 -> apex.  y0 is read from the isomorphisms' domains,
+    since a dual keeps its primal's index order; inside the hom-sets out of
+    y0, index order is hom-set order.  y0 and the positions of the
+    isomorphisms y0 -> apex are cached per apex."""
+    cache = cat._cache.setdefault("first_iso_source", {})
+    source = cache.get(apex)
+    if source is None:
+        isos, dom, pos = _isos_into(cat)[apex], cat._dom_l, cat._pos
+        y = min(dom[i] for i in isos)
+        source = cache[apex] = (y, [pos[i] for i in isos if dom[i] == y])
+    y0, ps = source
+    r1, r2 = cat.rows(w1)[y0], cat.rows(w2)[y0]
+    return UniversalWitness(y0, min(zip(map(r1.__getitem__, ps), map(r2.__getitem__, ps))))
 
 
 def _pullback_search(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
@@ -303,9 +360,13 @@ def pullback(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
 
     Legs come back as (p1: P -> A, p2: P -> B) with f∘p1 = u∘p2.  Along an
     iso leg the pullback is (id, u⁻¹∘f), or (f⁻¹∘u, id) for an iso f, put
-    into the search's canonical form: of its orbit (``_cone_orbit``), the
-    cone whose apex comes first in object order, then whose legs have the
-    least (position of p1, position of p2)."""
+    into the search's canonical form: the least cone of its orbit
+    (``_least_cone``).  Any other cospan is searched once per orbit under
+    the automorphisms γ of X: (γ∘f, γ∘u) has the commuting cones of (f, u),
+    since γ is mono, so the same cone counts, p1 order and fibres of γ∘u,
+    and the search certifies the same first cone.  Only the least pair
+    (γ∘f, γ∘u), read from the rows of the γ, is searched, and the answer is
+    cached under both cospans."""
     if cat._cod_l[f] != cat._cod_l[u]:
         raise ValueError("pullback needs a cospan (shared codomain)")
     cache = cat._cache.setdefault("pullback", {})
@@ -313,17 +374,19 @@ def pullback(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
     if key in cache:
         return cache[key]
     isos, inv = _iso_info(cat)
-    if u in isos or f in isos:
-        a, b = cat._dom_l[f], cat._dom_l[u]
-        if u in isos:
-            cone = (a, cat.identity_of[a], cat.compose(inv[u], f))
-        else:
-            cone = (b, cat.compose(inv[f], u), cat.identity_of[b])
-        dom, pos = cat._dom_l, cat._pos
-        p1, p2 = min(_cone_orbit(cat, *cone), key=lambda c: (dom[c[0]], pos[c[0]], pos[c[1]]))
-        res = UniversalWitness(dom[p1], (p1, p2))
+    dom, pos = cat._dom_l, cat._pos
+    if u in isos:
+        a = dom[f]
+        res = _least_cone(cat, a, cat.identity_of[a], cat.compose(inv[u], f))
+    elif f in isos:
+        b = dom[u]
+        res = _least_cone(cat, b, cat.compose(inv[f], u), cat.identity_of[b])
     else:
-        res = _pullback_search(cat, f, u)
+        a, pf, b, pu = dom[f], pos[f], dom[u], pos[u]
+        least = min(((r[a][pf], r[b][pu]) for r in _automorphism_rows(cat, cat._cod_l[f])), default=key)
+        # None is a cached answer too
+        res = cache[least] if least in cache else _pullback_search(cat, *least)
+        cache[least] = res
     cache[key] = res
     return res
 

@@ -22,6 +22,11 @@ missing one.
 ``thin_category_from_poset`` builds through string ids and the string
 constructor; the library's builds from integer data.
 
+``iso_info`` is the original isomorphism scan: for each f: a -> b, the
+first g in hom(b, a) with g∘f = id_a and f∘g = id_b, both through
+``compose``; the library reads f∘g from rows(f) and g∘f from rows(g), and
+a dual reads its primal's answer.
+
 ``closure`` and ``generating_set`` are brute-force versions of the
 generating set that the library's ``validate`` checks associativity
 through: the closure composes every composable pair of the set until
@@ -187,6 +192,20 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
                         if len(out) >= max_violations:
                             return out
     return out
+
+
+def iso_info(cat: FinCategory) -> tuple[frozenset[int], dict[int, int]]:
+    """The isomorphisms and their inverses, by two ``compose`` calls per
+    candidate inverse.  Not cached."""
+    inv: dict[int, int] = {}
+    for f in range(cat.n_mor):
+        a, b = cat._dom_l[f], cat._cod_l[f]
+        ia, ib = cat.identity_of.get(a), cat.identity_of.get(b)
+        for g in cat.hom(b, a):
+            if cat.compose(g, f) == ia and cat.compose(f, g) == ib:
+                inv[f] = g
+                break
+    return frozenset(inv), inv
 
 
 def mono_set(cat: FinCategory) -> frozenset[int]:

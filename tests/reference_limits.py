@@ -17,7 +17,12 @@ These are the original formulations, kept for differential tests only:
   legs' fibre dicts (``postcompose_fibers``), not from fibre sizes cached
   per leg;
 - ``pullback``: the plain search on every cospan, without reading the
-  pullback along an iso leg off its inverse, over ``cone_counts``.
+  pullback along an iso leg off its inverse and without transport along
+  automorphisms of the codomain, over ``cone_counts``;
+- ``cone_orbit`` and ``least_cone``: the orbit {(w1∘i, w2∘i) : i an iso
+  into the apex} built as a list through ``compose``, over the isos of
+  ``reference_fincat.iso_info``, and its least cone taken by sorting on
+  (apex, position of p1, position of p2).
 
 The mediator search and the kernels read the original numpy composition
 blocks (``reference_fincat.block``).
@@ -29,7 +34,7 @@ import numpy as np
 
 from finext import limits
 from finext.fincat import FinCategory, _iso_info
-from reference_fincat import block
+from reference_fincat import block, iso_info
 
 
 def mediator_to_cone(cat: FinCategory, w1: int, w2: int, c1: int, c2: int) -> int | None:
@@ -211,3 +216,18 @@ def pullback(cat: FinCategory, f: int, u: int) -> limits.UniversalWitness | None
             break
     cache[key] = res
     return res
+
+
+def cone_orbit(cat: FinCategory, apex: int, w1: int, w2: int) -> list[tuple[int, int]]:
+    """The cones (w1∘i, w2∘i) for i an isomorphism into ``apex``, in index
+    order of i."""
+    isos = sorted(i for i in iso_info(cat)[0] if cat._cod_l[i] == apex)
+    return [(cat.compose(w1, i), cat.compose(w2, i)) for i in isos]
+
+
+def least_cone(cat: FinCategory, apex: int, w1: int, w2: int) -> limits.UniversalWitness:
+    """The cone of ``cone_orbit`` whose apex comes first in object order,
+    then whose legs have the least (position of p1, position of p2)."""
+    dom, pos = cat._dom_l, cat._pos
+    p1, p2 = min(cone_orbit(cat, apex, w1, w2), key=lambda c: (dom[c[0]], pos[c[0]], pos[c[1]]))
+    return limits.UniversalWitness(dom[p1], (p1, p2))

@@ -13,20 +13,32 @@ certified one, is exercised only there.  The coproduct answers read from the
 cached bases are compared with the seed's searches on the same categories,
 and so are the coequalisers, which must form one orbit {i∘q : i an iso
 out of the apex of q} per parallel pair.
+
+A cold cospan (f, u) with no iso leg is searched once per orbit under the
+automorphisms γ of its codomain: every (γ∘f, γ∘u) must have the pullback
+of (f, u), and ``regular_indicators`` on FinSet≤4 searches one cospan per
+orbit it meets.  The isomorphisms read from rows, the dual's read from its
+primal, the orbits read from rows and the coproduct bases read from the
+hom-count index are compared with the seed's ``compose`` scans and search
+(``reference_fincat.iso_info``, ``reference_limits.cone_orbit`` and
+``least_cone``, ``reference_extensivity.coproduct_bases_n``).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_extensivity
+import reference_fincat
 import reference_limits
 from finext import extensivity as ext
 from finext import limits
+from finext import relcalc
 from finext.algebra import build_category
 from finext.fincat import FinCategory, _iso_info, dual_of, thin_category_from_poset
 from generators import inflate, lift_id, preorders
@@ -237,3 +249,120 @@ def test_each_report_entry_owns_its_details(mode):
         entries = ext.category_report(cat, mode)["morphisms"].values()
         details = [e["details"] for e in entries]
         assert len({id(d) for d in details}) == len(details)
+
+
+# -- one search per automorphism orbit -------------------------------------------------
+
+# the verify-paper built-ins: (variety, max carrier, include_empty)
+PAPER_BUILTINS = {
+    "finset3": ("set", 3, None),
+    "pointed3": ("pointed", 3, None),
+    "golden-poset": ("poset", 1, True),
+    "slat3": ("slat", 3, None),
+    "lat4": ("lat", 4, None),
+    "cpos3": ("cpos", 3, None),
+    "mon3": ("mon", 3, None),
+}
+
+
+def _automorphisms(cat: FinCategory) -> dict[int, list[int]]:
+    """The automorphisms of each object, from the seed's isomorphism scan."""
+    auts: dict[int, list[int]] = {x: [] for x in range(len(cat.objects))}
+    for i in sorted(reference_fincat.iso_info(cat)[0]):
+        if cat._dom_l[i] == cat._cod_l[i]:
+            auts[cat._dom_l[i]].append(i)
+    return auts
+
+
+def test_regular_indicators_search_once_per_automorphism_orbit(monkeypatch):
+    """On FinSet≤4 the plain sweep ran 4,732 searches; one per orbit of
+    cospans under the automorphisms of their codomain leaves 992, each the
+    least pair of its orbit."""
+    cat = build_category("set", 4)[0]
+    real, searched = limits._pullback_search, []
+
+    def search(c, f, u):
+        searched.append((f, u))
+        return real(c, f, u)
+
+    monkeypatch.setattr(limits, "_pullback_search", search)
+    relcalc.regular_indicators(cat)
+    auts = _automorphisms(cat)
+    orbits = [{(cat.compose(g, f), cat.compose(g, u)) for g in auts[cat._cod_l[f]]} for f, u in searched]
+    assert len(searched) == 992
+    assert all(cospan == min(orbit) for cospan, orbit in zip(searched, orbits))
+    assert len(set(map(frozenset, orbits))) == 992
+
+
+def _assert_pullbacks_are_automorphism_invariant(cat: FinCategory) -> None:
+    """pullback(γ∘f, γ∘u) = pullback(f, u) = the plain search, for every
+    cospan and every automorphism γ of its codomain, and every witness's
+    orbit and least cone read from rows equal the ``compose``-built ones."""
+    auts = _automorphisms(cat)
+    for f, u in _cospans(cat):
+        expected = reference_limits.pullback(cat, f, u)
+        for g in auts[cat._cod_l[f]]:
+            assert limits.pullback(cat, cat.compose(g, f), cat.compose(g, u)) == expected, (f, u, g)
+        assert limits.pullback(cat, f, u) == expected, (f, u)
+        if expected is not None:
+            apex, (w1, w2) = expected.apex, expected.legs
+            assert limits._cone_orbit(cat, apex, w1, w2) == reference_limits.cone_orbit(cat, apex, w1, w2)
+            assert limits._least_cone(cat, apex, w1, w2) == reference_limits.least_cone(cat, apex, w1, w2)
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_pullbacks_are_invariant_under_automorphisms_of_finset3(side):
+    cat = build_category("set", 3)[0]
+    _assert_pullbacks_are_automorphism_invariant(cat if side == "primal" else dual_of(cat))
+
+
+@settings(max_examples=20, deadline=None)
+@given(preorders(max_points=4))
+def test_pullbacks_are_invariant_under_automorphisms_of_preorders(leq):
+    cat = thin_category_from_poset(leq)
+    for c in (cat, dual_of(cat)):
+        _assert_pullbacks_are_automorphism_invariant(c)
+
+
+# -- isomorphisms and coproduct bases against the seed's scans -------------------------
+
+
+def _assert_isos_and_bases_match_reference(cat: FinCategory) -> None:
+    """The isomorphisms and inverses equal the ``compose`` scan, on the
+    category and on its dual, which reads them from the category without
+    gathering a row of its own; the coproduct bases of arity 2 and 3 equal
+    the seed's search, on both sides."""
+    d = dual_of(cat)
+    expected = reference_fincat.iso_info(cat)
+    assert _iso_info(d) == expected and _iso_info(d) is _iso_info(cat)
+    assert all(r is None for r in d._rows)
+    assert reference_fincat.iso_info(d) == expected
+    for c in (cat, d):
+        for x, arity in itertools.product(range(len(c.objects)), (2, 3)):
+            assert limits.coproduct_bases(c, x, arity) == reference_extensivity.coproduct_bases_n(c, x, arity), (x, arity)
+
+
+@pytest.mark.parametrize("label", sorted(PAPER_BUILTINS))
+def test_isos_and_coproduct_bases_match_the_seed_on_the_builtins(label):
+    _assert_isos_and_bases_match_reference(build_category(*PAPER_BUILTINS[label])[0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(preorders(max_points=4))
+def test_isos_and_coproduct_bases_match_the_seed_on_preorders(leq):
+    _assert_isos_and_bases_match_reference(thin_category_from_poset(leq))
+
+
+def test_a_one_sided_inverse_is_no_inverse():
+    """In FinSet≤3 the map r: 2 -> 1 has sections s with r∘s = id_1 while
+    s∘r is not id_2: neither is an isomorphism, on either side."""
+    cat = build_category("set", 3)[0]
+    one, two = cat.o("s1"), cat.o("s2")
+    (r,) = cat.hom(two, one)
+    sections = [s for s in cat.hom(one, two) if cat.compose(r, s) == cat.identity_of[one]]
+    assert len(sections) == 2 and all(cat.compose(s, r) != cat.identity_of[two] for s in sections)
+    d = dual_of(cat)
+    for c in (d, cat):
+        isos, inv = _iso_info(c)
+        assert r not in isos and not isos & set(sections)
+        assert (isos, inv) == reference_fincat.iso_info(c)
