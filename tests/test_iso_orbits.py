@@ -275,9 +275,9 @@ def _automorphisms(cat: FinCategory) -> dict[int, list[int]]:
 
 
 def test_regular_indicators_search_once_per_automorphism_orbit(monkeypatch):
-    """On FinSet≤4 the plain sweep ran 4,732 searches; one per orbit of
-    cospans under the automorphisms of their codomain leaves 992, each the
-    least pair of its orbit."""
+    """On FinSet≤4 the sweep meets 4,732 cold cospans with no iso leg; one
+    search per orbit of them under the automorphisms of their codomain
+    leaves 992, each on the least pair of its orbit."""
     cat = build_category("set", 4)[0]
     real, searched = limits._pullback_search, []
 
