@@ -32,6 +32,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 from .fincat import (
     FinCategory,
+    cached,
     dual_of,
     morphisms_of_class,
     _iso_info,
@@ -204,15 +205,13 @@ def check_e1(cat: FinCategory, mid: str) -> CheckStatus:
 # -- condition two ------------------------------------------------------------
 
 
+@cached("e2_side_index")
 def _e2_side_index(cat: FinCategory, x: int):
     """Per-codomain index for the two-square quantification: maps
     (top-part object, composite leg into x) -> {bottom-base idx: fillers},
     bottom bases ascending and fillers in hom-set order.
 
     Independent of the middle morphism, so shared by every f into x."""
-    cache = cat._cache.setdefault("e2_side_index", {})
-    if x in cache:
-        return cache[x]
     bottoms = limits.coproduct_bases(cat, x)
     n = len(cat.objects)
     side1: dict[tuple[int, int], dict[int, list[int]]] = {}
@@ -223,9 +222,7 @@ def _e2_side_index(cat: FinCategory, x: int):
                 side1.setdefault((t, w), {})[bi] = gs
             for w, gs in cat.postcompose_fibers(v, t).items():
                 side2.setdefault((t, w), {})[bi] = gs
-    res = (bottoms, side1, side2)
-    cache[x] = res  # built locally, published in one assignment
-    return res
+    return (bottoms, side1, side2)
 
 
 def _e2_first_failure(
@@ -359,20 +356,18 @@ def all_binary_coproducts_exist(cat: FinCategory) -> bool:
     )
 
 
+@cached("orbit_reps")
 def _orbit_reps(cat: FinCategory) -> list[int]:
     """Each morphism's orbit representative: the first morphism, in id
     order, of its orbit {α∘f∘β : α, β isomorphisms}.  Cached per category."""
-    reps = cat._cache.get("orbit_reps")
-    if reps is None:
-        into, inv = limits._isos_into(cat), _iso_info(cat)[1]
-        reps = [-1] * cat.n_mor
-        for f in range(cat.n_mor):
-            if reps[f] < 0:  # a new orbit; inv[a] ranges over the isos out of cod f
-                for b in into[cat._dom_l[f]]:
-                    fb = cat.compose(f, b)
-                    for a in into[cat._cod_l[f]]:
-                        reps[cat.compose(inv[a], fb)] = f
-        cat._cache["orbit_reps"] = reps  # built locally, published in one assignment
+    into, inv = limits._isos_into(cat), _iso_info(cat)[1]
+    reps = [-1] * cat.n_mor
+    for f in range(cat.n_mor):
+        if reps[f] < 0:  # a new orbit; inv[a] ranges over the isos out of cod f
+            for b in into[cat._dom_l[f]]:
+                fb = cat.compose(f, b)
+                for a in into[cat._cod_l[f]]:
+                    reps[cat.compose(inv[a], fb)] = f
     return reps
 
 
@@ -391,6 +386,8 @@ def morphism_status(cat: FinCategory, f: int, mode: str = "extensive") -> CheckS
         raise ValueError("mode must be extensive or coextensive")
     if mode == "coextensive":
         return _dualized(morphism_status(dual_of(cat), f))
+    # not ``cached``: a miss may copy the stored pass of its orbit's
+    # representative instead of deciding f
     store = cat._cache.setdefault("verdicts", {})
     st = store.get(f)
     if st is None:

@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import wraps
 from itertools import chain
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 __all__ = [
     "FinCategory",
@@ -51,6 +52,35 @@ class Violation:
 
     kind: str  # identity-missing | identity-typing | identity-law | comp-missing | comp-extraneous | comp-typing | assoc
     details: dict
+
+
+def cached(name: str) -> Callable[[Callable], Callable]:
+    """Memoise ``fn(cat, *args)`` in ``cat._cache[name]``, keyed by the one
+    argument, or by the argument tuple when there are none or several.
+    Omitted defaults are filled in first, so ``fn(cat, x)`` and
+    ``fn(cat, x, default)`` share one entry.  None is an answer like any
+    other, and an answer is stored only once ``fn`` has returned it."""
+
+    def decorate(fn: Callable) -> Callable:
+        nargs = fn.__code__.co_argcount - 1
+        defaults = fn.__defaults__ or ()
+
+        @wraps(fn)
+        def memo(cat: FinCategory, *args: Any) -> Any:
+            if len(args) < nargs:
+                args += defaults[len(args) - nargs :]
+            key = args[0] if len(args) == 1 else args
+            try:
+                return cat._cache[name][key]
+            except KeyError:
+                pass
+            res = fn(cat, *args)
+            cat._cache.setdefault(name, {})[key] = res
+            return res
+
+        return memo
+
+    return decorate
 
 
 class FinCategory:
@@ -206,28 +236,20 @@ class FinCategory:
         """Position of m in its hom-set list."""
         return self._pos[m]
 
+    @cached("post_fibers")
     def postcompose_fibers(self, g: int, src: int) -> dict[int, list[int]]:
         """For g: B->C, the fibers of hom(src,B) -> hom(src,C), t |-> g∘t."""
-        cache = self._cache.setdefault("post_fibers", {})
-        key = (g, src)
-        fib = cache.get(key)
-        if fib is None:
-            fib = {}
-            for t, gt in zip(self.hom(src, self._dom_l[g]), self.rows(g)[src]):
-                fib.setdefault(gt, []).append(t)
-            cache[key] = fib
+        fib: dict[int, list[int]] = {}
+        for t, gt in zip(self.hom(src, self._dom_l[g]), self.rows(g)[src]):
+            fib.setdefault(gt, []).append(t)
         return fib
 
+    @cached("pre_fibers")
     def precompose_fibers(self, f: int, dst: int) -> dict[int, list[int]]:
         """For f: A->B, the fibers of hom(B,dst) -> hom(A,dst), t |-> t∘f."""
-        cache = self._cache.setdefault("pre_fibers", {})
-        key = (f, dst)
-        fib = cache.get(key)
-        if fib is None:
-            fib = {}
-            for t, tf in zip(self.hom(self._cod_l[f], dst), self.cols(f)[dst]):
-                fib.setdefault(tf, []).append(t)
-            cache[key] = fib
+        fib: dict[int, list[int]] = {}
+        for t, tf in zip(self.hom(self._cod_l[f], dst), self.cols(f)[dst]):
+            fib.setdefault(tf, []).append(t)
         return fib
 
     # -- string-id conveniences ------------------------------------------
@@ -493,51 +515,41 @@ def dual_of(cat: FinCategory) -> FinCategory:
 # -- morphism classification ----------------------------------------------
 
 
+@cached("iso")
 def _iso_info(cat: FinCategory) -> tuple[frozenset[int], dict[int, int]]:
     """The isomorphisms and their inverses, cached.  The inverse of f: a -> b
     is the g in hom(b, a) with f∘g = id_b, read from rows(f)[b], and
     g∘f = id_a, read from rows(g)[a] at f's position.  A dual made by
     ``dual_of`` reads its primal's: f is an iso of C^op exactly when it is
     one of C, with the same inverse."""
-    info = cat._cache.get("iso")
-    if info is None:
-        primal = cat._dual() if isinstance(cat._dual, weakref.ref) else None
-        if primal is not None:
-            info = _iso_info(primal)
-        else:
-            dom, cod, pos, rows, ident = cat._dom_l, cat._cod_l, cat._pos, cat.rows, cat.identity_of
-            inv: dict[int, int] = {}
-            for f in range(cat.n_mor):
-                a, b = dom[f], cod[f]
-                ia, ib, p = ident.get(a), ident.get(b), pos[f]
-                for g, fg in zip(cat.hom(b, a), rows(f)[b]):
-                    if fg == ib and rows(g)[a][p] == ia:
-                        inv[f] = g
-                        break
-            info = (frozenset(inv), inv)
-        cat._cache["iso"] = info
-    return info
+    primal = cat._dual() if isinstance(cat._dual, weakref.ref) else None
+    if primal is not None:
+        return _iso_info(primal)
+    dom, cod, pos, rows, ident = cat._dom_l, cat._cod_l, cat._pos, cat.rows, cat.identity_of
+    inv: dict[int, int] = {}
+    for f in range(cat.n_mor):
+        a, b = dom[f], cod[f]
+        ia, ib, p = ident.get(a), ident.get(b), pos[f]
+        for g, fg in zip(cat.hom(b, a), rows(f)[b]):
+            if fg == ib and rows(g)[a][p] == ia:
+                inv[f] = g
+                break
+    return (frozenset(inv), inv)
 
 
 def is_iso(cat: FinCategory, f: int) -> bool:
     return f in _iso_info(cat)[0]
 
 
+@cached("monos")
 def _mono_set(cat: FinCategory) -> frozenset[int]:
-    s = cat._cache.get("monos")
-    if s is None:
-        # f is mono iff u |-> f∘u is injective on hom(y, dom f) for every y
-        s = frozenset(f for f in range(cat.n_mor) if all(len(set(r)) == len(r) for r in cat.rows(f)))
-        cat._cache["monos"] = s
-    return s
+    # f is mono iff u |-> f∘u is injective on hom(y, dom f) for every y
+    return frozenset(f for f in range(cat.n_mor) if all(len(set(r)) == len(r) for r in cat.rows(f)))
 
 
+@cached("epis")
 def _epi_set(cat: FinCategory) -> frozenset[int]:
-    s = cat._cache.get("epis")
-    if s is None:
-        s = _mono_set(dual_of(cat))
-        cat._cache["epis"] = s
-    return s
+    return _mono_set(dual_of(cat))
 
 
 def _split_mono_witness(cat: FinCategory, f: int) -> int | None:
@@ -549,47 +561,37 @@ def _split_mono_witness(cat: FinCategory, f: int) -> int | None:
     return None
 
 
+@cached("extremal_epis")
 def _extremal_epi_set(cat: FinCategory) -> frozenset[int]:
     """f is extremal epi iff every factorization f = m∘i with m mono has m iso.
 
     Computed in one sweep: every composite through a non-iso mono is excluded.
     """
-    s = cat._cache.get("extremal_epis")
-    if s is None:
-        isos = _iso_info(cat)[0]
-        excluded: set[int] = set()
-        for m in _mono_set(cat):
-            if m in isos:
-                continue
-            excluded.update(chain.from_iterable(cat.rows(m)))
-        s = frozenset(set(range(cat.n_mor)) - excluded)
-        cat._cache["extremal_epis"] = s
-    return s
+    isos = _iso_info(cat)[0]
+    excluded: set[int] = set()
+    for m in _mono_set(cat):
+        if m in isos:
+            continue
+        excluded.update(chain.from_iterable(cat.rows(m)))
+    return frozenset(set(range(cat.n_mor)) - excluded)
 
 
+@cached("regular_epi")
 def _is_regular_epi(cat: FinCategory, f: int) -> tuple[bool, tuple[int, int] | None]:
     """Whether f is the coequaliser of some parallel pair, with a witness pair.
 
     Tries the kernel pair first (if it exists, f is regular epi iff it
     coequalises its own kernel pair); otherwise enumerates parallel pairs.
     """
-    cache = cat._cache.setdefault("regular_epi", {})
-    if f in cache:
-        return cache[f]
     from . import limits  # local import: limits builds on this module
 
-    res: tuple[bool, tuple[int, int] | None] = (False, None)
     if f not in _epi_set(cat):
         # a coequaliser is always epi, so no pair can work
-        cache[f] = res
-        return res
+        return (False, None)
     kp = limits.kernel_pair(cat, f)
     if kp is not None:
         u, v = kp[1], kp[2]
-        if limits.is_coequaliser(cat, u, v, f):
-            res = (True, (u, v))
-        cache[f] = res
-        return res
+        return (True, (u, v)) if limits.is_coequaliser(cat, u, v, f) else (False, None)
     a = cat._dom_l[f]
     for y in range(len(cat.objects)):
         hy = cat.hom(y, a)
@@ -599,11 +601,8 @@ def _is_regular_epi(cat: FinCategory, f: int) -> tuple[bool, tuple[int, int] | N
                 if v < u or cat.compose(f, v) != fu:
                     continue
                 if limits.is_coequaliser(cat, u, v, f):
-                    res = (True, (u, v))
-                    cache[f] = res
-                    return res
-    cache[f] = res
-    return res
+                    return (True, (u, v))
+    return (False, None)
 
 
 @dataclass

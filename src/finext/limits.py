@@ -4,18 +4,16 @@ search.
 A candidate diagram is *certified* by checking the defining bijection
 directly: a cocone of legs u_i: A_i -> X is a coproduct iff for every
 object Y the map h |-> (h∘u_i)_i from hom(X,Y) to the product of the
-hom(A_i,Y) is a bijection.  One certificate, ``_cocone_universal``, decides
-that at every arity by cardinality comparison plus an injectivity scan; the
-scan reads the composites of each leg as one list of id tuples, one per
-object (``FinCategory.rows`` or ``cols``), and counts distinct leg tuples in
-a Python set.  The certified cocones with apex X are searched once per
-(apex, arity) and cached (``coproduct_bases``).  Their parts come from one
-index per arity, which groups the tuples of objects by the pointwise
-product of their hom-count rows and is read at X's row
-(``_parts_index``), so the legs found there need only the injectivity
-scan.  Whether given legs form a coproduct, the first coproduct of two
-objects and the set of coproduct inclusions are lookups in these bases,
-not certified again.
+hom(A_i,Y) is a bijection.  At every arity this is decided by cardinality
+comparison plus an injectivity scan.  The cardinalities are compared once
+per arity, by an index that groups the tuples of objects by the pointwise
+product of their hom-count rows and is read at X's row (``_parts_index``).
+The scan (``_cocone_injective``) reads the composites of each leg as one
+list of id tuples, one per object (``FinCategory.cols``), and counts
+distinct leg tuples in a Python set.  The certified cocones with apex X are
+searched once per (apex, arity) (``coproduct_bases``).  Whether given legs
+form a coproduct, the first coproduct of two objects and the set of
+coproduct inclusions are lookups in these bases, not certified again.
 
 The commuting cones of a cospan (f, u) are counted from sizes, not
 enumerated: for each s into dom f, the size of u's fibre over f∘s, read
@@ -40,6 +38,8 @@ row reads.  Any other cospan (f, u) is searched once per orbit under the
 automorphisms γ of its codomain: (γ∘f, γ∘u) has the same commuting cones,
 since γ is mono, so the search certifies the same first cone, and only the
 least pair of the orbit, read from the rows of the γ, is searched.
+Every answer is kept on the category by ``fincat.cached``, except that
+``pullback`` keeps its own store, since it answers a miss under two keys.
 All functions speak internal integer indexes; callers translate to string
 ids at the reporting boundary.
 """
@@ -52,9 +52,8 @@ from dataclasses import dataclass
 from itertools import repeat
 from math import prod
 from operator import eq
-from typing import Sequence
 
-from .fincat import FinCategory, dual_of, _epi_set, _iso_info, _mono_set
+from .fincat import FinCategory, cached, dual_of, _epi_set, _iso_info, _mono_set
 
 __all__ = [
     "UniversalWitness",
@@ -93,28 +92,20 @@ class UniversalWitness:
 # -- initial / terminal --------------------------------------------------------
 
 
+@cached("initial")
 def initial(cat: FinCategory) -> int | None:
     """First object with exactly one morphism to every object, if any."""
-    if "initial" not in cat._cache:
-        hc, n = cat._hom_counts_l, len(cat.objects)
-        cat._cache["initial"] = next((x for x in range(n) if all(hc[x][y] == 1 for y in range(n))), None)
-    return cat._cache["initial"]
+    hc, n = cat._hom_counts_l, len(cat.objects)
+    return next((x for x in range(n) if all(hc[x][y] == 1 for y in range(n))), None)
 
 
+@cached("terminal")
 def terminal(cat: FinCategory) -> int | None:
-    if "terminal" not in cat._cache:
-        hc, n = cat._hom_counts_l, len(cat.objects)
-        cat._cache["terminal"] = next((x for x in range(n) if all(hc[y][x] == 1 for y in range(n))), None)
-    return cat._cache["terminal"]
+    hc, n = cat._hom_counts_l, len(cat.objects)
+    return next((x for x in range(n) if all(hc[y][x] == 1 for y in range(n))), None)
 
 
 # -- coproducts -----------------------------------------------------------------
-
-
-def _counts_fit(hc: list[list[int]], x: int, parts: Sequence[int]) -> bool:
-    """Whether |hom(x, Y)| is the product of the |hom(a, Y)|, a in parts, for
-    every Y: the cardinality half of the certificate."""
-    return all(k == prod(ks) for k, *ks in zip(hc[x], *(hc[a] for a in parts)))
 
 
 def _cocone_injective(cat: FinCategory, legs: tuple[int, ...]) -> bool:
@@ -124,32 +115,22 @@ def _cocone_injective(cat: FinCategory, legs: tuple[int, ...]) -> bool:
     return all(len(cs[0]) < 2 or len(set(zip(*cs))) == len(cs[0]) for cs in zip(*map(cat.cols, legs)))
 
 
-def _cocone_universal(cat: FinCategory, legs: tuple[int, ...]) -> bool:
-    """The coproduct certificate, at every arity: bijectivity of
-    h |-> (h∘leg)_leg from hom(X,Y) onto the product of the hom(A_i,Y), for
-    every Y, where the legs run A_i -> X."""
-    dom = cat._dom_l
-    return _counts_fit(cat._hom_counts_l, cat._cod_l[legs[0]], [dom[m] for m in legs]) and _cocone_injective(cat, legs)
-
-
+@cached("coproduct_parts")
 def _parts_index(cat: FinCategory, arity: int) -> dict[tuple[int, ...], list[tuple[int, ...]]]:
     """The ``arity``-tuples of objects grouped by the pointwise product of
     their hom-count rows, in ``itertools.product`` order; only products that
     are some object's row are kept.  The parts that fit apex x are the entry
-    at x's row.  Cached per arity."""
-    cache = cat._cache.setdefault("coproduct_parts", {})
-    index = cache.get(arity)
-    if index is None:
-        hc = cat._hom_counts_l
-        index = {tuple(r): [] for r in hc}
-        for parts in itertools.product(range(len(cat.objects)), repeat=arity):
-            fits = index.get(tuple(map(prod, zip(*(hc[a] for a in parts)))))
-            if fits is not None:
-                fits.append(parts)
-        cache[arity] = index  # built locally, published in one assignment
+    at x's row: the cardinality half of the certificate.  Cached per arity."""
+    hc = cat._hom_counts_l
+    index: dict[tuple[int, ...], list[tuple[int, ...]]] = {tuple(r): [] for r in hc}
+    for parts in itertools.product(range(len(cat.objects)), repeat=arity):
+        fits = index.get(tuple(map(prod, zip(*(hc[a] for a in parts)))))
+        if fits is not None:
+            fits.append(parts)
     return index
 
 
+@cached("coproduct_bases")
 def coproduct_bases(cat: FinCategory, x: int, arity: int = 2) -> tuple[tuple[int, ...], ...]:
     """Every certified coproduct cocone of ``arity`` legs with apex x: parts
     in ``itertools.product`` order, then legs in hom-set order.  The parts
@@ -157,56 +138,47 @@ def coproduct_bases(cat: FinCategory, x: int, arity: int = 2) -> tuple[tuple[int
     need only the injectivity scan.  Cached per (apex, arity); this is the
     quantification set for the decomposition-respecting checks, and every
     other coproduct question is a lookup in it."""
-    cache = cat._cache.setdefault("coproduct_bases", {})
-    key = (x, arity)
-    if key not in cache:
-        cache[key] = tuple(
-            legs
-            for parts in _parts_index(cat, arity)[tuple(cat._hom_counts_l[x])]
-            for legs in itertools.product(*(cat.hom(a, x) for a in parts))
-            if _cocone_injective(cat, legs)
-        )
-    return cache[key]
+    return tuple(
+        legs
+        for parts in _parts_index(cat, arity)[tuple(cat._hom_counts_l[x])]
+        for legs in itertools.product(*(cat.hom(a, x) for a in parts))
+        if _cocone_injective(cat, legs)
+    )
+
+
+@cached("coproduct_cocones")
+def _cocone_set(cat: FinCategory, x: int, arity: int) -> frozenset[tuple[int, ...]]:
+    """``coproduct_bases`` of (x, arity) as a set, cached."""
+    return frozenset(coproduct_bases(cat, x, arity))
 
 
 def is_coproduct_cocone(cat: FinCategory, *legs: int) -> bool:
     """Whether the legs (A_i -> X) exhibit X as the coproduct of the A_i:
-    membership in the certified bases of X, whose set is cached."""
-    cache = cat._cache.setdefault("coproduct_cocones", {})
-    key = (cat._cod_l[legs[0]], len(legs))
-    cocones = cache.get(key)
-    if cocones is None:
-        cocones = cache[key] = frozenset(coproduct_bases(cat, *key))
-    return legs in cocones
+    membership in the certified bases of X."""
+    return legs in _cocone_set(cat, cat._cod_l[legs[0]], len(legs))
 
 
+@cached("coproduct")
 def coproduct(cat: FinCategory, a1: int, a2: int) -> UniversalWitness | None:
     """First certified coproduct of (a1, a2): apexes in object order, then
     the first base on those parts.  Cached."""
-    cache = cat._cache.setdefault("coproduct", {})
-    key = (a1, a2)
-    if key not in cache:
-        dom = cat._dom_l
-        cache[key] = next(
-            (
-                UniversalWitness(x, (u, v))
-                for x in range(len(cat.objects))
-                for u, v in coproduct_bases(cat, x)
-                if (dom[u], dom[v]) == key
-            ),
-            None,
-        )
-    return cache[key]
+    dom = cat._dom_l
+    return next(
+        (
+            UniversalWitness(x, (u, v))
+            for x in range(len(cat.objects))
+            for u, v in coproduct_bases(cat, x)
+            if dom[u] == a1 and dom[v] == a2
+        ),
+        None,
+    )
 
 
+@cached("coproduct_legs")
 def coproduct_legs(cat: FinCategory) -> frozenset[int]:
     """The legs of every certified binary coproduct cocone: the coproduct
     inclusions.  Cached."""
-    legs = cat._cache.get("coproduct_legs")
-    if legs is None:
-        legs = frozenset(m for x in range(len(cat.objects)) for base in coproduct_bases(cat, x) for m in base)
-        cat._cache["coproduct_legs"] = legs
-    return legs
+    return frozenset(m for x in range(len(cat.objects)) for base in coproduct_bases(cat, x) for m in base)
 
 
 def cotuple(cat: FinCategory, u: int, v: int, t1: int, t2: int) -> int | None:
@@ -272,17 +244,18 @@ def product_of_morphisms(
 # -- pullbacks ------------------------------------------------------------------
 
 
+@cached("fibre_sizes")
+def _fibre_sizes(cat: FinCategory, u: int) -> list:
+    """The size of each fibre of t |-> u∘t, one lookup per source object,
+    cached per morphism u: the leg that ``check_e1``'s cospans share."""
+    return [Counter(r).get for r in cat.rows(u)]
+
+
 def _cone_counts(cat: FinCategory, f: int, u: int) -> list[int]:
     """|{(s, t) : f∘s = u∘t}| indexed by the cone source Y: the sum over s in
-    hom(Y, dom f) of the size of u's fibre over f∘s.  The fibre sizes are
-    cached per morphism u, the leg that ``check_e1``'s cospans share."""
-    cache = cat._cache.setdefault("fibre_sizes", {})
-    sizes = cache.get(u)
-    if sizes is None:
-        sizes = [Counter(r).get for r in cat.rows(u)]
-        cache[u] = sizes  # built locally, published in one assignment
+    hom(Y, dom f) of the size of u's fibre over f∘s."""
     zeros = repeat(0)
-    return [sum(map(size, r, zeros)) for size, r in zip(sizes, cat.rows(f))]
+    return [sum(map(size, r, zeros)) for size, r in zip(_fibre_sizes(cat, u), cat.rows(f))]
 
 
 def _cone_universal(cat: FinCategory, p1: int, p2: int, counts: list[int]) -> bool:
@@ -294,24 +267,19 @@ def _cone_universal(cat: FinCategory, p1: int, p2: int, counts: list[int]) -> bo
     )
 
 
+@cached("isos_into")
 def _isos_into(cat: FinCategory) -> dict[int, list[int]]:
     """The isomorphisms of the category grouped by codomain, cached."""
-    index = cat._cache.get("isos_into")
-    if index is None:
-        index = {}
-        for i in _iso_info(cat)[0]:
-            index.setdefault(cat._cod_l[i], []).append(i)
-        cat._cache["isos_into"] = index  # built locally, published in one assignment
+    index: dict[int, list[int]] = {}
+    for i in _iso_info(cat)[0]:
+        index.setdefault(cat._cod_l[i], []).append(i)
     return index
 
 
+@cached("automorphism_rows")
 def _automorphism_rows(cat: FinCategory, x: int) -> list[list[tuple[int, ...]]]:
     """``rows(γ)`` for each automorphism γ of x, cached per object."""
-    cache = cat._cache.setdefault("automorphism_rows", {})
-    got = cache.get(x)
-    if got is None:
-        got = cache[x] = [cat.rows(i) for i in _isos_into(cat).get(x, ()) if cat._dom_l[i] == x]
-    return got
+    return [cat.rows(i) for i in _isos_into(cat).get(x, ()) if cat._dom_l[i] == x]
 
 
 def _cone_orbit(cat: FinCategory, apex: int, w1: int, w2: int) -> list[tuple[int, int]]:
@@ -322,20 +290,22 @@ def _cone_orbit(cat: FinCategory, apex: int, w1: int, w2: int) -> list[tuple[int
     return [(r1[dom[i]][pos[i]], r2[dom[i]][pos[i]]) for i in _isos_into(cat).get(apex, ())]
 
 
+@cached("first_iso_source")
+def _first_iso_source(cat: FinCategory, apex: int) -> tuple[int, list[int]]:
+    """y0, the first object with an isomorphism into ``apex``, read from the
+    isomorphisms' domains, since a dual keeps its primal's index order; and
+    the positions of the isomorphisms y0 -> apex.  Cached per apex."""
+    isos, dom, pos = _isos_into(cat)[apex], cat._dom_l, cat._pos
+    y = min(dom[i] for i in isos)
+    return y, [pos[i] for i in isos if dom[i] == y]
+
+
 def _least_cone(cat: FinCategory, apex: int, w1: int, w2: int) -> UniversalWitness:
     """The least cone of ``_cone_orbit``: the apex y0 first in object order
     with an isomorphism into ``apex``, then the least (w1∘i, w2∘i) over the
-    isomorphisms i: y0 -> apex.  y0 is read from the isomorphisms' domains,
-    since a dual keeps its primal's index order; inside the hom-sets out of
-    y0, index order is hom-set order.  y0 and the positions of the
-    isomorphisms y0 -> apex are cached per apex."""
-    cache = cat._cache.setdefault("first_iso_source", {})
-    source = cache.get(apex)
-    if source is None:
-        isos, dom, pos = _isos_into(cat)[apex], cat._dom_l, cat._pos
-        y = min(dom[i] for i in isos)
-        source = cache[apex] = (y, [pos[i] for i in isos if dom[i] == y])
-    y0, ps = source
+    isomorphisms i: y0 -> apex (``_first_iso_source``); inside the hom-sets
+    out of y0, index order is hom-set order."""
+    y0, ps = _first_iso_source(cat, apex)
     r1, r2 = cat.rows(w1)[y0], cat.rows(w2)[y0]
     return UniversalWitness(y0, min(zip(map(r1.__getitem__, ps), map(r2.__getitem__, ps))))
 
@@ -369,6 +339,8 @@ def pullback(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
     cached under both cospans."""
     if cat._cod_l[f] != cat._cod_l[u]:
         raise ValueError("pullback needs a cospan (shared codomain)")
+    # not ``cached``: a miss is answered under two keys, and only a miss
+    # on the orbit's least pair may call ``_pullback_search``
     cache = cat._cache.setdefault("pullback", {})
     key = (f, u)
     if key in cache:
@@ -391,17 +363,12 @@ def pullback(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
     return res
 
 
+@cached("pullback_squares")
 def _pullback_squares(cat: FinCategory, f: int, u: int) -> frozenset[tuple[int, int]] | None:
     """Every pullback square over the cospan (f, u) as its side pair
     (p1, p2), or None when the cospan has no pullback.  Cached per cospan."""
-    cache = cat._cache.setdefault("pullback_squares", {})
-    key = (f, u)
-    if key in cache:
-        return cache[key]
     w = pullback(cat, f, u)
-    res = None if w is None else frozenset(_cone_orbit(cat, w.apex, *w.legs))
-    cache[key] = res  # built locally, published in one assignment
-    return res
+    return None if w is None else frozenset(_cone_orbit(cat, w.apex, *w.legs))
 
 
 def is_pullback_square(cat: FinCategory, f: int, u: int, p1: int, p2: int) -> bool:
@@ -446,15 +413,11 @@ def is_pushout_square(cat: FinCategory, f: int, g: int, q1: int, q2: int) -> boo
 # -- (co)equalisers ------------------------------------------------------------------
 
 
+@cached("fork_counts")
 def _fork_counts(cat: FinCategory, u: int, v: int) -> list[int]:
     """|{t ∈ hom(cod u, z) : t∘u = t∘v}| indexed by z: the forks of the
     parallel pair (u, v), cached per pair."""
-    cache = cat._cache.setdefault("fork_counts", {})
-    counts = cache.get((u, v))
-    if counts is None:
-        counts = [sum(map(eq, cu, cv)) for cu, cv in zip(cat.cols(u), cat.cols(v))]
-        cache[(u, v)] = counts  # built locally, published in one assignment
-    return counts
+    return [sum(map(eq, cu, cv)) for cu, cv in zip(cat.cols(u), cat.cols(v))]
 
 
 def is_coequaliser(cat: FinCategory, u: int, v: int, f: int) -> bool:
@@ -470,28 +433,25 @@ def is_coequaliser(cat: FinCategory, u: int, v: int, f: int) -> bool:
     )
 
 
+@cached("coequaliser")
 def coequaliser(cat: FinCategory, u: int, v: int) -> UniversalWitness | None:
     """First coequaliser of (u, v), cached: apexes in object order, skipping
     those whose hom counts are not the fork counts, then the first epi in
     hom-set order that coequalises the pair.  None for a non-parallel pair."""
-    cache = cat._cache.setdefault("coequaliser", {})
-    key = (u, v)
-    if key not in cache:
-        a = cat._cod_l[u]
-        parallel = cat._dom_l[u] == cat._dom_l[v] and cat._cod_l[v] == a
-        counts = _fork_counts(cat, u, v) if parallel else None  # None matches no apex
-        epis = _epi_set(cat)
-        cache[key] = next(
-            (
-                UniversalWitness(q, (f,))
-                for q, row in enumerate(cat._hom_counts_l)
-                if row == counts
-                for f in cat.hom(a, q)
-                if f in epis and cat.compose(f, u) == cat.compose(f, v)
-            ),
-            None,
-        )
-    return cache[key]
+    a = cat._cod_l[u]
+    parallel = cat._dom_l[u] == cat._dom_l[v] and cat._cod_l[v] == a
+    counts = _fork_counts(cat, u, v) if parallel else None  # None matches no apex
+    epis = _epi_set(cat)
+    return next(
+        (
+            UniversalWitness(q, (f,))
+            for q, row in enumerate(cat._hom_counts_l)
+            if row == counts
+            for f in cat.hom(a, q)
+            if f in epis and cat.compose(f, u) == cat.compose(f, v)
+        ),
+        None,
+    )
 
 
 def equaliser(cat: FinCategory, u: int, v: int) -> UniversalWitness | None:
@@ -501,18 +461,16 @@ def equaliser(cat: FinCategory, u: int, v: int) -> UniversalWitness | None:
 # -- image factorisation ---------------------------------------------------------------
 
 
+@cached("image_fact")
 def image_factorisation(cat: FinCategory, f: int) -> tuple[int, int] | None:
     """A (regular epi, mono) factorisation f = m∘e, first in
     (intermediate, e, m) order; None when the category has none for f.
     Such factorisations are unique up to unique isomorphism when they exist."""
-    cache = cat._cache.setdefault("image_fact", {})
-    if f in cache:
-        return cache[f]
     from .fincat import _is_regular_epi  # deferred: fincat's own lazy use of this module
 
     monos = _mono_set(cat)
     a, b = cat._dom_l[f], cat._cod_l[f]
-    res = next(
+    return next(
         (
             (e, m)
             for i in range(len(cat.objects))
@@ -523,5 +481,3 @@ def image_factorisation(cat: FinCategory, f: int) -> tuple[int, int] | None:
         ),
         None,
     )
-    cache[f] = res
-    return res

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 from .fincat import (
     FinCategory,
+    cached,
     _mono_set,
     _is_regular_epi,
     _split_mono_witness,
@@ -112,12 +113,9 @@ class RelationFlags:
 # -- subobjects -----------------------------------------------------------------
 
 
+@cached("monos_into")
 def _monos_into(cat: FinCategory, x: int) -> list[int]:
-    cache = cat._cache.setdefault("monos_into", {})
-    if x not in cache:
-        ms = _mono_set(cat)
-        cache[x] = sorted(m for m in ms if cat._cod_l[m] == x)
-    return cache[x]
+    return sorted(m for m in _mono_set(cat) if cat._cod_l[m] == x)
 
 
 def _factors(cat: FinCategory, a: int, b: int) -> bool:
@@ -126,11 +124,9 @@ def _factors(cat: FinCategory, a: int, b: int) -> bool:
     return bool(fib.get(a))
 
 
+@cached("sub_classes")
 def sub_classes(cat: FinCategory, x: int) -> tuple[SubobjectClass, ...]:
     """All subobject classes of x, sorted by canonical representative."""
-    cache = cat._cache.setdefault("sub_classes", {})
-    if x in cache:
-        return cache[x]
     monos = _monos_into(cat, x)
     assigned: dict[int, int] = {}
     classes: list[list[int]] = []
@@ -144,22 +140,19 @@ def sub_classes(cat: FinCategory, x: int) -> tuple[SubobjectClass, ...]:
                 assigned[m2] = len(classes)
                 cls.append(m2)
         classes.append(cls)
-    out = tuple(
+    return tuple(
         SubobjectClass(x, frozenset(c), min(c)) for c in sorted(classes, key=min)
     )
-    cache[x] = out
-    lookup = cat._cache.setdefault("sub_lookup", {})
-    for c in out:
-        for m in c.monos:
-            lookup[m] = c
-    return out
+
+
+@cached("sub_lookup")
+def _class_index(cat: FinCategory, x: int) -> dict[int, SubobjectClass]:
+    """Each mono into x mapped to its subobject class."""
+    return {m: c for c in sub_classes(cat, x) for m in c.monos}
 
 
 def class_of(cat: FinCategory, m: int) -> SubobjectClass:
-    lookup = cat._cache.setdefault("sub_lookup", {})
-    if m not in lookup:
-        sub_classes(cat, cat._cod_l[m])
-    return lookup[m]
+    return _class_index(cat, cat._cod_l[m])[m]
 
 
 def sub_leq(cat: FinCategory, a: SubobjectClass, b: SubobjectClass) -> bool:
@@ -253,31 +246,22 @@ def opposite(cat: FinCategory, r: Relation) -> Relation | None:
     return _tabulated(cat, r.tgt, r.src, r2, r1)
 
 
+@cached("rel_compose")
 def rel_compose(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
-    """Composite relation (first r: X -> Y, then s: Y -> Z)."""
+    """Composite relation (first r: X -> Y, then s: Y -> Z), cached."""
     if r.tgt != s.src:
         raise ValueError("relations not composable")
     w = limits.product(cat, r.src, s.tgt)
     if w is None:
         return None
-    key = ("rel_compose", r.cls.rep, s.cls.rep, r.src, r.tgt, s.tgt)
-    cache = cat._cache.setdefault("relcalc", {})
-    if key in cache:
-        return cache[key]
     r1, r2 = _legs_of(cat, r)
     s1, s2 = _legs_of(cat, s)
-    res = None
     pb = limits.pullback(cat, r2, s1)
-    if pb is not None:
-        t1 = cat.compose(r1, pb.legs[0])
-        t2 = cat.compose(s2, pb.legs[1])
-        h = _pairing(cat, w, t1, t2)
-        if h is not None:
-            fact = limits.image_factorisation(cat, h)
-            if fact is not None:
-                res = Relation(r.src, s.tgt, w, class_of(cat, fact[1]))
-    cache[key] = res
-    return res
+    if pb is None:
+        return None
+    h = _pairing(cat, w, cat.compose(r1, pb.legs[0]), cat.compose(s2, pb.legs[1]))
+    fact = None if h is None else limits.image_factorisation(cat, h)
+    return None if fact is None else Relation(r.src, s.tgt, w, class_of(cat, fact[1]))
 
 
 def rel_product(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:

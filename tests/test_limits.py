@@ -10,8 +10,10 @@ searcher's job; here we confirm the arithmetic it must reproduce).
 from __future__ import annotations
 
 import itertools
+from unittest import mock
 
 from finext import limits
+from finext.fincat import dual_of, thin_category_from_poset
 
 
 def _sizes(cat, uni):
@@ -163,6 +165,21 @@ def test_witnesses_are_cached(set3):
     # product is derived through the dual category, so the wrapper is fresh
     # but the content must be reproducible
     assert limits.product(cat, a, b) == limits.product(cat, a, b)
+    # the default arity and the explicit one share one entry
+    x = cat.obj_index["s3"]
+    assert limits.coproduct_bases(cat, x) is limits.coproduct_bases(cat, x, 2)
+    # None is a stored answer: asked again, nothing is recomputed
+    lone = thin_category_from_poset([[True, False], [False, True]])  # two objects, no arrow between
+    assert limits.terminal(lone) is None
+    with mock.patch.object(lone, "_hom_counts_l", None):
+        assert limits.terminal(lone) is None
+    u, v = f, cat.hom(b, a)[0]  # not a parallel pair
+    assert limits.coequaliser(cat, u, v) is None
+    with mock.patch.object(limits, "_epi_set", side_effect=AssertionError("recomputed")):
+        assert limits.coequaliser(cat, u, v) is None
+    # a category and its dual fill separate entries
+    d = dual_of(cat)
+    assert limits.initial(cat) != limits.initial(d) == limits.terminal(cat)
 
 
 def test_pushout_in_two_point_chain(golden):
