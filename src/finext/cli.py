@@ -17,8 +17,8 @@ entries when few), a summary, and a digest, and can write the full JSON
 report with ``--report``.  Exit status: 0 when no entry fails, 1 when one
 does (``--strict`` also counts inapplicable entries), 2 on usage or input
 errors.  Reports are deterministic for fixed inputs and flags: entries are
-sorted by id, sampled checks derive from ``--seed``, and timings are kept
-out of the digest-relevant content.
+sorted by id, sampled checks derive from ``--seed``, and each entry's
+``timing_ms`` is kept out of the digest.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import hashlib
 import json
 import sys
 import time
-from typing import Any, Callable, NoReturn, Sequence
+from typing import Any, Iterable, NoReturn, Sequence
 
 from . import __version__, extensivity, setrel
 from .algebra import (
@@ -70,14 +70,6 @@ def _plain(value: Any) -> Any:
     return str(value)
 
 
-def _strip_timings(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {k: _strip_timings(v) for k, v in value.items() if k != "timing_ms"}
-    if isinstance(value, list):
-        return [_strip_timings(v) for v in value]
-    return value
-
-
 def _canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
@@ -114,8 +106,9 @@ class Report:
             "checks": self.entries,
             "summary": {**counts, "total": len(self.entries)},
         }
+        untimed = [{k: v for k, v in e.items() if k != "timing_ms"} for e in self.entries]
         doc["digest"] = hashlib.sha256(
-            _canonical_json(_strip_timings(doc)).encode()
+            _canonical_json({**doc, "checks": untimed}).encode()
         ).hexdigest()
         return doc
 
@@ -134,7 +127,7 @@ def _emit(report: Report, args: argparse.Namespace) -> int:
         f"{s['inapplicable']} inapplicable ({s['total']} checks)"
     )
     print(f"digest: {doc['digest']}")
-    if getattr(args, "report", None):
+    if args.report:
         with open(args.report, "w") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -143,18 +136,18 @@ def _emit(report: Report, args: argparse.Namespace) -> int:
     return 1 if bad else 0
 
 
-Unit = Callable[[], list[tuple[str, CheckStatus]]]
+Entries = Iterable[tuple[str, CheckStatus]]
 
 
-def _run_units(report: Report, units: Sequence[Unit]) -> None:
-    """Run independent check units in order; the report is sorted at the
-    end, so the order never shows in the output."""
-    for unit in units:
+def _run_units(report: Report, entries: Entries) -> None:
+    """Add each (check id, status) entry with the wall time spent since the
+    previous one, so a computation that yields several entries at once is
+    timed on its first.  The report is sorted at the end, so the order never
+    shows in the output.  (``bench/tracer.py`` wraps this function by name.)"""
+    t0 = time.perf_counter()
+    for check_id, status in entries:
+        report.add(check_id, status, (time.perf_counter() - t0) * 1000.0)
         t0 = time.perf_counter()
-        out = unit()
-        dt = (time.perf_counter() - t0) * 1000.0 / max(len(out), 1)
-        for check_id, status in out:
-            report.add(check_id, status, dt)
 
 
 # -- input loading ------------------------------------------------------------
@@ -219,35 +212,15 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    path = args.input
-    if path is None:
-        _fail_usage("an input category file is required")
-    try:
-        with open(path, "rb") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 2
-    parsed, errors = load_category(data)
-    if parsed is None:
-        for msg in errors:
-            print(f"invalid: {msg}")
-        print(f"{path}: {len(errors)} error(s)")
-        return 2
-    kind, algs, names = parsed
-    try:
-        cat, _uni = category_from_algebras(kind, algs, names)
-    except CategoryDataError as exc:  # names that make two morphism ids collide
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return 2
+    cat, _digest = _load_input(args)
     violations = validate(cat)
     for v in violations:
         print(f"invalid: {v}")
     if violations:
-        print(f"{path}: {len(violations)} coherence violation(s)")
+        print(f"{args.input}: {len(violations)} coherence violation(s)")
         return 2
     print(
-        f"{path}: valid {kind} category file, "
+        f"{args.input}: valid {cat.metadata['kind']} category file, "
         f"{len(cat.objects)} objects, {cat.n_mor} morphisms"
     )
     return 0
@@ -256,20 +229,33 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # -- check --------------------------------------------------------------------
 
 
-def _morphism_units(cat: FinCategory, mid: str, mode: str) -> list[tuple[str, CheckStatus]]:
+def _morphism_entries(cat: FinCategory, mid: str, mode: str) -> Entries:
+    """Route one, route two, then the verdict of one morphism."""
     if mode == "extensive":
-        one = extensivity.check_e1(cat, mid)
-        two = extensivity.check_e2(cat, mid)
-        labels = ("E1", "E2")
+        routes = (("E1", extensivity.check_e1), ("E2", extensivity.check_e2))
     else:
-        one = extensivity.check_c1(cat, mid)
-        two = extensivity.check_c2(cat, mid)
-        labels = ("C1", "C2")
-    return [
-        (f"{mid}/{labels[0]}", one),
-        (f"{mid}/{labels[1]}", two),
-        (f"{mid}/{mode}", extensivity.morphism_status(cat, cat.m(mid), mode)),
-    ]
+        routes = (("C1", extensivity.check_c1), ("C2", extensivity.check_c2))
+    for label, route in routes:
+        yield f"{mid}/{label}", route(cat, mid)
+    yield f"{mid}/{mode}", extensivity.morphism_status(cat, cat.m(mid), mode)
+
+
+def _category_entries(cat: FinCategory, mode: str) -> Entries:
+    """Every morphism's verdict in index order, the order ``category_report``
+    reads them, then the category verdict, which reads them back."""
+    for i in range(cat.n_mor):
+        yield f"{cat.mid(i)}/{mode}", extensivity.morphism_status(cat, i, mode)
+    rep = extensivity.category_report(cat, mode)
+    yield f"category/{mode}", CheckStatus(
+        rep["verdict"],
+        None if rep["verdict"] == "pass" else {"kind": "morphism-failed"},
+        {
+            "reduced_verdict": rep["reduced_verdict"],
+            "reduced_scope": len(rep["reduced_scope"]),
+            "binary_coproducts_exist": rep["binary_coproducts_exist"],
+            "verdicts_agree": rep["verdicts_agree"],
+        },
+    )
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -286,56 +272,22 @@ def cmd_check(args: argparse.Namespace) -> int:
         },
         digest,
     )
-    mids = {cat.mid(i) for i in range(cat.n_mor)}
-    units: list[Unit] = []
+    entries: Entries
     if args.morphism is not None:
-        if args.morphism not in mids:
+        if args.morphism not in cat.mor_index:
             _fail_usage(f"unknown morphism id {args.morphism!r}")
-        units.append(lambda: _morphism_units(cat, args.morphism, mode))
-    elif args.object is not None or args.srp is not None:
-        objs = _objects(cat, args.object)
-        if args.srp is not None:
-            units = _srp_units(cat, objs, args.srp)
-        else:
-            for oid in objs:
-                ident = cat.identity_of[cat.obj_index[oid]]
-                units.append(
-                    lambda oid=oid, ident=ident: [
-                        (f"{oid}/identity-{mode}", extensivity.morphism_status(cat, ident, mode))
-                    ]
-                )
+        entries = _morphism_entries(cat, args.morphism, mode)
+    elif args.srp is not None:
+        entries = _srp_entries(cat, _objects(cat, args.object), args.srp)
+    elif args.object is not None:
+        entries = (
+            (f"{oid}/identity-{mode}", extensivity.morphism_status(cat, cat.identity_of[cat.o(oid)], mode))
+            for oid in _objects(cat, args.object)
+        )
     else:
-        def whole_category() -> list[tuple[str, CheckStatus]]:
-            rep = extensivity.category_report(cat, mode)
-            out = [
-                (f"{mid}/{mode}", CheckStatus(**_status_kwargs(st)))
-                for mid, st in rep["morphisms"].items()
-            ]
-            agree = rep["verdicts_agree"]
-            summary = CheckStatus(
-                rep["verdict"],
-                None if rep["verdict"] == "pass" else {"kind": "morphism-failed"},
-                {
-                    "reduced_verdict": rep["reduced_verdict"],
-                    "reduced_scope": len(rep["reduced_scope"]),
-                    "binary_coproducts_exist": rep["binary_coproducts_exist"],
-                    "verdicts_agree": agree,
-                },
-            )
-            out.append((f"category/{mode}", summary))
-            return out
-
-        units.append(whole_category)
-    _run_units(report, units)
+        entries = _category_entries(cat, mode)
+    _run_units(report, entries)
     return _emit(report, args)
-
-
-def _status_kwargs(d: dict) -> dict:
-    return {
-        "status": d["status"],
-        "witness": d.get("witness"),
-        "details": d.get("details", {}),
-    }
 
 
 # -- srp ----------------------------------------------------------------------
@@ -350,19 +302,19 @@ def _objects(cat: FinCategory, oid: str | None) -> list[str]:
     return [oid]
 
 
-def _srp_units(cat: FinCategory, objs: list[str], k: int) -> list[Unit]:
-    """One strict-refinement unit per object, for product cones of arities 2..k."""
+def _srp_entries(cat: FinCategory, objs: list[str], k: int) -> Entries:
+    """One strict-refinement entry per object, for product cones of arities 2..k."""
     if k < 2:
         _fail_usage("--srp takes an arity bound of at least 2")
-    return [lambda oid=oid: [(f"{oid}/srp-{k}", extensivity.has_finite_srp(cat, oid, k))] for oid in objs]
+    return ((f"{oid}/srp-{k}", extensivity.has_finite_srp(cat, oid, k)) for oid in objs)
 
 
 def cmd_srp(args: argparse.Namespace) -> int:
     cat, digest = _load_input(args)
     k = args.srp if args.srp is not None else 2
-    units = _srp_units(cat, _objects(cat, args.object), k)
+    entries = _srp_entries(cat, _objects(cat, args.object), k)
     report = Report("srp", {"object": args.object, "srp": k, "strict": args.strict}, digest)
-    _run_units(report, units)
+    _run_units(report, entries)
     return _emit(report, args)
 
 
@@ -377,6 +329,16 @@ def _require_oracle_fits(cap: int, max_size: int | None) -> None:
         _fail_usage(f"--max-relation-size {cap} needs oracle arrays of {masks} masks (limit {setrel.ORACLE_MASK_LIMIT})")
 
 
+def _relcalc_entries(cat: FinCategory, objs: list[str], cap: int) -> Entries:
+    for oid in objs:
+        classes, leq = sub_poset(cat, oid)
+        pairs = sum(sum(1 for v in row if v) for row in leq)
+        yield f"sub-poset/{oid}", CheckStatus("pass", None, {"classes": len(classes), "leq_pairs": pairs})
+    for iid, st in identity_suite(cat, max_relation_size=cap):
+        yield f"identity/{iid}", st
+    yield "barr-exact", barr_exact_check(cat, max_relation_size=cap)
+
+
 def cmd_relcalc(args: argparse.Namespace) -> int:
     cat, digest = _load_input(args)
     cap = args.max_relation_size
@@ -387,26 +349,7 @@ def cmd_relcalc(args: argparse.Namespace) -> int:
         {"object": args.object, "max_relation_size": cap, "strict": args.strict},
         digest,
     )
-
-    def posets() -> list[tuple[str, CheckStatus]]:
-        out = []
-        for oid in objs:
-            classes, leq = sub_poset(cat, oid)
-            pairs = sum(sum(1 for v in row if v) for row in leq)
-            out.append(
-                (
-                    f"sub-poset/{oid}",
-                    CheckStatus("pass", None, {"classes": len(classes), "leq_pairs": pairs}),
-                )
-            )
-        return out
-
-    units: list[Unit] = [
-        posets,
-        lambda: [(f"identity/{iid}", st) for iid, st in identity_suite(cat, max_relation_size=cap)],
-        lambda: [("barr-exact", barr_exact_check(cat, max_relation_size=cap))],
-    ]
-    _run_units(report, units)
+    _run_units(report, _relcalc_entries(cat, objs, cap))
     return _emit(report, args)
 
 
@@ -452,6 +395,39 @@ def _parse_suite(raw: str) -> tuple[bool, bool, list[str]]:
     return False, False, ids
 
 
+def _battery_entries(
+    cats: dict[str, FinCategory], run2: bool, run3: bool, explicit: list[str], seed: int, cap: int
+) -> Entries:
+    """The battery's checks in their running order: the listed ids on
+    finset3, or the extensivity statements on every built-in and then the
+    relation-calculus checks."""
+
+    def statements(label: str, pids: Iterable[str]) -> Entries:
+        for pid in pids:
+            for p, st in proposition_suite(cats[label], [pid], seed=seed, max_relation_size=cap):
+                yield f"{label}/{p}", st
+
+    listed = None  # finset3's identity suite, run once at the first listed identity
+    for cid in explicit:
+        if cid in PROPOSITION_IDS:
+            yield from statements("finset3", [cid])
+        elif cid in IDENTITY_IDS:
+            if listed is None:
+                listed = dict(identity_suite(cats["finset3"], max_relation_size=cap))
+            yield f"finset3/{cid}", listed[cid]
+        else:
+            yield "finset3/barr-exact", barr_exact_check(cats["finset3"], max_relation_size=cap)
+    if run2:
+        for label in cats:
+            yield from statements(label, EXTENSIVITY_IDS)
+    if run3:
+        for label in _IDENTITY_LABELS:
+            for iid, st in identity_suite(cats[label], max_relation_size=cap):
+                yield f"{label}/{iid}", st
+        for label in _RELCALC_LABELS:
+            yield from statements(label, RELCALC_IDS)
+
+
 def cmd_verify_paper(args: argparse.Namespace) -> int:
     run2, run3, explicit = _parse_suite(args.suite)
     cap = args.max_relation_size
@@ -475,56 +451,7 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         digest,
     )
     cats = {entry[0]: _build_builtin(entry) for entry in _BUILTINS}
-    units: list[Unit] = []
-
-    def prop_unit(label: str, pid: str) -> Unit:
-        def run() -> list[tuple[str, CheckStatus]]:
-            out = proposition_suite(
-                cats[label], [pid], seed=args.seed, max_relation_size=cap
-            )
-            return [(f"{label}/{p}", st) for p, st in out]
-
-        return run
-
-    def identity_unit(label: str) -> Unit:
-        def run() -> list[tuple[str, CheckStatus]]:
-            out = identity_suite(cats[label], max_relation_size=cap)
-            return [(f"{label}/{iid}", st) for iid, st in out]
-
-        return run
-
-    def barr_unit(label: str) -> Unit:
-        def run() -> list[tuple[str, CheckStatus]]:
-            return [(f"{label}/barr-exact", barr_exact_check(cats[label], max_relation_size=cap))]
-
-        return run
-
-    if explicit:
-        label = "finset3"
-
-        def listed_identities() -> list[tuple[str, CheckStatus]]:
-            by_id = dict(identity_suite(cats[label], max_relation_size=cap))
-            return [(f"{label}/{cid}", by_id[cid]) for cid in explicit if cid in IDENTITY_IDS]
-
-        for cid in explicit:
-            if cid in PROPOSITION_IDS:
-                units.append(prop_unit(label, cid))
-            elif cid in IDENTITY_IDS:
-                if listed_identities not in units:  # one run, at the first listed identity
-                    units.append(listed_identities)
-            else:
-                units.append(barr_unit(label))
-    if run2:
-        for label in cats:
-            for pid in EXTENSIVITY_IDS:
-                units.append(prop_unit(label, pid))
-    if run3:
-        for label in _IDENTITY_LABELS:
-            units.append(identity_unit(label))
-        for label in _RELCALC_LABELS:
-            for pid in RELCALC_IDS:
-                units.append(prop_unit(label, pid))
-    _run_units(report, units)
+    _run_units(report, _battery_entries(cats, run2, run3, explicit, args.seed, cap))
     return _emit(report, args)
 
 
@@ -541,18 +468,21 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _add_common(sub: argparse.ArgumentParser, with_input: bool = True) -> None:
-    if with_input:
-        sub.add_argument("input_pos", nargs="?", metavar="INPUT", help="category file")
-        sub.add_argument("--input", dest="input_opt", help="category file")
+def _add_input(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("input_pos", nargs="?", metavar="INPUT", help="category file")
+    sub.add_argument("--input", dest="input_opt", help="category file")
+
+
+def _add_report(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--report", help="write the full JSON report here")
-    sub.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
-    sub.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     sub.add_argument(
         "--strict",
         action="store_true",
         help="exit nonzero on inapplicable entries too",
     )
+
+
+def _add_max_relation_size(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--max-relation-size",
         type=_non_negative_int,
@@ -587,26 +517,33 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--output", dest="output_opt", help="output file")
 
     val = subs.add_parser("validate", help="validate a category file")
-    _add_common(val)
+    _add_input(val)
 
     chk = subs.add_parser("check", help="extensivity checks on a category file")
-    _add_common(chk)
+    _add_input(chk)
+    _add_report(chk)
     chk.add_argument("--morphism", help="check this morphism id")
     chk.add_argument("--mode", choices=("extensive", "coextensive"), default="extensive")
     chk.add_argument("--object", help="restrict to this object id")
     chk.add_argument("--srp", type=int, help="strict-refinement arity bound (>= 2)")
 
     srp = subs.add_parser("srp", help="strict-refinement checks per object")
-    _add_common(srp)
+    _add_input(srp)
+    _add_report(srp)
     srp.add_argument("--object", help="restrict to this object id")
     srp.add_argument("--srp", type=int, help="arity bound (default 2)")
 
     rel = subs.add_parser("relcalc", help="relation-calculus suite on a category file")
-    _add_common(rel)
+    _add_input(rel)
+    _add_report(rel)
+    _add_max_relation_size(rel)
     rel.add_argument("--object", help="restrict subobject posets to this object id")
 
     vp = subs.add_parser("verify-paper", help="run the built-in verification battery")
-    _add_common(vp, with_input=False)
+    _add_report(vp)
+    _add_max_relation_size(vp)
+    vp.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
+    vp.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
     vp.add_argument(
         "--suite",
         default="all",

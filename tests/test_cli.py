@@ -10,13 +10,14 @@ import contextlib
 import io
 import json
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finext import cli, setrel
+from finext import cli, extensivity, setrel
 from finext.algebra import FinAlgebra, dump_category, enumerate_structures
 from finext.cli import main
 
@@ -239,6 +240,43 @@ def test_check_single_morphism_emits_both_routes(set_file, capsys):
     assert "s2>s3#0001/E2" in out
     assert "s2>s3#0001/extensive" in out
     assert "(3 checks)" in out
+
+
+def test_timing_ms_is_the_time_of_each_entrys_own_check(set_file, tmp_path, capsys, monkeypatch):
+    # the E2 entry's check sleeps; the verdict runs E2 again, without the sleep
+    real, calls = extensivity.check_e2, []
+
+    def slow_first_call(cat, mid):
+        if not calls:
+            time.sleep(0.05)
+        calls.append(mid)
+        return real(cat, mid)
+
+    monkeypatch.setattr(extensivity, "check_e2", slow_first_call)
+    rep = tmp_path / "r.json"
+    code, _ = run(capsys, "check", set_file, "--morphism", "s2>s3#0001", "--report", str(rep))
+    assert code == 0 and len(calls) == 2
+    timing = {e["id"]: e["timing_ms"] for e in json.load(open(rep))["checks"]}
+    assert timing["s2>s3#0001/E2"] >= 50
+    assert timing["s2>s3#0001/E1"] < 50 and timing["s2>s3#0001/extensive"] < 50
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["validate", "--seed", "1"], 2),
+        (["check", "--jobs", "2"], 2),
+        (["srp", "--max-relation-size", "4"], 2),
+        (["relcalc", "--seed", "1"], 2),
+        (["verify-paper", "--suite", "prop-composite", "--jobs", "2"], 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_each_command_takes_only_the_flags_it_reads(set_file, argv, code):
+    command, *flags = argv
+    got, output = _run_quietly([command, *([] if command == "verify-paper" else [set_file]), *flags])
+    assert got == code, output
+    assert ("unrecognized arguments" in output) == (code == 2)
 
 
 def test_check_unknown_morphism_is_a_usage_error(set_file, capsys):

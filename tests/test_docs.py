@@ -1,13 +1,16 @@
 """README against the code: the check-id lists name exactly the ids the
-suites run, in their order, and every witness kind README names is a kind
-the package can emit (a string constant somewhere in ``src/finext``)."""
+suites run, in their order, every witness kind README names is a kind
+the package can emit (a string constant somewhere in ``src/finext``), and
+the flag table gives each subcommand exactly the flags its parser takes."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
+from finext.cli import build_parser
 from finext.propositions import PROPOSITION_IDS
 from finext.relcalc import IDENTITY_IDS
 
@@ -51,3 +54,17 @@ def test_every_witness_kind_named_is_emitted():
     assert len(kinds) >= 7
     emitted = _string_constants()
     assert [k for k in kinds if k not in emitted] == []
+
+
+def test_flag_table_lists_each_subcommands_flags():
+    listed: dict[str, set[str]] = {}
+    for row in re.findall(r"^\| (`--.*)$", _section("### Flags"), re.M):
+        flags, commands = row.split(" | ")[:2]
+        for command in re.findall(r"`([a-z-]+)`", commands):
+            listed.setdefault(command, set()).update(re.findall(r"`(--[a-z-]+)", flags))
+    subs = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parsed = {
+        name: {opt for action in sub._actions for opt in action.option_strings if opt not in ("-h", "--help")}
+        for name, sub in subs.choices.items()
+    }
+    assert listed == parsed
