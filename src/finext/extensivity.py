@@ -36,7 +36,7 @@ from .fincat import (
     dual_of,
     morphisms_of_class,
     _iso_info,
-    _split_mono_witness,
+    _sections,
 )
 from . import limits
 
@@ -409,11 +409,7 @@ def category_report(cat: FinCategory, mode: str = "extensive") -> dict:
         raise ValueError("mode must be extensive or coextensive")
     work = cat if mode == "extensive" else dual_of(cat)
     per = {work.mid(i): morphism_status(cat, i, mode) for i in range(cat.n_mor)}
-    reduced_scope = sorted(
-        work.mid(m)
-        for m in set(limits.coproduct_legs(work))
-        | {f for f in range(work.n_mor) if _split_mono_witness(dual_of(work), f) is not None}
-    )
+    reduced_scope = sorted(work.mid(m) for m in limits.coproduct_legs(work) | _sections(work).keys())
     verdict = all(st.passed for st in per.values())
     reduced = all(per[m].passed for m in reduced_scope)
     has_cops = all_binary_coproducts_exist(work)

@@ -552,13 +552,18 @@ def _epi_set(cat: FinCategory) -> frozenset[int]:
     return _mono_set(dual_of(cat))
 
 
-def _split_mono_witness(cat: FinCategory, f: int) -> int | None:
-    a, b = cat._dom_l[f], cat._cod_l[f]
-    ia = cat.identity_of.get(a)
-    for r in cat.hom(b, a):
-        if cat.compose(r, f) == ia:
-            return r
-    return None
+@cached("sections")
+def _sections(cat: FinCategory) -> dict[int, int]:
+    """Each split epi f: a -> b with its first section s in hom(b, a), the
+    first id_b in rows(f)[b], in index order.  The split monos with their
+    first retractions are ``_sections(dual_of(cat))``."""
+    out: dict[int, int] = {}
+    for f in range(cat.n_mor):
+        a, b = cat._dom_l[f], cat._cod_l[f]
+        r, ib = cat.rows(f)[b], cat.identity_of.get(b)
+        if ib in r:  # a missing id_b (None) is in no row
+            out[f] = cat.hom(b, a)[r.index(ib)]
+    return out
 
 
 @cached("extremal_epis")
@@ -631,12 +636,12 @@ def classify_morphism(cat: FinCategory, mid: str) -> MorphismProfile:
     f = cat.m(mid)
     d = dual_of(cat)
     wit: dict[str, Any] = {}
-    section = _split_mono_witness(cat, f)
-    retraction = _split_mono_witness(d, f)  # split epi in cat
-    if section is not None:
-        wit["retraction"] = cat.mid(section)
+    retraction = _sections(d).get(f)
+    section = _sections(cat).get(f)
     if retraction is not None:
-        wit["section"] = cat.mid(retraction)
+        wit["retraction"] = cat.mid(retraction)
+    if section is not None:
+        wit["section"] = cat.mid(section)
     reg_epi, pair = _is_regular_epi(cat, f)
     if pair is not None:
         wit["coequalised_pair"] = [cat.mid(pair[0]), cat.mid(pair[1])]
@@ -647,8 +652,8 @@ def classify_morphism(cat: FinCategory, mid: str) -> MorphismProfile:
         morphism=mid,
         is_mono=f in _mono_set(cat),
         is_epi=f in _epi_set(cat),
-        is_split_mono=section is not None,
-        is_split_epi=retraction is not None,
+        is_split_mono=retraction is not None,
+        is_split_epi=section is not None,
         is_regular_mono=reg_mono,
         is_regular_epi=reg_epi,
         is_extremal_epi=f in _extremal_epi_set(cat),
@@ -682,9 +687,9 @@ def morphisms_of_class(cat: FinCategory, cls: str) -> list[str]:
     elif cls == "epi":
         sel = _epi_set(cat)
     elif cls == "split-mono":
-        sel = {f for f in range(cat.n_mor) if _split_mono_witness(cat, f) is not None}
+        sel = _sections(d).keys()
     elif cls == "split-epi":
-        sel = {f for f in range(cat.n_mor) if _split_mono_witness(d, f) is not None}
+        sel = _sections(cat).keys()
     elif cls == "regular-epi":
         sel = {f for f in range(cat.n_mor) if _is_regular_epi(cat, f)[0]}
     elif cls == "regular-mono":

@@ -25,7 +25,8 @@ from .fincat import (
     cached,
     _mono_set,
     _is_regular_epi,
-    _split_mono_witness,
+    _sections,
+    dual_of,
 )
 from . import limits
 from .extensivity import CheckStatus, _ok, _fail, _na, _tally, morphism_status
@@ -403,11 +404,7 @@ def oracle_max_size(cat: FinCategory) -> int | None:
 
 def _split_mono_not_coextensive(cat: FinCategory) -> int | None:
     """The first split mono whose coextensive check fails, if any."""
-    return next(
-        (m for m in range(cat.n_mor)
-         if _split_mono_witness(cat, m) is not None and morphism_status(cat, m, "coextensive").failed),
-        None,
-    )
+    return next((m for m in _sections(dual_of(cat)) if morphism_status(cat, m, "coextensive").failed), None)
 
 
 def _decomposed(cat: FinCategory, p1: int, p2: int, r: Relation) -> tuple[Relation, Relation, bool] | None:

@@ -10,6 +10,10 @@ object x gets an isomorphic copy x' (its id with a trailing "'") at object
 position ``pos``.  Every morphism a -> b lifts to each a' -> b' with a'
 over a and b' over b, and composites and identities are the lifts of the
 originals, so x and x' are isomorphic through the lifts of x's identity.
+
+``finite_limit_gaps(cat)`` lists where ``cat`` falls short of finite
+completeness: whether it has a terminal object, and how many binary
+products and pullbacks are missing, read from ``finext.limits``.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import itertools
 
 from hypothesis import strategies as st
 
+from finext import limits
 from finext.fincat import FinCategory
 
 
@@ -74,3 +79,17 @@ def preorders(draw, max_points: int = 5):
         if leq[i][k] and leq[k][j]:
             leq[i][j] = True
     return leq
+
+
+def finite_limit_gaps(cat: FinCategory) -> dict:
+    """Whether ``cat`` has a terminal object, and the number of missing
+    binary products over ordered object pairs and of missing pullbacks over
+    ordered cospans (f, u), f = u included.  A category is finitely complete
+    exactly when all three show no gap."""
+    n = len(cat.objects)
+    into = [[m for a in range(n) for m in cat.hom(a, x)] for x in range(n)]
+    return {
+        "terminal": limits.terminal(cat) is not None,
+        "missing_products": sum(limits.product(cat, a, b) is None for a in range(n) for b in range(n)),
+        "missing_pullbacks": sum(limits.pullback(cat, f, u) is None for ms in into for f in ms for u in ms),
+    }

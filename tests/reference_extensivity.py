@@ -18,8 +18,8 @@ import numpy as np
 
 from finext import extensivity as ext
 from finext import limits
-from finext.fincat import FinCategory, _split_mono_witness, dual_of
-from reference_fincat import block
+from finext.fincat import FinCategory, dual_of
+from reference_fincat import block, split_mono_witness
 
 
 def e2_instances(cat: FinCategory, f: int):
@@ -119,7 +119,7 @@ def category_report(cat: FinCategory, mode: str = "extensive") -> dict:
     reduced_scope = sorted(
         work.mid(m)
         for m in set(limits.coproduct_legs(work))
-        | {f for f in range(work.n_mor) if _split_mono_witness(dual_of(work), f) is not None}
+        | {f for f in range(work.n_mor) if split_mono_witness(dual_of(work), f) is not None}
     )
     verdict = all(st.passed for st in per.values())
     reduced = all(per[m].passed for m in reduced_scope)

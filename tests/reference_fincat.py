@@ -27,6 +27,13 @@ first g in hom(b, a) with g∘f = id_a and f∘g = id_b, both through
 ``compose``; the library reads f∘g from rows(f) and g∘f from rows(g), and
 a dual reads its primal's answer.
 
+``split_mono_witness`` is the original split-mono scan: for f: a -> b, the
+first r in hom(b, a) with r∘f = id_a through ``compose``.  It compares
+with ``identity_of.get(a)``, so where id_a and r∘f are both missing it
+takes r for a retraction; the library reads each split epi's first section
+from rows(f)[cod f] once per category (``fincat._sections``), and finds
+none where the identity is missing.
+
 ``closure`` and ``generating_set`` are brute-force versions of the
 generating set that the library's ``validate`` checks associativity
 through: the closure composes every composable pair of the set until
@@ -206,6 +213,15 @@ def iso_info(cat: FinCategory) -> tuple[frozenset[int], dict[int, int]]:
                 inv[f] = g
                 break
     return frozenset(inv), inv
+
+
+def split_mono_witness(cat: FinCategory, f: int) -> int | None:
+    a, b = cat._dom_l[f], cat._cod_l[f]
+    ia = cat.identity_of.get(a)
+    for r in cat.hom(b, a):
+        if cat.compose(r, f) == ia:
+            return r
+    return None
 
 
 def mono_set(cat: FinCategory) -> frozenset[int]:

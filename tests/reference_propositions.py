@@ -42,7 +42,6 @@ from finext.fincat import (
     _is_regular_epi,
     _iso_info,
     _mono_set,
-    _split_mono_witness,
     dual_of,
 )
 from finext.propositions import (
@@ -59,6 +58,7 @@ from finext.propositions import (
     cor_iso_identity,
     thm_barr_exact,
 )
+from reference_fincat import split_mono_witness
 
 
 def morphism_status(cat: FinCategory, f: int, mode: str = "extensive") -> CheckStatus:
@@ -590,7 +590,7 @@ def prop_commute_split_mono_coextensive(cat: FinCategory, *, seed: int = 0, **_)
         if len(h) != 1 or not _is_regular_epi(cat, h[0])[0]:
             return _na({"kind": "terminal-morphism-not-regular-epi", "object": cat.oid(x)})
     for m in range(cat.n_mor):
-        if _split_mono_witness(cat, m) is None:
+        if split_mono_witness(cat, m) is None:
             continue
         if not morphism_status(cat, m, "coextensive").passed:
             return _na({"kind": "split-mono-not-coextensive", "morphism": cat.mid(m)})

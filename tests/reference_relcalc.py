@@ -18,7 +18,7 @@ import itertools
 
 from finext import limits, relcalc, setrel
 from finext.extensivity import CheckStatus, morphism_status
-from finext.fincat import FinCategory, _is_regular_epi, _mono_set, _split_mono_witness
+from finext.fincat import FinCategory, _is_regular_epi, _mono_set
 from finext.relcalc import (
     IDENTITY_IDS,
     Relation,
@@ -35,6 +35,7 @@ from finext.relcalc import (
     relations_on,
     sub_leq,
 )
+from reference_fincat import split_mono_witness
 
 
 def rel_compose(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
@@ -398,7 +399,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
     t = out["lemma-reflexive-splits"]
     gate_witness = None
     for m in range(cat.n_mor):
-        if _split_mono_witness(cat, m) is None:
+        if split_mono_witness(cat, m) is None:
             continue
         st = morphism_status(cat, m, "coextensive")
         if st.failed:

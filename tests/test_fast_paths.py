@@ -26,7 +26,9 @@ exists, also on thin categories of random preorders with a top point.
 
 The index-preserving ``dual`` is compared with the string-id reference
 dual: the two categories agree once their ids are matched, and every
-co-side answer equals the primal routine run on the reference dual.
+co-side answer equals the primal routine run on the reference dual.  The
+cached split-epi index (``fincat._sections``) of each category and of its
+dual equals the seed's split-mono scan of the other side.
 """
 
 from __future__ import annotations
@@ -476,7 +478,9 @@ def _assert_dual_is_an_involution(cat: FinCategory) -> None:
 
 def _assert_co_side_matches_reference(cat: FinCategory) -> None:
     """Each co-side answer on ``cat`` equals the primal answer on the
-    reference dual, read back through ids."""
+    reference dual, read back through ids, and the split epis of ``cat`` and
+    of its dual, with their first sections, equal the seed's split-mono scan
+    of the other side."""
     ref = reference_fincat.dual(cat)
     r = [ref.m(mid) for mid in cat.mor_ids]
     n = len(cat.objects)
@@ -505,6 +509,9 @@ def _assert_co_side_matches_reference(cat: FinCategory) -> None:
         for key, ref_key in _DUAL_PROFILE.items():
             assert getattr(profile, key) == getattr(ref_profile, ref_key), (mid, key)
         assert profile.witnesses == {_DUAL_WITNESS[k]: v for k, v in ref_profile.witnesses.items()}, mid
+    for c in (cat, dual_of(cat)):
+        seed = [(f, reference_fincat.split_mono_witness(dual_of(c), f)) for f in range(c.n_mor)]
+        assert list(fincat._sections(c).items()) == [(f, s) for f, s in seed if s is not None]
     for cls in _CLASSES:
         assert morphisms_of_class(dual_of(cat), cls) == morphisms_of_class(ref, cls), cls
         if cls in _DUAL_CLASS:

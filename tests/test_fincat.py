@@ -153,6 +153,33 @@ def test_morphisms_of_class_consistency(set3):
     assert isos <= monos
 
 
+def test_a_missing_identity_splits_nothing():
+    # id_a and r∘f are both missing; f∘r = id_b, so f is a split epi with
+    # section r, but no composite is id_a, so f is no split mono
+    cat = FinCategory(
+        ["a", "b"],
+        [("f", "a", "b"), ("r", "b", "a"), ("ib", "b", "b")],
+        {"b": "ib"},
+        {("ib", "f"): "f", ("r", "ib"): "r", ("ib", "ib"): "ib", ("f", "r"): "ib"},
+    )
+    profile = classify_morphism(cat, "f")
+    assert (profile.is_split_mono, profile.is_split_epi) == (False, True)
+    assert profile.witnesses == {"section": "r"}
+    assert morphisms_of_class(cat, "split-mono") == ["ib", "r"]
+    assert morphisms_of_class(cat, "split-epi") == ["f", "ib"]
+
+
+@pytest.mark.parametrize("mode", ["extensive", "coextensive"])
+def test_a_warm_report_composes_nothing(set3, mode, monkeypatch):
+    cat, _ = set3
+    first = category_report(cat, mode)
+    calls = []
+    compose = FinCategory.compose
+    monkeypatch.setattr(FinCategory, "compose", lambda self, g, f: calls.append((g, f)) or compose(self, g, f))
+    assert category_report(cat, mode) == first
+    assert calls == []
+
+
 def test_thin_category_shape(golden_thin):
     cat = golden_thin
     assert cat.objects == ("0", "1")

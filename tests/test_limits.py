@@ -12,8 +12,11 @@ from __future__ import annotations
 import itertools
 from unittest import mock
 
+import pytest
+
 from finext import limits
 from finext.fincat import dual_of, thin_category_from_poset
+from generators import finite_limit_gaps
 
 
 def _sizes(cat, uni):
@@ -226,3 +229,31 @@ def test_duality_of_product_and_coproduct(set3, dual_set3):
     dw = limits.product(dual_set3, a, b)
     assert w is not None and dw is not None
     assert cat.oid(w.apex) == dual_set3.oid(dw.apex)
+
+
+# The eight verify-paper built-ins by label: (fixture, dualised, missing
+# binary products, missing pullbacks).  Each has a terminal object, and
+# none but the golden poset is finitely complete.
+FINITE_LIMIT_GAPS = {
+    "finset3": ("set3", False, 4, 318),
+    "finset3-op": ("set3", True, 6, 357),
+    "pointed3": ("pointed3", False, 4, 71),
+    "golden-poset": ("golden", False, 0, 0),
+    "slat3": ("slat3", False, 9, 789),
+    "lat4": ("lat4", False, 15, 6722),
+    "cpos3": ("cpos3", False, 16, 2718),
+    "mon3": ("mon3", False, 81, 1726),
+}
+
+
+@pytest.mark.parametrize("label", FINITE_LIMIT_GAPS)
+def test_finite_limit_gaps_of_the_paper_builtins(label, request):
+    name, dualised, products, pullbacks = FINITE_LIMIT_GAPS[label]
+    cat, _ = request.getfixturevalue(name)
+    gaps = finite_limit_gaps(dual_of(cat) if dualised else cat)
+    assert gaps == {"terminal": True, "missing_products": products, "missing_pullbacks": pullbacks}
+
+
+def test_finite_limit_gaps_of_a_two_point_antichain():
+    cat = thin_category_from_poset([[True, False], [False, True]])
+    assert finite_limit_gaps(cat) == {"terminal": False, "missing_products": 2, "missing_pullbacks": 0}
