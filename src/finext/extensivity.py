@@ -371,30 +371,31 @@ def _orbit_reps(cat: FinCategory) -> list[int]:
     return reps
 
 
+@cached("verdicts")
+def _verdict(cat: FinCategory, f: int) -> CheckStatus:
+    """The extensive verdict of f, stored per morphism.  f passes iff
+    α∘f∘β does, for isos α and β, with the same details, so f copies the
+    pass of its orbit representative, which is decided first when it is
+    not stored yet.  Any other f is decided by ``is_extensive_morphism``,
+    so a failure witness names f's own first failure.  The number of
+    decisions does not depend on the order the verdicts are read in."""
+    rep = _orbit_reps(cat)[f]
+    if rep != f and (st := _verdict(cat, rep)).passed:
+        return _ok(**st.details)
+    return is_extensive_morphism(cat, cat.mid(f))
+
+
 def morphism_status(cat: FinCategory, f: int, mode: str = "extensive") -> CheckStatus:
     """Whether morphism index f is extensive (or coextensive), read from
-    the category's verdict store; every caller shares the stored statuses,
-    so none may mutate one.
-
-    The coextensive verdict is the dual's extensive one, renamed to the
-    co-side vocabulary, so each mode has its own store.  f passes iff
-    α∘f∘β does, for isos α and β, with the same details: a miss whose
-    orbit representative has a stored pass copies it.  Any other miss is
-    decided by ``is_extensive_morphism``, so a failure witness names f's
-    own first failure."""
+    the category's verdict store (``_verdict``); every caller shares the
+    stored statuses, so none may mutate one.  The coextensive verdict is
+    the dual's extensive one, renamed to the co-side vocabulary, so each
+    mode has its own store."""
     if mode not in ("extensive", "coextensive"):
         raise ValueError("mode must be extensive or coextensive")
     if mode == "coextensive":
-        return _dualized(morphism_status(dual_of(cat), f))
-    # not ``cached``: a miss may copy the stored pass of its orbit's
-    # representative instead of deciding f
-    store = cat._cache.setdefault("verdicts", {})
-    st = store.get(f)
-    if st is None:
-        rep = store.get(_orbit_reps(cat)[f])
-        st = _ok(**rep.details) if rep is not None and rep.passed else is_extensive_morphism(cat, cat.mid(f))
-        store[f] = st
-    return st
+        return _dualized(_verdict(dual_of(cat), f))
+    return _verdict(cat, f)
 
 
 def category_report(cat: FinCategory, mode: str = "extensive") -> dict:
@@ -402,9 +403,9 @@ def category_report(cat: FinCategory, mode: str = "extensive") -> dict:
     verdict quantified over split epis and coproduct inclusions only (the
     two verdicts must agree when all binary coproducts exist).
 
-    Each status is ``morphism_status``, read in index order, so a pass of
-    an orbit's first morphism is copied to the orbit, and a report reads
-    what earlier checks on the category have already decided."""
+    Each status is ``morphism_status``, so a pass of an orbit's
+    representative is copied to the orbit, and a report reads what earlier
+    checks on the category have already decided."""
     if mode not in ("extensive", "coextensive"):
         raise ValueError("mode must be extensive or coextensive")
     work = cat if mode == "extensive" else dual_of(cat)

@@ -38,8 +38,7 @@ row reads.  Any other cospan (f, u) is searched once per orbit under the
 automorphisms γ of its codomain: (γ∘f, γ∘u) has the same commuting cones,
 since γ is mono, so the search certifies the same first cone, and only the
 least pair of the orbit, read from the rows of the γ, is searched.
-Every answer is kept on the category by ``fincat.cached``, except that
-``pullback`` keeps its own store, since it answers a miss under two keys.
+Every answer is kept on the category by ``fincat.cached``.
 All functions speak internal integer indexes; callers translate to string
 ids at the reporting boundary.
 """
@@ -325,6 +324,7 @@ def _pullback_search(cat: FinCategory, f: int, u: int) -> UniversalWitness | Non
     return None
 
 
+@cached("pullback")
 def pullback(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
     """First certified pullback of the cospan (f: A -> X <- B : u), cached.
 
@@ -335,32 +335,21 @@ def pullback(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
     the automorphisms γ of X: (γ∘f, γ∘u) has the commuting cones of (f, u),
     since γ is mono, so the same cone counts, p1 order and fibres of γ∘u,
     and the search certifies the same first cone.  Only the least pair
-    (γ∘f, γ∘u), read from the rows of the γ, is searched, and the answer is
-    cached under both cospans."""
+    (γ∘f, γ∘u), read from the rows of the γ, is searched; any other pair
+    reads the least one's answer, so it is cached under both cospans."""
     if cat._cod_l[f] != cat._cod_l[u]:
         raise ValueError("pullback needs a cospan (shared codomain)")
-    # not ``cached``: a miss is answered under two keys, and only a miss
-    # on the orbit's least pair may call ``_pullback_search``
-    cache = cat._cache.setdefault("pullback", {})
-    key = (f, u)
-    if key in cache:
-        return cache[key]
     isos, inv = _iso_info(cat)
     dom, pos = cat._dom_l, cat._pos
     if u in isos:
         a = dom[f]
-        res = _least_cone(cat, a, cat.identity_of[a], cat.compose(inv[u], f))
-    elif f in isos:
+        return _least_cone(cat, a, cat.identity_of[a], cat.compose(inv[u], f))
+    if f in isos:
         b = dom[u]
-        res = _least_cone(cat, b, cat.compose(inv[f], u), cat.identity_of[b])
-    else:
-        a, pf, b, pu = dom[f], pos[f], dom[u], pos[u]
-        least = min(((r[a][pf], r[b][pu]) for r in _automorphism_rows(cat, cat._cod_l[f])), default=key)
-        # None is a cached answer too
-        res = cache[least] if least in cache else _pullback_search(cat, *least)
-        cache[least] = res
-    cache[key] = res
-    return res
+        return _least_cone(cat, b, cat.compose(inv[f], u), cat.identity_of[b])
+    a, pf, b, pu = dom[f], pos[f], dom[u], pos[u]
+    least = min([(f, u), *((r[a][pf], r[b][pu]) for r in _automorphism_rows(cat, cat._cod_l[f]))])
+    return _pullback_search(cat, f, u) if least == (f, u) else pullback(cat, *least)
 
 
 @cached("pullback_squares")

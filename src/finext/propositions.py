@@ -23,6 +23,7 @@ import random
 
 from .fincat import (
     FinCategory,
+    cached,
     dual_of,
     _epi_set,
     _extremal_epi_set,
@@ -66,13 +67,20 @@ def _all_identities(cat: FinCategory, mode: str) -> tuple[bool, dict | None]:
     return True, None
 
 
+@cached("out_of")
+def _out_of(cat: FinCategory) -> list[list[int]]:
+    """The morphisms out of each object, in index order, cached."""
+    out: list[list[int]] = [[] for _ in cat.objects]
+    for g, a in enumerate(cat._dom_l):
+        out[a].append(g)
+    return out
+
+
 def _composable_pairs(cat: FinCategory):
     """Yield (f, g, g∘f) over all composable pairs."""
-    by_dom: dict[int, list[int]] = {}
-    for g in range(cat.n_mor):
-        by_dom.setdefault(cat._dom_l[g], []).append(g)
+    out_of = _out_of(cat)
     for f in range(cat.n_mor):
-        for g in by_dom.get(cat._cod_l[f], ()):
+        for g in out_of[cat._cod_l[f]]:
             yield f, g, cat.compose(g, f)
 
 
@@ -94,6 +102,7 @@ def prop_composite(cat: FinCategory, **_) -> CheckStatus:
     ), "vacuous")
 
 
+@cached("left_factor_hypothesis")
 def _squares_exist_hypothesis(cat: FinCategory, g: int) -> bool:
     """For every coproduct presentation of dom g there are pullback squares
     over some coproduct presentation of cod g."""
@@ -113,7 +122,6 @@ def _squares_exist_hypothesis(cat: FinCategory, g: int) -> bool:
 def lemma_left_factor(cat: FinCategory, **_) -> CheckStatus:
     """If g∘f is extensive and g sits over pullback squares for every
     coproduct presentation of its domain, then f is extensive."""
-    hypothesis: dict[int, bool] = {}
 
     def instances():
         for f, g, gf in _composable_pairs(cat):
@@ -122,15 +130,13 @@ def lemma_left_factor(cat: FinCategory, **_) -> CheckStatus:
             if morphism_status(cat, f).passed:
                 yield True
                 continue
-            if g not in hypothesis:
-                hypothesis[g] = _squares_exist_hypothesis(cat, g)
             yield {
                 "kind": "left-factor-not-extensive",
                 "first": cat.mid(f),
                 "second": cat.mid(g),
                 "composite": cat.mid(gf),
                 "inner": morphism_status(cat, f).witness,
-            } if hypothesis[g] else None
+            } if _squares_exist_hypothesis(cat, g) else None
 
     return _tally(instances(), "vacuous")
 
@@ -236,15 +242,16 @@ def cor_e1_shortcut(cat: FinCategory, **_) -> CheckStatus:
         applied += 1
         mismatches = 0
         for f in range(cat.n_mor):
-            if morphism_status(cat, f, mode).status != one_row(cat, cat.mid(f)).status:
+            full, row = morphism_status(cat, f, mode).status, one_row(cat, cat.mid(f)).status
+            if full != row:
                 mismatches += 1
                 if witness is None:
                     witness = {
                         "kind": "shortcut-disagrees",
                         "mode": mode,
                         "morphism": cat.mid(f),
-                        "one_row": one_row(cat, cat.mid(f)).status,
-                        "full": morphism_status(cat, f, mode).status,
+                        "one_row": row,
+                        "full": full,
                     }
         details[f"{mode}_mismatches"] = mismatches
     if witness is not None:
@@ -480,20 +487,18 @@ def lemma_common_coequaliser(cat: FinCategory, *, seed: int = 0, **_) -> CheckSt
     ]
     random.Random(seed).shuffle(combos)
     sampled = combos[:SAMPLE_BOUND]
-    by_dom: dict[int, list[int]] = {}
-    for m in range(cat.n_mor):
-        by_dom.setdefault(cat._dom_l[m], []).append(m)
+    out_of = _out_of(cat)
 
     def fillers(u1: int, v1: int, q1: int, e: int):
         """(u2, v2, q2, f, g) for each f out of cod u1 whose composites with
         u1 and v1 factor through e, and each q2 with q2∘f = g∘q1."""
-        for f in by_dom.get(cat._cod_l[u1], ()):
+        for f in out_of[cat._cod_l[u1]]:
             x2 = cat._cod_l[f]
             u2s = cat.precompose_fibers(e, x2).get(cat.compose(f, u1), ())
             v2s = cat.precompose_fibers(e, x2).get(cat.compose(f, v1), ())
             if not u2s or not v2s:
                 continue
-            for q2 in by_dom.get(x2, ()):
+            for q2 in out_of[x2]:
                 gs = cat.precompose_fibers(q1, cat._cod_l[q2]).get(cat.compose(q2, f), ())
                 if gs:  # e is epi and q1 a coequaliser, so u2, v2 and g are unique
                     yield u2s[0], v2s[0], q2, f, gs[0]

@@ -15,7 +15,6 @@ category; the suite runners count those as skipped instances and report
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -312,7 +311,9 @@ def eq_of(cat: FinCategory, f: int) -> Relation | None:
     return None if kp is None else _tabulated(cat, x, x, kp[1], kp[2])
 
 
+@cached("relation_flags")
 def classify_relation(cat: FinCategory, r: Relation) -> RelationFlags:
+    """The flags of an endorelation, cached per relation."""
     if r.src != r.tgt:
         raise ValueError("classification applies to endorelations")
     x = r.src
@@ -545,23 +546,19 @@ def _instances(cat: FinCategory, cap: int) -> Iterator[tuple[str, Iterator[bool 
 
     def lemma_eq_under_regepi():
         # E an equivalence with E = p1(E) x p2(E) and regular-epi projections
-        # => both images are equivalences; each relation is classified once
-        @functools.cache
-        def equivalence(r: Relation) -> bool | None:
-            return classify_relation(cat, r).equivalence
-
+        # => both images are equivalences
         for x, rels in endo:
             for p1, p2 in limits.product_bases(cat, x):
                 if not (_is_regular_epi(cat, p1)[0] and _is_regular_epi(cat, p2)[0]):
                     continue
                 for r in rels:
-                    if equivalence(r) is not True:
+                    if classify_relation(cat, r).equivalence is not True:
                         continue
                     dec = _decomposed(cat, p1, p2, r)
                     if dec is None:
                         yield None
                     elif dec[2]:  # the hypothesis E = p1(E) x p2(E)
-                        e1, e2 = (equivalence(i) for i in dec[:2])
+                        e1, e2 = (classify_relation(cat, i).equivalence for i in dec[:2])
                         if e1 is None or e2 is None:
                             yield None
                         else:

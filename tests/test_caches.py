@@ -1,10 +1,11 @@
 """Every per-category cache of the package goes through one helper.
 
-``fincat.cached`` memoises a function in ``cat._cache``.  Besides it, only
-``FinCategory._setup``, which makes the store, and two stores with a policy
-of their own touch ``._cache``: the verdict store of ``morphism_status``,
-which copies a pass across an iso orbit, and ``pullback``'s, which answers
-a miss under two keys.  The scan reads each module's syntax tree."""
+``fincat.cached`` memoises a function in ``cat._cache``; it alone decides
+where an answer is kept, under which key, and when it is stored.  Besides
+it, only ``FinCategory._setup``, which makes the store, touches
+``._cache``, and no module keeps a memo of its own through
+``functools.cache`` or ``lru_cache``.  The scans read each module's syntax
+tree."""
 
 from __future__ import annotations
 
@@ -15,11 +16,9 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "finext"
 
-ALLOWED = {
-    "fincat.py": {"cached", "FinCategory._setup"},
-    "extensivity.py": {"morphism_status"},
-    "limits.py": {"pullback"},
-}
+ALLOWED = {"fincat.py": {"cached", "FinCategory._setup"}}
+
+MEMO_DECORATORS = {"cache", "lru_cache"}
 
 
 def cache_users(source: str) -> set[str]:
@@ -37,6 +36,18 @@ def cache_users(source: str) -> set[str]:
     return users
 
 
+def functools_memos(source: str) -> set[str]:
+    """Every ``cache`` or ``lru_cache`` named as an attribute or imported
+    by name from ``functools``, anywhere in the module."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in MEMO_DECORATORS:
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found |= {alias.name for alias in node.names if alias.name in MEMO_DECORATORS}
+    return found
+
+
 def test_the_scan_sees_every_cache_use():
     src = (
         "def f(cat):\n    return cat._cache.get('x')\n\n"
@@ -47,6 +58,18 @@ def test_the_scan_sees_every_cache_use():
     assert cache_users(src) == {"f", "g", "C.m", "<module>"}
 
 
+def test_the_scan_sees_every_functools_memo():
+    src = (
+        "import functools\nfrom functools import lru_cache, wraps\n\n"
+        "def f(cat):\n    @functools.cache\n    def inner(x):\n        return x\n    return inner\n\n"
+        "@lru_cache(maxsize=None)\ndef g(x):\n    return x\n"
+    )
+    assert functools_memos(src) == {"cache", "lru_cache"}
+    assert functools_memos("from functools import wraps\n\n@wraps(len)\ndef f(x):\n    return x\n") == set()
+
+
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_only_the_helper_and_the_named_stores_touch_the_cache(module):
-    assert cache_users((PACKAGE / module).read_text()) == ALLOWED.get(module, set())
+    source = (PACKAGE / module).read_text()
+    assert cache_users(source) == ALLOWED.get(module, set())
+    assert functools_memos(source) == set()

@@ -239,11 +239,28 @@ def test_product_lemmas_read_the_relation_through_the_cone(set4):
         assert by_id[cid].passed and by_id[cid].details == {"instances": instances, "skipped": 0}, cid
 
 
+class _StoreLog(dict):
+    """A store that logs the key of every answer put into it."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
 def test_the_regular_epi_lemma_classifies_each_relation_once(set4, monkeypatch):
     """On FinSet≤4^op the seed's loop classified 18 relations in 141 calls,
     once per product cone; the suite classifies each of them once, and
-    no other."""
+    no other: its classifications are read from the ``relation_flags``
+    store, which starts empty."""
     cat = dual_of(set4[0])
+    store = _StoreLog()
+    monkeypatch.setitem(cat._cache, "relation_flags", store)
+    rc.identity_suite(cat)
+    ours = list(store.stored)
     real, calls = rc.classify_relation, []
 
     def classify_relation(c, r):
@@ -251,9 +268,6 @@ def test_the_regular_epi_lemma_classifies_each_relation_once(set4, monkeypatch):
         return real(c, r)
 
     monkeypatch.setattr(rc, "classify_relation", classify_relation)
-    rc.identity_suite(cat)
-    ours = list(calls)
-    calls.clear()
     reference_relcalc.identity_suite(cat)
     assert len(calls) == 141 and len(set(calls)) == 18
     assert len(ours) == len(set(ours)) and set(ours) == set(calls)
@@ -290,10 +304,14 @@ def _as_rows(results):
 def _assert_suite_equals_the_reference(cat) -> None:
     """Equal statuses, witnesses and details, without and with the faults,
     which both suites see through ``finext.relcalc``; and the constructors
-    the reference keeps give the same relations."""
+    the reference keeps give the same relations.  The faulty run
+    classifies into an empty ``relation_flags`` store, discarded after it,
+    so the faulty composites reach every classification and no faulty
+    flag outlives the run."""
     for faulty in (False, True):
         with contextlib.ExitStack() as stack:
             if faulty:
+                stack.enter_context(mock.patch.dict(cat._cache, {"relation_flags": {}}))
                 stack.enter_context(mock.patch.object(rc, "rel_compose", _faulty_compose(rc.rel_compose)))
                 stack.enter_context(mock.patch.object(rc, "classify_relation", _faulty_classify(rc.classify_relation)))
             assert _as_rows(rc.identity_suite(cat)) == _as_rows(reference_relcalc.identity_suite(cat))

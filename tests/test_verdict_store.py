@@ -1,8 +1,9 @@
 """The shared verdict store and a theorem read off it.
 
 ``extensivity.morphism_status`` keeps one (co)extensivity verdict per
-morphism and mode, filled on first read, copying a pass across an iso orbit.
-It is compared with the per-morphism loop
+morphism and mode, filled on first read, copying the pass of an iso orbit's
+representative, which is decided first; so the number of decisions does not
+depend on the read order either.  It is compared with the per-morphism loop
 (``reference_extensivity.category_report``, every morphism decided by
 ``is_extensive_morphism``) in whatever order it is read: ascending,
 descending, shuffled, and after ``category_report`` has filled the store.
@@ -86,6 +87,55 @@ def test_store_matches_the_loop_on_inflations(case):
     name, x, pos = case
     _assert_store_matches_loop(lambda: inflate(base(name), x, pos))
     _assert_store_matches_loop(lambda: dual_of(inflate(base(name), x, pos)))
+
+
+ORDER_CASES = {
+    "set3": lambda: build_category("set", 3)[0],
+    "mon3": lambda: build_category("mon", 3)[0],
+    "pointed3-inflated": lambda: inflate(base("pointed3"), 1, 0),
+}
+
+
+def _counting_decisions(monkeypatch) -> list[str]:
+    """The morphism ids ``is_extensive_morphism`` is called on, in order."""
+    real, decided = ext.is_extensive_morphism, []
+
+    def decide(cat, mid):
+        decided.append(mid)
+        return real(cat, mid)
+
+    monkeypatch.setattr(ext, "is_extensive_morphism", decide)
+    return decided
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", sorted(ORDER_CASES))
+def test_the_number_of_decisions_does_not_depend_on_read_order(name, mode, monkeypatch):
+    """A representative is decided before the members that copy its pass,
+    so every order decides as often as ascending order."""
+    make = ORDER_CASES[name]
+    decided = _counting_decisions(monkeypatch)
+    counts = {}
+    for label, order in _read_orders(make().n_mor).items():
+        cat = make()
+        decided.clear()
+        for f in order:
+            ext.morphism_status(cat, f, mode)
+        counts[label] = len(decided)
+    assert len(set(counts.values())) == 1, counts
+
+
+def test_a_member_read_alone_copies_its_representatives_pass(monkeypatch):
+    """FinSet≤3 is extensive: reading one member of an orbit decides only
+    the orbit's representative, and the member gets its details."""
+    cat = build_category("set", 3)[0]
+    reps = ext._orbit_reps(cat)
+    f = next(f for f in range(cat.n_mor) if reps[f] != f)
+    decided = _counting_decisions(monkeypatch)
+    st = ext.morphism_status(cat, f)
+    assert decided == [cat.mid(reps[f])]
+    assert st.passed and st.details == ext.morphism_status(cat, reps[f]).details
+    assert decided == [cat.mid(reps[f])]
 
 
 @builtins
