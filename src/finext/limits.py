@@ -29,6 +29,11 @@ t |-> t∘f injective for every target, and equal counts make it onto.  So
 ``is_coequaliser`` is three lookups, and the coequaliser search skips every
 apex whose hom counts differ from the fork counts.
 
+There is one tupling, ``pairing``: the first h with p1∘h = t1 and
+p2∘h = t2, read from p1's fibre over t1.  ``product_of_morphisms`` pairs
+the composites f_i∘p_i into the codomain's cone, and ``cotuple`` and
+``coproduct_of_morphisms`` are the same two functions in the dual.
+
 Search order is fixed everywhere — apexes in object order, legs in hom-set
 order — so the first certified witness is deterministic and cacheable.
 A pullback along an isomorphism is not searched: it is read off the
@@ -52,7 +57,7 @@ from itertools import repeat
 from math import prod
 from operator import eq
 
-from .fincat import FinCategory, cached, dual_of, _epi_set, _iso_info, _mono_set
+from .fincat import FinCategory, cached, dual_of, _epi_set, _iso_info, _is_regular_epi, _mono_set
 
 __all__ = [
     "UniversalWitness",
@@ -67,6 +72,7 @@ __all__ = [
     "product",
     "product_bases",
     "is_product_cone",
+    "pairing",
     "product_of_morphisms",
     "pullback",
     "is_pullback_square",
@@ -181,17 +187,9 @@ def coproduct_legs(cat: FinCategory) -> frozenset[int]:
 
 
 def cotuple(cat: FinCategory, u: int, v: int, t1: int, t2: int) -> int | None:
-    """The mediating morphism h with h∘u = t1 and h∘v = t2, if one exists.
-
-    Unique when (u, v) is a certified coproduct cocone; this only scans."""
-    x = cat._cod_l[u]
-    z = cat._cod_l[t1]
-    if cat._cod_l[t2] != z:
-        return None
-    for h, hu, hv in zip(cat.hom(x, z), cat.cols(u)[z], cat.cols(v)[z]):
-        if hu == t1 and hv == t2:
-            return h
-    return None
+    """The first h in hom-set order with h∘u = t1 and h∘v = t2, if any:
+    ``pairing`` in the dual.  Unique when (u, v) is a coproduct cocone."""
+    return pairing(dual_of(cat), u, v, t1, t2)
 
 
 def coproduct_of_morphisms(
@@ -202,14 +200,9 @@ def coproduct_of_morphisms(
     cod_base: tuple[int, int],
 ) -> int | None:
     """f1 + f2 relative to chosen coproduct cocones on domains and codomains:
-    the unique h with h∘u1 = v1∘f1 and h∘u2 = v2∘f2."""
-    u1, u2 = dom_base
-    v1, v2 = cod_base
-    t1 = cat.compose(v1, f1)
-    t2 = cat.compose(v2, f2)
-    if t1 is None or t2 is None:
-        return None
-    return cotuple(cat, u1, u2, t1, t2)
+    the h with h∘u1 = v1∘f1 and h∘u2 = v2∘f2, ``product_of_morphisms`` in
+    the dual."""
+    return product_of_morphisms(dual_of(cat), f1, f2, cod_base, dom_base)
 
 
 # -- products (through the dual) ---------------------------------------------------
@@ -229,6 +222,15 @@ def is_product_cone(cat: FinCategory, *legs: int) -> bool:
     return is_coproduct_cocone(dual_of(cat), *legs)
 
 
+def pairing(cat: FinCategory, p1: int, p2: int, t1: int, t2: int) -> int | None:
+    """The first h in hom-set order with p1∘h = t1 and p2∘h = t2, if any:
+    read from p1's fibre over t1 in hom(dom t1, dom p1), the store of
+    ``postcompose_fibers``.  Unique when (p1, p2) is a product cone; every
+    product and coproduct mediator is this one."""
+    fibre = cat.postcompose_fibers(p1, cat._dom_l[t1]).get(t1, ())
+    return next((h for h in fibre if cat.compose(p2, h) == t2), None)
+
+
 def product_of_morphisms(
     cat: FinCategory,
     f1: int,
@@ -236,8 +238,11 @@ def product_of_morphisms(
     dom_base: tuple[int, int],
     cod_base: tuple[int, int],
 ) -> int | None:
-    """f1 × f2 relative to chosen product cones on domain and codomain."""
-    return coproduct_of_morphisms(dual_of(cat), f1, f2, cod_base, dom_base)
+    """f1 × f2 relative to chosen product cones on domain and codomain: the
+    h with q1∘h = f1∘p1 and q2∘h = f2∘p2."""
+    p1, p2 = dom_base
+    t1, t2 = cat.compose(f1, p1), cat.compose(f2, p2)
+    return None if t1 is None or t2 is None else pairing(cat, *cod_base, t1, t2)
 
 
 # -- pullbacks ------------------------------------------------------------------
@@ -455,8 +460,6 @@ def image_factorisation(cat: FinCategory, f: int) -> tuple[int, int] | None:
     """A (regular epi, mono) factorisation f = m∘e, first in
     (intermediate, e, m) order; None when the category has none for f.
     Such factorisations are unique up to unique isomorphism when they exist."""
-    from .fincat import _is_regular_epi  # deferred: fincat's own lazy use of this module
-
     monos = _mono_set(cat)
     a, b = cat._dom_l[f], cat._cod_l[f]
     return next(

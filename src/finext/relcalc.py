@@ -1,12 +1,19 @@
 """Relation calculus inside a finite category.
 
-Subobjects of an ambient object are isomorphism classes of monomorphisms; a
-relation from X to Y is a subobject of the chosen product X x Y (the first
-certified product found, so all relations on a pair share one ambient).
-Direct images use regular-epi/mono factorisations, inverse images use
-pullbacks, and relation composition is pullback-over-the-middle followed by
-image factorisation of the outer pairing.  `rel_compose(r, s)` with
+Subobjects of an ambient object are isomorphism classes of monomorphisms:
+two monos into x are one subobject exactly when m' = m∘i for an
+isomorphism i, so each class is the orbit of its least mono under the
+isomorphisms into its domain, read from that mono's rows (`sub_classes`).
+A relation from X to Y is a subobject of the chosen product X x Y (the
+first certified product found, so all relations on a pair share one
+ambient).  Direct images use regular-epi/mono factorisations, inverse images
+use pullbacks, and relation composition is pullback-over-the-middle followed
+by image factorisation of the outer pairing.  `rel_compose(r, s)` with
 r: X -> Y and s: Y -> Z is the composite "first r, then s" from X to Z.
+Every pairing into a product, and every product of morphisms, is
+`limits.pairing`.  Composition, product, image and preimage of relations
+and the classification flags are each one stored fact per argument, kept by
+`fincat.cached`, so the identity suite computes each of them once.
 
 Every operation returns None when the structure it needs is missing from the
 category; the suite runners count those as skipped instances and report
@@ -66,13 +73,6 @@ class SubobjectClass:
     monos: frozenset[int]
     rep: int
 
-    def as_dict(self, cat: FinCategory) -> dict:
-        return {
-            "ambient": cat.oid(self.ambient),
-            "representative": cat.mid(self.rep),
-            "monos": sorted(cat.mid(m) for m in self.monos),
-        }
-
 
 @dataclass(frozen=True)
 class Relation:
@@ -113,36 +113,24 @@ class RelationFlags:
 # -- subobjects -----------------------------------------------------------------
 
 
-@cached("monos_into")
-def _monos_into(cat: FinCategory, x: int) -> list[int]:
-    return sorted(m for m in _mono_set(cat) if cat._cod_l[m] == x)
-
-
-def _factors(cat: FinCategory, a: int, b: int) -> bool:
-    """Whether a = b∘j for some j (a, b monos into the same ambient)."""
-    fib = cat.postcompose_fibers(b, cat._dom_l[a])
-    return bool(fib.get(a))
-
-
 @cached("sub_classes")
 def sub_classes(cat: FinCategory, x: int) -> tuple[SubobjectClass, ...]:
-    """All subobject classes of x, sorted by canonical representative."""
-    monos = _monos_into(cat, x)
-    assigned: dict[int, int] = {}
-    classes: list[list[int]] = []
-    for m in monos:
-        if m in assigned:
-            continue
-        cls = [m]
-        assigned[m] = len(classes)
-        for m2 in monos:
-            if m2 not in assigned and _factors(cat, m, m2) and _factors(cat, m2, m):
-                assigned[m2] = len(classes)
-                cls.append(m2)
-        classes.append(cls)
-    return tuple(
-        SubobjectClass(x, frozenset(c), min(c)) for c in sorted(classes, key=min)
-    )
+    """All subobject classes of x, sorted by canonical representative.
+
+    Two monos into x are one subobject exactly when m' = m∘i for an
+    isomorphism i, so the class of m is its orbit {m∘i : i an iso into
+    dom m}, read from the rows of m.  The monos are walked in ascending
+    order and each class is made at its least member, its representative."""
+    monos, isos_into, dom, pos = _mono_set(cat), limits._isos_into(cat), cat._dom_l, cat._pos
+    claimed: set[int] = set()
+    classes = []
+    for m in sorted(m for y in range(len(cat.objects)) for m in cat.hom(y, x) if m in monos):
+        if m not in claimed:
+            rows = cat.rows(m)
+            orbit = frozenset(rows[dom[i]][pos[i]] for i in isos_into[dom[m]])
+            claimed |= orbit
+            classes.append(SubobjectClass(x, orbit, m))
+    return tuple(classes)
 
 
 @cached("sub_lookup")
@@ -156,7 +144,8 @@ def class_of(cat: FinCategory, m: int) -> SubobjectClass:
 
 
 def sub_leq(cat: FinCategory, a: SubobjectClass, b: SubobjectClass) -> bool:
-    return a.ambient == b.ambient and _factors(cat, a.rep, b.rep)
+    """a ≤ b: a's representative factors through b's."""
+    return a.ambient == b.ambient and bool(cat.postcompose_fibers(b.rep, cat._dom_l[a.rep]).get(a.rep))
 
 
 def sub_poset(cat: FinCategory, oid: str) -> tuple[list[SubobjectClass], list[list[bool]]]:
@@ -188,16 +177,6 @@ def inverse_image(cat: FinCategory, f: int, b: SubobjectClass) -> SubobjectClass
 # -- relations ------------------------------------------------------------------
 
 
-def _pairing(cat: FinCategory, w: limits.UniversalWitness, t1: int, t2: int) -> int | None:
-    """The unique h into the product apex with leg1∘h = t1 and leg2∘h = t2."""
-    p1, p2 = w.legs
-    src = cat._dom_l[t1]
-    for h in cat.postcompose_fibers(p1, src).get(t1, ()):
-        if cat.compose(p2, h) == t2:
-            return h
-    return None
-
-
 def _legs_of(cat: FinCategory, r: Relation) -> tuple[int, int]:
     m = r.cls.rep
     return cat.compose(r.prod.legs[0], m), cat.compose(r.prod.legs[1], m)
@@ -207,7 +186,7 @@ def _tabulated(cat: FinCategory, x: int, y: int, t1: int, t2: int) -> Relation |
     """The relation from x to y tabulated by (t1, t2): the class of their
     pairing into the chosen product x × y."""
     w = limits.product(cat, x, y)
-    h = None if w is None else _pairing(cat, w, t1, t2)
+    h = None if w is None else limits.pairing(cat, *w.legs, t1, t2)
     return None if h is None else Relation(x, y, w, class_of(cat, h))
 
 
@@ -259,13 +238,14 @@ def rel_compose(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
     pb = limits.pullback(cat, r2, s1)
     if pb is None:
         return None
-    h = _pairing(cat, w, cat.compose(r1, pb.legs[0]), cat.compose(s2, pb.legs[1]))
+    h = limits.pairing(cat, *w.legs, cat.compose(r1, pb.legs[0]), cat.compose(s2, pb.legs[1]))
     fact = None if h is None else limits.image_factorisation(cat, h)
     return None if fact is None else Relation(r.src, s.tgt, w, class_of(cat, fact[1]))
 
 
+@cached("rel_product")
 def rel_product(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
-    """Product relation on the product object (r on X) x (s on Y)."""
+    """Product relation on the product object (r on X) x (s on Y), cached."""
     if r.src != r.tgt or s.src != s.tgt:
         raise ValueError("rel_product needs endorelations")
     wxy = limits.product(cat, r.src, s.src)
@@ -282,22 +262,24 @@ def rel_product(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
     f2 = limits.product_of_morphisms(cat, r2, s2, tuple(w0.legs), tuple(wxy.legs))
     if f1 is None or f2 is None:
         return None
-    h = _pairing(cat, amb, f1, f2)
+    h = limits.pairing(cat, *amb.legs, f1, f2)
     if h is None or h not in _mono_set(cat):
         return None
     return Relation(xy, xy, amb, class_of(cat, h))
 
 
+@cached("rel_image")
 def rel_image(cat: FinCategory, f: int, r: Relation) -> Relation | None:
-    """Image of an endorelation on dom f under f (applied to both legs)."""
+    """Image of an endorelation on dom f under f (applied to both legs), cached."""
     ff = _squared(cat, f)
     img = None if ff is None else direct_image(cat, ff, r.cls)
     y = cat._cod_l[f]
     return None if img is None else Relation(y, y, limits.product(cat, y, y), img)
 
 
+@cached("rel_preimage")
 def rel_preimage(cat: FinCategory, f: int, r: Relation) -> Relation | None:
-    """Preimage of an endorelation on cod f under f."""
+    """Preimage of an endorelation on cod f under f, cached."""
     ff = _squared(cat, f)
     pre = None if ff is None else inverse_image(cat, ff, r.cls)
     x = cat._dom_l[f]
@@ -416,7 +398,7 @@ def _decomposed(cat: FinCategory, p1: int, p2: int, r: Relation) -> tuple[Relati
     pr = None if i1 is None or i2 is None else rel_product(cat, i1, i2)
     if pr is None:
         return None
-    phi = _pairing(cat, limits.product(cat, i1.src, i2.src), p1, p2)
+    phi = limits.pairing(cat, *limits.product(cat, i1.src, i2.src).legs, p1, p2)
     back = rel_preimage(cat, phi, pr)
     return None if back is None else (i1, i2, back.cls == r.cls)
 

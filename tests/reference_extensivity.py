@@ -7,6 +7,8 @@ right, as the original ``check_e2`` and ``is_M_extensive`` loops did.
 numpy block columns, and ``coproduct_bases_n`` the original n-ary search
 for every cocone it certifies on one apex.  ``category_report`` is the
 original per-morphism loop, which decides every morphism on its own.
+``coproduct_disjointness`` certifies each leg's self-intersection square
+(leg, leg; id, id) as a pullback, as the original did.
 """
 
 from __future__ import annotations
@@ -133,3 +135,27 @@ def category_report(cat: FinCategory, mode: str = "extensive") -> dict:
         "binary_coproducts_exist": has_cops,
         "verdicts_agree": (verdict == reduced) if has_cops else None,
     }
+
+
+def coproduct_disjointness(cat: FinCategory) -> ext.CheckStatus:
+    """Coproduct legs are monic (self-intersection square) and intersect in
+    the initial object, for every certified coproduct cocone."""
+    z = limits.initial(cat)
+    if z is None:
+        return ext._na({"kind": "no-initial"})
+    checked = 0
+    for x in range(len(cat.objects)):
+        for u, v in limits.coproduct_bases(cat, x):
+            checked += 1
+            for leg in (u, v):
+                e = cat.identity_of[cat._dom_l[leg]]
+                if not limits.is_pullback_square(cat, leg, leg, e, e):
+                    return ext._fail(
+                        {"kind": "leg-not-mono-square", "base": [cat.mid(u), cat.mid(v)], "leg": cat.mid(leg)},
+                        bases=checked,
+                    )
+            p1 = cat.hom(z, cat._dom_l[u])[0]
+            p2 = cat.hom(z, cat._dom_l[v])[0]
+            if not limits.is_pullback_square(cat, u, v, p1, p2):
+                return ext._fail({"kind": "intersection-not-initial", "base": [cat.mid(u), cat.mid(v)]}, bases=checked)
+    return ext._ok(bases=checked)

@@ -1,7 +1,9 @@
 """The seed's relation-calculus constructors and identity-suite loops, kept
 for differential tests.
 
-``delta``, ``opposite``, ``eq_of``, ``rel_product``, ``rel_image`` and
+``pairing`` is the seed's tupling into a product, a scan of the first
+leg's fibre, and ``sub_classes`` its subobject classes, grouped by
+pairwise mutual factoring.  ``delta``, ``opposite``, ``eq_of``, ``rel_product``, ``rel_image`` and
 ``rel_preimage`` build each relation on their own, and ``identity_suite``
 is the seed's ten hand-written loops with their own skip and first-witness
 bookkeeping.  Both product lemmas read the product relation of the images
@@ -22,10 +24,10 @@ from finext.fincat import FinCategory, _is_regular_epi, _mono_set
 from finext.relcalc import (
     IDENTITY_IDS,
     Relation,
+    SubobjectClass,
     _ambient_ok,
     _endo_pools,
     _legs_of,
-    _pairing,
     _sizes,
     class_of,
     direct_image,
@@ -36,6 +38,41 @@ from finext.relcalc import (
     sub_leq,
 )
 from reference_fincat import split_mono_witness
+
+
+def _pairing(cat: FinCategory, w: limits.UniversalWitness, t1: int, t2: int) -> int | None:
+    """The unique h into the product apex with leg1∘h = t1 and leg2∘h = t2."""
+    p1, p2 = w.legs
+    src = cat._dom_l[t1]
+    for h in cat.postcompose_fibers(p1, src).get(t1, ()):
+        if cat.compose(p2, h) == t2:
+            return h
+    return None
+
+
+def _factors(cat: FinCategory, a: int, b: int) -> bool:
+    """Whether a = b∘j for some j, by a scan of hom(dom a, dom b)."""
+    return any(cat.compose(b, j) == a for j in cat.hom(cat._dom_l[a], cat._dom_l[b]))
+
+
+def sub_classes(cat: FinCategory, x: int) -> tuple[SubobjectClass, ...]:
+    """All subobject classes of x, sorted by canonical representative."""
+    monos = sorted(m for m in _mono_set(cat) if cat._cod_l[m] == x)
+    assigned: dict[int, int] = {}
+    classes: list[list[int]] = []
+    for m in monos:
+        if m in assigned:
+            continue
+        cls = [m]
+        assigned[m] = len(classes)
+        for m2 in monos:
+            if m2 not in assigned and _factors(cat, m, m2) and _factors(cat, m2, m):
+                assigned[m2] = len(classes)
+                cls.append(m2)
+        classes.append(cls)
+    return tuple(
+        SubobjectClass(x, frozenset(c), min(c)) for c in sorted(classes, key=min)
+    )
 
 
 def rel_compose(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:

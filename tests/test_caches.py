@@ -4,12 +4,14 @@
 where an answer is kept, under which key, and when it is stored.  Besides
 it, only ``FinCategory._setup``, which makes the store, touches
 ``._cache``, and no module keeps a memo of its own through
-``functools.cache`` or ``lru_cache``.  The scans read each module's syntax
-tree."""
+``functools.cache`` or ``lru_cache``.  No two ``cached(name)`` uses in the
+package share a store name, since each would answer the other's keys.
+The scans read each module's syntax tree."""
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -48,6 +50,17 @@ def functools_memos(source: str) -> set[str]:
     return found
 
 
+def store_names(source: str) -> list[str]:
+    """The store name of every call of ``cached`` or ``<module>.cached``
+    in the module, decorators included; a name that is not a literal
+    raises ``ValueError``."""
+    return [
+        ast.literal_eval(node.args[0])
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "cached"
+    ]
+
+
 def test_the_scan_sees_every_cache_use():
     src = (
         "def f(cat):\n    return cat._cache.get('x')\n\n"
@@ -66,6 +79,23 @@ def test_the_scan_sees_every_functools_memo():
     )
     assert functools_memos(src) == {"cache", "lru_cache"}
     assert functools_memos("from functools import wraps\n\n@wraps(len)\ndef f(x):\n    return x\n") == set()
+
+
+def test_the_scan_sees_every_store_name():
+    src = (
+        "@cached('a')\ndef f(cat):\n    return 1\n\n"
+        "class C:\n    @fincat.cached('b')\n    def m(self):\n        return 2\n\n"
+        "g = cached('a')(len)\n"
+    )
+    assert sorted(store_names(src)) == ["a", "a", "b"]
+    with pytest.raises(ValueError):
+        store_names("NAME = 'x'\n\n@cached(NAME)\ndef f(cat):\n    return 1\n")
+
+
+def test_no_two_stores_share_a_name():
+    names = Counter(name for p in PACKAGE.glob("*.py") for name in store_names(p.read_text()))
+    assert len(names) > 30
+    assert [name for name, uses in names.items() if uses > 1] == []
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
