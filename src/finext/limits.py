@@ -31,8 +31,8 @@ apex whose hom counts differ from the fork counts.
 
 There is one tupling, ``pairing``: the first h with p1∘h = t1 and
 p2∘h = t2, read from p1's fibre over t1.  ``product_of_morphisms`` pairs
-the composites f_i∘p_i into the codomain's cone, and ``cotuple`` and
-``coproduct_of_morphisms`` are the same two functions in the dual.
+the composites f_i∘p_i into the codomain's cone, and ``cotuple`` is
+``pairing`` in the dual.
 
 Search order is fixed everywhere — apexes in object order, legs in hom-set
 order — so the first certified witness is deterministic and cacheable.
@@ -68,7 +68,6 @@ __all__ = [
     "coproduct_bases",
     "coproduct_legs",
     "cotuple",
-    "coproduct_of_morphisms",
     "product",
     "product_bases",
     "is_product_cone",
@@ -190,19 +189,6 @@ def cotuple(cat: FinCategory, u: int, v: int, t1: int, t2: int) -> int | None:
     """The first h in hom-set order with h∘u = t1 and h∘v = t2, if any:
     ``pairing`` in the dual.  Unique when (u, v) is a coproduct cocone."""
     return pairing(dual_of(cat), u, v, t1, t2)
-
-
-def coproduct_of_morphisms(
-    cat: FinCategory,
-    f1: int,
-    f2: int,
-    dom_base: tuple[int, int],
-    cod_base: tuple[int, int],
-) -> int | None:
-    """f1 + f2 relative to chosen coproduct cocones on domains and codomains:
-    the h with h∘u1 = v1∘f1 and h∘u2 = v2∘f2, ``product_of_morphisms`` in
-    the dual."""
-    return product_of_morphisms(dual_of(cat), f1, f2, cod_base, dom_base)
 
 
 # -- products (through the dual) ---------------------------------------------------

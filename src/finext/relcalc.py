@@ -6,14 +6,18 @@ isomorphism i, so each class is the orbit of its least mono under the
 isomorphisms into its domain, read from that mono's rows (`sub_classes`).
 A relation from X to Y is a subobject of the chosen product X x Y (the
 first certified product found, so all relations on a pair share one
-ambient).  Direct images use regular-epi/mono factorisations, inverse images
-use pullbacks, and relation composition is pullback-over-the-middle followed
-by image factorisation of the outer pairing.  `rel_compose(r, s)` with
-r: X -> Y and s: Y -> Z is the composite "first r, then s" from X to Z.
-Every pairing into a product, and every product of morphisms, is
-`limits.pairing`.  Composition, product, image and preimage of relations
-and the classification flags are each one stored fact per argument, kept by
-`fincat.cached`, so the identity suite computes each of them once.
+ambient), held as three integers (src, tgt, least mono of its class): two
+relations from X to Y are equal exactly when their least monos are, and
+one is contained in another exactly when its least mono factors through
+the other's (`sub_leq`).  Direct images use regular-epi/mono
+factorisations, inverse images use pullbacks, and relation composition is
+pullback-over-the-middle followed by image factorisation of the outer
+pairing.  `rel_compose(r, s)` with r: X -> Y and s: Y -> Z is the
+composite "first r, then s" from X to Z.  Every pairing into a product,
+and every product of morphisms, is `limits.pairing`.  Composition,
+product, image and preimage of relations and the classification flags are
+each one stored fact per argument, kept by `fincat.cached`, so the
+identity suite computes each of them once.
 
 Every operation returns None when the structure it needs is missing from the
 category; the suite runners count those as skipped instances and report
@@ -25,10 +29,12 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fincat import (
     FinCategory,
     cached,
+    _iso_info,
     _mono_set,
     _is_regular_epi,
     _sections,
@@ -74,21 +80,20 @@ class SubobjectClass:
     rep: int
 
 
-@dataclass(frozen=True)
-class Relation:
-    """A subobject of the chosen product src x tgt."""
+class Relation(NamedTuple):
+    """A subobject of the chosen product src x tgt, named by the least mono
+    of its class."""
 
     src: int
     tgt: int
-    prod: limits.UniversalWitness
-    cls: SubobjectClass
+    rep: int
 
     def as_dict(self, cat: FinCategory) -> dict:
         return {
             "src": cat.oid(self.src),
             "tgt": cat.oid(self.tgt),
-            "ambient": cat.oid(self.prod.apex),
-            "representative": cat.mid(self.cls.rep),
+            "ambient": cat.oid(cat._cod_l[self.rep]),
+            "representative": cat.mid(self.rep),
         }
 
 
@@ -143,15 +148,16 @@ def class_of(cat: FinCategory, m: int) -> SubobjectClass:
     return _class_index(cat, cat._cod_l[m])[m]
 
 
-def sub_leq(cat: FinCategory, a: SubobjectClass, b: SubobjectClass) -> bool:
-    """a ≤ b: a's representative factors through b's."""
-    return a.ambient == b.ambient and bool(cat.postcompose_fibers(b.rep, cat._dom_l[a.rep]).get(a.rep))
+def sub_leq(cat: FinCategory, a: int, b: int) -> bool:
+    """The subobject of the mono a is ≤ that of the mono b: both have one
+    codomain, and a factors through b."""
+    return cat._cod_l[a] == cat._cod_l[b] and bool(cat.postcompose_fibers(b, cat._dom_l[a]).get(a))
 
 
 def sub_poset(cat: FinCategory, oid: str) -> tuple[list[SubobjectClass], list[list[bool]]]:
     """Subobject classes of the object plus the full ≤ table."""
     cs = list(sub_classes(cat, cat.o(oid)))
-    leq = [[sub_leq(cat, a, b) for b in cs] for a in cs]
+    leq = [[sub_leq(cat, a.rep, b.rep) for b in cs] for a in cs]
     return cs, leq
 
 
@@ -178,8 +184,8 @@ def inverse_image(cat: FinCategory, f: int, b: SubobjectClass) -> SubobjectClass
 
 
 def _legs_of(cat: FinCategory, r: Relation) -> tuple[int, int]:
-    m = r.cls.rep
-    return cat.compose(r.prod.legs[0], m), cat.compose(r.prod.legs[1], m)
+    p1, p2 = limits.product(cat, r.src, r.tgt).legs
+    return cat.compose(p1, r.rep), cat.compose(p2, r.rep)
 
 
 def _tabulated(cat: FinCategory, x: int, y: int, t1: int, t2: int) -> Relation | None:
@@ -187,7 +193,7 @@ def _tabulated(cat: FinCategory, x: int, y: int, t1: int, t2: int) -> Relation |
     pairing into the chosen product x × y."""
     w = limits.product(cat, x, y)
     h = None if w is None else limits.pairing(cat, *w.legs, t1, t2)
-    return None if h is None else Relation(x, y, w, class_of(cat, h))
+    return None if h is None else Relation(x, y, class_of(cat, h).rep)
 
 
 def _squared(cat: FinCategory, f: int) -> int | None:
@@ -204,7 +210,7 @@ def relations_on(cat: FinCategory, x: int, y: int) -> tuple[Relation, ...] | Non
     w = limits.product(cat, x, y)
     if w is None:
         return None
-    return tuple(Relation(x, y, w, c) for c in sub_classes(cat, w.apex))
+    return tuple(Relation(x, y, c.rep) for c in sub_classes(cat, w.apex))
 
 
 def delta(cat: FinCategory, x: int) -> Relation | None:
@@ -217,7 +223,7 @@ def nabla(cat: FinCategory, x: int, y: int | None = None) -> Relation | None:
     w = limits.product(cat, x, y)
     if w is None:
         return None
-    return Relation(x, y, w, class_of(cat, cat.identity_of[w.apex]))
+    return Relation(x, y, class_of(cat, cat.identity_of[w.apex]).rep)
 
 
 def opposite(cat: FinCategory, r: Relation) -> Relation | None:
@@ -240,7 +246,7 @@ def rel_compose(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
         return None
     h = limits.pairing(cat, *w.legs, cat.compose(r1, pb.legs[0]), cat.compose(s2, pb.legs[1]))
     fact = None if h is None else limits.image_factorisation(cat, h)
-    return None if fact is None else Relation(r.src, s.tgt, w, class_of(cat, fact[1]))
+    return None if fact is None else Relation(r.src, s.tgt, class_of(cat, fact[1]).rep)
 
 
 @cached("rel_product")
@@ -253,7 +259,7 @@ def rel_product(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
         return None
     xy = wxy.apex
     amb = limits.product(cat, xy, xy)
-    w0 = limits.product(cat, cat._dom_l[r.cls.rep], cat._dom_l[s.cls.rep])
+    w0 = limits.product(cat, cat._dom_l[r.rep], cat._dom_l[s.rep])
     if amb is None or w0 is None:
         return None
     r1, r2 = _legs_of(cat, r)
@@ -265,25 +271,25 @@ def rel_product(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
     h = limits.pairing(cat, *amb.legs, f1, f2)
     if h is None or h not in _mono_set(cat):
         return None
-    return Relation(xy, xy, amb, class_of(cat, h))
+    return Relation(xy, xy, class_of(cat, h).rep)
 
 
 @cached("rel_image")
 def rel_image(cat: FinCategory, f: int, r: Relation) -> Relation | None:
     """Image of an endorelation on dom f under f (applied to both legs), cached."""
     ff = _squared(cat, f)
-    img = None if ff is None else direct_image(cat, ff, r.cls)
+    img = None if ff is None else direct_image(cat, ff, class_of(cat, r.rep))
     y = cat._cod_l[f]
-    return None if img is None else Relation(y, y, limits.product(cat, y, y), img)
+    return None if img is None else Relation(y, y, img.rep)
 
 
 @cached("rel_preimage")
 def rel_preimage(cat: FinCategory, f: int, r: Relation) -> Relation | None:
     """Preimage of an endorelation on cod f under f, cached."""
     ff = _squared(cat, f)
-    pre = None if ff is None else inverse_image(cat, ff, r.cls)
+    pre = None if ff is None else inverse_image(cat, ff, class_of(cat, r.rep))
     x = cat._dom_l[f]
-    return None if pre is None else Relation(x, x, limits.product(cat, x, x), pre)
+    return None if pre is None else Relation(x, x, pre.rep)
 
 
 def eq_of(cat: FinCategory, f: int) -> Relation | None:
@@ -300,11 +306,11 @@ def classify_relation(cat: FinCategory, r: Relation) -> RelationFlags:
         raise ValueError("classification applies to endorelations")
     x = r.src
     d = delta(cat, x)
-    reflexive = None if d is None else sub_leq(cat, d.cls, r.cls)
+    reflexive = None if d is None else sub_leq(cat, d.rep, r.rep)
     op = opposite(cat, r)
-    symmetric = None if op is None else sub_leq(cat, op.cls, r.cls)
+    symmetric = None if op is None else sub_leq(cat, op.rep, r.rep)
     rr = rel_compose(cat, r, r)
-    transitive = None if rr is None else sub_leq(cat, rr.cls, r.cls)
+    transitive = None if rr is None else sub_leq(cat, rr.rep, r.rep)
     parts = (reflexive, symmetric, transitive)
     if any(p is False for p in parts):
         equivalence: bool | None = False
@@ -321,7 +327,7 @@ def classify_relation(cat: FinCategory, r: Relation) -> RelationFlags:
         if e is None:
             complete = False
             continue
-        if e.cls == r.cls:
+        if e.rep == r.rep:
             effective = True
             break
     if effective is False and not complete:
@@ -400,7 +406,7 @@ def _decomposed(cat: FinCategory, p1: int, p2: int, r: Relation) -> tuple[Relati
         return None
     phi = limits.pairing(cat, *limits.product(cat, i1.src, i2.src).legs, p1, p2)
     back = rel_preimage(cat, phi, pr)
-    return None if back is None else (i1, i2, back.cls == r.cls)
+    return None if back is None else (i1, i2, back.rep == r.rep)
 
 
 def _instances(cat: FinCategory, cap: int) -> Iterator[tuple[str, Iterator[bool | dict | None]]]:
@@ -436,7 +442,7 @@ def _instances(cat: FinCategory, cap: int) -> Iterator[tuple[str, Iterator[bool 
                 if left is None or right is None:
                     yield None
                 else:
-                    yield left.cls == r.cls == right.cls or violated(relation=r)
+                    yield left.rep == r.rep == right.rep or violated(relation=r)
 
     def nabla_absorb():
         for x, rels in endo:
@@ -444,12 +450,12 @@ def _instances(cat: FinCategory, cap: int) -> Iterator[tuple[str, Iterator[bool 
             for r in rels:
                 if d is None or nb is None:
                     yield None
-                elif sub_leq(cat, d.cls, r.cls):
+                elif sub_leq(cat, d.rep, r.rep):
                     left, right = rel_compose(cat, nb, r), rel_compose(cat, r, nb)
                     if left is None or right is None:
                         yield None
                     else:
-                        yield left.cls == nb.cls == right.cls or violated(relation=r)
+                        yield left.rep == nb.rep == right.rep or violated(relation=r)
 
     def img_lax_functorial():  # f(R∘S) <= f(R)∘f(S)
         for f in range(cat.n_mor):
@@ -466,7 +472,7 @@ def _instances(cat: FinCategory, cap: int) -> Iterator[tuple[str, Iterator[bool 
                 if lhs is None or rhs is None:
                     yield None
                 else:
-                    yield sub_leq(cat, lhs.cls, rhs.cls) or violated(f, r=r, s=s)
+                    yield sub_leq(cat, lhs.rep, rhs.rep) or violated(f, r=r, s=s)
 
     def transitive_idempotent():  # reflexive r: transitive <-> r∘r == r
         for x, rels in endo:
@@ -474,10 +480,10 @@ def _instances(cat: FinCategory, cap: int) -> Iterator[tuple[str, Iterator[bool 
             if d is None:
                 continue
             for r in rels:
-                if sub_leq(cat, d.cls, r.cls):
+                if sub_leq(cat, d.rep, r.rep):
                     rr = rel_compose(cat, r, r)
                     yield None if rr is None else (
-                        sub_leq(cat, rr.cls, r.cls) == (rr.cls == r.cls) or violated(relation=r)
+                        sub_leq(cat, rr.rep, r.rep) == (rr.rep == r.rep) or violated(relation=r)
                     )
 
     def prod_interchange():  # the combined carrier is capped as well
@@ -494,14 +500,14 @@ def _instances(cat: FinCategory, cap: int) -> Iterator[tuple[str, Iterator[bool 
                 if lhs is None or rhs is None:
                     yield None
                 else:
-                    yield lhs.cls == rhs.cls or violated(r=r, rp=rp, s=s, sp=sp)
+                    yield lhs.rep == rhs.rep or violated(r=r, rp=rp, s=s, sp=sp)
 
     def img_preimg():
         for f in regepis:
             for r in endo_idx[cat._cod_l[f]]:
                 pre = rel_preimage(cat, f, r)
                 img = None if pre is None else rel_image(cat, f, pre)
-                yield None if img is None else (img.cls == r.cls or violated(f, relation=r))
+                yield None if img is None else (img.rep == r.rep or violated(f, relation=r))
 
     def preimg_img():
         for f in regepis:
@@ -516,7 +522,7 @@ def _instances(cat: FinCategory, cap: int) -> Iterator[tuple[str, Iterator[bool 
                 if lhs is None or rhs is None:
                     yield None
                 else:
-                    yield lhs.cls == rhs.cls or violated(f, relation=r)
+                    yield lhs.rep == rhs.rep or violated(f, relation=r)
 
     def img_of_preimg_comp():
         for f in regepis:
@@ -524,7 +530,7 @@ def _instances(cat: FinCategory, cap: int) -> Iterator[tuple[str, Iterator[bool 
                 pr, ps, rs = rel_preimage(cat, f, r), rel_preimage(cat, f, s), rel_compose(cat, r, s)
                 comp = None if pr is None or ps is None or rs is None else rel_compose(cat, pr, ps)
                 lhs = None if comp is None else rel_image(cat, f, comp)
-                yield None if lhs is None else (lhs.cls == rs.cls or violated(f, r=r, s=s))
+                yield None if lhs is None else (lhs.rep == rs.rep or violated(f, r=r, s=s))
 
     def lemma_eq_under_regepi():
         # E an equivalence with E = p1(E) x p2(E) and regular-epi projections
@@ -554,7 +560,7 @@ def _instances(cat: FinCategory, cap: int) -> Iterator[tuple[str, Iterator[bool 
             if d is None:
                 continue
             for (p1, p2), r in itertools.product(limits.product_bases(cat, x), rels):
-                if sub_leq(cat, d.cls, r.cls):
+                if sub_leq(cat, d.rep, r.rep):
                     dec = _decomposed(cat, p1, p2, r)
                     yield None if dec is None else (dec[2] or {
                         "kind": "reflexive-not-decomposed", "object": cat.oid(x), "relation": r.as_dict(cat),
@@ -602,18 +608,24 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
 def regular_indicators(cat: FinCategory) -> CheckStatus:
     """Evidence for/against regularity on in-category instances: every
     morphism should have a (regular epi, mono) factorisation, and pullbacks
-    of regular epis that exist must be regular epis.  Missing structure is
-    recorded, only genuine violations fail."""
+    of regular epis that exist must be regular epis.  A cospan (g, e) with
+    an iso leg holds by transport: its pullback exists, and the pulled-back
+    leg is e or an iso, composed with isos.  Missing structure is recorded,
+    only genuine violations fail."""
     missing_fact = []
     for f in range(cat.n_mor):
         if limits.image_factorisation(cat, f) is None:
             missing_fact.append(cat.mid(f))
     regepis = [f for f in range(cat.n_mor) if _is_regular_epi(cat, f)[0]]
+    isos = _iso_info(cat)[0]
     checked = 0
     for e in regepis:
         x = cat._cod_l[e]
         for g in range(cat.n_mor):
             if cat._cod_l[g] != x:
+                continue
+            if g in isos or e in isos:
+                checked += 1
                 continue
             w = limits.pullback(cat, g, e)
             if w is None:

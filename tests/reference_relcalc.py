@@ -1,13 +1,15 @@
 """The seed's relation-calculus constructors and identity-suite loops, kept
 for differential tests.
 
-``pairing`` is the seed's tupling into a product, a scan of the first
+``_pairing`` is the seed's tupling into a product, a scan of the first
 leg's fibre, and ``sub_classes`` its subobject classes, grouped by
-pairwise mutual factoring.  ``delta``, ``opposite``, ``eq_of``, ``rel_product``, ``rel_image`` and
-``rel_preimage`` build each relation on their own, and ``identity_suite``
-is the seed's ten hand-written loops with their own skip and first-witness
-bookkeeping.  Both product lemmas read the product relation of the images
-on the apex through the pairing of the cone under test (``_on_apex``).
+pairwise mutual factoring.  ``delta``, ``opposite``, ``eq_of``,
+``rel_product``, ``rel_image`` and ``rel_preimage`` build each relation on
+their own, and ``identity_suite`` is the seed's ten hand-written loops with
+their own skip and first-witness bookkeeping.  Both product lemmas read the
+product relation of the images on the apex through the pairing of the cone
+under test (``_on_apex``).  ``regular_indicators`` pulls every regular epi
+back along every morphism into its codomain, iso legs included.
 Relation composition and classification go through
 ``finext.relcalc.rel_compose`` and ``finext.relcalc.classify_relation``,
 looked up on the module at every call, so a test that replaces either
@@ -19,7 +21,7 @@ from __future__ import annotations
 import itertools
 
 from finext import limits, relcalc, setrel
-from finext.extensivity import CheckStatus, morphism_status
+from finext.extensivity import CheckStatus, _fail, _ok, morphism_status
 from finext.fincat import FinCategory, _is_regular_epi, _mono_set
 from finext.relcalc import (
     IDENTITY_IDS,
@@ -91,7 +93,7 @@ def delta(cat: FinCategory, x: int) -> Relation | None:
     h = _pairing(cat, w, e, e)
     if h is None:
         return None
-    return Relation(x, x, w, class_of(cat, h))
+    return Relation(x, x, class_of(cat, h).rep)
 
 
 def opposite(cat: FinCategory, r: Relation) -> Relation | None:
@@ -102,7 +104,7 @@ def opposite(cat: FinCategory, r: Relation) -> Relation | None:
     h = _pairing(cat, w, r2, r1)
     if h is None:
         return None
-    return Relation(r.tgt, r.src, w, class_of(cat, h))
+    return Relation(r.tgt, r.src, class_of(cat, h).rep)
 
 
 def rel_product(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
@@ -116,7 +118,7 @@ def rel_product(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
     amb = limits.product(cat, xy, xy)
     if amb is None:
         return None
-    r0, s0 = cat._dom_l[r.cls.rep], cat._dom_l[s.cls.rep]
+    r0, s0 = cat._dom_l[r.rep], cat._dom_l[s.rep]
     w0 = limits.product(cat, r0, s0)
     if w0 is None:
         return None
@@ -129,7 +131,7 @@ def rel_product(cat: FinCategory, r: Relation, s: Relation) -> Relation | None:
     h = _pairing(cat, amb, f1, f2)
     if h is None or h not in _mono_set(cat):
         return None
-    return Relation(xy, xy, amb, class_of(cat, h))
+    return Relation(xy, xy, class_of(cat, h).rep)
 
 
 def rel_image(cat: FinCategory, f: int, r: Relation) -> Relation | None:
@@ -141,10 +143,10 @@ def rel_image(cat: FinCategory, f: int, r: Relation) -> Relation | None:
     ff = limits.product_of_morphisms(cat, f, f, tuple(wx.legs), tuple(wy.legs))
     if ff is None:
         return None
-    img = direct_image(cat, ff, r.cls)
+    img = direct_image(cat, ff, class_of(cat, r.rep))
     if img is None:
         return None
-    return Relation(y, y, wy, img)
+    return Relation(y, y, img.rep)
 
 
 def rel_preimage(cat: FinCategory, f: int, r: Relation) -> Relation | None:
@@ -156,10 +158,10 @@ def rel_preimage(cat: FinCategory, f: int, r: Relation) -> Relation | None:
     ff = limits.product_of_morphisms(cat, f, f, tuple(wx.legs), tuple(wy.legs))
     if ff is None:
         return None
-    pre = inverse_image(cat, ff, r.cls)
+    pre = inverse_image(cat, ff, class_of(cat, r.rep))
     if pre is None:
         return None
-    return Relation(x, x, wx, pre)
+    return Relation(x, x, pre.rep)
 
 
 def eq_of(cat: FinCategory, f: int) -> Relation | None:
@@ -172,7 +174,7 @@ def eq_of(cat: FinCategory, f: int) -> Relation | None:
     h = _pairing(cat, w, kp[1], kp[2])
     if h is None:
         return None
-    return Relation(x, x, w, class_of(cat, h))
+    return Relation(x, x, class_of(cat, h).rep)
 
 
 class _Tally:
@@ -240,7 +242,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
                 right = rel_compose(cat, r, dy)
                 if left is None or right is None:
                     t.skip()
-                elif left.cls != r.cls or right.cls != r.cls:
+                elif left.rep != r.rep or right.rep != r.rep:
                     t.fail({"kind": "identity-violated", "relation": r.as_dict(cat)})
                 else:
                     t.ok()
@@ -251,7 +253,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
         d = delta(cat, x)
         nb = nabla(cat, x)
         for r in rels:
-            if d is None or nb is None or not sub_leq(cat, d.cls, r.cls):
+            if d is None or nb is None or not sub_leq(cat, d.rep, r.rep):
                 if d is None or nb is None:
                     t.skip()
                 continue
@@ -259,7 +261,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
             right = rel_compose(cat, r, nb)
             if left is None or right is None:
                 t.skip()
-            elif left.cls != nb.cls or right.cls != nb.cls:
+            elif left.rep != nb.rep or right.rep != nb.rep:
                 t.fail({"kind": "identity-violated", "relation": r.as_dict(cat)})
             else:
                 t.ok()
@@ -282,7 +284,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
                 rhs = rel_compose(cat, ir, i_s)
                 if lhs is None or rhs is None:
                     t.skip()
-                elif not sub_leq(cat, lhs.cls, rhs.cls):
+                elif not sub_leq(cat, lhs.rep, rhs.rep):
                     t.fail({
                         "kind": "identity-violated",
                         "morphism": cat.mid(f),
@@ -299,12 +301,12 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
         if d is None:
             continue
         for r in rels:
-            if not sub_leq(cat, d.cls, r.cls):
+            if not sub_leq(cat, d.rep, r.rep):
                 continue
             rr = rel_compose(cat, r, r)
             if rr is None:
                 t.skip()
-            elif sub_leq(cat, rr.cls, r.cls) != (rr.cls == r.cls):
+            elif sub_leq(cat, rr.rep, r.rep) != (rr.rep == r.rep):
                 t.fail({"kind": "identity-violated", "relation": r.as_dict(cat)})
             else:
                 t.ok()
@@ -328,7 +330,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
                     rhs = rel_compose(cat, pr, pp)
                     if lhs is None or rhs is None:
                         t.skip()
-                    elif lhs.cls != rhs.cls:
+                    elif lhs.rep != rhs.rep:
                         t.fail({
                             "kind": "identity-violated",
                             "r": r.as_dict(cat), "rp": rp.as_dict(cat),
@@ -353,7 +355,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
             img = rel_image(cat, f, pre)
             if img is None:
                 t.skip()
-            elif img.cls != r.cls:
+            elif img.rep != r.rep:
                 t.fail({"kind": "identity-violated", "morphism": cat.mid(f), "relation": r.as_dict(cat)})
             else:
                 t.ok()
@@ -371,7 +373,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
             rhs = None if er is None else rel_compose(cat, er, e)
             if lhs is None or rhs is None:
                 t.skip()
-            elif lhs.cls != rhs.cls:
+            elif lhs.rep != rhs.rep:
                 t.fail({"kind": "identity-violated", "morphism": cat.mid(f), "relation": r.as_dict(cat)})
             else:
                 t.ok()
@@ -390,7 +392,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
                 lhs = None if comp is None else rel_image(cat, f, comp)
                 if lhs is None:
                     t.skip()
-                elif lhs.cls != rs.cls:
+                elif lhs.rep != rs.rep:
                     t.fail({
                         "kind": "identity-violated",
                         "morphism": cat.mid(f),
@@ -418,7 +420,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
                 if pr is None:
                     t.skip()
                     continue
-                if pr.cls != r.cls:
+                if pr.rep != r.rep:
                     continue  # hypothesis of the lemma not satisfied
                 f1, f2 = classify_relation(cat, i1), classify_relation(cat, i2)
                 if f1.equivalence is None or f2.equivalence is None:
@@ -452,7 +454,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
                 continue
             for p1, p2 in limits.product_bases(cat, x):
                 for r in rels:
-                    if not sub_leq(cat, d.cls, r.cls):
+                    if not sub_leq(cat, d.rep, r.rep):
                         continue
                     i1, i2 = rel_image(cat, p1, r), rel_image(cat, p2, r)
                     if i1 is None or i2 is None:
@@ -461,7 +463,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
                     pr = _on_apex(cat, p1, p2, rel_product(cat, i1, i2))
                     if pr is None:
                         t.skip()
-                    elif pr.cls != r.cls:
+                    elif pr.rep != r.rep:
                         t.fail({
                             "kind": "reflexive-not-decomposed",
                             "object": cat.oid(x),
@@ -493,3 +495,40 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
                 st = CheckStatus("pass", None, st.details)
         results.append((ident, st))
     return results
+
+
+def regular_indicators(cat: FinCategory) -> CheckStatus:
+    """Regularity evidence with every cospan (g, e) of a regular epi e
+    pulled back and its leg tested, iso legs included."""
+    missing_fact = []
+    for f in range(cat.n_mor):
+        if limits.image_factorisation(cat, f) is None:
+            missing_fact.append(cat.mid(f))
+    regepis = [f for f in range(cat.n_mor) if _is_regular_epi(cat, f)[0]]
+    checked = 0
+    for e in regepis:
+        x = cat._cod_l[e]
+        for g in range(cat.n_mor):
+            if cat._cod_l[g] != x:
+                continue
+            w = limits.pullback(cat, g, e)
+            if w is None:
+                continue
+            checked += 1
+            if not _is_regular_epi(cat, w.legs[0])[0]:
+                return _fail(
+                    {
+                        "kind": "regular-epi-not-stable",
+                        "regular_epi": cat.mid(e),
+                        "along": cat.mid(g),
+                        "pulled_back": cat.mid(w.legs[0]),
+                    },
+                    stability_checked=checked,
+                )
+    return _ok(
+        morphisms=cat.n_mor,
+        missing_factorisations=len(missing_fact),
+        missing_examples=missing_fact[:5],
+        stability_checked=checked,
+        regular_epis=len(regepis),
+    )
