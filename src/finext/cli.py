@@ -323,7 +323,8 @@ def cmd_srp(args: argparse.Namespace) -> int:
 
 def _require_oracle_fits(cap: int, max_size: int | None) -> None:
     """Exit 2 when the set-relation oracle on carriers up to ``max_size``
-    would build arrays above ``setrel.ORACLE_MASK_LIMIT`` at this cap."""
+    would build a grid of more than ``setrel.ORACLE_MASK_LIMIT`` elements
+    at this cap."""
     masks = 0 if max_size is None else setrel.oracle_masks(cap, max_size)
     if masks > setrel.ORACLE_MASK_LIMIT:
         _fail_usage(f"--max-relation-size {cap} needs oracle arrays of {masks} masks (limit {setrel.ORACLE_MASK_LIMIT})")

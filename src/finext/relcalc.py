@@ -593,8 +593,8 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
         orc = oracle.get(ident)
         if orc is None:
             continue
-        st.details["oracle_instances"] = int(orc["instances"])
-        st.details["oracle_failures"] = int(orc["failures"])
+        st.details["oracle_instances"] = orc["instances"]
+        st.details["oracle_failures"] = orc["failures"]
         if orc["failures"] and not st.failed:
             st.status, st.witness = "fail", {"kind": "oracle-counterexample", **(orc["counterexample"] or {})}
         elif st.status == "inapplicable" and not orc["failures"] and orc["instances"]:

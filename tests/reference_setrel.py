@@ -8,8 +8,8 @@ oracle encodes every relation a second time, as a boolean matrix
 (``compose_table``) re-encoded into masks (``encode``); ``prod-interchange``
 builds the product relations with an einsum ``kron`` (``kron_table``) and
 a full table on the
-product carrier.  The library keeps one encoding, the bitmask, and composes
-only the pairs each identity reads.
+product carrier.  The library runs one kernel family on bit planes and
+checks each identity on one grid of the relations it reads.
 
 Running ``oracle_suite(9, 4)`` here takes about 18 s and 2.4 GB, and
 ``oracle_suite(16, 3)`` cannot allocate its (4, 4, 4) table.

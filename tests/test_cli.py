@@ -9,6 +9,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -459,6 +462,34 @@ def test_verify_paper_is_deterministic_and_jobs_invariant(tmp_path, capsys):
     docs = [json.load(open(r)) for r in reports]
     assert docs[0]["digest"] == docs[1]["digest"] == docs[2]["digest"]
     assert docs[0]["summary"]["total"] == 23
+
+
+# a fresh interpreter in which `import numpy` raises ImportError
+NUMPY_BLOCKED = "import sys; sys.modules['numpy'] = None; from finext.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["validate", "SET"], ["check", "SET", "--mode", "extensive"], ["relcalc", "SET"], ["verify-paper", "--suite", "relcalc"]],
+    ids=["validate", "check", "relcalc", "verify-paper"],
+)
+def test_the_commands_run_with_numpy_blocked(set_file, tmp_path, capsys, argv):
+    argv = [set_file if a == "SET" else a for a in argv]
+    reported = argv[0] != "validate"  # validate prints its verdict and writes no report
+    blocked, free = tmp_path / "blocked.json", tmp_path / "free.json"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED, *argv, *(["--report", str(blocked)] if reported else [])],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out = run(capsys, *argv, *(["--report", str(free)] if reported else []))
+    assert code == 0
+    if reported:
+        assert json.load(open(blocked))["digest"] == json.load(open(free))["digest"]
+    else:
+        assert proc.stdout == out
 
 
 def test_input_may_be_positional_or_flag_but_not_conflicting(set_file, capsys):

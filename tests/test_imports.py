@@ -1,14 +1,19 @@
 """Every module of the package, and every test module, reads every name it
-imports, and every name a package module exports is read somewhere.
+imports, every name a package module exports is read somewhere, and the
+package runs on the standard library alone.
 
 No linter runs on the tree, so this scans each module's syntax tree: a name
 bound by an import statement and never read, nor listed in ``__all__``,
 fails the module, and so does a name in a package module's ``__all__``
-that no module of the package or the tests reads or imports."""
+that no module of the package or the tests reads or imports, and a package
+module that imports a module from outside the standard library and the
+package.  ``pyproject.toml`` declares no runtime dependency."""
 
 from __future__ import annotations
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,6 +77,45 @@ def test_no_unused_imports(module):
 @pytest.mark.parametrize("module", sorted(p.name for p in TESTS.glob("*.py")))
 def test_no_unused_imports_in_tests(module):
     assert unused_imports((TESTS / module).read_text()) == []
+
+
+def foreign_imports(source: str, package: str = "finext") -> list[str]:
+    """Each module an import statement names whose top-level name is neither
+    in the standard library nor `package`; relative imports are the
+    package's own."""
+    allowed = sys.stdlib_module_names | {package}
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out += [f"line {node.lineno}: {name}" for name in names if name.split(".")[0] not in allowed]
+    return out
+
+
+def test_the_scan_sees_a_foreign_import():
+    src = (
+        "from __future__ import annotations\n"
+        "import os.path, numpy as np\n"
+        "from . import fincat\n"
+        "from finext.algebra import build_category\n"
+        "from scipy.linalg import solve\n"
+        "def f():\n    import json, yaml\n"
+    )
+    assert foreign_imports(src) == ["line 2: numpy", "line 5: scipy.linalg", "line 7: yaml"]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_the_package_imports_only_the_standard_library(module):
+    assert foreign_imports((PACKAGE / module).read_text()) == []
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    project = (TESTS.parent / "pyproject.toml").read_text()
+    assert re.search(r"^dependencies = \[\]$", project, re.M)
 
 
 def test_the_scan_sees_a_dead_export():
