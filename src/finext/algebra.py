@@ -23,8 +23,10 @@ every id assigned downstream is deterministic.
 ``category_from_algebras`` composes function tables as byte strings: with
 ft and gt as ``bytes``, gt∘ft is ``ft.translate(gt padded to 256 bytes)``,
 so each row of the composition table is filled by ``map`` in C and read back
-to ids through one bytes -> id dict per hom-set.  This bounds every carrier
-by 256 elements; ``load_category`` reports a larger one as an error.
+to ids through one bytes -> id dict per hom-set; each distinct row is built
+once and its tuple shared by every (g, source) that has it.  This bounds
+every carrier by 256 elements; ``load_category`` reports a larger one as an
+error.
 """
 
 from __future__ import annotations
@@ -742,7 +744,8 @@ def category_from_algebras(
     Each function table is held as ``bytes`` here (``uni.maps`` keeps the
     tuples), so gt∘ft is ``ft.translate(gt)`` with gt padded to 256 bytes,
     and a row of the composition table is one ``map`` over hom(a, dom g)
-    run in C, read back to ids through hom(a, c)'s bytes -> id dict.  Hence
+    run in C, read back to ids through hom(a, c)'s bytes -> id dict, and
+    equal rows of one (a, c) are one shared tuple.  Hence
     a carrier may have at most 256 elements; a larger one raises
     ``CategoryDataError``, and so does a category past the enumeration
     budget: the hom-sets are enumerated only up to ``MAX_MORPHISMS``
@@ -783,18 +786,29 @@ def category_from_algebras(
         raise CategoryDataError(f"{pairs} composable pairs: above the enumeration budget of {MAX_COMPOSABLE_PAIRS}")
 
     # rows[g][a]: the id of gt∘ft for each ft in hom(a, dom g).  Every byte
-    # of ft is below |dom g| = len(gt), so the padding is never read.
+    # of ft is below |dom g| = len(gt), so gt's padding to a translation
+    # table is never read.  The tables of hom(a, b), joined, translate
+    # through gt in one call to the tables of every gt∘ft in hom-set order:
+    # given (a, c) that key fixes the row, so each distinct row is built
+    # once and its tuple shared, through one dict per (a, c) dropped before
+    # the next.  A carrier of size 0 has the one empty table into each
+    # object, so there the key b"" never stands for an empty hom-set.
     rows = [[()] * n for _ in mor_ids]
     fts = {ab: list(h) for ab, h in homs.items()}
+    joined = {ab: b"".join(h) for ab, h in fts.items()}
+    gs = {bc: [(gt.ljust(256, b"\0"), rows[g]) for gt, g in h.items()] for bc, h in homs.items()}
     translate, repeat = bytes.translate, itertools.repeat
-    for b in range(n):
+    for a in range(n):
         for c in range(n):
-            # gt padded to a translation table, for one (b, c) at a time
-            gs = [(gt.ljust(256, b"\0"), rows[g]) for gt, g in homs[b, c].items()]
-            for a in range(n):
-                ac, ab = homs[a, c].__getitem__, fts[a, b]
-                for gtab, row in gs:
-                    row[a] = tuple(map(ac, map(translate, ab, repeat(gtab))))
+            ac, seen = homs[a, c].__getitem__, {}
+            for b in range(n):
+                ab, key_of = fts[a, b], joined[a, b].translate
+                for gtab, row in gs[b, c]:
+                    key = key_of(gtab)
+                    r = seen.get(key)
+                    if r is None:
+                        r = seen[key] = tuple(map(ac, map(translate, ab, repeat(gtab))))
+                    row[a] = r
 
     meta = {"kind": kind, "max_size": max_size, "sizes": {x: uni.algebras[x].size for x in names}}
     return FinCategory._of_ints(names, mor_ids, dom, cod, identity_of, rows, meta), uni

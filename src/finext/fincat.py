@@ -17,8 +17,10 @@ dense integer indexes, every hom-set is a run of consecutive indexes, and
 every category, its dual included, is set up from integer data by one
 core.  The composition table is stored as rows: ``rows(g)`` holds g∘t for
 each t into dom g, one tuple per source object, -1 where there is no
-entry.  A primal and its dual share their tables: each one's columns are
-the other's rows.
+entry.  Rows may be shared tuples: a builder may hand equal rows of
+several (g, source) the one tuple, so no code may rely on a row's
+identity or mutate it.  A primal and its dual share their tables: each
+one's columns are the other's rows.
 """
 
 from __future__ import annotations

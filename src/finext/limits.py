@@ -302,15 +302,25 @@ def _least_cone(cat: FinCategory, apex: int, w1: int, w2: int) -> UniversalWitne
 
 def _pullback_search(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
     """The first certified pullback cone: apexes in object order, then legs
-    in (p1, p2) hom-set order."""
+    in (p1, p2) hom-set order.
+
+    At an apex whose hom counts are the cone counts, a commuting cone with
+    p1 mono is universal without the row walk: h |-> p1∘h is already
+    injective.  A pullback of a mono is mono, so when u is mono every p1
+    that is not mono is skipped."""
     counts = _cone_counts(cat, f, u)
     into = dual_of(cat)._hom_counts_l  # into[p][y] = |hom(y, p)|
+    monos = _mono_set(cat)
+    u_mono = u in monos
     for p in range(len(cat.objects)):
         if into[p] != counts:
             continue
         for p1 in cat.hom(p, cat._dom_l[f]):
+            p1_mono = p1 in monos
+            if u_mono and not p1_mono:
+                continue
             for p2 in cat.postcompose_fibers(u, p).get(cat.compose(f, p1), ()):
-                if _cone_universal(cat, p1, p2, counts):
+                if p1_mono or _cone_universal(cat, p1, p2, counts):
                     return UniversalWitness(p, (p1, p2))
     return None
 
