@@ -18,6 +18,7 @@ and ``vacuous``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 
@@ -471,43 +472,84 @@ def prop_pullback_stability(cat: FinCategory, **_) -> CheckStatus:
 # -- coequaliser interaction ----------------------------------------------------------
 
 
-def lemma_common_coequaliser(cat: FinCategory, *, seed: int = 0, **_) -> CheckStatus:
-    """Over a coequaliser diagram mapped forward by an epimorphism, the right
-    square is a pushout exactly when the image row is a coequaliser.  Sampled
-    over (top diagram, epi) pairs; the inner fillers are enumerated up to a
-    deterministic bound."""
-    epis = sorted(_epi_set(cat))
+def _sampled_positions(n: int, seed: int) -> list[int]:
+    """The first ``SAMPLE_BOUND`` positions of 0..n-1 shuffled by
+    ``random.Random(seed)``: shuffle's swaps do not depend on the values,
+    so these are the positions a shuffled list of n items keeps first."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    return order[:SAMPLE_BOUND]
+
+
+def _lemma_sample(cat: FinCategory, seed: int) -> list[tuple[tuple[int, int, int], int]]:
+    """The sampled (top, e) pairs: the combinations of each top (u1, v1, q1),
+    q1 the first coequaliser of a parallel pair, with each epi e out of
+    dom u1 in index order, shuffled, first ``SAMPLE_BOUND``.  The list of
+    combinations is not made: a position is mapped to its top by bisection
+    on the running counts of epis, and to its epi by the remainder."""
+    dom, epis = cat._dom_l, _epi_set(cat)
+    epis_out = [[e for e in out if e in epis] for out in _out_of(cat)]
     tops = []
     for u1, v1 in _all_parallel_pairs(cat):
         w = limits.coequaliser(cat, u1, v1)
         if w is not None:
             tops.append((u1, v1, w.legs[0]))
-    combos = [
-        (top, e) for top in tops for e in epis if cat._dom_l[e] == cat._dom_l[top[0]]
-    ]
-    random.Random(seed).shuffle(combos)
-    sampled = combos[:SAMPLE_BOUND]
-    out_of = _out_of(cat)
+    ends = list(itertools.accumulate(len(epis_out[dom[u1]]) for u1, _, _ in tops))
+    sampled = []
+    for p in _sampled_positions(ends[-1] if ends else 0, seed):
+        t = bisect.bisect_right(ends, p)
+        sampled.append((tops[t], epis_out[dom[tops[t][0]]][p - (ends[t - 1] if t else 0)]))
+    return sampled
 
-    def fillers(u1: int, v1: int, q1: int, e: int):
-        """(u2, v2, q2, f, g) for each f out of cod u1 whose composites with
-        u1 and v1 factor through e, and each q2 with q2∘f = g∘q1."""
-        for f in out_of[cat._cod_l[u1]]:
-            x2 = cat._cod_l[f]
-            u2s = cat.precompose_fibers(e, x2).get(cat.compose(f, u1), ())
-            v2s = cat.precompose_fibers(e, x2).get(cat.compose(f, v1), ())
-            if not u2s or not v2s:
-                continue
-            for q2 in out_of[x2]:
-                gs = cat.precompose_fibers(q1, cat._cod_l[q2]).get(cat.compose(q2, f), ())
-                if gs:  # e is epi and q1 a coequaliser, so u2, v2 and g are unique
-                    yield u2s[0], v2s[0], q2, f, gs[0]
+
+def _lemma_fillers(cat: FinCategory, u1: int, v1: int, q1: int, e: int):
+    """(u2, v2, q2, f, g, push, coeq) for each f out of cod u1 whose
+    composites with u1 and v1 factor through e, and each q2 with
+    q2∘f = g∘q1; e is epi and q1 a coequaliser, so u2, v2 and g are unique.
+    push is whether (g, q2) is a pushout of (q1, f), a member of the
+    pullback squares of (q1, f) in the dual; coeq is whether q2 is a
+    coequaliser of (u2, v2) (``limits.is_coequaliser``, whose composability
+    tests hold here).  Both read facts fetched once per f, and q2∘f comes
+    from cols(f); a composite missing from the table gives no filler."""
+    cod, pos, hc = cat._cod_l, cat._pos, cat._hom_counts_l
+    dual, epis, out_of = dual_of(cat), _epi_set(cat), _out_of(cat)
+    after_q1 = [cat.precompose_fibers(q1, z) for z in range(len(cat.objects))]
+    for f in out_of[cod[u1]]:
+        x2 = cod[f]
+        through_e = cat.precompose_fibers(e, x2)
+        u2s = through_e.get(cat.compose(f, u1), ())
+        v2s = through_e.get(cat.compose(f, v1), ())
+        if not u2s or not v2s:
+            continue
+        after_f, fillers = cat.cols(f), []
+        for q2 in out_of[x2]:
+            z, i = cod[q2], pos[q2]
+            q2f = after_f[z][i]
+            gs = after_q1[z].get(q2f, ()) if q2f >= 0 else ()
+            if gs:
+                fillers.append((q2, gs[0]))
+        if not fillers:
+            continue
+        u2, v2 = u2s[0], v2s[0]
+        squares = limits._pullback_squares(dual, q1, f) or ()
+        forks = limits._fork_counts(cat, u2, v2)
+        after_u2, after_v2 = cat.cols(u2), cat.cols(v2)
+        for q2, g in fillers:
+            z, i = cod[q2], pos[q2]
+            coeq = after_u2[z][i] == after_v2[z][i] and hc[z] == forks and q2 in epis
+            yield u2, v2, q2, f, g, (g, q2) in squares, coeq
+
+
+def lemma_common_coequaliser(cat: FinCategory, *, seed: int = 0, **_) -> CheckStatus:
+    """Over a coequaliser diagram mapped forward by an epimorphism, the right
+    square is a pushout exactly when the image row is a coequaliser.  Sampled
+    over (top diagram, epi) pairs (``_lemma_sample``); the inner fillers are
+    enumerated up to a deterministic bound (``_lemma_fillers``)."""
+    sampled = _lemma_sample(cat, seed)
 
     def instances():
         for (u1, v1, q1), e in sampled:
-            for u2, v2, q2, f, g in itertools.islice(fillers(u1, v1, q1, e), INNER_BOUND):
-                push = limits.is_pushout_square(cat, q1, f, g, q2)
-                coeq = limits.is_coequaliser(cat, u2, v2, q2)
+            for u2, v2, q2, f, g, push, coeq in itertools.islice(_lemma_fillers(cat, u1, v1, q1, e), INNER_BOUND):
                 yield push == coeq or {
                     "kind": "pushout-coequaliser-disagree",
                     "top": [cat.mid(u1), cat.mid(v1), cat.mid(q1)],

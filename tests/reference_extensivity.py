@@ -8,7 +8,9 @@ numpy block columns, and ``coproduct_bases_n`` the original n-ary search
 for every cocone it certifies on one apex.  ``category_report`` is the
 original per-morphism loop, which decides every morphism on its own.
 ``coproduct_disjointness`` certifies each leg's self-intersection square
-(leg, leg; id, id) as a pullback, as the original did.
+(leg, leg; id, id) as a pullback, as the original did.  ``has_finite_srp``
+is the original per-pair loop, which decides a grid for every ordered pair
+of product cones.
 """
 
 from __future__ import annotations
@@ -159,3 +161,30 @@ def coproduct_disjointness(cat: FinCategory) -> ext.CheckStatus:
             if not limits.is_pullback_square(cat, u, v, p1, p2):
                 return ext._fail({"kind": "intersection-not-initial", "base": [cat.mid(u), cat.mid(v)]}, bases=checked)
     return ext._ok(bases=checked)
+
+
+def has_finite_srp(cat: FinCategory, oid: str, k: int) -> ext.CheckStatus:
+    """Strict refinement over all pairs of product cones of arities 2..k,
+    with a grid decided for each pair."""
+    if k < 2:
+        raise ValueError("max arity must be >= 2")
+    x = cat.o(oid)
+    pairs = 0
+    for m in range(2, k + 1):
+        cones_m = limits.product_bases(cat, x, m)
+        for n_ar in range(2, k + 1):
+            cones_n = cones_m if n_ar == m else limits.product_bases(cat, x, n_ar)
+            for ca in cones_m:
+                for cb in cones_n:
+                    pairs += 1
+                    if not (ext._grid_for(cat, ca, cb) or ext._grid_search(cat, ca, cb)):
+                        return ext._fail(
+                            {
+                                "kind": "no-grid",
+                                "object": oid,
+                                "decomposition_a": [cat.mid(m2) for m2 in ca],
+                                "decomposition_b": [cat.mid(m2) for m2 in cb],
+                            },
+                            pairs=pairs,
+                        )
+    return ext._ok(pairs=pairs)

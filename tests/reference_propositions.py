@@ -445,20 +445,27 @@ def prop_pullback_stability(cat: FinCategory, **_) -> CheckStatus:
 # -- coequaliser interaction ----------------------------------------------------------
 
 
-def lemma_common_coequaliser(cat: FinCategory, *, seed: int = 0, **_) -> CheckStatus:
-    """Over a coequaliser diagram mapped forward by an epimorphism, the right
-    square is a pushout exactly when the image row is a coequaliser.  Sampled
-    over (top diagram, epi) pairs; the inner fillers are enumerated up to a
-    deterministic bound."""
+def lemma_combinations(cat: FinCategory) -> list[tuple[tuple[int, int, int], int]]:
+    """Every (top, epi) combination of the common-coequaliser lemma, top
+    (u1, v1, q1) for each parallel pair with a coequaliser q1 and epi out
+    of dom u1."""
     epis = sorted(_epi_set(cat))
     tops = []
     for u1, v1 in _all_parallel_pairs(cat):
         w = limits.coequaliser(cat, u1, v1)
         if w is not None:
             tops.append((u1, v1, w.legs[0]))
-    combos = [
+    return [
         (top, e) for top in tops for e in epis if cat._dom_l[e] == cat._dom_l[top[0]]
     ]
+
+
+def lemma_common_coequaliser(cat: FinCategory, *, seed: int = 0, **_) -> CheckStatus:
+    """Over a coequaliser diagram mapped forward by an epimorphism, the right
+    square is a pushout exactly when the image row is a coequaliser.  Sampled
+    over (top diagram, epi) pairs; the inner fillers are enumerated up to a
+    deterministic bound."""
+    combos = lemma_combinations(cat)
     rng = random.Random(seed)
     rng.shuffle(combos)
     t = _Tally()

@@ -9,9 +9,16 @@ counterexample, with one exact failing square frozen below.
 
 from __future__ import annotations
 
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+
+import reference_extensivity
 from finext import extensivity as ext
 from finext.algebra import FinAlgebra, build_category, category_from_algebras
 from finext.fincat import _CLASSES, dual_of, thin_category_from_poset
+from generators import inflate, preorders
 
 
 GOLDEN_SQUARE = {
@@ -199,6 +206,77 @@ def test_finite_srp_covers_higher_arities(set3):
     assert st.details == {"pairs": 100}
     assert ext.has_finite_srp(cat, "s0", 2).as_dict() == {"status": "pass", "details": {"pairs": 49}}
 
+
+
+def _assert_srp_equals_the_reference(cat, arities=(2, 3), skip=()) -> None:
+    """Equal ``has_finite_srp`` reports, witness and pair count included, on
+    every object (but ``skip``) at each arity."""
+    for k in arities:
+        for oid in cat.objects:
+            if (oid, k) not in skip:
+                got = ext.has_finite_srp(cat, oid, k).as_dict()
+                assert got == reference_extensivity.has_finite_srp(cat, oid, k).as_dict(), (oid, k)
+
+
+# the verify-paper built-ins; finset3-op is the dual of set3
+@pytest.mark.parametrize("name", ["set3", "pointed3", "golden", "slat3", "lat4", "cpos3", "mon3"])
+def test_finite_srp_equals_the_reference(request, name):
+    cat, _ = request.getfixturevalue(name)
+    # the reference decides 1,936 grids on the empty set of FinSet≤3 at arity
+    # 3, in about 45 s; the per-class answer is pinned to its report instead
+    skip = {("s0", 3)} if name == "set3" else ()
+    for c in (cat, dual_of(cat)):
+        _assert_srp_equals_the_reference(c, skip=skip)
+    if name == "set3":
+        assert ext.has_finite_srp(cat, "s0", 3).as_dict() == {"status": "pass", "details": {"pairs": 1936}}
+
+
+def test_finite_srp_equals_the_reference_on_an_inflation_and_cliques(dual_set3):
+    # a copy of the terminal s1; in a clique every object is isomorphic to
+    # every other, so cones differ by isomorphisms of their factors
+    cats = [inflate(dual_set3, dual_set3.o("s1"), 0)]
+    cats += [thin_category_from_poset([[True] * n for _ in range(n)]) for n in (3, 4, 5)]
+    for cat in cats:
+        _assert_srp_equals_the_reference(cat)
+
+
+@settings(max_examples=30, deadline=None)
+@given(preorders(max_points=4))
+def test_finite_srp_equals_the_reference_on_preorders(leq):
+    cat = thin_category_from_poset(leq)
+    for c in (cat, dual_of(cat)):
+        _assert_srp_equals_the_reference(c)
+
+
+def test_finite_srp_reports_the_first_failing_pair(set4, slat3, lat4):
+    """The pair count and witness name the first pair without a grid, in
+    pair order, not the first class pair decided."""
+    cases = [(set4[0], "s4", 2, 1754), (dual_of(slat3[0]), "S3_0", 3, 1), (dual_of(lat4[0]), "L4_0", 3, 1)]
+    for cat, oid, k, pairs in cases:
+        st = ext.has_finite_srp(cat, oid, k)
+        assert st.failed and st.details == {"pairs": pairs}, oid
+        assert st.as_dict() == reference_extensivity.has_finite_srp(cat, oid, k).as_dict(), oid
+
+
+def test_finite_srp_decides_a_grid_once_per_class_pair():
+    """On FinSet≤3^op at arity 3, 7,409 ordered cone pairs over all objects
+    need at most 105 grid decisions, one per pair of decomposition classes."""
+    cat = dual_of(build_category("set", 3)[0])
+    calls = {"for": 0, "search": 0}
+
+    def counted(name, real):
+        def fn(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return fn
+
+    with mock.patch.object(ext, "_grid_for", counted("for", ext._grid_for)), \
+            mock.patch.object(ext, "_grid_search", counted("search", ext._grid_search)):
+        reports = [ext.has_finite_srp(cat, oid, 3) for oid in cat.objects]
+    assert all(st.passed for st in reports)
+    assert sum(st.details["pairs"] for st in reports) == 7409
+    assert calls["for"] <= 105 and calls["search"] <= calls["for"]
 
 
 def test_class_restricted_check_smoke(set3):
