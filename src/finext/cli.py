@@ -323,7 +323,7 @@ def cmd_srp(args: argparse.Namespace) -> int:
 
 def _require_oracle_fits(cap: int, max_size: int | None) -> None:
     """Exit 2 when the set-relation oracle on carriers up to ``max_size``
-    would build a grid of more than ``setrel.ORACLE_MASK_LIMIT`` elements
+    would walk a grid of more than ``setrel.ORACLE_MASK_LIMIT`` elements
     at this cap."""
     masks = 0 if max_size is None else setrel.oracle_masks(cap, max_size)
     if masks > setrel.ORACLE_MASK_LIMIT:
@@ -396,37 +396,48 @@ def _parse_suite(raw: str) -> tuple[bool, bool, list[str]]:
     return False, False, ids
 
 
-def _battery_entries(
-    cats: dict[str, FinCategory], run2: bool, run3: bool, explicit: list[str], seed: int, cap: int
+def _builtin_entries(
+    cat: FinCategory, label: str, run2: bool, run3: bool, explicit: list[str], seed: int, cap: int
 ) -> Entries:
-    """The battery's checks in their running order: the listed ids on
-    finset3, or the extensivity statements on every built-in and then the
-    relation-calculus checks."""
+    """One built-in's checks in their running order: the listed ids, or its
+    extensivity statements, then its identity suite and its
+    relation-calculus statements where its label is listed."""
 
-    def statements(label: str, pids: Iterable[str]) -> Entries:
+    def statements(pids: Iterable[str]) -> Entries:
         for pid in pids:
-            for p, st in proposition_suite(cats[label], [pid], seed=seed, max_relation_size=cap):
+            for p, st in proposition_suite(cat, [pid], seed=seed, max_relation_size=cap):
                 yield f"{label}/{p}", st
 
-    listed = None  # finset3's identity suite, run once at the first listed identity
+    listed = None  # the identity suite, run once at the first listed identity
     for cid in explicit:
         if cid in PROPOSITION_IDS:
-            yield from statements("finset3", [cid])
+            yield from statements([cid])
         elif cid in IDENTITY_IDS:
             if listed is None:
-                listed = dict(identity_suite(cats["finset3"], max_relation_size=cap))
-            yield f"finset3/{cid}", listed[cid]
+                listed = dict(identity_suite(cat, max_relation_size=cap))
+            yield f"{label}/{cid}", listed[cid]
         else:
-            yield "finset3/barr-exact", barr_exact_check(cats["finset3"], max_relation_size=cap)
+            yield f"{label}/barr-exact", barr_exact_check(cat, max_relation_size=cap)
     if run2:
-        for label in cats:
-            yield from statements(label, EXTENSIVITY_IDS)
-    if run3:
-        for label in _IDENTITY_LABELS:
-            for iid, st in identity_suite(cats[label], max_relation_size=cap):
-                yield f"{label}/{iid}", st
-        for label in _RELCALC_LABELS:
-            yield from statements(label, RELCALC_IDS)
+        yield from statements(EXTENSIVITY_IDS)
+    if run3 and label in _IDENTITY_LABELS:
+        for iid, st in identity_suite(cat, max_relation_size=cap):
+            yield f"{label}/{iid}", st
+    if run3 and label in _RELCALC_LABELS:
+        yield from statements(RELCALC_IDS)
+
+
+def _battery_entries(run2: bool, run3: bool, explicit: list[str], seed: int, cap: int) -> Entries:
+    """The battery's checks, one built-in at a time: listed ids read
+    finset3 alone, the extensivity statements read every built-in and the
+    relation-calculus checks the listed labels.  A built-in is built when
+    its first check is due and freed by refcount once its last has run, so
+    the caches of one category at most are alive."""
+    for entry in _BUILTINS:
+        label = entry[0]
+        ids = explicit if label == "finset3" else []
+        if ids or run2 or run3 and label in _IDENTITY_LABELS + _RELCALC_LABELS:
+            yield from _builtin_entries(_build_builtin(entry), label, run2, run3, ids, seed, cap)
 
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
@@ -451,8 +462,7 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         },
         digest,
     )
-    cats = {entry[0]: _build_builtin(entry) for entry in _BUILTINS}
-    _run_units(report, _battery_entries(cats, run2, run3, explicit, args.seed, cap))
+    _run_units(report, _battery_entries(run2, run3, explicit, args.seed, cap))
     return _emit(report, args)
 
 

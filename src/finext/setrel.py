@@ -15,13 +15,18 @@ beyond its grid carry no meaning, so counts are read within the grid.
 
 The identity suite enumerates every relation on every ambient X x Y with
 nx*ny <= cap and every function between the carriers involved, and checks
-the relation-calculus laws exhaustively.  Each identity runs on a grid of
-every combination of the relations it reads (`_grid`), element t row-major
-over the grid's axes, so an identity's failures are one plane: their number
-is its `int.bit_count` and the first counterexample, in row-major order, is
-its lowest set bit.  `oracle_masks` is the number of
-elements in the largest grid a call builds, which the CLI holds to
-`ORACLE_MASK_LIMIT` before starting one.
+the relation-calculus laws exhaustively.  Each identity walks a grid of
+every combination of the relations it reads, element t row-major over the
+grid's axes, in consecutive slices of at most 2**`_SLICE_BITS` elements
+(`_slices`).  Within a slice the low bits of t vary and the high
+bits are fixed, so an axis plane above the slice's bits is all ones or
+all zeros.  An identity's failures in one slice are one plane: their
+number is its `int.bit_count`, and its lowest set bit plus the slice's
+offset is the slice's first failing element.  The slices of one instance
+are walked in order, inside every loop over fixed carriers and functions,
+so the first failing slice holds the first counterexample in row-major
+order.  `oracle_masks` is the number of elements in the largest grid a
+call walks, which the CLI holds to `ORACLE_MASK_LIMIT` before starting one.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ __all__ = [
     "oracle_suite", "oracle_masks", "ORACLE_MASK_LIMIT", "ORACLE_IDENTITY_IDS",
 ]
 
-ORACLE_MASK_LIMIT = 1 << 24  # elements in one oracle grid: 2 MB per plane
+ORACLE_MASK_LIMIT = 1 << 24  # elements in one oracle grid: it bounds the elements walked, not plane memory
+_SLICE_BITS = 16  # a slice of a grid holds at most 2**16 elements: 8 kB per plane
 
 
 def mask_of(pairs: Iterable[tuple[int, int]], nx: int, ny: int) -> int:
@@ -148,11 +154,30 @@ def _grid(*widths: int) -> tuple[int, list[list[int]]]:
             plane |= plane << period
             period <<= 1
         bits.append(plane)
-    axes, low = [], size
+    return (1 << (1 << size)) - 1, _axes(bits, widths)
+
+
+def _axes(bits: list[int], widths: tuple[int, ...]) -> list[list[int]]:
+    """The planes of the element index's bits, lowest first, split over
+    axes of `widths` bits, outermost first."""
+    axes, low = [], sum(widths)
     for w in widths:
         low -= w
         axes.append(bits[low : low + w])
-    return (1 << (1 << size)) - 1, axes
+    return axes
+
+
+def _slices(*widths: int):
+    """`_grid(*widths)` in consecutive row-major slices of at most
+    2**_SLICE_BITS elements: (the slice's first element, its full plane,
+    the planes of each axis's relation).  A slice's elements differ in the
+    low bits of t only, whose planes `_grid` builds once; the plane of a
+    higher bit is constant over a slice, all ones or all zeros."""
+    size = sum(widths)
+    low = min(size, _SLICE_BITS)
+    full, (planes,) = _grid(low)
+    for q in range(1 << (size - low)):
+        yield q << low, full, _axes(planes + [full if q >> b & 1 else 0 for b in range(size - low)], widths)
 
 
 def _const(r: int, bits: int, full: int) -> list[int]:
@@ -205,7 +230,7 @@ def _carriers(cap: int, max_size: int) -> list[int]:
 
 def oracle_masks(cap: int = 9, max_size: int = 3) -> int:
     """The number of elements in the largest grid `oracle_suite(cap,
-    max_size)` builds: a four-axis prod-interchange grid (with one empty
+    max_size)` walks: a four-axis prod-interchange grid (with one empty
     carrier, the grid of a composite table) or the relations on the lemma's
     product carrier.  The relations of one shape, at most 2**cap, never
     exceed the largest grid."""
@@ -234,15 +259,16 @@ def oracle_suite(cap: int = 9, max_size: int = 3) -> dict[str, dict]:
     res = {i: {"instances": 0, "failures": 0, "counterexample": None} for i in ORACLE_IDENTITY_IDS}
     res["lemma-eq-under-regepi"] = {"instances": 0, "failures": 0, "counterexample": None}
 
-    def record(key, passes, fails, bad, fixed, **axes):
+    def record(key, offset, passes, fails, bad, fixed, **axes):
         """Count passes and failures; the lowest failing element of plane
-        `bad`, split over `axes`, completes the first counterexample."""
+        `bad`, shifted by the slice's offset and split over `axes`,
+        completes the first counterexample."""
         entry = res[key]
         entry["instances"] += passes
         if fails:
             entry["failures"] += fails
             if entry["counterexample"] is None:
-                entry["counterexample"] = {**fixed, **_element((bad & -bad).bit_length() - 1, axes)}
+                entry["counterexample"] = {**fixed, **_element(offset + (bad & -bad).bit_length() - 1, axes)}
 
     carriers = _carriers(cap, max_size)
 
@@ -250,34 +276,35 @@ def oracle_suite(cap: int = 9, max_size: int = 3) -> dict[str, dict]:
     for nx, ny in itertools.product(range(max_size + 1), repeat=2):
         if nx * ny > cap:
             continue
-        full, (r,) = _grid(nx * ny)
-        left = compose_planes(_const(delta(nx), nx * nx, full), r, nx, nx, ny)
-        right = compose_planes(r, _const(delta(ny), ny * ny, full), nx, ny, ny)
-        record("delta-unit", *_tally(full, _differ(left, r) | _differ(right, r)), {"nx": nx, "ny": ny}, r=nx * ny)
+        for offset, full, (r,) in _slices(nx * ny):
+            left = compose_planes(_const(delta(nx), nx * nx, full), r, nx, nx, ny)
+            right = compose_planes(r, _const(delta(ny), ny * ny, full), nx, ny, ny)
+            bad = _differ(left, r) | _differ(right, r)
+            record("delta-unit", offset, *_tally(full, bad), {"nx": nx, "ny": ny}, r=nx * ny)
 
     # nabla-absorb: for reflexive r on X: r∘nabla == nabla == nabla∘r
     for nx in carriers:
-        full, (r,) = _grid(nx * nx)
-        nb = [full] * (nx * nx)
-        bad = _differ(compose_planes(r, nb, nx, nx, nx), nb) | _differ(compose_planes(nb, r, nx, nx, nx), nb)
-        record("nabla-absorb", *_tally(_reflexive(r, nx, full), bad), {"nx": nx}, r=nx * nx)
+        for offset, full, (r,) in _slices(nx * nx):
+            nb = [full] * (nx * nx)
+            bad = _differ(compose_planes(r, nb, nx, nx, nx), nb) | _differ(compose_planes(nb, r, nx, nx, nx), nb)
+            record("nabla-absorb", offset, *_tally(_reflexive(r, nx, full), bad), {"nx": nx}, r=nx * nx)
 
     # img-lax-functorial: f(r∘s) <= f(r)∘f(s), r and s on X, any f: X -> Y
     for nx in carriers:
-        full, (r, s) = _grid(nx * nx, nx * nx)
-        rs = compose_planes(r, s, nx, nx, nx)
         for ny in carriers:
             for f in _functions(nx, ny):
-                rhs = compose_planes(image_planes(f, r, nx, ny), image_planes(f, s, nx, ny), ny, ny, ny)
-                bad = _exceeds(image_planes(f, rs, nx, ny), rhs)
-                record("img-lax-functorial", *_tally(full, bad), {"nx": nx, "ny": ny, "f": list(f)}, r=nx * nx, s=nx * nx)
+                for offset, full, (r, s) in _slices(nx * nx, nx * nx):
+                    lhs = image_planes(f, compose_planes(r, s, nx, nx, nx), nx, ny)
+                    rhs = compose_planes(image_planes(f, r, nx, ny), image_planes(f, s, nx, ny), ny, ny, ny)
+                    record("img-lax-functorial", offset, *_tally(full, _exceeds(lhs, rhs)),
+                           {"nx": nx, "ny": ny, "f": list(f)}, r=nx * nx, s=nx * nx)
 
     # transitive-idempotent: reflexive r: transitive <-> r == r∘r
     for nx in carriers:
-        full, (r,) = _grid(nx * nx)
-        rr = compose_planes(r, r, nx, nx, nx)
-        bad = _exceeds(rr, r) ^ _differ(rr, r)
-        record("transitive-idempotent", *_tally(_reflexive(r, nx, full), bad), {"nx": nx}, r=nx * nx)
+        for offset, full, (r,) in _slices(nx * nx):
+            rr = compose_planes(r, r, nx, nx, nx)
+            bad = _exceeds(rr, r) ^ _differ(rr, r)
+            record("transitive-idempotent", offset, *_tally(_reflexive(r, nx, full), bad), {"nx": nx}, r=nx * nx)
 
     # prod-interchange: (r∘r') x (s∘s') == (r x s)∘(r' x s'), endorelations.
     # All relations in the instance (the product included) respect the cap,
@@ -287,34 +314,35 @@ def oracle_suite(cap: int = 9, max_size: int = 3) -> dict[str, dict]:
             n = nx * ny
             if n * n > cap:
                 continue
-            full, (r, rp, s, sp) = _grid(nx * nx, nx * nx, ny * ny, ny * ny)
-            lhs = product_planes(compose_planes(r, rp, nx, nx, nx), compose_planes(s, sp, ny, ny, ny), nx, ny)
-            rhs = compose_planes(product_planes(r, s, nx, ny), product_planes(rp, sp, nx, ny), n, n, n)
             axes = {"r": nx * nx, "rp": nx * nx, "s": ny * ny, "sp": ny * ny}
-            record("prod-interchange", *_tally(full, _differ(lhs, rhs)), {"nx": nx, "ny": ny}, **axes)
+            for offset, full, (r, rp, s, sp) in _slices(*axes.values()):
+                lhs = product_planes(compose_planes(r, rp, nx, nx, nx), compose_planes(s, sp, ny, ny, ny), nx, ny)
+                rhs = compose_planes(product_planes(r, s, nx, ny), product_planes(rp, sp, nx, ny), n, n, n)
+                record("prod-interchange", offset, *_tally(full, _differ(lhs, rhs)), {"nx": nx, "ny": ny}, **axes)
 
     # img-preimg: surjective f: X -> Y, r on Y: f(f^{-1}(r)) == r
     # preimg-img: surjective f, r on X: f^{-1}(f(r)) == eq(f)∘r∘eq(f)
     # img-of-preimg-comp: surjective f, r,s on Y: f(f^{-1}(r)∘f^{-1}(s)) == r∘s
     for nx in carriers:
         for ny in carriers:
-            fs = [f for f in _functions(nx, ny) if len(set(f)) == ny]
-            if not fs:
-                continue
-            (gx, (x,)), (gy, (y,)), (g2, (r, s)) = _grid(nx * nx), _grid(ny * ny), _grid(ny * ny, ny * ny)
-            rs = compose_planes(r, s, ny, ny, ny)
-            for f in fs:
+            for f in _functions(nx, ny):
+                if len(set(f)) != ny:
+                    continue
                 fixed = {"nx": nx, "ny": ny, "f": list(f)}
-                bad = _differ(image_planes(f, preimage_planes(f, y, nx, ny), nx, ny), y)
-                record("img-preimg", *_tally(gy, bad), fixed, r=ny * ny)
+                for offset, full, (y,) in _slices(ny * ny):
+                    bad = _differ(image_planes(f, preimage_planes(f, y, nx, ny), nx, ny), y)
+                    record("img-preimg", offset, *_tally(full, bad), fixed, r=ny * ny)
 
-                e = _const(eq_mask(f, nx), nx * nx, gx)
-                rhs = compose_planes(compose_planes(e, x, nx, nx, nx), e, nx, nx, nx)
-                bad = _differ(preimage_planes(f, image_planes(f, x, nx, ny), nx, ny), rhs)
-                record("preimg-img", *_tally(gx, bad), fixed, r=nx * nx)
+                for offset, full, (x,) in _slices(nx * nx):
+                    e = _const(eq_mask(f, nx), nx * nx, full)
+                    rhs = compose_planes(compose_planes(e, x, nx, nx, nx), e, nx, nx, nx)
+                    bad = _differ(preimage_planes(f, image_planes(f, x, nx, ny), nx, ny), rhs)
+                    record("preimg-img", offset, *_tally(full, bad), fixed, r=nx * nx)
 
-                pre = compose_planes(preimage_planes(f, r, nx, ny), preimage_planes(f, s, nx, ny), nx, nx, nx)
-                record("img-of-preimg-comp", *_tally(g2, _differ(image_planes(f, pre, nx, ny), rs)), fixed, r=ny * ny, s=ny * ny)
+                for offset, full, (r, s) in _slices(ny * ny, ny * ny):
+                    pre = compose_planes(preimage_planes(f, r, nx, ny), preimage_planes(f, s, nx, ny), nx, nx, nx)
+                    bad = _differ(image_planes(f, pre, nx, ny), compose_planes(r, s, ny, ny, ny))
+                    record("img-of-preimg-comp", offset, *_tally(full, bad), fixed, r=ny * ny, s=ny * ny)
 
     # lemma-eq-under-regepi: X = X1 x X2, E equivalence with E = p1(E) x p2(E)
     # implies both images are equivalences.
@@ -323,12 +351,13 @@ def oracle_suite(cap: int = 9, max_size: int = 3) -> dict[str, dict]:
             n = n1 * n2
             if n * n > cap:
                 continue
-            full, (e,) = _grid(n * n)
-            e1 = image_planes(tuple(i // n2 for i in range(n)), e, n, n1)
-            e2 = image_planes(tuple(i % n2 for i in range(n)), e, n, n2)
-            inst = _equivalences(e, n, full) & ~_differ(product_planes(e1, e2, n1, n2), e)
-            bad1, bad2 = inst & ~_equivalences(e1, n1, full), inst & ~_equivalences(e2, n2, full)
-            fails = bad1.bit_count() + bad2.bit_count()
-            record("lemma-eq-under-regepi", inst.bit_count(), fails, bad1 | bad2, {"n1": n1, "n2": n2}, e=n * n)
+            for offset, full, (e,) in _slices(n * n):
+                e1 = image_planes(tuple(i // n2 for i in range(n)), e, n, n1)
+                e2 = image_planes(tuple(i % n2 for i in range(n)), e, n, n2)
+                inst = _equivalences(e, n, full) & ~_differ(product_planes(e1, e2, n1, n2), e)
+                bad1, bad2 = inst & ~_equivalences(e1, n1, full), inst & ~_equivalences(e2, n2, full)
+                fails = bad1.bit_count() + bad2.bit_count()
+                record("lemma-eq-under-regepi", offset, inst.bit_count(), fails, bad1 | bad2,
+                       {"n1": n1, "n2": n2}, e=n * n)
 
     return res

@@ -7,6 +7,7 @@ inapplicable), 2 = usage or input error."""
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -462,6 +464,71 @@ def test_verify_paper_is_deterministic_and_jobs_invariant(tmp_path, capsys):
     docs = [json.load(open(r)) for r in reports]
     assert docs[0]["digest"] == docs[1]["digest"] == docs[2]["digest"]
     assert docs[0]["summary"]["total"] == 23
+
+
+REFERENCES = Path(__file__).resolve().parent.parent / "bench" / "references.json"
+BATTERY_DIGESTS = json.loads(REFERENCES.read_text())["battery"]
+
+
+def _recording_builds(monkeypatch) -> list:
+    """Wrap ``cli._build_builtin``; the returned list gets a (label, weak
+    reference) pair per built-in, in build order."""
+    real, built = cli._build_builtin, []
+
+    def build(entry):
+        cat = real(entry)
+        built.append((entry[0], weakref.ref(cat)))
+        return cat
+
+    monkeypatch.setattr(cli, "_build_builtin", build)
+    return built
+
+
+@pytest.mark.parametrize(
+    "suite,labels",
+    [
+        ("prop-composite", ["finset3"]),
+        ("delta-unit,nabla-absorb", ["finset3"]),
+        ("relcalc", ["finset3", "finset3-op", "lat4"]),
+    ],
+)
+def test_verify_paper_builds_only_the_builtins_its_suite_reads(capsys, monkeypatch, suite, labels):
+    built = _recording_builds(monkeypatch)
+    code, _ = run(capsys, "verify-paper", "--suite", suite)
+    assert code == 0
+    assert [label for label, _ in built] == labels
+
+
+def test_verify_paper_all_builds_each_builtin_once_and_keeps_the_seed_7_digest(capsys, monkeypatch):
+    built = _recording_builds(monkeypatch)
+    code, out = run(capsys, "verify-paper", "--suite", "all", "--seed", "7")
+    assert code == 0
+    assert [label for label, _ in built] == [entry[0] for entry in cli._BUILTINS]
+    assert f"digest: {BATTERY_DIGESTS['7']}" in out
+
+
+def test_verify_paper_frees_each_builtin_before_building_the_next(capsys, monkeypatch):
+    """With the cycle collector off, refcounting alone has freed every
+    earlier built-in by the time the first entry of the next label is
+    added, and the last one by the end of the run."""
+    built = _recording_builds(monkeypatch)
+    real_add, alive_at_first_entry = cli.Report.add, {}
+
+    def add(report, check_id, status, timing_ms):
+        label = check_id.split("/", 1)[0]
+        if label not in alive_at_first_entry:
+            alive_at_first_entry[label] = [lbl for lbl, ref in built if ref() is not None]
+        real_add(report, check_id, status, timing_ms)
+
+    monkeypatch.setattr(cli.Report, "add", add)
+    gc.disable()
+    try:
+        code, out = run(capsys, "verify-paper", "--suite", "all", "--seed", "3")
+        assert [lbl for lbl, ref in built if ref() is not None] == []
+    finally:
+        gc.enable()
+    assert code == 0 and f"digest: {BATTERY_DIGESTS['3']}" in out
+    assert alive_at_first_entry == {entry[0]: [entry[0]] for entry in cli._BUILTINS}
 
 
 # a fresh interpreter in which `import numpy` raises ImportError

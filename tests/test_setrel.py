@@ -53,6 +53,23 @@ def test_grid_axes_hold_every_combination_row_major(widths):
     assert axes == [_planes(coords, w) for coords, w in zip(grid, widths)]
 
 
+@pytest.mark.parametrize("widths", [(), (3,), (9, 9), (1, 1, 9, 9), (4, 4, 4, 4), (16, 1), (0, 17)])
+def test_slices_walk_the_grid_in_order(widths):
+    # the slices' planes, each shifted to its offset, make up the grid's
+    full, axes = setrel._grid(*widths)
+    step = 1 << min(sum(widths), setrel._SLICE_BITS)
+    whole, parts, offsets = 0, [[0] * w for w in widths], []
+    for offset, part, planes in setrel._slices(*widths):
+        assert part == (1 << step) - 1
+        offsets.append(offset)
+        whole |= part << offset
+        for acc, axis in zip(parts, planes):
+            for k, p in enumerate(axis):
+                acc[k] |= p << offset
+    assert offsets == list(range(0, 1 << sum(widths), step))
+    assert whole == full and parts == axes
+
+
 @pytest.mark.parametrize("nx,ny,nz", list(itertools.product(SIZES, repeat=3)))
 def test_compose_matches_the_einsum_table_on_every_pair(nx, ny, nz):
     rs, ss = np.meshgrid(_masks(nx * ny), _masks(ny * nz), indexing="ij")
@@ -141,17 +158,24 @@ def test_oracle_at_cap_16_is_pinned():
 
 @pytest.mark.parametrize("cap,max_size", [(9, 3), (16, 3), (9, 4), (6, 3), (4, 2), (3, 3), (1, 1), (0, 0)])
 def test_oracle_masks_is_the_largest_array_the_oracle_builds(monkeypatch, cap, max_size):
-    # every plane the oracle reads belongs to a grid `_grid` builds
-    sizes = []
+    # every plane the oracle reads belongs to a grid `_slices` walks, and
+    # `_grid` builds no slice of more than 2**_SLICE_BITS elements
+    walked, built = [], []
 
-    def recording(*widths, grid=setrel._grid):
-        sizes.append(1 << sum(widths))
-        return grid(*widths)
+    def slices(*widths, real=setrel._slices):
+        walked.append(1 << sum(widths))
+        return real(*widths)
 
-    monkeypatch.setattr(setrel, "_grid", recording)
+    def grid(*widths, real=setrel._grid):
+        built.append(1 << sum(widths))
+        return real(*widths)
+
+    monkeypatch.setattr(setrel, "_slices", slices)
+    monkeypatch.setattr(setrel, "_grid", grid)
     setrel.oracle_suite(cap, max_size)
-    assert setrel.oracle_masks(cap, max_size) == max(sizes)
+    assert setrel.oracle_masks(cap, max_size) == max(walked)
     assert setrel.oracle_masks(cap, max_size) <= setrel.ORACLE_MASK_LIMIT
+    assert max(built) <= 1 << 16 == 1 << setrel._SLICE_BITS
 
 
 @pytest.mark.parametrize("cap,max_size,bits", [(16, 4, 34), (36, 3, 36)])
@@ -315,6 +339,36 @@ def test_oracle_reports_an_injected_composition_fault(monkeypatch, shape, r0, s0
                 tally["failures"] += fails
                 tally["counterexample"] = tally["counterexample"] or ex
         assert res["lemma-eq-under-regepi"] == tally
+
+
+NABLA3 = setrel.nabla(3, 3)
+PAST_THE_FIRST_SLICE = [
+    # (carriers, r, s, flipped bits, identity, its first counterexample, the
+    # bits of its grid's axes): on carriers 1 and 3, prod-interchange first
+    # fails at r = 0, r' = 1, where only its right side composes (0, nabla);
+    # img-lax-functorial first fails at r = nabla, s = 0 on 3 points, f
+    # constant.  Both grids have 2**20 and 2**18 elements at cap 9.
+    ((3, 3, 3), 0, NABLA3, 0b1, "prod-interchange",
+     {"nx": 1, "ny": 3, "r": 0, "rp": 1, "s": 0, "sp": NABLA3}, {"r": 1, "rp": 1, "s": 9, "sp": 9}),
+    ((3, 3, 3), NABLA3, 0, 0b1, "img-lax-functorial",
+     {"nx": 3, "ny": 1, "f": [0, 0, 0], "r": NABLA3, "s": 0}, {"r": 9, "s": 9}),
+]
+
+
+@pytest.mark.parametrize("shape,r0,s0,flip,ident,first,axes", PAST_THE_FIRST_SLICE,
+                         ids=[fault[4] for fault in PAST_THE_FIRST_SLICE])
+def test_a_fault_past_the_first_slice_keeps_the_first_counterexample(monkeypatch, shape, r0, s0, flip,
+                                                                    ident, first, axes):
+    _inject(monkeypatch, shape, r0, s0, flip)
+    res = setrel.oracle_suite(9, 3)
+    assert res[ident]["counterexample"] == first
+    t = 0
+    for name, bits in axes.items():
+        t = t << bits | first[name]
+    assert t >= 1 << setrel._SLICE_BITS  # the first failure lies past the first slice
+    _check_counterexamples(res)
+    _inject_original(monkeypatch, shape, r0, s0, flip)
+    assert repr(res) == repr(ref.oracle_suite(9, 3))
 
 
 @st.composite
