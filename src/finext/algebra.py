@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from .fincat import CategoryDataError, FinCategory
 
@@ -50,14 +50,6 @@ __all__ = [
     "category_from_algebras",
     "dump_category",
     "load_category",
-    "direct_product",
-    "congruence_generate",
-    "all_congruences",
-    "congruence_lattice",
-    "quotient",
-    "kernel_partition",
-    "pushout_surjections",
-    "center_of_monoid",
 ]
 
 
@@ -453,226 +445,6 @@ def enumerate_homs(a: FinAlgebra, b: FinAlgebra, limit: int | None = None) -> li
 
     rec(0)
     return out
-
-
-def direct_product(a: FinAlgebra, b: FinAlgebra) -> tuple[FinAlgebra, list[tuple[int, int]]]:
-    """Componentwise product structure; returns it plus the pair decoding
-    (element i of the product is ``pairs[i]``, ordered lexicographically)."""
-    if a.kind != b.kind:
-        raise ValueError("product of different kinds")
-    pairs = [(x, y) for x in range(a.size) for y in range(b.size)]
-    idx = {p: i for i, p in enumerate(pairs)}
-    sig = a.signature
-    ops: dict[str, Any] = {}
-    for c in sig.constants:
-        ops[c] = idx[(a.ops[c], b.ops[c])]
-    for o in sig.binary:
-        ta, tb = a.ops[o], b.ops[o]
-        ops[o] = tuple(
-            tuple(idx[(ta[x1][x2], tb[y1][y2])] for x2, y2 in pairs) for x1, y1 in pairs
-        )
-    rels: dict[str, Any] = {}
-    for r in sig.relations:
-        ra, rb = a.rels[r], b.rels[r]
-        rels[r] = tuple(
-            tuple(ra[x1][x2] and rb[y1][y2] for x2, y2 in pairs) for x1, y1 in pairs
-        )
-    return FinAlgebra(a.kind, len(pairs), ops, rels), pairs
-
-
-# -- congruences ---------------------------------------------------------------
-
-
-def _uf_find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _canon_partition(parent: list[int]) -> tuple[int, ...]:
-    n = len(parent)
-    return tuple(min(j for j in range(n) if _uf_find(parent, j) == _uf_find(parent, i)) for i in range(n))
-
-
-def congruence_generate(alg: FinAlgebra, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """Smallest congruence containing ``pairs``: union-find closed under all
-    operations (order relations play no part; congruences are for the
-    operational kinds)."""
-    n = alg.size
-    parent = list(range(n))
-
-    def union(x: int, y: int) -> bool:
-        rx, ry = _uf_find(parent, x), _uf_find(parent, y)
-        if rx == ry:
-            return False
-        parent[max(rx, ry)] = min(rx, ry)
-        return True
-
-    for x, y in pairs:
-        union(x, y)
-    changed = True
-    bin_tables = [alg.ops[o] for o in alg.signature.binary]
-    while changed:
-        changed = False
-        for t in bin_tables:
-            for x in range(n):
-                for y in range(n):
-                    if _uf_find(parent, x) != _uf_find(parent, y):
-                        continue
-                    for z in range(n):
-                        if union(t[x][z], t[y][z]):
-                            changed = True
-                        if union(t[z][x], t[z][y]):
-                            changed = True
-    return _canon_partition(parent)
-
-
-def _partitions(n: int) -> Iterable[tuple[int, ...]]:
-    """All partitions of 0..n-1 in restricted-growth form, mapped to
-    min-representative form."""
-    if n == 0:
-        yield ()
-        return
-    rg = [0] * n
-
-    def rec(k: int, mx: int):
-        if k == n:
-            first = {}
-            rep = []
-            for i, b in enumerate(rg):
-                first.setdefault(b, i)
-                rep.append(first[b])
-            yield tuple(rep)
-            return
-        for b in range(mx + 2):
-            rg[k] = b
-            yield from rec(k + 1, max(mx, b))
-
-    yield from rec(1, 0)
-
-
-def _is_congruence(alg: FinAlgebra, rep: tuple[int, ...]) -> bool:
-    for o in alg.signature.binary:
-        t = alg.ops[o]
-        n = alg.size
-        for x in range(n):
-            for y in range(x + 1, n):
-                if rep[x] != rep[y]:
-                    continue
-                for z in range(n):
-                    if rep[t[x][z]] != rep[t[y][z]] or rep[t[z][x]] != rep[t[z][y]]:
-                        return False
-    return True
-
-
-def all_congruences(alg: FinAlgebra) -> list[tuple[int, ...]]:
-    """Every congruence of the structure, as min-representative tuples,
-    sorted; found by filtering all partitions of the carrier."""
-    return sorted(rep for rep in _partitions(alg.size) if _is_congruence(alg, rep))
-
-
-def _refines(fine: tuple[int, ...], coarse: tuple[int, ...]) -> bool:
-    pairs = {}
-    for i in range(len(fine)):
-        if pairs.setdefault(fine[i], coarse[i]) != coarse[i]:
-            return False
-    return True
-
-
-def congruence_lattice(alg: FinAlgebra) -> dict:
-    """The congruence lattice: elements, refinement order, meet and join
-    tables (meet = common refinement, join = generated congruence)."""
-    cons = all_congruences(alg)
-    k = len(cons)
-    pos = {c: i for i, c in enumerate(cons)}
-    n = alg.size
-    leq = [[_refines(cons[i], cons[j]) for j in range(k)] for i in range(k)]
-    meet = [[0] * k for _ in range(k)]
-    join = [[0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            common = [0] * n
-            seen: dict[tuple[int, int], int] = {}
-            for x in range(n):
-                key = (cons[i][x], cons[j][x])
-                seen.setdefault(key, x)
-                common[x] = seen[key]
-            meet[i][j] = pos[tuple(common)]
-            gen = congruence_generate(
-                alg, [(x, cons[i][x]) for x in range(n)] + [(x, cons[j][x]) for x in range(n)]
-            )
-            join[i][j] = pos[gen]
-    return {"elements": cons, "leq": leq, "meet": meet, "join": join}
-
-
-def kernel_partition(table: Sequence[int], size_dom: int) -> tuple[int, ...]:
-    """Kernel of a map as a min-representative partition of its domain."""
-    first: dict[int, int] = {}
-    return tuple(first.setdefault(table[i], i) for i in range(size_dom))
-
-
-def quotient(alg: FinAlgebra, rep: tuple[int, ...]) -> tuple[FinAlgebra, tuple[int, ...]]:
-    """Quotient structure by a congruence, plus the projection table.
-
-    Blocks are numbered by first occurrence, so the projection is the
-    identity-on-representatives map."""
-    n = alg.size
-    block_of: dict[int, int] = {}
-    proj = []
-    for i in range(n):
-        proj.append(block_of.setdefault(rep[i], len(block_of)))
-    m = len(block_of)
-    reps = [0] * m
-    for i in range(n):
-        reps[proj[i]] = rep[i]
-    sig = alg.signature
-    ops: dict[str, Any] = {}
-    for c in sig.constants:
-        ops[c] = proj[alg.ops[c]]
-    for o in sig.binary:
-        t = alg.ops[o]
-        ops[o] = tuple(tuple(proj[t[reps[i]][reps[j]]] for j in range(m)) for i in range(m))
-    rels: dict[str, Any] = {}
-    for r in sig.relations:
-        raise ValueError("quotients are defined for operational kinds only")
-    return FinAlgebra(alg.kind, m, ops, rels), tuple(proj)
-
-
-def pushout_surjections(
-    a: FinAlgebra,
-    f: Sequence[int],
-    b: FinAlgebra,
-    g: Sequence[int],
-    c: FinAlgebra,
-) -> tuple[FinAlgebra, tuple[int, ...], tuple[int, ...]]:
-    """Pushout of two surjective homs f: a ->> b and g: a ->> c.
-
-    Computed as the quotient of ``a`` by the join of the two kernels; returns
-    (apex, map b -> apex, map c -> apex)."""
-    if sorted(set(f)) != list(range(b.size)) or sorted(set(g)) != list(range(c.size)):
-        raise ValueError("pushout_surjections requires surjective maps")
-    kf = kernel_partition(f, a.size)
-    kg = kernel_partition(g, a.size)
-    theta = congruence_generate(a, [(x, kf[x]) for x in range(a.size)] + [(x, kg[x]) for x in range(a.size)])
-    apex, proj = quotient(a, theta)
-    # b -> apex: pick any preimage under f
-    fb = [0] * b.size
-    for x in range(a.size):
-        fb[f[x]] = proj[x]
-    gc = [0] * c.size
-    for x in range(a.size):
-        gc[g[x]] = proj[x]
-    return apex, tuple(fb), tuple(gc)
-
-
-def center_of_monoid(alg: FinAlgebra) -> list[int]:
-    """Elements commuting with every element."""
-    if alg.kind != "mon":
-        raise ValueError("center is defined for monoids")
-    t = alg.ops["op"]
-    n = alg.size
-    return [x for x in range(n) if all(t[x][y] == t[y][x] for y in range(n))]
 
 
 # -- category builders ----------------------------------------------------------

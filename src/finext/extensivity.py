@@ -26,7 +26,6 @@ suite and the relation calculus read it instead of deciding again.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -34,7 +33,6 @@ from .fincat import (
     FinCategory,
     cached,
     dual_of,
-    morphisms_of_class,
     _iso_info,
     _mono_set,
     _sections,
@@ -53,12 +51,8 @@ __all__ = [
     "category_report",
     "all_binary_coproducts_exist",
     "coproduct_disjointness",
-    "complement_uniqueness",
-    "is_boolean_category",
     "has_binary_srp",
     "has_finite_srp",
-    "is_M_extensive",
-    "is_M_coextensive",
     "commutation_check",
 ]
 
@@ -144,8 +138,6 @@ _DUAL_KIND = {
     "top-row-not-coproduct": "bottom-row-not-product",
     "square-not-pullback": "square-not-pushout",
     "no-initial": "no-terminal",
-    "pullback-legs-not-in-class": "pushout-legs-not-in-class",
-    "square-legs-not-in-class": "square-legs-not-in-class",
 }
 
 
@@ -230,12 +222,10 @@ def _e2_first_failure(
     cat: FinCategory,
     f: int,
     square_fault: Callable[[int, int, int], str | None],
-    allowed: frozenset[int] | None = None,
 ) -> tuple[int, tuple | None]:
     """Scan f's two-square instances (top base, bottom base, filler pair)
     in their fixed order: top bases in order, then bottom bases in order,
-    then g1, then g2, each in hom-set order.  Fillers outside ``allowed``
-    are skipped when it is given.
+    then g1, then g2, each in hom-set order.
 
     ``square_fault(leg, top, filler)`` judges one square: None when it
     holds, else the failure kind.  An instance fails on its left square
@@ -254,10 +244,7 @@ def _e2_first_failure(
     first_bad: dict[tuple[int, int], tuple[int, str] | None] = {}
 
     def fillers_of(index: dict, top: int) -> dict[int, list[int]]:
-        groups = index.get((cat._dom_l[top], cat.compose(f, top)), {})
-        if allowed is not None:
-            groups = {bi: kept for bi, gs in groups.items() if (kept := [g for g in gs if g in allowed])}
-        return groups
+        return index.get((cat._dom_l[top], cat.compose(f, top)), {})
 
     def failure_in(leg: int, top: int, gs: list[int]) -> tuple[int, str] | None:
         """Position in gs of the first failing square on (leg, top), with its kind."""
@@ -426,7 +413,7 @@ def category_report(cat: FinCategory, mode: str = "extensive") -> dict:
     }
 
 
-# -- disjointness / complements / boolean ------------------------------------------
+# -- disjointness ------------------------------------------------------------------
 
 
 def coproduct_disjointness(cat: FinCategory) -> CheckStatus:
@@ -463,91 +450,6 @@ def coproduct_disjointness(cat: FinCategory) -> CheckStatus:
                     bases=checked,
                 )
     return _ok(bases=checked)
-
-
-def complement_uniqueness(cat: FinCategory) -> CheckStatus:
-    """Any two cocones sharing their first leg have isomorphic second legs:
-    an iso s with v' ∘ s = v.  Gated on initial object + disjointness."""
-    z = limits.initial(cat)
-    if z is None:
-        return _na({"kind": "no-initial"})
-    dis = coproduct_disjointness(cat)
-    if not dis.passed:
-        return _na({"kind": "disjointness-not-established", "disjointness": dis.as_dict()})
-    isos = _iso_info(cat)[0]
-    pairs = 0
-    for x in range(len(cat.objects)):
-        by_first: dict[int, list[int]] = {}
-        for u, v in limits.coproduct_bases(cat, x):
-            by_first.setdefault(u, []).append(v)
-        for u, vs in by_first.items():
-            for v, v2 in itertools.combinations(vs, 2):
-                pairs += 1
-                b, b2 = cat._dom_l[v], cat._dom_l[v2]
-                found = None
-                for s in cat.hom(b, b2):
-                    if s in isos and cat.compose(v2, s) == v:
-                        found = s
-                        break
-                if found is None:
-                    return _fail(
-                        {
-                            "kind": "no-complement-iso",
-                            "shared_leg": cat.mid(u),
-                            "complements": [cat.mid(v), cat.mid(v2)],
-                        },
-                        pairs=pairs,
-                    )
-    return _ok(pairs=pairs)
-
-
-def is_boolean_category(cat: FinCategory) -> CheckStatus:
-    """Three clauses: pullbacks along coproduct legs exist and legs are
-    pullback-stable as a class; every leg passes condition one; a cocone with
-    two equal legs forces an initial apex."""
-    z = limits.initial(cat)
-    if z is None or not all_binary_coproducts_exist(cat):
-        return _na({"kind": "missing-finite-coproducts"})
-    inclusions = limits.coproduct_legs(cat)
-    n = len(cat.objects)
-    pullbacks = 0
-    for u in sorted(inclusions):
-        x = cat._cod_l[u]
-        for a in range(n):
-            for g in cat.hom(a, x):
-                w = limits.pullback(cat, g, u)
-                if w is None:
-                    return _fail(
-                        {"kind": "missing-pullback", "leg": cat.mid(u), "along": cat.mid(g)},
-                        pullbacks=pullbacks,
-                    )
-                pullbacks += 1
-                if w.legs[0] not in inclusions:
-                    return _fail(
-                        {
-                            "kind": "legs-not-pullback-stable",
-                            "leg": cat.mid(u),
-                            "along": cat.mid(g),
-                            "pulled_back": cat.mid(w.legs[0]),
-                        },
-                        pullbacks=pullbacks,
-                    )
-        st = check_e1(cat, cat.mid(u))
-        if not st.passed:
-            return _fail(
-                {"kind": "leg-fails-condition-one", "leg": cat.mid(u), "inner": st.witness},
-                pullbacks=pullbacks,
-            )
-    for x in range(n):
-        for u, v in limits.coproduct_bases(cat, x):
-            if u == v:
-                part = cat._dom_l[u]
-                if any(cat._hom_counts_l[part][y] != 1 for y in range(n)):
-                    return _fail(
-                        {"kind": "equal-legs-part-not-initial", "leg": cat.mid(u), "part": cat.oid(part)},
-                        pullbacks=pullbacks,
-                    )
-    return _ok(inclusions=len(inclusions), pullbacks=pullbacks)
 
 
 # -- strict refinement --------------------------------------------------------------
@@ -658,94 +560,6 @@ def has_finite_srp(cat: FinCategory, oid: str, k: int) -> CheckStatus:
                             pairs=pairs,
                         )
     return _ok(pairs=pairs)
-
-
-# -- class-relative extensivity -------------------------------------------------------
-
-
-def _class_set(cat: FinCategory, class_name: str) -> frozenset[int]:
-    if class_name == "all":
-        return frozenset(range(cat.n_mor))
-    return frozenset(cat.m(m) for m in morphisms_of_class(cat, class_name))
-
-
-def is_M_extensive(cat: FinCategory, oid: str, class_name: str) -> CheckStatus:
-    """Class-relative extensivity of one object: every class morphism into it
-    admits class pullbacks along every coproduct leg, and in class-vertical
-    diagrams over a coproduct bottom row, the top row is a coproduct exactly
-    when both squares are class pullbacks.
-
-    The backward direction reduces to the span condition because every
-    pullback square over the same cospan differs from the canonical one by an
-    isomorphism of apexes, and the named classes are closed under composition
-    with isomorphisms."""
-    a = cat.o(oid)
-    mcls = _class_set(cat, class_name)
-    bases = limits.coproduct_bases(cat, a)
-    checked = 0
-    for f in sorted(mcls):
-        if cat._cod_l[f] != a:
-            continue
-        mid = cat.mid(f)
-        for u, v in bases:
-            spans = []
-            for leg in (u, v):
-                w = limits.pullback(cat, f, leg)
-                if w is None:
-                    return _fail(
-                        {"kind": "missing-pullback", "morphism": mid, "along": cat.mid(leg), "class": class_name}
-                    )
-                if w.legs[0] not in mcls or w.legs[1] not in mcls:
-                    return _fail(
-                        {
-                            "kind": "pullback-legs-not-in-class",
-                            "morphism": mid,
-                            "along": cat.mid(leg),
-                            "legs": [cat.mid(w.legs[0]), cat.mid(w.legs[1])],
-                            "class": class_name,
-                        }
-                    )
-                spans.append(w)
-            checked += 1
-            if not limits.is_coproduct_cocone(cat, spans[0].legs[0], spans[1].legs[0]):
-                return _fail(
-                    {
-                        "kind": "top-row-not-coproduct",
-                        "morphism": mid,
-                        "base": [cat.mid(u), cat.mid(v)],
-                        "span": [cat.mid(spans[0].legs[0]), cat.mid(spans[1].legs[0])],
-                        "class": class_name,
-                    },
-                    checked=checked,
-                )
-        # forward direction: class-vertical coproduct tops force class pullbacks
-        def fault(leg: int, top: int, filler: int) -> str | None:
-            if not limits.is_pullback_square(cat, f, leg, top, filler):
-                return "square-not-pullback"
-            if top not in mcls or filler not in mcls:
-                return "square-legs-not-in-class"
-            return None
-
-        count, failure = _e2_first_failure(cat, f, fault, mcls)
-        checked += count
-        if failure is not None:
-            (x1, x2, u, v, g1, g2), side, kind = failure
-            witness = {
-                "kind": kind,
-                "morphism": mid,
-                "top": [cat.mid(x1), cat.mid(x2)],
-                "bottom": [cat.mid(u), cat.mid(v)],
-            }
-            if kind == "square-not-pullback":
-                witness["verticals"] = [cat.mid(g1), cat.mid(g2)]
-            witness["side"] = side
-            witness["class"] = class_name
-            return _fail(witness, checked=checked)
-    return _ok(checked=checked)
-
-
-def is_M_coextensive(cat: FinCategory, oid: str, class_name: str) -> CheckStatus:
-    return _dualized(is_M_extensive(dual_of(cat), oid, class_name))
 
 
 # -- commutation of (co)products with (co)equalisers -------------------------------------

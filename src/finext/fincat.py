@@ -26,20 +26,17 @@ one's columns are the other's rows.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import wraps
 from itertools import chain
 from typing import Any, Callable, Mapping, Sequence
 
 __all__ = [
     "FinCategory",
-    "MorphismProfile",
     "Violation",
     "CategoryDataError",
     "validate_category",
     "dual",
-    "classify_morphism",
-    "morphisms_of_class",
     "thin_category_from_poset",
 ]
 
@@ -610,103 +607,6 @@ def _is_regular_epi(cat: FinCategory, f: int) -> tuple[bool, tuple[int, int] | N
                 if limits.is_coequaliser(cat, u, v, f):
                     return (True, (u, v))
     return (False, None)
-
-
-@dataclass
-class MorphismProfile:
-    """Structural classification of one morphism, with witnesses."""
-
-    morphism: str
-    is_mono: bool
-    is_epi: bool
-    is_split_mono: bool
-    is_split_epi: bool
-    is_regular_mono: bool
-    is_regular_epi: bool
-    is_extremal_epi: bool
-    is_iso: bool
-    witnesses: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        d = {k: v for k, v in self.__dict__.items() if k != "witnesses"}
-        d["witnesses"] = self.witnesses
-        return d
-
-
-def classify_morphism(cat: FinCategory, mid: str) -> MorphismProfile:
-    """Full structural profile by exhaustive cancellation / section / fork scans."""
-    f = cat.m(mid)
-    d = dual_of(cat)
-    wit: dict[str, Any] = {}
-    retraction = _sections(d).get(f)
-    section = _sections(cat).get(f)
-    if retraction is not None:
-        wit["retraction"] = cat.mid(retraction)
-    if section is not None:
-        wit["section"] = cat.mid(section)
-    reg_epi, pair = _is_regular_epi(cat, f)
-    if pair is not None:
-        wit["coequalised_pair"] = [cat.mid(pair[0]), cat.mid(pair[1])]
-    reg_mono, dpair = _is_regular_epi(d, f)
-    if dpair is not None:
-        wit["equalised_pair"] = [cat.mid(dpair[0]), cat.mid(dpair[1])]
-    return MorphismProfile(
-        morphism=mid,
-        is_mono=f in _mono_set(cat),
-        is_epi=f in _epi_set(cat),
-        is_split_mono=retraction is not None,
-        is_split_epi=section is not None,
-        is_regular_mono=reg_mono,
-        is_regular_epi=reg_epi,
-        is_extremal_epi=f in _extremal_epi_set(cat),
-        is_iso=f in _iso_info(cat)[0],
-        witnesses=wit,
-    )
-
-
-_CLASSES = (
-    "mono",
-    "epi",
-    "split-mono",
-    "split-epi",
-    "regular-mono",
-    "regular-epi",
-    "extremal-epi",
-    "iso",
-    "identity",
-    "product-projection",
-    "coproduct-inclusion",
-)
-
-
-def morphisms_of_class(cat: FinCategory, cls: str) -> list[str]:
-    """All morphisms of one structural class, in deterministic id order."""
-    if cls not in _CLASSES:
-        raise CategoryDataError(f"unknown morphism class {cls!r} (expected one of {_CLASSES})")
-    d = dual_of(cat)
-    if cls == "mono":
-        sel = _mono_set(cat)
-    elif cls == "epi":
-        sel = _epi_set(cat)
-    elif cls == "split-mono":
-        sel = _sections(d).keys()
-    elif cls == "split-epi":
-        sel = _sections(cat).keys()
-    elif cls == "regular-epi":
-        sel = {f for f in range(cat.n_mor) if _is_regular_epi(cat, f)[0]}
-    elif cls == "regular-mono":
-        sel = {f for f in range(cat.n_mor) if _is_regular_epi(d, f)[0]}
-    elif cls == "extremal-epi":
-        sel = _extremal_epi_set(cat)
-    elif cls == "iso":
-        sel = _iso_info(cat)[0]
-    elif cls == "identity":
-        sel = cat.identity_set
-    else:  # coproduct-inclusion, or product-projection as inclusions of the dual
-        from . import limits
-
-        sel = limits.coproduct_legs(cat if cls == "coproduct-inclusion" else d)
-    return sorted((cat.mid(f) for f in sel))
 
 
 # -- small constructors -----------------------------------------------------

@@ -8,10 +8,11 @@ oracle for the categorical relation calculus.
 The kernels run on bit planes: a grid of relations on X x Y is nx*ny Python
 ints, and bit t of plane i*ny + j is set when grid element t relates i to j.
 Composition is the or over j of `r[i,j] & s[j,k]`; image, preimage, opposite
-and the relation product move or meet whole planes.  The mask kernels
-(`compose`, `opposite`, `image`, `preimage`, `rel_product`) read a mask as a
-grid of one element, whose plane k is bit k of the mask.  Bits a plane sets
-beyond its grid carry no meaning, so counts are read within the grid.
+and the relation product move or meet whole planes.  A fixed relation,
+the diagonal (`delta`) or a function's kernel (`eq_mask`), is one mask;
+`_const` spreads it over a grid, plane k holding the grid's full plane
+where bit k of the mask is set.  Bits a plane sets beyond its grid carry
+no meaning, so counts are read within the grid.
 
 The identity suite enumerates every relation on every ambient X x Y with
 nx*ny <= cap and every function between the carriers involved, and checks
@@ -34,24 +35,15 @@ from __future__ import annotations
 import itertools
 from functools import reduce
 from operator import or_, xor
-from typing import Iterable
 
 __all__ = [
     "compose_planes", "opposite_planes", "image_planes", "preimage_planes", "product_planes",
-    "compose", "opposite", "image", "preimage", "rel_product",
-    "delta", "nabla", "eq_mask", "mask_of",
+    "delta", "eq_mask",
     "oracle_suite", "oracle_masks", "ORACLE_MASK_LIMIT", "ORACLE_IDENTITY_IDS",
 ]
 
 ORACLE_MASK_LIMIT = 1 << 24  # elements in one oracle grid: it bounds the elements walked, not plane memory
 _SLICE_BITS = 16  # a slice of a grid holds at most 2**16 elements: 8 kB per plane
-
-
-def mask_of(pairs: Iterable[tuple[int, int]], nx: int, ny: int) -> int:
-    m = 0
-    for i, j in pairs:
-        m |= 1 << (i * ny + j)
-    return m
 
 
 # -- kernels on bit planes ---------------------------------------------------------
@@ -87,43 +79,8 @@ def product_planes(r: list[int], s: list[int], nx: int, ny: int) -> list[int]:
     return [r[i * nx + j] & s[a * ny + b] for i in range(nx) for a in range(ny) for j in range(nx) for b in range(ny)]
 
 
-# -- the same kernels on masks -----------------------------------------------------
-
-
-def _planes(r: int, bits: int) -> list[int]:
-    return [r >> k & 1 for k in range(bits)]
-
-
-def _mask(planes: list[int]) -> int:
-    return sum((p & 1) << k for k, p in enumerate(planes))
-
-
-def compose(r: int, s: int, nx: int, ny: int, nz: int) -> int:
-    return _mask(compose_planes(_planes(r, nx * ny), _planes(s, ny * nz), nx, ny, nz))
-
-
-def opposite(r: int, nx: int, ny: int) -> int:
-    return _mask(opposite_planes(_planes(r, nx * ny), nx, ny))
-
-
-def image(f: tuple[int, ...], r: int, nx: int, ny: int) -> int:
-    return _mask(image_planes(f, _planes(r, nx * nx), nx, ny))
-
-
-def preimage(f: tuple[int, ...], r: int, nx: int, ny: int) -> int:
-    return _mask(preimage_planes(f, _planes(r, ny * ny), nx, ny))
-
-
-def rel_product(r: int, s: int, nx: int, ny: int) -> int:
-    return _mask(product_planes(_planes(r, nx * nx), _planes(s, ny * ny), nx, ny))
-
-
 def delta(n: int) -> int:
     return sum(1 << (i * n + i) for i in range(n))
-
-
-def nabla(nx: int, ny: int) -> int:
-    return (1 << (nx * ny)) - 1
 
 
 def eq_mask(f: tuple[int, ...], nx: int) -> int:
@@ -178,6 +135,11 @@ def _slices(*widths: int):
     full, (planes,) = _grid(low)
     for q in range(1 << (size - low)):
         yield q << low, full, _axes(planes + [full if q >> b & 1 else 0 for b in range(size - low)], widths)
+
+
+def _planes(r: int, bits: int) -> list[int]:
+    """The bits of mask r, lowest first."""
+    return [r >> k & 1 for k in range(bits)]
 
 
 def _const(r: int, bits: int, full: int) -> list[int]:

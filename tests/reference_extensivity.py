@@ -2,7 +2,9 @@
 
 The condition-two reference enumerates every (top base, bottom base,
 filler pair) instance and judges both squares of each instance, left then
-right, as the original ``check_e2`` and ``is_M_extensive`` loops did.
+right, as the original ``check_e2`` loop did; given ``allowed``, it skips
+the instances with a filler outside it, as the class-relative
+``oracles.is_M_extensive`` needs.
 ``cocone_universal_n`` is the original n-ary coproduct certificate over
 numpy block columns, and ``coproduct_bases_n`` the original n-ary search
 for every cocone it certifies on one apex.  ``category_report`` is the

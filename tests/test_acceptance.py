@@ -14,19 +14,14 @@ import json
 from contextlib import contextmanager
 
 import conftest
+import oracles
 from finext import extensivity as ext
 from finext import limits
 from finext import relcalc as rc
 from finext import setrel
-from finext.algebra import (
-    all_congruences,
-    center_of_monoid,
-    enumerate_structures,
-    pushout_surjections,
-    quotient,
-)
+from finext.algebra import enumerate_structures
 from finext.cli import main as cli_main
-from finext.fincat import dual_of, morphisms_of_class, thin_category_from_poset
+from finext.fincat import dual_of, thin_category_from_poset
 from finext.propositions import proposition_suite
 from finext.relcalc import IDENTITY_IDS
 
@@ -117,7 +112,7 @@ def test_criterion_04_lattice_surjections_are_coextensive(lat4):
 def test_criterion_05_lattice_split_monos_fail_coextensivity(lat4):
     with criterion(5, "lattices: 8 of 11 split monos into the square fail, with witnesses"):
         cat, _ = lat4
-        split = morphisms_of_class(cat, "split-mono")
+        split = oracles.morphisms_of_class(cat, "split-mono")
         into_square = sorted(
             m for m in split if cat.oid(cat._cod_l[cat.mor_index[m]]) == "L4_0"
         )
@@ -152,10 +147,10 @@ def test_criterion_06_refinement_examples(cpos3, slat4, mon4):
         assert klein.witness["kind"] == "no-grid"
         assert klein.details == {"pairs": 116}
         t2 = muni.algebras["M4_6"]
-        assert center_of_monoid(t2) == [0]
+        assert oracles.center_of_monoid(t2) == [0]
         projections = [
             m
-            for m in morphisms_of_class(mcat, "product-projection")
+            for m in oracles.morphisms_of_class(mcat, "product-projection")
             if mcat.oid(mcat._dom_l[mcat.mor_index[m]]) == "M4_6"
         ]
         assert projections == ["M4_6>M1#0000", "M4_6>M4_6#0003", "M4_6>M4_6#0004"]
@@ -221,7 +216,7 @@ def test_criterion_09_relation_identities_and_oracle_agreement(set3, set4):
             p1, p2 = limits.product(cat, r.src, r.tgt).legs
             t1 = uni.maps[cat.mid(cat.compose(p1, r.rep))]
             t2 = uni.maps[cat.mid(cat.compose(p2, r.rep))]
-            return setrel.mask_of(zip(t1, t2), size[r.src], size[r.tgt])
+            return oracles.mask_of(zip(t1, t2), size[r.src], size[r.tgt])
 
         rels = {}
         for x in range(len(cat.objects)):
@@ -240,7 +235,7 @@ def test_criterion_09_relation_identities_and_oracle_agreement(set3, set4):
                         if out is None:
                             skipped += 1
                             continue
-                        assert mask(out) == setrel.compose(
+                        assert mask(out) == oracles.compose(
                             mask(r), mask(s), size[x], size[y], size[z]
                         )
                         agree += 1
@@ -282,11 +277,11 @@ def test_criterion_10_kernel_pair_of_projection_formula(set3, set4):
                 n = len(pairs_xy)
                 pi1 = tuple(x for x, _ in pairs_xy)
                 pi2 = tuple(y for _, y in pairs_xy)
-                assert setrel.eq_mask(pi1, n) == setrel.rel_product(
-                    setrel.delta(na), setrel.nabla(nb, nb), na, nb
+                assert setrel.eq_mask(pi1, n) == oracles.rel_product(
+                    setrel.delta(na), oracles.nabla(nb, nb), na, nb
                 )
-                assert setrel.eq_mask(pi2, n) == setrel.rel_product(
-                    setrel.nabla(na, na), setrel.delta(nb), na, nb
+                assert setrel.eq_mask(pi2, n) == oracles.rel_product(
+                    oracles.nabla(na, na), setrel.delta(nb), na, nb
                 )
                 oracle_assertions += 2
         assert oracle_assertions == 32
@@ -375,10 +370,10 @@ def test_criterion_13_pushout_oracle_agreement(lat4, slat4):
             for A in enumerate_structures(kind, 4):
                 a_name, a_perm = canonize(A)
                 a_inv = _inv_perm(a_perm)
-                for t1, t2 in itertools.product(all_congruences(A), repeat=2):
-                    q1, p1 = quotient(A, t1)
-                    q2, p2 = quotient(A, t2)
-                    apex, fb, gc = pushout_surjections(A, p1, q1, p2, q2)
+                for t1, t2 in itertools.product(oracles.all_congruences(A), repeat=2):
+                    q1, p1 = oracles.quotient(A, t1)
+                    q2, p2 = oracles.quotient(A, t2)
+                    apex, fb, gc = oracles.pushout_surjections(A, p1, q1, p2, q2)
                     n1, phi1 = canonize(q1)
                     n2, phi2 = canonize(q2)
                     n_apex, psi = canonize(apex)

@@ -10,22 +10,24 @@ from finext import algebra
 from finext.algebra import (
     FinAlgebra,
     build_category,
-    all_congruences,
     category_from_algebras,
+    dump_category,
+    enumerate_homs,
+    enumerate_structures,
+    load_category,
+    validate_algebra,
+)
+from finext.fincat import CategoryDataError
+from oracles import (
+    all_congruences,
     center_of_monoid,
     congruence_generate,
     congruence_lattice,
     direct_product,
-    dump_category,
-    enumerate_homs,
-    enumerate_structures,
     kernel_partition,
-    load_category,
     pushout_surjections,
     quotient,
-    validate_algebra,
 )
-from finext.fincat import CategoryDataError
 
 
 def test_enumeration_counts_up_to_isomorphism():

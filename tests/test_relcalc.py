@@ -18,8 +18,9 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 
+import oracles
 import reference_relcalc
-from finext import limits, setrel
+from finext import limits
 from finext import relcalc as rc
 from finext.fincat import dual_of, thin_category_from_poset
 from finext.relcalc import IDENTITY_IDS
@@ -115,7 +116,7 @@ def _mask(cat, uni, size, r):
     p1, p2 = limits.product(cat, r.src, r.tgt).legs
     t1 = uni.maps[cat.mid(cat.compose(p1, r.rep))]
     t2 = uni.maps[cat.mid(cat.compose(p2, r.rep))]
-    return setrel.mask_of(zip(t1, t2), size[r.src], size[r.tgt])
+    return oracles.mask_of(zip(t1, t2), size[r.src], size[r.tgt])
 
 
 def test_composition_agrees_with_bitmask_oracle(set3):
@@ -139,7 +140,7 @@ def test_composition_agrees_with_bitmask_oracle(set3):
                     if out is None:
                         skipped += 1
                         continue
-                    want = setrel.compose(
+                    want = oracles.compose(
                         _mask(cat, uni, size, r), _mask(cat, uni, size, s),
                         size[x], size[y], size[z],
                     )

@@ -1,12 +1,13 @@
 """The set-relation oracle against the original one (``reference_setrel``).
 
-The library's kernels run on bit planes, and its mask kernels read a mask as
-a grid of one element.  The plane kernels, fed every pair of relations of a
-shape at once, are compared entry by entry with the original einsum tables,
-the mask kernels with the original kernels, and the whole oracle with the
-original oracle.  Injected composition faults, fixed and drawn, must surface
-as identity failures whose counterexample really fails, and
-``identity_suite`` must turn an oracle failure into a failed check.
+The library's kernels run on bit planes; the mask kernels of ``oracles``
+read a mask as a grid of one element of them.  The plane kernels, fed every
+pair of relations of a shape at once, are compared entry by entry with the
+original einsum tables, the mask kernels with the original kernels, and the
+whole oracle with the original oracle.  Injected composition faults, fixed
+and drawn, must surface as identity failures whose counterexample really
+fails, and ``identity_suite`` must turn an oracle failure into a failed
+check.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 import reference_setrel as ref
 from finext import relcalc, setrel
 
@@ -77,7 +79,7 @@ def test_compose_matches_the_einsum_table_on_every_pair(nx, ny, nz):
     assert np.array_equal(_unplane(table, rs.shape), ref.compose_table(nx, ny, nz))
     if rs.size * ss.size <= 1 << 12:  # the int path, pair by pair where that is cheap
         for r, s in itertools.product(range(rs.size), range(ss.size)):
-            assert setrel.compose(r, s, nx, ny, nz) == ref.compose(r, s, nx, ny, nz)
+            assert oracles.compose(r, s, nx, ny, nz) == ref.compose(r, s, nx, ny, nz)
 
 
 @pytest.mark.parametrize("nx,ny", list(itertools.product(SIZES, repeat=2)))
@@ -89,8 +91,8 @@ def test_image_and_preimage_match_their_tables_on_every_mask(nx, ny):
         pre = _unplane(setrel.preimage_planes(f, py, nx, ny), ry.shape)
         assert np.array_equal(img, ref.image_table(f, nx, ny)), f
         assert np.array_equal(pre, ref.preimage_table(f, nx, ny)), f
-        assert [setrel.image(f, r, nx, ny) for r in range(rx.size)] == img.tolist()
-        assert [setrel.preimage(f, r, nx, ny) for r in range(ry.size)] == pre.tolist()
+        assert [oracles.image(f, r, nx, ny) for r in range(rx.size)] == img.tolist()
+        assert [oracles.preimage(f, r, nx, ny) for r in range(ry.size)] == pre.tolist()
         assert [ref.image(f, r, nx, ny) for r in range(rx.size)] == img.tolist()
         assert [ref.preimage(f, r, nx, ny) for r in range(ry.size)] == pre.tolist()
 
@@ -104,11 +106,11 @@ def test_rel_product_and_opposite_match_on_every_mask(nx, ny):
         assert np.array_equal(_unplane(kron, r.shape), ref.kron_table(nx, ny))
     if rx.size * ry.size <= 1 << 12:
         for r, s in itertools.product(range(rx.size), range(ry.size)):
-            assert setrel.rel_product(r, s, nx, ny) == ref.rel_product(r, s, nx, ny)
+            assert oracles.rel_product(r, s, nx, ny) == ref.rel_product(r, s, nx, ny)
     rs = _masks(nx * ny)
     opp = _unplane(setrel.opposite_planes(_planes(rs, nx * ny), nx, ny), rs.shape)
     assert opp.tolist() == [ref.opposite(r, nx, ny) for r in range(rs.size)]
-    assert opp.tolist() == [setrel.opposite(r, nx, ny) for r in range(rs.size)]
+    assert opp.tolist() == [oracles.opposite(r, nx, ny) for r in range(rs.size)]
 
 
 @st.composite
@@ -124,12 +126,12 @@ def test_kernels_match_the_originals_on_drawn_masks(drawn, data):
     nx, ny, nz, r, s, ex, ey = drawn
     f = tuple(data.draw(st.lists(st.integers(0, ny - 1), min_size=nx, max_size=nx))) if ny else ()
     want = ref.compose(r, s, nx, ny, nz)
-    assert setrel.compose(r, s, nx, ny, nz) == want
-    assert setrel.rel_product(ex, ey, nx, ny) == ref.rel_product(ex, ey, nx, ny)
-    assert setrel.opposite(r, nx, ny) == ref.opposite(r, nx, ny)
+    assert oracles.compose(r, s, nx, ny, nz) == want
+    assert oracles.rel_product(ex, ey, nx, ny) == ref.rel_product(ex, ey, nx, ny)
+    assert oracles.opposite(r, nx, ny) == ref.opposite(r, nx, ny)
     if len(f) == nx:  # a function X -> Y exists
-        assert setrel.image(f, ex, nx, ny) == ref.image(f, ex, nx, ny)
-        assert setrel.preimage(f, ey, nx, ny) == ref.preimage(f, ey, nx, ny)
+        assert oracles.image(f, ex, nx, ny) == ref.image(f, ex, nx, ny)
+        assert oracles.preimage(f, ey, nx, ny) == ref.preimage(f, ey, nx, ny)
 
 
 @pytest.mark.parametrize("cap,max_size", [(9, 3), (6, 3), (4, 2), (1, 1), (0, 0)])
@@ -230,8 +232,9 @@ def _faulty_table(compose_table, shape, r0, s0, flip):
 
 def _violated(ident, ex, S):
     """Evaluate one counterexample of the oracle again with the mask kernels
-    of module `S`: ``setrel`` (under a fault, if one is injected) or the
-    original kernels in ``reference_setrel``."""
+    of module `S`: ``oracles``, over the plane kernels of ``setrel`` (under a
+    fault, if one is injected), or the original kernels in
+    ``reference_setrel``."""
     compose = S.compose
     if ident == "lemma-eq-under-regepi":
         n1, n2, e = ex["n1"], ex["n2"], ex["e"]
@@ -274,7 +277,7 @@ def _violated(ident, ex, S):
     return S.image(f, compose(pr, ps, nx, nx, nx), nx, ny) != compose(r, ex["s"], ny, ny, ny)
 
 
-DELTA2, NABLA2 = setrel.delta(2), setrel.nabla(2, 2)
+DELTA2, NABLA2 = setrel.delta(2), oracles.nabla(2, 2)
 FAULTS = [
     # (carriers, r, s, flipped bits, cap, identities that must fail)
     ((2, 2, 2), DELTA2, NABLA2, 0b10, 9,
@@ -294,7 +297,7 @@ FAULTS = [
       "img-of-preimg-comp", "lemma-eq-under-regepi"}),
     # a composite on the product carrier only, (delta x nabla)∘(nabla x delta):
     # read by prod-interchange alone
-    ((4, 4, 4), setrel.rel_product(DELTA2, NABLA2, 2, 2), setrel.rel_product(NABLA2, DELTA2, 2, 2),
+    ((4, 4, 4), oracles.rel_product(DELTA2, NABLA2, 2, 2), oracles.rel_product(NABLA2, DELTA2, 2, 2),
      0b10, 16, {"prod-interchange"}),
 ]
 
@@ -315,7 +318,7 @@ def _check_counterexamples(res):
     """Each counterexample fails under the fault and holds without it."""
     for ident, v in res.items():
         if v["failures"]:
-            assert _violated(ident, v["counterexample"], setrel), (ident, v)
+            assert _violated(ident, v["counterexample"], oracles), (ident, v)
             assert not _violated(ident, v["counterexample"], ref), (ident, v)
 
 
@@ -341,7 +344,7 @@ def test_oracle_reports_an_injected_composition_fault(monkeypatch, shape, r0, s0
         assert res["lemma-eq-under-regepi"] == tally
 
 
-NABLA3 = setrel.nabla(3, 3)
+NABLA3 = oracles.nabla(3, 3)
 PAST_THE_FIRST_SLICE = [
     # (carriers, r, s, flipped bits, identity, its first counterexample, the
     # bits of its grid's axes): on carriers 1 and 3, prod-interchange first
