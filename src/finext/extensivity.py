@@ -33,8 +33,9 @@ from .fincat import (
     FinCategory,
     cached,
     dual_of,
-    _iso_info,
     _mono_set,
+    _postcomposed,
+    _precomposed,
     _sections,
 )
 from . import limits
@@ -348,14 +349,13 @@ def all_binary_coproducts_exist(cat: FinCategory) -> bool:
 def _orbit_reps(cat: FinCategory) -> list[int]:
     """Each morphism's orbit representative: the first morphism, in id
     order, of its orbit {α∘f∘β : α, β isomorphisms}.  Cached per category."""
-    into, inv = limits._isos_into(cat), _iso_info(cat)[1]
     reps = [-1] * cat.n_mor
     for f in range(cat.n_mor):
-        if reps[f] < 0:  # a new orbit; inv[a] ranges over the isos out of cod f
-            for b in into[cat._dom_l[f]]:
-                fb = cat.compose(f, b)
-                for a in into[cat._cod_l[f]]:
-                    reps[cat.compose(inv[a], fb)] = f
+        if reps[f] < 0:  # a new orbit, f in it even where no identity puts it there
+            reps[f] = f
+            for g in _precomposed(cat, f):
+                for h in _postcomposed(cat, g):
+                    reps[h] = f
     return reps
 
 
@@ -518,13 +518,13 @@ def _class_has_grid(cat: FinCategory, cone_a: tuple[int, ...], cone_b: tuple[int
     return _grid_for(cat, cone_a, cone_b) or _grid_search(cat, cone_a, cone_b)
 
 
-def _class_key(cat: FinCategory, isos_out: dict[int, list[int]], cone: Sequence[int]) -> tuple[int, ...]:
+def _class_key(cat: FinCategory, cone: Sequence[int]) -> tuple[int, ...]:
     """The sorted least iso-transports min(α∘p) of the legs p, α over the
     isomorphisms out of cod p: equal for two cones exactly when they differ
     by isomorphisms of the factors and the order of the legs.  Only the
     factors are transported: isomorphisms of the apex applied to one cone
     and not the other would move the cones against each other."""
-    return tuple(sorted(min(cat.compose(a, p) for a in isos_out[cat._cod_l[p]]) for p in cone))
+    return tuple(sorted(min(_postcomposed(cat, p)) for p in cone))
 
 
 def has_finite_srp(cat: FinCategory, oid: str, k: int) -> CheckStatus:
@@ -537,15 +537,13 @@ def has_finite_srp(cat: FinCategory, oid: str, k: int) -> CheckStatus:
     if k < 2:
         raise ValueError("max arity must be >= 2")
     x = cat.o(oid)
-    # the isomorphisms out of an object are those into it in the dual
-    isos_out = limits._isos_into(dual_of(cat))
     pairs = 0
     for m in range(2, k + 1):
         cones_m = limits.product_bases(cat, x, m)
-        keys_m = [_class_key(cat, isos_out, c) for c in cones_m]
+        keys_m = [_class_key(cat, c) for c in cones_m]
         for n_ar in range(2, k + 1):
             cones_n = cones_m if n_ar == m else limits.product_bases(cat, x, n_ar)
-            keys_n = keys_m if n_ar == m else [_class_key(cat, isos_out, c) for c in cones_n]
+            keys_n = keys_m if n_ar == m else [_class_key(cat, c) for c in cones_n]
             for ca, ka in zip(cones_m, keys_m):
                 for cb, kb in zip(cones_n, keys_n):
                     pairs += 1

@@ -516,24 +516,50 @@ def dual_of(cat: FinCategory) -> FinCategory:
 
 @cached("iso")
 def _iso_info(cat: FinCategory) -> tuple[frozenset[int], dict[int, int]]:
-    """The isomorphisms and their inverses, cached.  The inverse of f: a -> b
-    is the g in hom(b, a) with f∘g = id_b, read from rows(f)[b], and
-    g∘f = id_a, read from rows(g)[a] at f's position.  A dual made by
-    ``dual_of`` reads its primal's: f is an iso of C^op exactly when it is
-    one of C, with the same inverse."""
+    """The isomorphisms and their inverses, cached.  An inverse of f: a -> b
+    is a section g, f∘g = id_b, with g∘f = id_a, so the candidates come from
+    the split-epi index (``_sections``): the first section, the inverse when
+    f is an iso, then each later id_b in rows(f)[b], which only a table that
+    breaks the axioms can make an inverse.  A dual made by ``dual_of`` reads
+    its primal's: f is an iso of C^op exactly when it is one of C, with the
+    same inverse."""
     primal = cat._dual() if isinstance(cat._dual, weakref.ref) else None
     if primal is not None:
         return _iso_info(primal)
     dom, cod, pos, rows, ident = cat._dom_l, cat._cod_l, cat._pos, cat.rows, cat.identity_of
     inv: dict[int, int] = {}
-    for f in range(cat.n_mor):
-        a, b = dom[f], cod[f]
-        ia, ib, p = ident.get(a), ident.get(b), pos[f]
-        for g, fg in zip(cat.hom(b, a), rows(f)[b]):
-            if fg == ib and rows(g)[a][p] == ia:
-                inv[f] = g
-                break
+    for f, s in _sections(cat).items():
+        a, b, p = dom[f], cod[f], pos[f]
+        ia, r, gs, k = ident.get(a), rows(f)[b], cat.hom(b, a), pos[s]
+        try:
+            while rows(gs[k])[a][p] != ia:
+                k = r.index(ident[b], k + 1)
+        except ValueError:  # no later section
+            continue
+        inv[f] = gs[k]
     return (frozenset(inv), inv)
+
+
+@cached("iso_index")
+def _iso_index(cat: FinCategory, x: int) -> tuple[list[tuple[int, int]], list[list[tuple[int, ...]]]]:
+    """(dom i, pos i) for each isomorphism i into x and rows(j) for each
+    isomorphism j out of x, cached per object: every orbit under
+    isomorphisms is read from here, by the two readers below."""
+    n, isos, dom, pos = len(cat.objects), _iso_info(cat)[0], cat._dom_l, cat._pos
+    into = [(dom[i], pos[i]) for y in range(n) for i in cat.hom(y, x) if i in isos]
+    return into, [cat.rows(j) for y in range(n) for j in cat.hom(x, y) if j in isos]
+
+
+def _precomposed(cat: FinCategory, m: int) -> list[int]:
+    """m∘i for each isomorphism i into dom m, read from the rows of m."""
+    r = cat.rows(m)
+    return [r[y][p] for y, p in _iso_index(cat, cat._dom_l[m])[0]]
+
+
+def _postcomposed(cat: FinCategory, m: int) -> list[int]:
+    """j∘m for each isomorphism j out of cod m, read from the rows of the j."""
+    a, p = cat._dom_l[m], cat._pos[m]
+    return [r[a][p] for r in _iso_index(cat, cat._cod_l[m])[1]]
 
 
 def is_iso(cat: FinCategory, f: int) -> bool:

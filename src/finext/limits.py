@@ -36,13 +36,15 @@ the composites f_i∘p_i into the codomain's cone, and ``cotuple`` is
 
 Search order is fixed everywhere — apexes in object order, legs in hom-set
 order — so the first certified witness is deterministic and cacheable.
-A pullback along an isomorphism is not searched: it is read off the
-inverse, (id, u⁻¹∘f) for an iso u, and transported along the isos into its
-apex to the cone the search would have certified first, a minimum over
-row reads.  Any other cospan (f, u) is searched once per orbit under the
-automorphisms γ of its codomain: (γ∘f, γ∘u) has the same commuting cones,
-since γ is mono, so the search certifies the same first cone, and only the
-least pair of the orbit, read from the rows of the γ, is searched.
+Orbits under isomorphisms are read through one per-object index
+(``fincat._precomposed``: m∘i for the isos i into dom m;
+``fincat._postcomposed``: j∘m for the isos j out of cod m).  A pullback
+along an isomorphism is not searched: it is read off the inverse,
+(id, u⁻¹∘f) for an iso u, and moved to the least cone of its orbit under
+the isos into its apex, the cone the search would have certified first.
+Any other cospan (f, u) is searched once per orbit under the isos j out of
+its codomain: (j∘f, j∘u) has the same commuting cones, since j is mono, so
+the search certifies the same first cone; only the least pair is searched.
 Every answer is kept on the category by ``fincat.cached``.
 All functions speak internal integer indexes; callers translate to string
 ids at the reporting boundary.
@@ -58,6 +60,7 @@ from math import prod
 from operator import eq
 
 from .fincat import FinCategory, cached, dual_of, _epi_set, _iso_info, _is_regular_epi, _mono_set
+from .fincat import _postcomposed, _precomposed
 
 __all__ = [
     "UniversalWitness",
@@ -257,47 +260,13 @@ def _cone_universal(cat: FinCategory, p1: int, p2: int, counts: list[int]) -> bo
     )
 
 
-@cached("isos_into")
-def _isos_into(cat: FinCategory) -> dict[int, list[int]]:
-    """The isomorphisms of the category grouped by codomain, cached."""
-    index: dict[int, list[int]] = {}
-    for i in _iso_info(cat)[0]:
-        index.setdefault(cat._cod_l[i], []).append(i)
-    return index
-
-
-@cached("automorphism_rows")
-def _automorphism_rows(cat: FinCategory, x: int) -> list[list[tuple[int, ...]]]:
-    """``rows(γ)`` for each automorphism γ of x, cached per object."""
-    return [cat.rows(i) for i in _isos_into(cat).get(x, ()) if cat._dom_l[i] == x]
-
-
-def _cone_orbit(cat: FinCategory, apex: int, w1: int, w2: int) -> list[tuple[int, int]]:
-    """The cones (w1∘i, w2∘i) for i an isomorphism into ``apex``, read from
-    the rows of w1 and w2: for a pullback cone (w1, w2), every pullback cone
-    over the same cospan."""
-    r1, r2, dom, pos = cat.rows(w1), cat.rows(w2), cat._dom_l, cat._pos
-    return [(r1[dom[i]][pos[i]], r2[dom[i]][pos[i]]) for i in _isos_into(cat).get(apex, ())]
-
-
-@cached("first_iso_source")
-def _first_iso_source(cat: FinCategory, apex: int) -> tuple[int, list[int]]:
-    """y0, the first object with an isomorphism into ``apex``, read from the
-    isomorphisms' domains, since a dual keeps its primal's index order; and
-    the positions of the isomorphisms y0 -> apex.  Cached per apex."""
-    isos, dom, pos = _isos_into(cat)[apex], cat._dom_l, cat._pos
-    y = min(dom[i] for i in isos)
-    return y, [pos[i] for i in isos if dom[i] == y]
-
-
-def _least_cone(cat: FinCategory, apex: int, w1: int, w2: int) -> UniversalWitness:
-    """The least cone of ``_cone_orbit``: the apex y0 first in object order
-    with an isomorphism into ``apex``, then the least (w1∘i, w2∘i) over the
-    isomorphisms i: y0 -> apex (``_first_iso_source``); inside the hom-sets
-    out of y0, index order is hom-set order."""
-    y0, ps = _first_iso_source(cat, apex)
-    r1, r2 = cat.rows(w1)[y0], cat.rows(w2)[y0]
-    return UniversalWitness(y0, min(zip(map(r1.__getitem__, ps), map(r2.__getitem__, ps))))
+def _least_cone(cat: FinCategory, w1: int, w2: int) -> UniversalWitness:
+    """The least of the cones (w1∘i, w2∘i), i an isomorphism into the apex
+    of (w1, w2): least apex first, then least legs; inside the hom-sets
+    out of one apex, index order is hom-set order."""
+    c1 = _precomposed(cat, w1)
+    y, p1, p2 = min(zip(map(cat._dom_l.__getitem__, c1), c1, _precomposed(cat, w2)))
+    return UniversalWitness(y, (p1, p2))
 
 
 def _pullback_search(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
@@ -333,32 +302,34 @@ def pullback(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
     iso leg the pullback is (id, u⁻¹∘f), or (f⁻¹∘u, id) for an iso f, put
     into the search's canonical form: the least cone of its orbit
     (``_least_cone``).  Any other cospan is searched once per orbit under
-    the automorphisms γ of X: (γ∘f, γ∘u) has the commuting cones of (f, u),
-    since γ is mono, so the same cone counts, p1 order and fibres of γ∘u,
-    and the search certifies the same first cone.  Only the least pair
-    (γ∘f, γ∘u), read from the rows of the γ, is searched; any other pair
-    reads the least one's answer, so it is cached under both cospans."""
+    the isomorphisms j out of X: (j∘f, j∘u) has the commuting cones of
+    (f, u), since j is mono, so the same cone counts, p1 order and fibres
+    of j∘u, and the search certifies the same first cone.  Only the least
+    of (f, u) and the pairs (j∘f, j∘u), read by ``fincat._postcomposed``,
+    is searched; any other pair reads the least one's answer, so it is
+    cached under both cospans."""
     if cat._cod_l[f] != cat._cod_l[u]:
         raise ValueError("pullback needs a cospan (shared codomain)")
     isos, inv = _iso_info(cat)
-    dom, pos = cat._dom_l, cat._pos
     if u in isos:
-        a = dom[f]
-        return _least_cone(cat, a, cat.identity_of[a], cat.compose(inv[u], f))
+        return _least_cone(cat, cat.identity_of[cat._dom_l[f]], cat.compose(inv[u], f))
     if f in isos:
-        b = dom[u]
-        return _least_cone(cat, b, cat.compose(inv[f], u), cat.identity_of[b])
-    a, pf, b, pu = dom[f], pos[f], dom[u], pos[u]
-    least = min([(f, u), *((r[a][pf], r[b][pu]) for r in _automorphism_rows(cat, cat._cod_l[f]))])
+        return _least_cone(cat, cat.compose(inv[f], u), cat.identity_of[cat._dom_l[u]])
+    least = min([(f, u), *zip(_postcomposed(cat, f), _postcomposed(cat, u))])
     return _pullback_search(cat, f, u) if least == (f, u) else pullback(cat, *least)
 
 
 @cached("pullback_squares")
 def _pullback_squares(cat: FinCategory, f: int, u: int) -> frozenset[tuple[int, int]] | None:
     """Every pullback square over the cospan (f, u) as its side pair
-    (p1, p2), or None when the cospan has no pullback.  Cached per cospan."""
+    (p1, p2): (w1∘i, w2∘i) for the certified cone (w1, w2) and each
+    isomorphism i into its apex, read by ``fincat._precomposed``; None when
+    the cospan has no pullback.  Cached per cospan."""
     w = pullback(cat, f, u)
-    return None if w is None else frozenset(_cone_orbit(cat, w.apex, *w.legs))
+    if w is None:
+        return None
+    w1, w2 = w.legs
+    return frozenset(zip(_precomposed(cat, w1), _precomposed(cat, w2)))
 
 
 def is_pullback_square(cat: FinCategory, f: int, u: int, p1: int, p2: int) -> bool:

@@ -3,7 +3,7 @@
 Subobjects of an ambient object are isomorphism classes of monomorphisms:
 two monos into x are one subobject exactly when m' = m∘i for an
 isomorphism i, so each class is the orbit of its least mono under the
-isomorphisms into its domain, read from that mono's rows (`sub_classes`).
+isomorphisms into its domain (`sub_classes`, through `fincat._precomposed`).
 A relation from X to Y is a subobject of the chosen product X x Y (the
 first certified product found, so all relations on a pair share one
 ambient), held as three integers (src, tgt, least mono of its class): two
@@ -37,6 +37,7 @@ from .fincat import (
     _iso_info,
     _mono_set,
     _is_regular_epi,
+    _precomposed,
     _sections,
     dual_of,
 )
@@ -124,15 +125,14 @@ def sub_classes(cat: FinCategory, x: int) -> tuple[SubobjectClass, ...]:
 
     Two monos into x are one subobject exactly when m' = m∘i for an
     isomorphism i, so the class of m is its orbit {m∘i : i an iso into
-    dom m}, read from the rows of m.  The monos are walked in ascending
-    order and each class is made at its least member, its representative."""
-    monos, isos_into, dom, pos = _mono_set(cat), limits._isos_into(cat), cat._dom_l, cat._pos
+    dom m} (``_precomposed``).  The monos are walked in ascending order and
+    each class is made at its least member, its representative."""
+    monos = _mono_set(cat)
     claimed: set[int] = set()
     classes = []
     for m in sorted(m for y in range(len(cat.objects)) for m in cat.hom(y, x) if m in monos):
         if m not in claimed:
-            rows = cat.rows(m)
-            orbit = frozenset(rows[dom[i]][pos[i]] for i in isos_into[dom[m]])
+            orbit = frozenset(_precomposed(cat, m))
             claimed |= orbit
             classes.append(SubobjectClass(x, orbit, m))
     return tuple(classes)

@@ -18,7 +18,7 @@ These are the original formulations, kept for differential tests only:
   per leg;
 - ``pullback``: the plain search on every cospan, without reading the
   pullback along an iso leg off its inverse and without transport along
-  automorphisms of the codomain, over ``cone_counts``;
+  the isomorphisms out of the codomain, over ``cone_counts``;
 - ``cone_orbit`` and ``least_cone``: the orbit {(w1∘i, w2∘i) : i an iso
   into the apex} built as a list through ``compose``, over the isos of
   ``reference_fincat.iso_info``, and its least cone taken by sorting on

@@ -15,13 +15,19 @@ and so are the coequalisers, which must form one orbit {i∘q : i an iso
 out of the apex of q} per parallel pair.
 
 A cold cospan (f, u) with no iso leg is searched once per orbit under the
-automorphisms γ of its codomain: every (γ∘f, γ∘u) must have the pullback
-of (f, u), and ``regular_indicators`` on FinSet≤4 searches one cospan per
-orbit it meets.  The isomorphisms read from rows, the dual's read from its
-primal, the orbits read from rows and the coproduct bases read from the
-hom-count index are compared with the seed's ``compose`` scans and search
+isomorphisms γ out of its codomain: every (γ∘f, γ∘u) must have the
+pullback of (f, u), also where γ leaves its object (an inflation of
+FinSet≤3 and a thin category with isomorphic points, and their duals), and
+``regular_indicators`` on FinSet≤4 searches one cospan per orbit it meets.
+The isomorphisms read from the split-epi index, also on inflations,
+preorders, duals and fault-injected tables, the dual's read from its
+primal, the orbits read through the per-object iso index
+(``_pullback_squares``, ``_least_cone``, ``_orbit_reps``,
+``relcalc.sub_classes``) and the coproduct bases read from the hom-count
+index are compared with the seed's ``compose`` scans and search
 (``reference_fincat.iso_info``, ``reference_limits.cone_orbit`` and
-``least_cone``, ``reference_extensivity.coproduct_bases_n``).  A search
+``least_cone``, ``reference_relcalc.sub_classes``,
+``reference_extensivity.coproduct_bases_n``).  A search
 certifies a cone with p1 mono by monicity, which counts of the row walks
 in whole reports pin; the reference search keeps the plain certificate.
 """
@@ -38,11 +44,12 @@ from hypothesis import strategies as st
 import reference_extensivity
 import reference_fincat
 import reference_limits
+import reference_relcalc
 from finext import extensivity as ext
 from finext import limits
 from finext import relcalc
 from finext.algebra import build_category
-from finext.fincat import FinCategory, _iso_info, dual_of, thin_category_from_poset
+from finext.fincat import FinCategory, _iso_info, _sections, dual, dual_of, thin_category_from_poset
 from generators import inflate, lift_id, preorders
 from test_fast_paths import (
     _assert_coequalisers_match_reference,
@@ -52,6 +59,7 @@ from test_fast_paths import (
     _assert_square_table_matches_mediator,
     _assert_table_readers_match_reference,
     _cospans,
+    _mutants,
     _parallel_pairs,
 )
 
@@ -234,6 +242,19 @@ def test_orbit_index_matches_brute_force(make):
     assert ext._orbit_reps(cat) == _brute_force_reps(cat)
 
 
+def test_a_morphism_that_no_iso_reaches_is_its_own_representative():
+    """Without id_a no isomorphism reaches f: a -> b or r: b -> a, so each
+    is its own orbit and its verdict is never copied from another
+    morphism's."""
+    cat = FinCategory(
+        ["a", "b"],
+        [("f", "a", "b"), ("r", "b", "a"), ("ib", "b", "b")],
+        {"b": "ib"},
+        {("ib", "f"): "f", ("r", "ib"): "r", ("ib", "ib"): "ib", ("f", "r"): "ib"},
+    )
+    assert ext._orbit_reps(cat) == [cat.m("f"), cat.m("r"), cat.m("ib")]
+
+
 @pytest.mark.parametrize(
     "kind, n, orbits, morphisms",
     [("set", 4, 38, 499), ("mon", 3, 175, 194), ("pointed", 3, 16, 23)],
@@ -253,7 +274,7 @@ def test_each_report_entry_owns_its_details(mode):
         assert len({id(d) for d in details}) == len(details)
 
 
-# -- one search per automorphism orbit -------------------------------------------------
+# -- one search per iso orbit ----------------------------------------------------------
 
 # the verify-paper built-ins: (variety, max carrier, include_empty)
 PAPER_BUILTINS = {
@@ -267,19 +288,19 @@ PAPER_BUILTINS = {
 }
 
 
-def _automorphisms(cat: FinCategory) -> dict[int, list[int]]:
-    """The automorphisms of each object, from the seed's isomorphism scan."""
-    auts: dict[int, list[int]] = {x: [] for x in range(len(cat.objects))}
+def _isos_out(cat: FinCategory) -> dict[int, list[int]]:
+    """The isomorphisms out of each object, from the seed's isomorphism scan."""
+    out: dict[int, list[int]] = {x: [] for x in range(len(cat.objects))}
     for i in sorted(reference_fincat.iso_info(cat)[0]):
-        if cat._dom_l[i] == cat._cod_l[i]:
-            auts[cat._dom_l[i]].append(i)
-    return auts
+        out[cat._dom_l[i]].append(i)
+    return out
 
 
 def test_regular_indicators_search_once_per_automorphism_orbit(monkeypatch):
     """On FinSet≤4 the sweep meets 4,732 cold cospans with no iso leg; one
-    search per orbit of them under the automorphisms of their codomain
-    leaves 992, each on the least pair of its orbit."""
+    search per orbit of them under the isomorphisms out of their codomain,
+    here its automorphisms, leaves 992, each on the least pair of its
+    orbit."""
     cat = build_category("set", 4)[0]
     real, searched = limits._pullback_search, []
 
@@ -289,8 +310,8 @@ def test_regular_indicators_search_once_per_automorphism_orbit(monkeypatch):
 
     monkeypatch.setattr(limits, "_pullback_search", search)
     relcalc.regular_indicators(cat)
-    auts = _automorphisms(cat)
-    orbits = [{(cat.compose(g, f), cat.compose(g, u)) for g in auts[cat._cod_l[f]]} for f, u in searched]
+    isos_out = _isos_out(cat)
+    orbits = [{(cat.compose(g, f), cat.compose(g, u)) for g in isos_out[cat._cod_l[f]]} for f, u in searched]
     assert len(searched) == 992
     assert all(cospan == min(orbit) for cospan, orbit in zip(searched, orbits))
     assert len(set(map(frozenset, orbits))) == 992
@@ -322,26 +343,27 @@ def test_mono_legs_certify_pullbacks_without_the_row_walk(monkeypatch, kind, n, 
     assert counts == {"walks": walks, "searches": searches}
 
 
-def _assert_pullbacks_are_automorphism_invariant(cat: FinCategory) -> None:
+def _assert_pullbacks_are_iso_invariant(cat: FinCategory) -> None:
     """pullback(γ∘f, γ∘u) = pullback(f, u) = the plain search, for every
-    cospan and every automorphism γ of its codomain, and every witness's
-    orbit and least cone read from rows equal the ``compose``-built ones."""
-    auts = _automorphisms(cat)
+    cospan and every isomorphism γ out of its codomain, and every witness's
+    pullback squares and least cone read through the iso index equal the
+    ``compose``-built orbit and its least cone."""
+    isos_out = _isos_out(cat)
     for f, u in _cospans(cat):
         expected = reference_limits.pullback(cat, f, u)
-        for g in auts[cat._cod_l[f]]:
+        for g in isos_out[cat._cod_l[f]]:
             assert limits.pullback(cat, cat.compose(g, f), cat.compose(g, u)) == expected, (f, u, g)
         assert limits.pullback(cat, f, u) == expected, (f, u)
         if expected is not None:
             apex, (w1, w2) = expected.apex, expected.legs
-            assert limits._cone_orbit(cat, apex, w1, w2) == reference_limits.cone_orbit(cat, apex, w1, w2)
-            assert limits._least_cone(cat, apex, w1, w2) == reference_limits.least_cone(cat, apex, w1, w2)
+            assert limits._pullback_squares(cat, f, u) == frozenset(reference_limits.cone_orbit(cat, apex, w1, w2))
+            assert limits._least_cone(cat, w1, w2) == reference_limits.least_cone(cat, apex, w1, w2)
 
 
 @pytest.mark.parametrize("side", ["primal", "dual"])
 def test_pullbacks_are_invariant_under_automorphisms_of_finset3(side):
     cat = build_category("set", 3)[0]
-    _assert_pullbacks_are_automorphism_invariant(cat if side == "primal" else dual_of(cat))
+    _assert_pullbacks_are_iso_invariant(cat if side == "primal" else dual_of(cat))
 
 
 @settings(max_examples=20, deadline=None)
@@ -349,7 +371,47 @@ def test_pullbacks_are_invariant_under_automorphisms_of_finset3(side):
 def test_pullbacks_are_invariant_under_automorphisms_of_preorders(leq):
     cat = thin_category_from_poset(leq)
     for c in (cat, dual_of(cat)):
-        _assert_pullbacks_are_automorphism_invariant(c)
+        _assert_pullbacks_are_iso_invariant(c)
+
+
+# p0 ≅ p1 and p2 ≅ p3, with p0, p1 and p4 below p2 and p3: the cospan
+# (p0 -> p2, p4 -> p2) has no pullback
+ISO_POINTS = [[bool(v) for v in row] for row in [
+    [1, 1, 1, 1, 0],
+    [1, 1, 1, 1, 0],
+    [0, 0, 1, 1, 0],
+    [0, 0, 1, 1, 0],
+    [0, 0, 1, 1, 1],
+]]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: inflate(base("set3"), 2, 0), lambda: thin_category_from_poset(ISO_POINTS)],
+    ids=["set3-inflated", "iso-points"],
+)
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_orbits_that_leave_their_object_match_brute_force(monkeypatch, make, side):
+    """Where an iso leaves its object, the least pair of a cospan's orbit
+    can lie over another codomain: the pullbacks, ``_orbit_reps`` and the
+    subobject classes still equal their brute-force references, and each
+    orbit of cospans with no iso leg is searched once, on its least pair."""
+    cat = make() if side == "primal" else dual_of(make())
+    isos_out = _isos_out(cat)
+    assert any(cat._cod_l[g] != x for x, gs in isos_out.items() for g in gs)
+    real, searched = limits._pullback_search, []
+    monkeypatch.setattr(limits, "_pullback_search", lambda c, f, u: searched.append((f, u)) or real(c, f, u))
+    _assert_pullbacks_are_iso_invariant(cat)
+    isos = reference_fincat.iso_info(cat)[0]
+    orbits = {
+        frozenset((cat.compose(g, f), cat.compose(g, u)) for g in isos_out[cat._cod_l[f]])
+        for f, u in _cospans(cat)
+        if f not in isos and u not in isos
+    }
+    assert sorted(searched) == sorted(min(o) for o in orbits)
+    assert ext._orbit_reps(cat) == _brute_force_reps(cat)
+    for x in range(len(cat.objects)):
+        assert relcalc.sub_classes(cat, x) == reference_relcalc.sub_classes(cat, x), x
 
 
 # -- isomorphisms and coproduct bases against the seed's scans -------------------------
@@ -379,6 +441,33 @@ def test_isos_and_coproduct_bases_match_the_seed_on_the_builtins(label):
 @given(preorders(max_points=4))
 def test_isos_and_coproduct_bases_match_the_seed_on_preorders(leq):
     _assert_isos_and_bases_match_reference(thin_category_from_poset(leq))
+
+
+@pytest.mark.parametrize("case", [("set2", 1, 0), ("pointed3", 2, 3), ("mon2", 0, 1), ("set3", 3, 2)])
+def test_isos_and_coproduct_bases_match_the_seed_on_inflations(case):
+    name, x, pos = case
+    _assert_isos_and_bases_match_reference(inflate(base(name), x, pos))
+
+
+def test_isos_match_the_seed_on_fault_injected_tables():
+    """Under single-entry faults an iso can have a section that is no
+    inverse before the one that is: the isomorphisms and inverses still
+    equal the ``compose`` scan, on each table, its cached dual and its
+    plain dual."""
+    makes = (
+        lambda: build_category("set", 2)[0],
+        lambda: build_category("mon", 2)[0],
+        lambda: thin_category_from_poset([[True, True, True], [False, True, True], [False, False, True]]),
+    )
+    late_inverses = 0
+    for make in makes:
+        for label, data in _mutants(make()):
+            faulty = FinCategory.from_json(data)
+            for c in (faulty, dual_of(faulty), dual(faulty)):
+                isos, inv = _iso_info(c)
+                assert (isos, inv) == reference_fincat.iso_info(c), label
+                late_inverses += any(_sections(c)[f] != g for f, g in inv.items())
+    assert late_inverses > 0
 
 
 def test_a_one_sided_inverse_is_no_inverse():

@@ -21,14 +21,14 @@ import reference_propositions
 from finext import limits, propositions, relcalc
 from finext.algebra import build_category
 from finext.extensivity import CheckStatus
-from finext.fincat import FinCategory, dual_of, thin_category_from_poset
+from finext.fincat import FinCategory, dual_of, thin_category_from_poset, validate
 from finext.propositions import (
     PROPOSITION_IDS,
     EXTENSIVITY_IDS,
     RELCALC_IDS,
     proposition_suite,
 )
-from generators import inflate, preorders
+from generators import finite_limit_gaps, inflate, preorders
 
 SET3_EXPECTED = {
     "prop-composite": "pass",
@@ -314,3 +314,64 @@ def test_lemma_equals_the_reference_with_a_missing_composite():
                 for seed in range(2):
                     got = _outcome(propositions.lemma_common_coequaliser, c, seed)
                     assert got == _outcome(reference_propositions.lemma_common_coequaliser, c, seed), (gone, seed)
+
+
+# -- the smallest premise gaps ---------------------------------------------------------
+
+
+def _walking_parallel_pair() -> FinCategory:
+    """u, v: A -> B and the two identities."""
+    return FinCategory(
+        ["A", "B"],
+        [("1A", "A", "A"), ("1B", "B", "B"), ("u", "A", "B"), ("v", "A", "B")],
+        {"A": "1A", "B": "1B"},
+        {("1A", "1A"): "1A", ("1B", "1B"): "1B", ("u", "1A"): "u", ("v", "1A"): "v", ("1B", "u"): "u", ("1B", "v"): "v"},
+    )
+
+
+def _non_split_idempotent() -> FinCategory:
+    """i: 0 -> X and an idempotent e on X that does not split, e∘i = i."""
+    return FinCategory(
+        ["0", "X"],
+        [("10", "0", "0"), ("1X", "X", "X"), ("i", "0", "X"), ("e", "X", "X")],
+        {"0": "10", "X": "1X"},
+        {
+            ("10", "10"): "10", ("1X", "1X"): "1X", ("i", "10"): "i", ("1X", "i"): "i",
+            ("e", "i"): "i", ("e", "e"): "e", ("1X", "e"): "e", ("e", "1X"): "e",
+        },
+    )
+
+
+def _gaps(terminal: bool, products: int, pullbacks: int) -> dict:
+    return {"terminal": terminal, "missing_products": products, "missing_pullbacks": pullbacks}
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_barr_exact_fails_on_the_walking_parallel_pair(side):
+    """The smallest category where ``thm-barr-exact`` fails, 4 morphisms: a
+    sound table that is not finitely complete, so the Barr-exact premise
+    the check does not test is false, on both sides."""
+    cat = _walking_parallel_pair()
+    c = cat if side == "primal" else dual_of(cat)
+    assert validate(c) == []
+    assert finite_limit_gaps(c) == _gaps(False, 3, 2)
+    ((_, st),) = proposition_suite(c, ["thm-barr-exact"])
+    assert st.failed and st.witness["kind"] == "biconditional-violated"
+
+
+@pytest.mark.parametrize("side", ["primal", "dual"])
+def test_inclusion_regular_mono_fails_on_a_non_split_idempotent(side):
+    """The smallest category where ``prop-inclusion-regular-mono`` fails, 4
+    morphisms: i: 0 -> X is the coproduct inclusion of X = 0 + X and
+    equalises no pair universally: it forks (e, 1X), but so does e, which
+    does not factor through 0.  The table is sound and not finitely
+    complete; the dual does not fail."""
+    cat = _non_split_idempotent()
+    c = cat if side == "primal" else dual_of(cat)
+    assert validate(c) == []
+    assert finite_limit_gaps(c) == (_gaps(False, 1, 1) if side == "primal" else _gaps(True, 1, 2))
+    ((_, st),) = proposition_suite(c, ["prop-inclusion-regular-mono"])
+    if side == "primal":
+        assert st.failed and st.witness == {"kind": "inclusion-not-regular-mono", "morphism": "i"}
+    else:
+        assert not st.failed
