@@ -23,8 +23,8 @@ every id assigned downstream is deterministic.
 ``category_from_algebras`` composes function tables as byte strings: with
 ft and gt as ``bytes``, gt∘ft is ``ft.translate(gt padded to 256 bytes)``,
 so each row of the composition table is filled by ``map`` in C and read back
-to ids through one bytes -> id dict per hom-set; each distinct row is built
-once and its tuple shared by every (g, source) that has it.  This bounds
+to hom-set positions through one bytes -> position dict per hom-set; each
+distinct row is built once, and one tuple table-wide holds it.  This bounds
 every carrier by 256 elements; ``load_category`` reports a larger one as an
 error.
 """
@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .fincat import CategoryDataError, FinCategory
 
@@ -47,6 +47,7 @@ __all__ = [
     "enumerate_structures",
     "enumerate_homs",
     "build_category",
+    "enumerate_hom_sets",
     "category_from_algebras",
     "dump_category",
     "load_category",
@@ -497,31 +498,35 @@ def build_category(
     return category_from_algebras(kind, algs, max_size=max_size)
 
 
-def category_from_algebras(
+class HomSets(NamedTuple):
+    """The objects and morphisms of a category of structures, before its
+    composition table is filled: morphism i runs dom[i] -> cod[i], and
+    homs[a, b] maps each function table of hom(a, b), as ``bytes``, to its
+    morphism's index."""
+
+    uni: Universe
+    names: list[str]
+    mor_ids: list[str]
+    dom: list[int]
+    cod: list[int]
+    identity_of: dict[int, int]
+    homs: dict[tuple[int, int], dict[bytes, int]]
+    max_size: int
+
+
+def enumerate_hom_sets(
     kind: str,
     algs: Sequence[FinAlgebra],
     names: Sequence[str] | None = None,
     max_size: int | None = None,
-) -> tuple[FinCategory, Universe]:
-    """The full category on an explicit list of structures, with every hom
-    between them.  Morphism ids: ``dom>cod#K`` with K the position of the
-    function table in lexicographic order.
-
-    Built from integer data: morphisms are numbered hom-set by hom-set in
-    (dom, cod) order and by K inside each, which is the (dom, cod, id) order
-    ``FinCategory`` sorts string input into (while K has four digits).  So
-    the id of g∘f is the first id of hom(a, c) plus the position K of the
-    table gt∘ft in that hom-set.
-
-    Each function table is held as ``bytes`` here (``uni.maps`` keeps the
-    tuples), so gt∘ft is ``ft.translate(gt)`` with gt padded to 256 bytes,
-    and a row of the composition table is one ``map`` over hom(a, dom g)
-    run in C, read back to ids through hom(a, c)'s bytes -> id dict, and
-    equal rows of one (a, c) are one shared tuple.  Hence
-    a carrier may have at most 256 elements; a larger one raises
+) -> HomSets:
+    """Every hom between the structures of an explicit list, numbered
+    hom-set by hom-set in (dom, cod) order, and by the position K of the
+    function table in lexicographic order inside each; morphism ids are
+    ``dom>cod#K``.  A carrier above 256 elements raises
     ``CategoryDataError``, and so does a category past the enumeration
     budget: the hom-sets are enumerated only up to ``MAX_MORPHISMS``
-    morphisms in all, and the table is filled only for at most
+    morphisms in all, and only when the table would hold at most
     ``MAX_COMPOSABLE_PAIRS`` composable pairs."""
     if names is None:
         names = default_names(kind, algs)
@@ -556,15 +561,46 @@ def category_from_algebras(
     pairs = sum(out_of[b] * into[b] for b in range(n))
     if pairs > MAX_COMPOSABLE_PAIRS:
         raise CategoryDataError(f"{pairs} composable pairs: above the enumeration budget of {MAX_COMPOSABLE_PAIRS}")
+    return HomSets(uni, list(names), mor_ids, dom, cod, identity_of, homs, max_size)
 
-    # rows[g][a]: the id of gt∘ft for each ft in hom(a, dom g).  Every byte
-    # of ft is below |dom g| = len(gt), so gt's padding to a translation
-    # table is never read.  The tables of hom(a, b), joined, translate
-    # through gt in one call to the tables of every gt∘ft in hom-set order:
-    # given (a, c) that key fixes the row, so each distinct row is built
-    # once and its tuple shared, through one dict per (a, c) dropped before
-    # the next.  A carrier of size 0 has the one empty table into each
-    # object, so there the key b"" never stands for an empty hom-set.
+
+def category_from_algebras(
+    kind: str,
+    algs: Sequence[FinAlgebra],
+    names: Sequence[str] | None = None,
+    max_size: int | None = None,
+) -> tuple[FinCategory, Universe]:
+    """The full category on an explicit list of structures, with every hom
+    between them (``enumerate_hom_sets``, which raises past the enumeration
+    budget).
+
+    Morphisms are numbered in (dom, cod) order and by K inside each
+    hom-set, which is the (dom, cod, id) order ``FinCategory`` sorts string
+    input into (while K has four digits).  So the position of g∘f in hom(a,
+    c), the entry its row holds, is the position K of the table gt∘ft in
+    that hom-set.
+
+    Each function table is held as ``bytes`` here (``uni.maps`` keeps the
+    tuples), so gt∘ft is ``ft.translate(gt)`` with gt padded to 256 bytes,
+    and a row of the composition table is one ``map`` over hom(a, dom g)
+    run in C, read back to positions through hom(a, c)'s bytes -> position
+    dict.  Equal rows, and equal tuples of a morphism's rows, are one tuple
+    table-wide, interned through the store the category keeps.  Hence a
+    carrier may have at most 256 elements."""
+    uni, names, mor_ids, dom, cod, identity_of, homs, max_size = enumerate_hom_sets(kind, algs, names, max_size)
+    n = len(names)
+
+    # rows[g][a]: the position of gt∘ft in hom(a, c) for each ft in hom(a,
+    # dom g), c = cod g.  Every byte of ft is below |dom g| = len(gt), so
+    # gt's padding to a translation table is never read.  The tables of
+    # hom(a, b), joined, translate through gt in one call to the tables of
+    # every gt∘ft in hom-set order: given (a, c) that key fixes the row, so
+    # each distinct row is built once, through one dict per (a, c) dropped
+    # before the next, and interned.  A carrier of size 0 has the one empty
+    # table into each object, so there the key b"" never stands for an
+    # empty hom-set.
+    interned: dict[tuple, tuple] = {}
+    keep = interned.setdefault
     rows = [[()] * n for _ in mor_ids]
     fts = {ab: list(h) for ab, h in homs.items()}
     joined = {ab: b"".join(h) for ab, h in fts.items()}
@@ -572,18 +608,22 @@ def category_from_algebras(
     translate, repeat = bytes.translate, itertools.repeat
     for a in range(n):
         for c in range(n):
-            ac, seen = homs[a, c].__getitem__, {}
+            ac, seen = {t: k for k, t in enumerate(homs[a, c])}.__getitem__, {}
             for b in range(n):
                 ab, key_of = fts[a, b], joined[a, b].translate
                 for gtab, row in gs[b, c]:
                     key = key_of(gtab)
                     r = seen.get(key)
                     if r is None:
-                        r = seen[key] = tuple(map(ac, map(translate, ab, repeat(gtab))))
+                        r = tuple(map(ac, map(translate, ab, repeat(gtab))))
+                        r = seen[key] = keep(r, r)
                     row[a] = r
+    del gs  # each list of rows becomes its interned tuple in place
+    for g, rs in enumerate(map(tuple, rows)):
+        rows[g] = keep(rs, rs)
 
     meta = {"kind": kind, "max_size": max_size, "sizes": {x: uni.algebras[x].size for x in names}}
-    return FinCategory._of_ints(names, mor_ids, dom, cod, identity_of, rows, meta), uni
+    return FinCategory._of_ints(names, mor_ids, dom, cod, identity_of, rows, meta, interned=interned), uni
 
 
 # -- category files -----------------------------------------------------------

@@ -36,6 +36,7 @@ from .algebra import (
     build_category,
     category_from_algebras,
     dump_category,
+    enumerate_hom_sets,
     enumerate_structures,
     load_category,
 )
@@ -203,8 +204,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    cat, _uni = category_from_algebras(variety, algs)
-    print(f"wrote {path}: {len(cat.objects)} objects, {cat.n_mor} morphisms")
+    homs = enumerate_hom_sets(variety, algs)  # the counts need no composition table
+    print(f"wrote {path}: {len(homs.names)} objects, {len(homs.mor_ids)} morphisms")
     return 0
 
 

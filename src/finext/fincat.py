@@ -16,11 +16,17 @@ Morphism and object ids are strings at the boundary; internally both are
 dense integer indexes, every hom-set is a run of consecutive indexes, and
 every category, its dual included, is set up from integer data by one
 core.  The composition table is stored as rows: ``rows(g)`` holds g∘t for
-each t into dom g, one tuple per source object, -1 where there is no
-entry.  Rows may be shared tuples: a builder may hand equal rows of
-several (g, source) the one tuple, so no code may rely on a row's
-identity or mutate it.  A primal and its dual share their tables: each
-one's columns are the other's rows.
+each t into dom g, one tuple per source object a, and each entry is the
+position of g∘t in hom(a, cod g): its global id minus ``start(a, cod g)``,
+the index of the first morphism of that hom-set.  The same subtraction
+stores a missing entry (id -1) and a mistyped composite (an id outside the
+hom-set), so start plus entry reads back every id of a malformed table.
+A row of positions does not depend on the hom-set it serves, so equal rows
+are one tuple table-wide: every builder interns its rows, and each
+morphism's tuple of rows, through one store (``_interned``) that a
+category shares with its dual, as ``cols`` does the columns it gathers.
+No code may rely on a row's identity or mutate it.  A primal and its dual
+share their tables: each one's columns are the other's rows.
 """
 
 from __future__ import annotations
@@ -126,9 +132,13 @@ class FinCategory:
 
         dom, cod = [obj_index[m[1]] for m in ordered], [obj_index[m[2]] for m in ordered]
         self._setup(objects, mor_ids, dom, cod, identity_of, [None] * len(mor_ids), dict(metadata or {}), extra=comp)
-        # composable entries move into the rows; pairs that do not compose stay
+        # composable entries move into the rows as positions, -1 where
+        # missing; pairs that do not compose stay
+        keep = self._interned.setdefault
         for g, x in enumerate(dom):
-            self._rows[g] = [tuple([comp.pop((g, t), -1) for t in range(*span)]) for span in self._spans[x]]
+            spans = zip(self._start[cod[g]], self._spans[x])
+            rs = tuple([keep(r, r) for r in [tuple([comp.pop((g, t), -1) - lo for t in range(*s)]) for lo, s in spans]])
+            self._rows[g] = keep(rs, rs)
 
     @classmethod
     def _of_ints(cls, *args: Any, **kwargs: Any) -> "FinCategory":
@@ -140,14 +150,16 @@ class FinCategory:
     def _setup(
         self, objects: Sequence[str], mor_ids: Sequence[str], dom: list[int], cod: list[int], identity_of: dict[int, int],
         rows: list, metadata: dict[str, Any], cols: list | None = None, extra: dict[tuple[int, int], int] | None = None,
+        interned: dict[tuple, tuple] | None = None,
     ) -> None:
         """The integer core every category goes through: morphism i runs
         dom[i] -> cod[i], ``rows[g]`` is ``rows(g)`` and ``cols[f]`` is
         ``cols(f)``, or None to be gathered from the other, complete table.
         ``extra`` holds the entries (g, f) -> g∘f of pairs that do not
-        compose.  ``validate`` checks the table; that every hom-set is a run
-        of consecutive indexes, which the rows are laid out by, is checked
-        here."""
+        compose, and ``interned`` the store the rows were interned through,
+        which the columns gathered here join.  ``validate`` checks the
+        table; that every hom-set is a run of consecutive indexes, which the
+        rows are laid out by, is checked here."""
         self.objects: tuple[str, ...] = tuple(objects)
         self.obj_index: dict[str, int] = {x: i for i, x in enumerate(self.objects)}
         if len(self.obj_index) != len(self.objects):
@@ -161,9 +173,10 @@ class FinCategory:
         self._dom_l, self._cod_l = dom, cod
         self.identity_of = identity_of
         self.identity_set = frozenset(identity_of.values())
-        self._rows: list[list[tuple[int, ...]] | None] = rows
-        self._cols: list[list[tuple[int, ...]] | None] = [None] * M if cols is None else cols
+        self._rows: list[tuple[tuple[int, ...], ...] | None] = rows
+        self._cols: list[tuple[tuple[int, ...], ...] | None] = [None] * M if cols is None else cols
         self._extra = {} if extra is None else extra
+        self._interned: dict[tuple, tuple] = {} if interned is None else interned
         self.metadata = metadata
 
         # hom-sets as ascending int lists, each morphism's position in its
@@ -188,6 +201,9 @@ class FinCategory:
         self._spans = [
             [(ms[0], ms[-1] + 1) if (ms := hom.get(y * n + x)) else (0, 0) for y in range(n)] for x in range(n)
         ]
+        # _start[c][a] = start(a, c), which a row entry into hom(a, c) is
+        # the position from
+        self._start = [[lo for lo, _ in s] for s in self._spans]
 
         self._cache: dict[str, Any] = {}
         # set by ``dual_of``: the dual on the category that built it, a weak
@@ -199,37 +215,49 @@ class FinCategory:
     def hom(self, a: int, b: int) -> list[int]:
         return self._hom.get(a * len(self.objects) + b, [])
 
+    def start(self, a: int, c: int) -> int:
+        """The index of the first morphism of hom(a, c), 0 when it is empty:
+        the global id of an entry of a row into hom(a, c) is start plus the
+        entry, -1 where the table has no entry."""
+        return self._start[c][a]
+
     def compose(self, g: int, f: int) -> int | None:
         """g∘f (f first), or None if not in the table.  Read off cols(f) while g's row is not stored."""
         if self._cod_l[f] != self._dom_l[g]:
             return self._extra.get((g, f))
-        r = self._rows[g]
-        gf = r[self._dom_l[f]][self._pos[f]] if r else self._cols[f][self._cod_l[g]][self._pos[g]]
+        a, c, r = self._dom_l[f], self._cod_l[g], self._rows[g]
+        gf = self._start[c][a] + (r[a][self._pos[f]] if r else self._cols[f][c][self._pos[g]])
         return None if gf < 0 else gf
 
-    def rows(self, g: int) -> list[tuple[int, ...]]:
+    def rows(self, g: int) -> tuple[tuple[int, ...], ...]:
         """g∘t for each t in hom(y, dom g), one tuple per source object y, in
-        hom-set order, -1 where the table has no entry."""
+        hom-set order, each as its position in hom(y, cod g): ``start(y,
+        cod g)`` plus the entry is the id, -1 where the table has no entry."""
         return self._rows[g] or self._gather(g, self._spans[self._dom_l[g]], self._cod_l[g], self._cols, self._rows)
 
-    def cols(self, f: int) -> list[tuple[int, ...]]:
+    def cols(self, f: int) -> tuple[tuple[int, ...], ...]:
         """t∘f for each t in hom(cod f, z), one tuple per target object z, in
-        hom-set order: the rows of f in the dual."""
+        hom-set order, each as its position in hom(dom f, z): the rows of f
+        in the dual."""
         b = self._cod_l[f]
         return self._cols[f] or self._gather(f, [s[b] for s in self._spans], self._dom_l[f], self._rows, self._cols)
 
-    def _gather(self, m: int, spans: list, x: int, other: list, table: list) -> list[tuple[int, ...]]:
+    def _gather(self, m: int, spans: list, x: int, other: list, table: list) -> tuple[tuple[int, ...], ...]:
         """m's row or column read off the other, complete table: other[t][x]
-        at m's position for each t in each span, published in one assignment."""
-        p = self._pos[m]
-        got = table[m] = [tuple([other[t][x][p] for t in range(*span)]) for span in spans]
+        at m's position for each t in each span, interned and published in
+        one assignment.  The entries are copied as they are: both tables
+        hold a composite as its position in the one hom-set it lies in."""
+        p, keep = self._pos[m], self._interned.setdefault
+        got = tuple([keep(r, r) for r in [tuple([other[t][x][p] for t in range(*span)]) for span in spans]])
+        got = table[m] = keep(got, got)
         return got
 
     def block(self, a: int, b: int, c: int) -> tuple[tuple[int, ...], ...]:
         """Composition block over hom(b,c) x hom(a,b): the row from a of each
-        g in hom(b,c), holding the global id of g∘f for each f in hom(a,b),
+        g in hom(b,c), read as the global id of g∘f for each f in hom(a,b),
         or -1 where the table has no entry."""
-        return tuple([self.rows(g)[a] for g in self.hom(b, c)])
+        lo = self._start[c][a]
+        return tuple([tuple([lo + p for p in self.rows(g)[a]]) for g in self.hom(b, c)])
 
     def pos_in_hom(self, m: int) -> int:
         """Position of m in its hom-set list."""
@@ -239,16 +267,18 @@ class FinCategory:
     def postcompose_fibers(self, g: int, src: int) -> dict[int, list[int]]:
         """For g: B->C, the fibers of hom(src,B) -> hom(src,C), t |-> g∘t."""
         fib: dict[int, list[int]] = {}
+        lo = self._start[self._cod_l[g]][src]
         for t, gt in zip(self.hom(src, self._dom_l[g]), self.rows(g)[src]):
-            fib.setdefault(gt, []).append(t)
+            fib.setdefault(lo + gt, []).append(t)
         return fib
 
     @cached("pre_fibers")
     def precompose_fibers(self, f: int, dst: int) -> dict[int, list[int]]:
         """For f: A->B, the fibers of hom(B,dst) -> hom(A,dst), t |-> t∘f."""
         fib: dict[int, list[int]] = {}
+        lo = self._start[dst][self._dom_l[f]]
         for t, tf in zip(self.hom(self._cod_l[f], dst), self.cols(f)[dst]):
-            fib.setdefault(tf, []).append(t)
+            fib.setdefault(lo + tf, []).append(t)
         return fib
 
     # -- string-id conveniences ------------------------------------------
@@ -280,8 +310,8 @@ class FinCategory:
         """The category by ids; composition entries in (g, f) index order."""
         entries = [(g, f, v) for (g, f), v in self._extra.items()]
         for g, x in enumerate(self._dom_l):
-            for (lo, hi), r in zip(self._spans[x], self.rows(g)):
-                entries += [(g, f, v) for f, v in zip(range(lo, hi), r) if v >= 0]
+            for (lo, hi), s, r in zip(self._spans[x], self._start[self._cod_l[g]], self.rows(g)):
+                entries += [(g, f, s + p) for f, p in zip(range(lo, hi), r) if s + p >= 0]
         return {
             "objects": list(self.objects),
             "morphisms": [
@@ -318,7 +348,7 @@ def _generating_set(cat: FinCategory) -> list[int]:
     member of S on each side, never rebuilt.  Every element enters as an
     identity, a member of S, or a composite of a member of S with an
     earlier element, which is what Light's test needs."""
-    dom, cod, pos, rows = cat._dom_l, cat._cod_l, cat._pos, cat.rows
+    dom, cod, pos, rows, start = cat._dom_l, cat._cod_l, cat._pos, cat.rows, cat._start
     n = len(cat.objects)
     seen = bytearray(cat._M)
     for e in cat.identity_set:
@@ -336,9 +366,12 @@ def _generating_set(cat: FinCategory) -> list[int]:
         todo = [m]
         while todo:
             y = todo.pop()
-            a, p, y_rows = dom[y], pos[y], rows(y)
+            a, p, y_rows, y_start = dom[y], pos[y], rows(y), start[cod[y]]
             # x∘y for x out of cod y, then y∘x for x into dom y
-            for z in chain([rows(x)[a][p] for x in out_of[cod[y]]], [y_rows[dom[x]][pos[x]] for x in into[a]]):
+            for z in chain(
+                [start[cod[x]][a] + rows(x)[a][p] for x in out_of[cod[y]]],
+                [y_start[dom[x]] + y_rows[dom[x]][pos[x]] for x in into[a]],
+            ):
                 if not seen[z]:
                     seen[z] = 1
                     todo.append(z)
@@ -348,19 +381,19 @@ def _generating_set(cat: FinCategory) -> list[int]:
 def _associative_through(cat: FinCategory, gens: Sequence[int]) -> bool:
     """Whether (h∘g)∘f = h∘(g∘f) for every g in ``gens`` and every
     composable h and f, on a total, well-typed table.  Per (g, h) and source
-    object a, the row h∘(g∘-) is rows(h)[a] read at the positions of
-    rows(g)[a], compared at once with rows(h∘g)[a]."""
-    dom, cod, pos, rows = cat._dom_l, cat._cod_l, cat._pos, cat.rows
-    get = pos.__getitem__
+    object a, the row h∘(g∘-) is rows(h)[a] read at the positions
+    rows(g)[a] holds, compared at once with rows(h∘g)[a]."""
+    dom, cod, pos, rows, start = cat._dom_l, cat._cod_l, cat._pos, cat.rows, cat._start
     for g in gens:
         b, p = dom[g], pos[g]
-        g_pos = [(a, list(map(get, r))) for a, r in enumerate(rows(g)) if r]
+        g_rows = [(a, r) for a, r in enumerate(rows(g)) if r]
         for d in range(len(cat.objects)):
+            lo = start[d][b]
             for h in cat.hom(cod[g], d):
                 h_rows = rows(h)
-                hg_rows = rows(h_rows[b][p])
-                for a, ps in g_pos:
-                    if tuple(map(h_rows[a].__getitem__, ps)) != hg_rows[a]:
+                hg_rows = rows(lo + h_rows[b][p])
+                for a, r in g_rows:
+                    if tuple(map(h_rows[a].__getitem__, r)) != hg_rows[a]:
                         return False
     return True
 
@@ -371,25 +404,27 @@ def _associativity_walk(cat: FinCategory, out: list[Violation], max_violations: 
     in all.  A missing or mistyped g∘f or h∘g, or a missing outer composite,
     masks the triples it enters: the composition-table scans report it."""
     n, ids = len(cat.objects), cat.mor_ids
-    dom, cod, pos, rows = cat._dom_l, cat._cod_l, cat._pos, cat.rows
+    dom, cod, pos, rows, start = cat._dom_l, cat._cod_l, cat._pos, cat.rows, cat._start
     for a in range(n):
         for b in range(n):
             fs = cat.hom(a, b)
             if not fs:
                 continue
             for c in range(n):
-                gs = cat.hom(b, c)
+                gs, ac = cat.hom(b, c), start[c][a]
                 for d in range(n):
+                    bd, ad = start[d][b], start[d][a]
                     for h in cat.hom(c, d):
                         h_rows = rows(h)
                         for g in gs:
-                            hg = h_rows[b][pos[g]]
+                            hg = bd + h_rows[b][pos[g]]
                             if hg < 0 or dom[hg] != b or cod[hg] != d:
                                 continue
                             for f, gf, hg_f in zip(fs, rows(g)[a], rows(hg)[a]):
+                                gf, hg_f = ac + gf, ad + hg_f
                                 if gf < 0 or dom[gf] != a or cod[gf] != c:
                                     continue
-                                h_gf = h_rows[a][pos[gf]]
+                                h_gf = ad + h_rows[a][pos[gf]]
                                 if h_gf != hg_f and h_gf >= 0 and hg_f >= 0:
                                     out.append(Violation("assoc", {"h": ids[h], "g": ids[g], "f": ids[f]}))
                                     if len(out) >= max_violations:
@@ -429,13 +464,14 @@ def validate(cat: FinCategory, max_violations: int = 50) -> list[Violation]:
             out.append(Violation("identity-typing", {"object": cat.objects[x], "id": cat.mor_ids[i]}))
 
     # composition: an entry for a pair that does not compose is extraneous,
-    # and a row entry outside hom(a, cod g) is mistyped, or missing if -1
+    # and a row entry outside hom(a, cod g) is mistyped, or missing if its
+    # id is -1
     bad: list[tuple[int, int, int | None]] = [(g, f, None) for g, f in cat._extra]
     spans = cat._spans
     for g in range(M):
         for (lo, hi), (f_lo, _), r in zip(spans[cod[g]], spans[dom[g]], cat.rows(g)):
-            if r and (min(r) < lo or max(r) >= hi):
-                bad += [(g, f, v) for f, v in enumerate(r, f_lo) if not lo <= v < hi]
+            if r and (min(r) < 0 or max(r) >= hi - lo):
+                bad += [(g, f, lo + p) for f, p in enumerate(r, f_lo) if not 0 <= p < hi - lo]
     for g, f, v in sorted(bad, key=lambda e: e[:2]):
         ids = {"g": cat.mor_ids[g], "f": cat.mor_ids[f]}
         if v is None:
@@ -491,7 +527,8 @@ def dual(cat: FinCategory) -> FinCategory:
         meta["kind"] = kind[5:] if kind.startswith("dual-") else f"dual-{kind}"
     extra = {(f, g): gf for (g, f), gf in cat._extra.items()}
     return FinCategory._of_ints(
-        cat.objects, cat.mor_ids, cat._cod_l, cat._dom_l, cat.identity_of, cat._cols, meta, cat._rows, extra
+        cat.objects, cat.mor_ids, cat._cod_l, cat._dom_l, cat.identity_of, cat._cols, meta, cat._rows, extra,
+        cat._interned,
     )
 
 
@@ -527,13 +564,16 @@ def _iso_info(cat: FinCategory) -> tuple[frozenset[int], dict[int, int]]:
     if primal is not None:
         return _iso_info(primal)
     dom, cod, pos, rows, ident = cat._dom_l, cat._cod_l, cat._pos, cat.rows, cat.identity_of
+    start = cat._start
     inv: dict[int, int] = {}
     for f, s in _sections(cat).items():
         a, b, p = dom[f], cod[f], pos[f]
-        ia, r, gs, k = ident.get(a), rows(f)[b], cat.hom(b, a), pos[s]
+        # id_a and id_b as the entries that rows into hom(a, a) and hom(b, b) hold
+        ia = ident[a] - start[a][a] if a in ident else None
+        ib, r, gs, k = ident[b] - start[b][b], rows(f)[b], cat.hom(b, a), pos[s]
         try:
             while rows(gs[k])[a][p] != ia:
-                k = r.index(ident[b], k + 1)
+                k = r.index(ib, k + 1)
         except ValueError:  # no later section
             continue
         inv[f] = gs[k]
@@ -541,25 +581,33 @@ def _iso_info(cat: FinCategory) -> tuple[frozenset[int], dict[int, int]]:
 
 
 @cached("iso_index")
-def _iso_index(cat: FinCategory, x: int) -> tuple[list[tuple[int, int]], list[list[tuple[int, ...]]]]:
-    """(dom i, pos i) for each isomorphism i into x and rows(j) for each
-    isomorphism j out of x, cached per object: every orbit under
-    isomorphisms is read from here, by the two readers below."""
+def _iso_index(cat: FinCategory, x: int) -> tuple[list[tuple[int, int]], list[tuple[tuple, list[int]]]]:
+    """(dom i, pos i) for each isomorphism i into x, and rows(j) with the
+    starts of the hom-sets into cod j for each isomorphism j out of x,
+    cached per object: every orbit under isomorphisms is read from here,
+    by the readers below."""
     n, isos, dom, pos = len(cat.objects), _iso_info(cat)[0], cat._dom_l, cat._pos
     into = [(dom[i], pos[i]) for y in range(n) for i in cat.hom(y, x) if i in isos]
-    return into, [cat.rows(j) for y in range(n) for j in cat.hom(x, y) if j in isos]
+    return into, [(cat.rows(j), cat._start[y]) for y in range(n) for j in cat.hom(x, y) if j in isos]
 
 
 def _precomposed(cat: FinCategory, m: int) -> list[int]:
     """m∘i for each isomorphism i into dom m, read from the rows of m."""
-    r = cat.rows(m)
-    return [r[y][p] for y, p in _iso_index(cat, cat._dom_l[m])[0]]
+    r, start = cat.rows(m), cat._start[cat._cod_l[m]]
+    return [start[y] + r[y][p] for y, p in _iso_index(cat, cat._dom_l[m])[0]]
 
 
 def _postcomposed(cat: FinCategory, m: int) -> list[int]:
     """j∘m for each isomorphism j out of cod m, read from the rows of the j."""
     a, p = cat._dom_l[m], cat._pos[m]
-    return [r[a][p] for r in _iso_index(cat, cat._cod_l[m])[1]]
+    return [start[a] + r[a][p] for r, start in _iso_index(cat, cat._cod_l[m])[1]]
+
+
+def _postcomposed_pairs(cat: FinCategory, f: int, u: int) -> list[tuple[int, int]]:
+    """(j∘f, j∘u) for each isomorphism j out of the codomain that f and u
+    share: ``_postcomposed`` of both, through one read of the index."""
+    a, b, pf, pu = cat._dom_l[f], cat._dom_l[u], cat._pos[f], cat._pos[u]
+    return [(start[a] + r[a][pf], start[b] + r[b][pu]) for r, start in _iso_index(cat, cat._cod_l[f])[1]]
 
 
 def is_iso(cat: FinCategory, f: int) -> bool:
@@ -585,8 +633,11 @@ def _sections(cat: FinCategory) -> dict[int, int]:
     out: dict[int, int] = {}
     for f in range(cat.n_mor):
         a, b = cat._dom_l[f], cat._cod_l[f]
-        r, ib = cat.rows(f)[b], cat.identity_of.get(b)
-        if ib in r:  # a missing id_b (None) is in no row
+        ib = cat.identity_of.get(b)
+        if ib is None:  # a missing id_b is in no row
+            continue
+        r, ib = cat.rows(f)[b], ib - cat._start[b][b]
+        if ib in r:
             out[f] = cat.hom(b, a)[r.index(ib)]
     return out
 
@@ -602,7 +653,8 @@ def _extremal_epi_set(cat: FinCategory) -> frozenset[int]:
     for m in _mono_set(cat):
         if m in isos:
             continue
-        excluded.update(chain.from_iterable(cat.rows(m)))
+        for lo, r in zip(cat._start[cat._cod_l[m]], cat.rows(m)):
+            excluded.update(map(lo.__add__, r))
     return frozenset(set(range(cat.n_mor)) - excluded)
 
 
@@ -649,12 +701,16 @@ def thin_category_from_poset(leq: Sequence[Sequence[bool]], names: Sequence[str]
     names = list(names) if names is not None else [f"p{i}" for i in range(n)]
     arrows = [(i, j) for i in range(n) for j in range(n) if leq[i][j]]  # in (dom, cod) order
     index = {a: k for k, a in enumerate(arrows)}
-    try:
-        # the row of j<=k from i holds i<=k when i <= j
-        rows = [[(index[i, k],) if leq[i][j] else () for i in range(n)] for j, k in arrows]
-    except KeyError:
-        raise CategoryDataError("the order relation is not transitive") from None
+    if any(leq[i][j] and not leq[i][k] for j, k in arrows for i in range(n)):
+        raise CategoryDataError("the order relation is not transitive")
+    # the row of j<=k from i holds i<=k, position 0 of its hom-set, when
+    # i <= j; each distinct tuple of rows is one tuple
+    interned: dict[tuple, tuple] = {}
+    keep = interned.setdefault
+    one, none = keep((0,), (0,)), keep((), ())
+    rows = [keep(rs, rs) for rs in (tuple([one if leq[i][j] else none for i in range(n)]) for j, _ in arrows)]
     mor_ids = [f"{names[i]}<={names[j]}" for i, j in arrows]
     identity_of = {i: index[i, i] for i in range(n) if leq[i][i]}
     dom, cod = [i for i, _ in arrows], [j for _, j in arrows]
-    return FinCategory._of_ints(names, mor_ids, dom, cod, identity_of, rows, {"kind": "poset-as-category"})
+    meta = {"kind": "poset-as-category"}
+    return FinCategory._of_ints(names, mor_ids, dom, cod, identity_of, rows, meta, interned=interned)

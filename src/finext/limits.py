@@ -9,9 +9,13 @@ comparison plus an injectivity scan.  The cardinalities are compared once
 per arity, by an index that groups the tuples of objects by the pointwise
 product of their hom-count rows and is read at X's row (``_parts_index``).
 The scan (``_cocone_injective``) reads the composites of each leg as one
-list of id tuples, one per object (``FinCategory.cols``), and counts
-distinct leg tuples in a Python set.  The certified cocones with apex X are
-searched once per (apex, arity) (``coproduct_bases``).  Whether given legs
+tuple of rows, one per object (``FinCategory.cols``), and counts distinct
+leg tuples in a Python set.  A row holds positions in one hom-set, so two
+composites into it are equal exactly when their entries are, and every
+count below compares entries as they are; only a composite handed out as
+a morphism adds its hom-set's start (``FinCategory.start``).  The
+certified cocones with apex X are searched once per (apex, arity)
+(``coproduct_bases``).  Whether given legs
 form a coproduct, the first coproduct of two objects and the set of
 coproduct inclusions are lookups in these bases, not certified again.
 
@@ -38,7 +42,8 @@ Search order is fixed everywhere — apexes in object order, legs in hom-set
 order — so the first certified witness is deterministic and cacheable.
 Orbits under isomorphisms are read through one per-object index
 (``fincat._precomposed``: m∘i for the isos i into dom m;
-``fincat._postcomposed``: j∘m for the isos j out of cod m).  A pullback
+``fincat._postcomposed_pairs``: (j∘f, j∘u) for the isos j out of the
+codomain of a cospan).  A pullback
 along an isomorphism is not searched: it is read off the inverse,
 (id, u⁻¹∘f) for an iso u, and moved to the least cone of its orbit under
 the isos into its apex, the cone the search would have certified first.
@@ -60,7 +65,7 @@ from math import prod
 from operator import eq
 
 from .fincat import FinCategory, cached, dual_of, _epi_set, _iso_info, _is_regular_epi, _mono_set
-from .fincat import _postcomposed, _precomposed
+from .fincat import _postcomposed_pairs, _precomposed
 
 __all__ = [
     "UniversalWitness",
@@ -305,9 +310,9 @@ def pullback(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
     the isomorphisms j out of X: (j∘f, j∘u) has the commuting cones of
     (f, u), since j is mono, so the same cone counts, p1 order and fibres
     of j∘u, and the search certifies the same first cone.  Only the least
-    of (f, u) and the pairs (j∘f, j∘u), read by ``fincat._postcomposed``,
-    is searched; any other pair reads the least one's answer, so it is
-    cached under both cospans."""
+    of (f, u) and the pairs (j∘f, j∘u), read for both legs at once by
+    ``fincat._postcomposed_pairs``, is searched; any other pair reads the
+    least one's answer, so it is cached under both cospans."""
     if cat._cod_l[f] != cat._cod_l[u]:
         raise ValueError("pullback needs a cospan (shared codomain)")
     isos, inv = _iso_info(cat)
@@ -315,7 +320,7 @@ def pullback(cat: FinCategory, f: int, u: int) -> UniversalWitness | None:
         return _least_cone(cat, cat.identity_of[cat._dom_l[f]], cat.compose(inv[u], f))
     if f in isos:
         return _least_cone(cat, cat.compose(inv[f], u), cat.identity_of[cat._dom_l[u]])
-    least = min([(f, u), *zip(_postcomposed(cat, f), _postcomposed(cat, u))])
+    least = min([(f, u), *_postcomposed_pairs(cat, f, u)])
     return _pullback_search(cat, f, u) if least == (f, u) else pullback(cat, *least)
 
 

@@ -510,7 +510,8 @@ def _lemma_fillers(cat: FinCategory, u1: int, v1: int, q1: int, e: int):
     pullback squares of (q1, f) in the dual; coeq is whether q2 is a
     coequaliser of (u2, v2) (``limits.is_coequaliser``, whose composability
     tests hold here).  Both read facts fetched once per f, and q2∘f comes
-    from cols(f); a composite missing from the table gives no filler."""
+    from cols(f), plus the start of its hom-set; a composite missing from
+    the table gives no filler."""
     cod, pos, hc = cat._cod_l, cat._pos, cat._hom_counts_l
     dual, epis, out_of = dual_of(cat), _epi_set(cat), _out_of(cat)
     after_q1 = [cat.precompose_fibers(q1, z) for z in range(len(cat.objects))]
@@ -521,10 +522,10 @@ def _lemma_fillers(cat: FinCategory, u1: int, v1: int, q1: int, e: int):
         v2s = through_e.get(cat.compose(f, v1), ())
         if not u2s or not v2s:
             continue
-        after_f, fillers = cat.cols(f), []
+        after_f, a, fillers = cat.cols(f), cat._dom_l[f], []
         for q2 in out_of[x2]:
             z, i = cod[q2], pos[q2]
-            q2f = after_f[z][i]
+            q2f = cat.start(a, z) + after_f[z][i]
             gs = after_q1[z].get(q2f, ()) if q2f >= 0 else ()
             if gs:
                 fillers.append((q2, gs[0]))

@@ -34,6 +34,13 @@ takes r for a retraction; the library reads each split epi's first section
 from rows(f)[cod f] once per category (``fincat._sections``), and finds
 none where the identity is missing.
 
+``id_rows`` is the seed's row table, the layout the library's rows had
+before they held hom-set positions: rows[g][y] holds the global id of g∘t
+for each t in hom(y, dom g), -1 where the table has no entry, built
+straight from a composition given by string ids.  ``row_ids`` and
+``col_ids`` read the library's rows and columns back into that layout
+through ``FinCategory.start``.
+
 ``closure`` and ``generating_set`` are brute-force versions of the
 generating set that the library's ``validate`` checks associativity
 through: the closure composes every composable pair of the set until
@@ -44,7 +51,7 @@ after each member it adds.
 from __future__ import annotations
 
 import weakref
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -326,3 +333,28 @@ def generating_set(cat: FinCategory) -> list[int]:
             gens.append(m)
             closed = closure(cat, gens)
     return gens
+
+
+def id_rows(cat: FinCategory, composition: Mapping[tuple[str, str], str]) -> list[list[tuple[int, ...]]]:
+    """The seed's rows of ``cat`` for a table given by string ids,
+    ``composition[g, f] = g∘f``: for each g and source object y, the id of
+    g∘t for each t in hom(y, dom g), -1 where there is no entry."""
+    idx = cat.mor_index
+    comp = {(idx[g], idx[f]): idx[gf] for (g, f), gf in composition.items()}
+    n = len(cat.objects)
+    return [
+        [tuple([comp.get((g, t), -1) for t in cat.hom(y, cat._dom_l[g])]) for y in range(n)]
+        for g in range(cat.n_mor)
+    ]
+
+
+def row_ids(cat: FinCategory, g: int) -> list[tuple[int, ...]]:
+    """``cat.rows(g)`` read as ids: start(y, cod g) plus each entry."""
+    c = cat._cod_l[g]
+    return [tuple([cat.start(y, c) + p for p in r]) for y, r in enumerate(cat.rows(g))]
+
+
+def col_ids(cat: FinCategory, f: int) -> list[tuple[int, ...]]:
+    """``cat.cols(f)`` read as ids: start(dom f, z) plus each entry."""
+    a = cat._dom_l[f]
+    return [tuple([cat.start(a, z) + p for p in r]) for z, r in enumerate(cat.cols(f))]

@@ -12,6 +12,7 @@ from finext.algebra import (
     build_category,
     category_from_algebras,
     dump_category,
+    enumerate_hom_sets,
     enumerate_homs,
     enumerate_structures,
     load_category,
@@ -260,6 +261,24 @@ def test_the_enumeration_budget_is_exact(monkeypatch):
         else:
             with pytest.raises(CategoryDataError, match=message):
                 category_from_algebras("set", sets)
+
+
+def test_the_hom_enumeration_is_the_category_before_its_table(monkeypatch):
+    """``enumerate_hom_sets``, all that ``gen`` runs, numbers the objects
+    and morphisms as the built category does, and keeps both budget checks."""
+    sets = enumerate_structures("set", 3)
+    homs = enumerate_hom_sets("set", sets)
+    cat = category_from_algebras("set", sets)[0]
+    assert (homs.names, homs.mor_ids) == (list(cat.objects), list(cat.mor_ids))
+    assert (homs.dom, homs.cod, homs.identity_of) == (cat._dom_l, cat._cod_l, cat.identity_of)
+    for morphisms, pairs, message in [
+        (59, 1678, "^more than 59 morphisms: above the enumeration budget$"),
+        (60, 1677, "^1678 composable pairs: above the enumeration budget of 1677$"),
+    ]:
+        monkeypatch.setattr(algebra, "MAX_MORPHISMS", morphisms)
+        monkeypatch.setattr(algebra, "MAX_COMPOSABLE_PAIRS", pairs)
+        with pytest.raises(CategoryDataError, match=message):
+            enumerate_hom_sets("set", sets)
 
 
 def test_the_enumeration_budget_admits_every_generated_file_and_no_six_element_set():

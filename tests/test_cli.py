@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finext import cli, extensivity, setrel
-from finext.algebra import FinAlgebra, dump_category, enumerate_structures
+from finext.algebra import FinAlgebra, category_from_algebras, dump_category, enumerate_structures, load_category
 from finext.cli import main
 
 
@@ -85,6 +85,19 @@ def test_gen_connected_only_applies_to_posets(tmp_path, capsys):
         "--output", str(tmp_path / "x.json"),
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [("set", "3"), ("poset", "2", "--include-empty"), ("poset", "2", "--connected")])
+def test_gen_prints_the_counts_of_the_category_it_writes(tmp_path, capsys, argv):
+    """``gen`` counts without filling the composition table; the line it
+    prints names the counts of the category its file loads as."""
+    path = tmp_path / "out.json"
+    variety, carrier, *flags = argv
+    code, out = run(capsys, "gen", "--variety", variety, "--max-carrier", carrier, *flags, "--output", str(path))
+    assert code == 0
+    parsed, _errors = load_category(json.loads(path.read_text()))
+    cat = category_from_algebras(*parsed)[0]
+    assert out == f"wrote {path}: {len(cat.objects)} objects, {cat.n_mor} morphisms\n"
 
 
 @pytest.mark.parametrize("alias, short", [("semilattice", "slat"), ("lattice", "lat"), ("monoid", "mon")])
