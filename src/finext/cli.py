@@ -40,7 +40,7 @@ from .algebra import (
     enumerate_structures,
     load_category,
 )
-from .extensivity import CheckStatus
+from .extensivity import CheckStatus, _plain
 from .fincat import CategoryDataError, FinCategory, dual_of, validate
 from .propositions import (
     PROPOSITION_IDS,
@@ -58,19 +58,6 @@ _VARIETY_CHOICES = (
 # -- reports ------------------------------------------------------------------
 
 
-def _plain(value: Any) -> Any:
-    """JSON-safe copy: tuples/sets to lists, mappings key-stringified."""
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_plain(v) for v in value)
-    if isinstance(value, bool) or value is None or isinstance(value, (int, float, str)):
-        return value
-    return str(value)
-
-
 def _canonical_json(value: Any) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
@@ -85,13 +72,7 @@ class Report:
         self.entries: list[dict] = []
 
     def add(self, check_id: str, status: CheckStatus, timing_ms: float) -> None:
-        entry: dict[str, Any] = {"id": check_id, "status": status.status}
-        if status.witness is not None:
-            entry["witness"] = _plain(status.witness)
-        if status.details:
-            entry["details"] = _plain(status.details)
-        entry["timing_ms"] = round(timing_ms, 3)
-        self.entries.append(entry)
+        self.entries.append({"id": check_id, **status.as_dict(), "timing_ms": round(timing_ms, 3)})
 
     def finish(self) -> dict:
         self.entries.sort(key=lambda e: e["id"])

@@ -26,6 +26,7 @@ suite and the relation calculus read it instead of deciding again.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -78,26 +79,28 @@ class CheckStatus:
         return self.status == "fail"
 
     def as_dict(self) -> dict:
-        """The status as report data, copied at every depth: a stored
-        verdict is shared by every report that reads it, and editing a
-        report must leave it unchanged."""
+        """The status as report data (``_plain``): a fresh copy at every
+        depth, since a stored verdict is shared by every report that reads
+        it, and editing a report must leave it unchanged."""
         out: dict[str, Any] = {"status": self.status}
         if self.witness is not None:
-            out["witness"] = _copied(self.witness)
+            out["witness"] = _plain(self.witness)
         if self.details:
-            out["details"] = _copied(self.details)
+            out["details"] = _plain(self.details)
         return out
 
 
-def _copied(value: Any) -> Any:
-    """``value`` with every dict, list and tuple in it rebuilt: a deep copy
-    of report data, without ``copy.deepcopy``'s memo, which costs twice as
-    much on a Mon≤4 report."""
+def _plain(value: Any) -> Any:
+    """JSON-safe copy: tuples/sets to lists, mappings key-stringified."""
     if isinstance(value, dict):
-        return {k: _copied(v) for k, v in value.items()}
+        return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return type(value)(map(_copied, value))
-    return value
+        return [_plain(v) for v in value]
+    if isinstance(value, (set, frozenset)):
+        return sorted(_plain(v) for v in value)
+    if isinstance(value, bool) or value is None or isinstance(value, (int, float, str)):
+        return value
+    return str(value)
 
 
 def _ok(**details) -> CheckStatus:
@@ -455,51 +458,31 @@ def coproduct_disjointness(cat: FinCategory) -> CheckStatus:
 # -- strict refinement --------------------------------------------------------------
 
 
-def _grid_for(cat: FinCategory, cone_a: Sequence[int], cone_b: Sequence[int]) -> bool:
-    """Whether the canonical pushout grid refines two product cones on the
-    same apex: corners are pushouts of leg pairs, and its margins are
-    certified product cones.  A corner is the pullback of (ai, bj) in the
-    dual, whose legs are the pushout's, as the dual shares these indexes."""
-    la, lb = len(cone_a), len(cone_b)
-    dual = dual_of(cat)
-    corner: dict[tuple[int, int], limits.UniversalWitness] = {}
-    for i, ai in enumerate(cone_a):
-        for j, bj in enumerate(cone_b):
-            w = limits.pullback(dual, ai, bj)
-            if w is None:
-                return False
-            corner[(i, j)] = w
-    return all(
-        limits.is_product_cone(cat, *(corner[(i, j)].legs[0] for j in range(lb))) for i in range(la)
-    ) and all(limits.is_product_cone(cat, *(corner[(i, j)].legs[1] for i in range(la))) for j in range(lb))
-
-
 def _grid_search(cat: FinCategory, cone_a: Sequence[int], cone_b: Sequence[int]) -> bool:
     """Exhaustive grid search: whether some choice of a product cone on each
     A_i (fixing the corner row), with the B_j legs recovered by fiber lookup,
     makes every B_j margin a certified product cone.  Complete: any valid
-    grid's rows are product cones on the A_i."""
+    grid's rows are product cones on the A_i, and its columns are among the
+    fibres read, so the pushout grid is one of the grids tried."""
     la, lb = len(cone_a), len(cone_b)
     row_choices = [limits.product_bases(cat, cat._cod_l[m], lb) for m in cone_a]
 
-    def rec(i: int, rows: list[tuple[int, ...]]) -> bool:
-        if i == la:
-            comps = [[cat.compose(rows[i2][j], cone_a[i2]) for j in range(lb)] for i2 in range(la)]
-            # Columns are independent once the rows are fixed: each j needs
-            # some certified product-cone column.
-            for j in range(lb):
-                opts: list[list[int]] = [[]]
-                for i2 in range(la):
-                    cands = cat.precompose_fibers(cone_b[j], cat._cod_l[rows[i2][j]]).get(comps[i2][j], ())
-                    opts = [o + [b] for o in opts for b in cands]
-                    if not opts:
-                        break
-                if not any(limits.is_product_cone(cat, *o) for o in opts):
-                    return False
-            return True
-        return any(rec(i + 1, rows + [row]) for row in row_choices[i])
+    def columns_fit(rows: tuple[tuple[int, ...], ...]) -> bool:
+        # Columns are independent once the rows are fixed: each j needs
+        # some certified product-cone column.
+        for j in range(lb):
+            opts: list[list[int]] = [[]]
+            for i in range(la):
+                corner = cat.compose(rows[i][j], cone_a[i])
+                cands = cat.precompose_fibers(cone_b[j], cat._cod_l[rows[i][j]]).get(corner, ())
+                opts = [o + [b] for o in opts for b in cands]
+                if not opts:
+                    break
+            if not any(limits.is_product_cone(cat, *o) for o in opts):
+                return False
+        return True
 
-    return rec(0, [])
+    return any(map(columns_fit, itertools.product(*row_choices)))
 
 
 def has_binary_srp(cat: FinCategory, oid: str) -> CheckStatus:
@@ -515,7 +498,7 @@ def _class_has_grid(cat: FinCategory, cone_a: tuple[int, ...], cone_b: tuple[int
     on that apex.  ``_grid_search`` is complete, so the answer is whether a
     grid exists, which does not change under reordering the legs or
     transporting them along isomorphisms of the factors."""
-    return _grid_for(cat, cone_a, cone_b) or _grid_search(cat, cone_a, cone_b)
+    return _grid_search(cat, cone_a, cone_b)
 
 
 def _class_key(cat: FinCategory, cone: Sequence[int]) -> tuple[int, ...]:

@@ -658,35 +658,6 @@ def _extremal_epi_set(cat: FinCategory) -> frozenset[int]:
     return frozenset(set(range(cat.n_mor)) - excluded)
 
 
-@cached("regular_epi")
-def _is_regular_epi(cat: FinCategory, f: int) -> tuple[bool, tuple[int, int] | None]:
-    """Whether f is the coequaliser of some parallel pair, with a witness pair.
-
-    Tries the kernel pair first (if it exists, f is regular epi iff it
-    coequalises its own kernel pair); otherwise enumerates parallel pairs.
-    """
-    from . import limits  # local import: limits builds on this module
-
-    if f not in _epi_set(cat):
-        # a coequaliser is always epi, so no pair can work
-        return (False, None)
-    kp = limits.kernel_pair(cat, f)
-    if kp is not None:
-        u, v = kp[1], kp[2]
-        return (True, (u, v)) if limits.is_coequaliser(cat, u, v, f) else (False, None)
-    a = cat._dom_l[f]
-    for y in range(len(cat.objects)):
-        hy = cat.hom(y, a)
-        for u in hy:
-            fu = cat.compose(f, u)
-            for v in hy:
-                if v < u or cat.compose(f, v) != fu:
-                    continue
-                if limits.is_coequaliser(cat, u, v, f):
-                    return (True, (u, v))
-    return (False, None)
-
-
 # -- small constructors -----------------------------------------------------
 
 

@@ -31,7 +31,10 @@ number of t out of cod u with t∘u = t∘v into each object, and cached
 counts of its codomain equal these fork counts and f is epi: epi makes
 t |-> t∘f injective for every target, and equal counts make it onto.  So
 ``is_coequaliser`` is three lookups, and the coequaliser search skips every
-apex whose hom counts differ from the fork counts.
+apex whose hom counts differ from the fork counts.  The regular epis are
+one cached set (``_regular_epi_set``): an epi f is in it when some pair
+u <= v that f's row at y puts in one group, f∘u = f∘v, has the hom counts
+of cod f as its fork counts.  Each caller tests membership in that set.
 
 There is one tupling, ``pairing``: the first h with p1∘h = t1 and
 p2∘h = t2, read from p1's fibre over t1.  ``product_of_morphisms`` pairs
@@ -64,7 +67,7 @@ from itertools import repeat
 from math import prod
 from operator import eq
 
-from .fincat import FinCategory, cached, dual_of, _epi_set, _iso_info, _is_regular_epi, _mono_set
+from .fincat import FinCategory, cached, dual_of, _epi_set, _iso_info, _mono_set
 from .fincat import _postcomposed_pairs, _precomposed
 
 __all__ = [
@@ -424,6 +427,31 @@ def equaliser(cat: FinCategory, u: int, v: int) -> UniversalWitness | None:
     return coequaliser(dual_of(cat), u, v)
 
 
+def _coequalises_a_pair(cat: FinCategory, f: int) -> bool:
+    """Whether the epi f coequalises some parallel pair universally.  Such
+    a pair (u, v), u <= v, lies in one hom(y, dom f) and in one group of it
+    under f's row at y, since f∘u = f∘v; it is universal when its fork
+    counts are the hom counts of cod f, as ``is_coequaliser`` decides."""
+    counts = cat._hom_counts_l[cat._cod_l[f]]
+    a = cat._dom_l[f]
+    for y, r in enumerate(cat.rows(f)):
+        groups: dict[int, list[int]] = {}
+        for u, e in zip(cat.hom(y, a), r):
+            groups.setdefault(e, []).append(u)
+        for us in groups.values():
+            if any(_fork_counts(cat, u, v) == counts for u, v in itertools.combinations_with_replacement(us, 2)):
+                return True
+    return False
+
+
+@cached("regular_epis")
+def _regular_epi_set(cat: FinCategory) -> frozenset[int]:
+    """The regular epis: the epis that coequalise some parallel pair
+    (``_coequalises_a_pair``).  The regular monos are
+    ``_regular_epi_set(dual_of(cat))``.  Cached."""
+    return frozenset(f for f in _epi_set(cat) if _coequalises_a_pair(cat, f))
+
+
 # -- image factorisation ---------------------------------------------------------------
 
 
@@ -432,14 +460,14 @@ def image_factorisation(cat: FinCategory, f: int) -> tuple[int, int] | None:
     """A (regular epi, mono) factorisation f = m∘e, first in
     (intermediate, e, m) order; None when the category has none for f.
     Such factorisations are unique up to unique isomorphism when they exist."""
-    monos = _mono_set(cat)
+    monos, regular = _mono_set(cat), _regular_epi_set(cat)
     a, b = cat._dom_l[f], cat._cod_l[f]
     return next(
         (
             (e, m)
             for i in range(len(cat.objects))
             for e in cat.hom(a, i)
-            if _is_regular_epi(cat, e)[0]
+            if e in regular
             for m in cat.precompose_fibers(e, b).get(f, ())
             if m in monos
         ),

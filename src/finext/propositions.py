@@ -28,7 +28,6 @@ from .fincat import (
     dual_of,
     _epi_set,
     _extremal_epi_set,
-    _is_regular_epi,
     _iso_info,
     _mono_set,
 )
@@ -394,8 +393,9 @@ def prop_inclusion_regular_mono(cat: FinCategory, **_) -> CheckStatus:
     dis = coproduct_disjointness(cat)
     if dis.failed:
         return _fail({"kind": "coproducts-not-disjoint", "inner": dis.witness}, inclusions=len(incs))
+    regular_monos = limits._regular_epi_set(dual_of(cat))
     for i in incs:
-        if not _is_regular_epi(dual_of(cat), i)[0]:  # i is a regular mono
+        if i not in regular_monos:
             return _fail({"kind": "inclusion-not-regular-mono", "morphism": cat.mid(i)}, inclusions=len(incs))
     return _ok(inclusions=len(incs), disjointness=dis.status)
 
@@ -568,7 +568,7 @@ def _irregular_projection(cat: FinCategory) -> int | None:
     """The first product projection that is not a regular epimorphism."""
     return next((
         p for a in range(len(cat.objects)) for base in limits.product_bases(cat, a) for p in base
-        if not _is_regular_epi(cat, p)[0]
+        if p not in limits._regular_epi_set(cat)
     ), None)
 
 
@@ -638,16 +638,15 @@ def prop_commute_split_mono_coextensive(cat: FinCategory, *, seed: int = 0, **_)
     term = limits.terminal(cat)
     if term is None:
         return _na({"kind": "no-terminal"})
+    regular = limits._regular_epi_set(cat)
     for x in range(len(cat.objects)):
         h = cat.hom(x, term)
-        if len(h) != 1 or not _is_regular_epi(cat, h[0])[0]:
+        if len(h) != 1 or h[0] not in regular:
             return _na({"kind": "terminal-morphism-not-regular-epi", "object": cat.oid(x)})
     m = relcalc._split_mono_not_coextensive(cat)
     if m is not None:
         return _na({"kind": "split-mono-not-coextensive", "morphism": cat.mid(m)})
-    for q in range(cat.n_mor):
-        if not _is_regular_epi(cat, q)[0]:
-            continue
+    for q in sorted(regular):
         for p1, p2 in limits.product_bases(cat, cat._dom_l[q]):
             for p in (p1, p2):
                 if limits.pushout(cat, q, p) is None:

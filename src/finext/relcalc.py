@@ -36,7 +36,6 @@ from .fincat import (
     cached,
     _iso_info,
     _mono_set,
-    _is_regular_epi,
     _precomposed,
     _sections,
     dual_of,
@@ -417,11 +416,8 @@ def _instances(cat: FinCategory, cap: int) -> Iterator[tuple[str, Iterator[bool 
     n = len(cat.objects)
     endo = _endo_pools(cat, cap)
     endo_idx = dict(endo)
-    regepis = [
-        f for f in range(cat.n_mor)
-        if cat._dom_l[f] in endo_idx and cat._cod_l[f] in endo_idx
-        and _is_regular_epi(cat, f)[0]
-    ]
+    regular = limits._regular_epi_set(cat)
+    regepis = [f for f in sorted(regular) if cat._dom_l[f] in endo_idx and cat._cod_l[f] in endo_idx]
 
     def violated(f: int | None = None, **rels: Relation) -> dict:
         out = {"kind": "identity-violated"} if f is None else {"kind": "identity-violated", "morphism": cat.mid(f)}
@@ -537,7 +533,7 @@ def _instances(cat: FinCategory, cap: int) -> Iterator[tuple[str, Iterator[bool 
         # => both images are equivalences
         for x, rels in endo:
             for p1, p2 in limits.product_bases(cat, x):
-                if not (_is_regular_epi(cat, p1)[0] and _is_regular_epi(cat, p2)[0]):
+                if not (p1 in regular and p2 in regular):
                     continue
                 for r in rels:
                     if classify_relation(cat, r).equivalence is not True:
@@ -616,10 +612,10 @@ def regular_indicators(cat: FinCategory) -> CheckStatus:
     for f in range(cat.n_mor):
         if limits.image_factorisation(cat, f) is None:
             missing_fact.append(cat.mid(f))
-    regepis = [f for f in range(cat.n_mor) if _is_regular_epi(cat, f)[0]]
+    regular = limits._regular_epi_set(cat)
     isos = _iso_info(cat)[0]
     checked = 0
-    for e in regepis:
+    for e in sorted(regular):
         x = cat._cod_l[e]
         for g in range(cat.n_mor):
             if cat._cod_l[g] != x:
@@ -631,7 +627,7 @@ def regular_indicators(cat: FinCategory) -> CheckStatus:
             if w is None:
                 continue
             checked += 1
-            if not _is_regular_epi(cat, w.legs[0])[0]:
+            if w.legs[0] not in regular:
                 return _fail(
                     {
                         "kind": "regular-epi-not-stable",
@@ -646,7 +642,7 @@ def regular_indicators(cat: FinCategory) -> CheckStatus:
         missing_factorisations=len(missing_fact),
         missing_examples=missing_fact[:5],
         stability_checked=checked,
-        regular_epis=len(regepis),
+        regular_epis=len(regular),
     )
 
 

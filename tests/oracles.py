@@ -10,7 +10,8 @@ tests that read them.
 - Morphism classes (``test_fincat.py``, ``test_fast_paths.py``,
   ``test_extensivity.py``, ``test_acceptance.py``): ``classify_morphism``
   and ``morphisms_of_class`` over the ``CLASSES``, read from the cached
-  indexes of ``finext.fincat``.
+  indexes of ``finext.fincat`` and ``finext.limits``; the coequalised and
+  equalised pairs of a profile come from ``reference_fincat.is_regular_epi``.
 - Category-level checks (``test_extensivity.py``, ``test_fast_paths.py``):
   ``complement_uniqueness``, ``is_boolean_category`` and the class-relative
   ``is_M_extensive`` / ``is_M_coextensive``.  ``is_M_extensive`` judges its
@@ -34,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 import reference_extensivity
+import reference_fincat
 from finext import extensivity as ext
 from finext import limits, setrel
 from finext.algebra import FinAlgebra
@@ -42,7 +44,6 @@ from finext.fincat import (
     FinCategory,
     _epi_set,
     _extremal_epi_set,
-    _is_regular_epi,
     _iso_info,
     _mono_set,
     _sections,
@@ -298,10 +299,10 @@ def classify_morphism(cat: FinCategory, mid: str) -> MorphismProfile:
         wit["retraction"] = cat.mid(retraction)
     if section is not None:
         wit["section"] = cat.mid(section)
-    reg_epi, pair = _is_regular_epi(cat, f)
+    pair = reference_fincat.is_regular_epi(cat, f)[1]
     if pair is not None:
         wit["coequalised_pair"] = [cat.mid(pair[0]), cat.mid(pair[1])]
-    reg_mono, dpair = _is_regular_epi(d, f)
+    dpair = reference_fincat.is_regular_epi(d, f)[1]
     if dpair is not None:
         wit["equalised_pair"] = [cat.mid(dpair[0]), cat.mid(dpair[1])]
     return MorphismProfile(
@@ -310,8 +311,8 @@ def classify_morphism(cat: FinCategory, mid: str) -> MorphismProfile:
         is_epi=f in _epi_set(cat),
         is_split_mono=retraction is not None,
         is_split_epi=section is not None,
-        is_regular_mono=reg_mono,
-        is_regular_epi=reg_epi,
+        is_regular_mono=f in limits._regular_epi_set(d),
+        is_regular_epi=f in limits._regular_epi_set(cat),
         is_extremal_epi=f in _extremal_epi_set(cat),
         is_iso=f in _iso_info(cat)[0],
         witnesses=wit,
@@ -347,9 +348,9 @@ def morphisms_of_class(cat: FinCategory, cls: str) -> list[str]:
     elif cls == "split-epi":
         sel = _sections(cat).keys()
     elif cls == "regular-epi":
-        sel = {f for f in range(cat.n_mor) if _is_regular_epi(cat, f)[0]}
+        sel = limits._regular_epi_set(cat)
     elif cls == "regular-mono":
-        sel = {f for f in range(cat.n_mor) if _is_regular_epi(d, f)[0]}
+        sel = limits._regular_epi_set(d)
     elif cls == "extremal-epi":
         sel = _extremal_epi_set(cat)
     elif cls == "iso":

@@ -41,6 +41,13 @@ straight from a composition given by string ids.  ``row_ids`` and
 ``col_ids`` read the library's rows and columns back into that layout
 through ``FinCategory.start``.
 
+``is_regular_epi`` is the original regular-epi decision, with a witness
+pair: an epi f is a regular epi exactly when it coequalises its kernel
+pair, when that exists; otherwise the first pair u <= v of one hom-set
+with f∘u = f∘v, through ``compose``, that ``limits.is_coequaliser``
+accepts.  The library reads the candidate pairs from f's own rows
+(``limits._regular_epi_set``) and keeps no witness.
+
 ``closure`` and ``generating_set`` are brute-force versions of the
 generating set that the library's ``validate`` checks associativity
 through: the closure composes every composable pair of the set until
@@ -55,7 +62,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from finext.fincat import FinCategory, Violation, _iso_info
+from finext import limits
+from finext.fincat import FinCategory, Violation, _epi_set, _iso_info
 
 
 _BLOCKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -229,6 +237,41 @@ def split_mono_witness(cat: FinCategory, f: int) -> int | None:
         if cat.compose(r, f) == ia:
             return r
     return None
+
+
+_REGULAR: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def is_regular_epi(cat: FinCategory, f: int) -> tuple[bool, tuple[int, int] | None]:
+    """Whether f is the coequaliser of some parallel pair, with a witness
+    pair: the kernel pair first, if it exists (then f is regular epi iff it
+    coequalises it); otherwise every parallel pair.  Cached per category
+    and morphism, as it was."""
+    memo = _REGULAR.setdefault(cat, {})
+    if f not in memo:
+        memo[f] = _regular_epi_witness(cat, f)
+    return memo[f]
+
+
+def _regular_epi_witness(cat: FinCategory, f: int) -> tuple[bool, tuple[int, int] | None]:
+    if f not in _epi_set(cat):
+        # a coequaliser is always epi, so no pair can work
+        return (False, None)
+    kp = limits.kernel_pair(cat, f)
+    if kp is not None:
+        u, v = kp[1], kp[2]
+        return (True, (u, v)) if limits.is_coequaliser(cat, u, v, f) else (False, None)
+    a = cat._dom_l[f]
+    for y in range(len(cat.objects)):
+        hy = cat.hom(y, a)
+        for u in hy:
+            fu = cat.compose(f, u)
+            for v in hy:
+                if v < u or cat.compose(f, v) != fu:
+                    continue
+                if limits.is_coequaliser(cat, u, v, f):
+                    return (True, (u, v))
+    return (False, None)
 
 
 def mono_set(cat: FinCategory) -> frozenset[int]:

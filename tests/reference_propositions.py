@@ -39,7 +39,6 @@ from finext.fincat import (
     FinCategory,
     _epi_set,
     _extremal_epi_set,
-    _is_regular_epi,
     _iso_info,
     _mono_set,
     dual_of,
@@ -58,7 +57,7 @@ from finext.propositions import (
     cor_iso_identity,
     thm_barr_exact,
 )
-from reference_fincat import split_mono_witness
+from reference_fincat import is_regular_epi, split_mono_witness
 
 
 def morphism_status(cat: FinCategory, f: int, mode: str = "extensive") -> CheckStatus:
@@ -365,7 +364,7 @@ def prop_conservativity(cat: FinCategory, **_) -> CheckStatus:
 
 
 def _is_regular_mono(cat: FinCategory, m: int) -> bool:
-    return _is_regular_epi(dual_of(cat), m)[0]
+    return is_regular_epi(dual_of(cat), m)[0]
 
 
 def prop_inclusion_regular_mono(cat: FinCategory, **_) -> CheckStatus:
@@ -517,7 +516,7 @@ def _all_base_legs_regular_epi(cat: FinCategory) -> tuple[bool, str | None]:
     for a in range(len(cat.objects)):
         for p1, p2 in limits.product_bases(cat, a):
             for p in (p1, p2):
-                if not _is_regular_epi(cat, p)[0]:
+                if not is_regular_epi(cat, p)[0]:
                     return False, cat.mid(p)
     return True, None
 
@@ -594,7 +593,7 @@ def prop_commute_split_mono_coextensive(cat: FinCategory, *, seed: int = 0, **_)
         return _na({"kind": "no-terminal"})
     for x in range(len(cat.objects)):
         h = cat.hom(x, term)
-        if len(h) != 1 or not _is_regular_epi(cat, h[0])[0]:
+        if len(h) != 1 or not is_regular_epi(cat, h[0])[0]:
             return _na({"kind": "terminal-morphism-not-regular-epi", "object": cat.oid(x)})
     for m in range(cat.n_mor):
         if split_mono_witness(cat, m) is None:
@@ -602,7 +601,7 @@ def prop_commute_split_mono_coextensive(cat: FinCategory, *, seed: int = 0, **_)
         if not morphism_status(cat, m, "coextensive").passed:
             return _na({"kind": "split-mono-not-coextensive", "morphism": cat.mid(m)})
     for q in range(cat.n_mor):
-        if not _is_regular_epi(cat, q)[0]:
+        if not is_regular_epi(cat, q)[0]:
             continue
         for p1, p2 in limits.product_bases(cat, cat._dom_l[q]):
             for p in (p1, p2):

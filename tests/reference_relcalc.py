@@ -22,7 +22,7 @@ import itertools
 
 from finext import limits, relcalc, setrel
 from finext.extensivity import CheckStatus, _fail, _ok, morphism_status
-from finext.fincat import FinCategory, _is_regular_epi, _mono_set
+from finext.fincat import FinCategory, _mono_set
 from finext.relcalc import (
     IDENTITY_IDS,
     Relation,
@@ -39,7 +39,7 @@ from finext.relcalc import (
     relations_on,
     sub_leq,
 )
-from reference_fincat import split_mono_witness
+from reference_fincat import is_regular_epi, split_mono_witness
 
 
 def _pairing(cat: FinCategory, w: limits.UniversalWitness, t1: int, t2: int) -> int | None:
@@ -343,7 +343,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
     regepis = [
         f for f in range(cat.n_mor)
         if cat._dom_l[f] in endo_idx and cat._cod_l[f] in endo_idx
-        and _is_regular_epi(cat, f)[0]
+        and is_regular_epi(cat, f)[0]
     ]
     t = out["img-preimg"]
     for f in regepis:
@@ -406,7 +406,7 @@ def identity_suite(cat: FinCategory, max_relation_size: int = 9) -> list[tuple[s
     t = out["lemma-eq-under-regepi"]
     for x, rels in endo:
         for p1, p2 in limits.product_bases(cat, x):
-            if not (_is_regular_epi(cat, p1)[0] and _is_regular_epi(cat, p2)[0]):
+            if not (is_regular_epi(cat, p1)[0] and is_regular_epi(cat, p2)[0]):
                 continue
             for r in rels:
                 fl = classify_relation(cat, r)
@@ -504,7 +504,7 @@ def regular_indicators(cat: FinCategory) -> CheckStatus:
     for f in range(cat.n_mor):
         if limits.image_factorisation(cat, f) is None:
             missing_fact.append(cat.mid(f))
-    regepis = [f for f in range(cat.n_mor) if _is_regular_epi(cat, f)[0]]
+    regepis = [f for f in range(cat.n_mor) if is_regular_epi(cat, f)[0]]
     checked = 0
     for e in regepis:
         x = cat._cod_l[e]
@@ -515,7 +515,7 @@ def regular_indicators(cat: FinCategory) -> CheckStatus:
             if w is None:
                 continue
             checked += 1
-            if not _is_regular_epi(cat, w.legs[0])[0]:
+            if not is_regular_epi(cat, w.legs[0])[0]:
                 return _fail(
                     {
                         "kind": "regular-epi-not-stable",

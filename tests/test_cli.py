@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finext import cli, extensivity, setrel
-from finext.algebra import FinAlgebra, category_from_algebras, dump_category, enumerate_structures, load_category
+from finext.algebra import FinAlgebra, build_category, category_from_algebras, dump_category, enumerate_structures, load_category
 from finext.cli import main
 
 
@@ -542,6 +542,21 @@ def test_verify_paper_frees_each_builtin_before_building_the_next(capsys, monkey
         gc.enable()
     assert code == 0 and f"digest: {BATTERY_DIGESTS['3']}" in out
     assert alive_at_first_entry == {entry[0]: [entry[0]] for entry in cli._BUILTINS}
+
+
+def test_strict_refinement_leaves_no_cycle_that_holds_the_category():
+    """With the cycle collector off, FinSet≤3 is freed once deleted after
+    ``has_finite_srp`` at arity 3, which runs the grid search 196 times:
+    no answer it caches holds a reference cycle through the category."""
+    gc.disable()
+    try:
+        cat = build_category("set", 3)[0]
+        assert extensivity.has_finite_srp(cat, "s0", 3).passed
+        ref = weakref.ref(cat)
+        del cat
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # a fresh interpreter in which `import numpy` raises ImportError

@@ -18,11 +18,17 @@ compared with the seed's binary and n-ary ones, and the answers read from
 the cached bases (``coproduct``, ``is_coproduct_cocone``,
 ``is_product_cone``) with the seed's searches.  On every parallel pair,
 ``is_coequaliser``, ``coequaliser`` and ``equaliser`` are compared with the
-seed's certificate and first-certified search, and ``_is_regular_epi``
-with the set of morphisms that coequalise some pair.  The strict-refinement
-grid search finds a grid wherever the pushout grid refines two product
-cones, and refines every product cone with itself where a terminal object
-exists, also on thin categories of random preorders with a top point.
+seed's certificate and first-certified search, and
+``limits._regular_epi_set`` with the set of morphisms that coequalise some
+pair; that set also equals the kernel-pair reference
+(``reference_fincat.is_regular_epi``) and the union of certified
+coequalisers on the eight built-ins of ``verify-paper`` and their duals, on
+the two premise-gap categories of ``test_propositions.py`` and on random
+preorders, and the union alone on fault-injected tables.  The
+strict-refinement grid search finds a grid wherever the pushout grid
+(``reference_extensivity.pushout_grid``) refines two product cones, and
+refines every product cone with itself where a terminal object exists,
+also on thin categories of random preorders with a top point.
 
 The index-preserving ``dual`` is compared with the string-id reference
 dual: the two categories agree once their ids are matched, and every
@@ -51,6 +57,7 @@ from finext import extensivity as ext
 from finext import fincat
 from finext import limits
 from finext.algebra import build_category
+from finext.cli import _BUILTINS, _build_builtin
 from finext.extensivity import _dualized, _e2_first_failure
 from finext.fincat import (
     FinCategory,
@@ -64,6 +71,7 @@ from finext.fincat import (
     validate,
 )
 from generators import inflate, preorders
+from test_propositions import _non_split_idempotent, _walking_parallel_pair
 
 # (variety, max carrier, include_empty), as verify-paper builds them.  Its
 # lat4 is left out: 1,261,216 commuting squares take about 25 s through
@@ -161,8 +169,8 @@ def _assert_coequalisers_match_reference(cat: FinCategory) -> None:
     """On every parallel pair (u, v): ``is_coequaliser`` for every f out of
     cod u equals the seed's certificate; ``coequaliser`` of (u, v) and of
     (v, u) equals the seed's first-certified search, and ``equaliser`` that
-    search on the dual.  ``_is_regular_epi`` holds exactly for the f that
-    coequalise some pair, with a witness pair the seed's certificate accepts."""
+    search on the dual.  ``_regular_epi_set`` holds exactly the f that
+    coequalise some pair."""
     n = len(cat.objects)
     d = dual_of(cat)
     regular = set()
@@ -174,10 +182,7 @@ def _assert_coequalisers_match_reference(cat: FinCategory) -> None:
         expected = reference_limits.coequaliser(cat, u, v)
         assert limits.coequaliser(cat, u, v) == expected == limits.coequaliser(cat, v, u), (u, v)
         assert limits.equaliser(cat, u, v) == reference_limits.coequaliser(d, u, v), (u, v)
-    for f in range(cat.n_mor):
-        ok, pair = fincat._is_regular_epi(cat, f)
-        assert ok == (f in regular), f
-        assert ok == (pair is not None and reference_limits.is_coequaliser(cat, *pair, f)), f
+    assert limits._regular_epi_set(cat) == regular
 
 
 def _assert_kernels_match_numpy(cat: FinCategory) -> None:
@@ -671,6 +676,65 @@ def test_validate_stops_at_the_violation_cap_like_the_reference(kind, n):
     assert {v.kind for v in found} == {"assoc"}
 
 
+# -- regular epis ------------------------------------------------------------
+
+
+def _coequalising(cat: FinCategory) -> set[int]:
+    """Every f that the seed's certificate accepts as a coequaliser of some
+    parallel pair (u, v), u <= v, among the f out of cod u with f∘u = f∘v."""
+    n = len(cat.objects)
+    return {
+        f
+        for u, v in _parallel_pairs(cat)
+        for q in range(n)
+        for f in cat.hom(cat._cod_l[u], q)
+        if cat.compose(f, u) == cat.compose(f, v) and reference_limits.is_coequaliser(cat, u, v, f)
+    }
+
+
+def _assert_regular_epis_match_reference(cat: FinCategory, sound: bool = True) -> None:
+    """On the category and its dual, ``_regular_epi_set`` is the union of
+    certified coequalisers and, on a sound table, the set of the kernel-pair
+    reference.  A malformed table is no category, so there an epi need not
+    coequalise its kernel pair when it coequalises some pair: on the
+    ``_mutants`` of set2, mon2 and the three-chain, the reference differs
+    on 28 of 496 tables and their duals."""
+    for c in (cat, dual_of(cat)):
+        regular = limits._regular_epi_set(c)
+        assert regular == _coequalising(c)
+        if sound:
+            assert regular == {f for f in range(c.n_mor) if reference_fincat.is_regular_epi(c, f)[0]}
+
+
+@pytest.mark.parametrize("entry", _BUILTINS, ids=[entry[0] for entry in _BUILTINS])
+def test_regular_epis_match_the_reference_on_the_builtins(entry):
+    _assert_regular_epis_match_reference(_build_builtin(entry))
+
+
+def test_regular_epis_match_the_reference_on_the_premise_gaps():
+    """The walking parallel pair, whose pair has no coequaliser, and 0 -> X
+    with a non-split idempotent, where the inclusion is no regular mono."""
+    for cat in (_walking_parallel_pair(), _non_split_idempotent()):
+        _assert_regular_epis_match_reference(cat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(preorders(max_points=4))
+def test_regular_epis_match_the_reference_on_random_preorders(leq):
+    _assert_regular_epis_match_reference(thin_category_from_poset(leq))
+
+
+def test_regular_epis_match_the_reference_on_fault_injected_tables():
+    makes = (
+        lambda: build_category("set", 2)[0],
+        lambda: build_category("mon", 2)[0],
+        lambda: thin_category_from_poset([[True, True, True], [False, True, True], [False, False, True]]),
+    )
+    for make in makes:
+        for _label, data in _mutants(make()):
+            _assert_regular_epis_match_reference(FinCategory.from_json(data), sound=False)
+
+
 # -- the strict-refinement grid search ----------------------------------------
 
 
@@ -704,7 +768,7 @@ def test_grid_search_finds_every_pushout_grid(small_category):
         for x in range(len(c.objects)):
             cones = limits.product_bases(c, x)
             for ca, cb in itertools.product(cones, repeat=2):
-                if ext._grid_for(c, ca, cb):
+                if reference_extensivity.pushout_grid(c, ca, cb):
                     found += 1
                     assert ext._grid_search(c, ca, cb), (c.oid(x), ca, cb)
     assert found
