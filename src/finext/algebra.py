@@ -34,7 +34,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Mapping, NamedTuple, Sequence
+from typing import Any, Iterator, Mapping, NamedTuple, Sequence
 
 from .fincat import CategoryDataError, FinCategory
 
@@ -136,16 +136,9 @@ class FinAlgebra:
 
     def canonical_key(self) -> tuple:
         """Minimum encoding over all permissible relabelings (constants pinned)."""
-        n = self.size
-        pinned = sorted({self.ops[c] for c in self.signature.constants})
-        best: tuple | None = None
-        for perm in itertools.permutations(range(n)):
-            if any(perm[c] != c for c in pinned):
-                continue
-            key = self.relabel(perm).encode()
-            if best is None or key < best:
-                best = key
-        return best if best is not None else self.encode()
+        pinned = {self.ops[c] for c in self.signature.constants}
+        perms = itertools.permutations(range(self.size))
+        return min(self.relabel(p).encode() for p in perms if all(p[c] == c for c in pinned))
 
     def __repr__(self):
         return f"FinAlgebra({self.kind}, n={self.size})"
@@ -292,16 +285,13 @@ def _join_table(leq: Sequence[Sequence[bool]], n: int) -> tuple | None:
     return _meet_table([[leq[y][x] for y in range(n)] for x in range(n)], n)
 
 
-def _enumerate_monoids(n: int) -> list[FinAlgebra]:
-    """All monoids on 0..n-1 with unit 0, up to isomorphism, by backtracking."""
-    if n == 0:
-        return []
+def _monoid_tables(n: int) -> Iterator[FinAlgebra]:
+    """Every monoid on 0..n-1 with unit 0, by backtracking over the table."""
     t = [[-1] * n for _ in range(n)]
     for i in range(n):
         t[0][i] = i
         t[i][0] = i
     cells = [(i, j) for i in range(1, n) for j in range(1, n)]
-    found: dict[tuple, FinAlgebra] = {}
 
     def determined_assoc_ok() -> bool:
         for x in range(n):
@@ -318,73 +308,62 @@ def _enumerate_monoids(n: int) -> list[FinAlgebra]:
                         return False
         return True
 
-    def rec(k: int):
+    def rec(k: int) -> Iterator[FinAlgebra]:
         if k == len(cells):
-            alg = FinAlgebra("mon", n, {"e": 0, "op": [row[:] for row in t]})
-            found.setdefault(alg.canonical_key(), alg)
+            yield FinAlgebra("mon", n, {"e": 0, "op": t})
             return
         i, j = cells[k]
         for v in range(n):
             t[i][j] = v
             if determined_assoc_ok():
-                rec(k + 1)
+                yield from rec(k + 1)
         t[i][j] = -1
 
-    rec(0)
-    return [found[k] for k in sorted(found)]
+    return rec(0)
+
+
+def _labeled(kind: str, n: int) -> Iterator[FinAlgebra]:
+    """The labelings of the kind on 0..n-1 that ``enumerate_structures``
+    dedupes, in a fixed order: the pointed set and the monoid tables exist
+    from n = 1 on, the other kinds are read off the labeled partial orders."""
+    if kind == "set":
+        yield FinAlgebra("set", n)
+    elif kind == "pointed" and n:
+        yield FinAlgebra("pointed", n, {"pt": 0})
+    elif kind == "mon" and n:
+        yield from _monoid_tables(n)
+    elif kind in ("poset", "cpos", "slat", "lat"):
+        for leq in _enumerate_posets_raw(n):
+            if kind == "poset" or (kind == "cpos" and n and _poset_components(leq, n) == 1):
+                yield FinAlgebra(kind, n, {}, {"leq": leq})
+            elif kind in ("slat", "lat"):
+                ops = {"meet": _meet_table(leq, n)}
+                if kind == "lat":
+                    ops["join"] = _join_table(leq, n)
+                if None not in ops.values():
+                    yield FinAlgebra(kind, n, ops)
 
 
 def enumerate_structures(kind: str, max_size: int, include_empty: bool | None = None) -> list[FinAlgebra]:
     """All structures of the kind with carrier size up to ``max_size``, one per
-    isomorphism class, in deterministic (size, canonical-form) order.
+    isomorphism class, in deterministic (size, canonical-form) order: of the
+    labelings ``_labeled`` yields at each size, the first of each canonical
+    form, sorted by that form.
 
     The empty structure is included only for plain sets (and on request for
-    posets); the ordered and algebraic kinds here are kept nonempty so every
-    object has points to compare.
+    posets, semilattices and lattices); the ordered and algebraic kinds here
+    are kept nonempty so every object has points to compare.
     """
     if kind not in SIGNATURES:
         raise ValueError(f"unknown structure kind {kind!r}")
     if include_empty is None:
         include_empty = kind == "set"
     out: list[FinAlgebra] = []
-    lo = 0 if include_empty else 1
-    for n in range(lo, max_size + 1):
-        if kind == "set":
-            out.append(FinAlgebra("set", n))
-        elif kind == "pointed":
-            if n >= 1:
-                out.append(FinAlgebra("pointed", n, {"pt": 0}))
-        elif kind in ("poset", "cpos"):
-            seen: dict[tuple, FinAlgebra] = {}
-            for leq in _enumerate_posets_raw(n):
-                if kind == "cpos" and (n == 0 or _poset_components(leq, n) != 1):
-                    continue
-                alg = FinAlgebra(kind, n, {}, {"leq": leq})
-                seen.setdefault(alg.canonical_key(), alg)
-            out.extend(seen[k] for k in sorted(seen))
-        elif kind == "slat":
-            seen = {}
-            for leq in _enumerate_posets_raw(n):
-                meet = _meet_table(leq, n)
-                if meet is None:
-                    continue
-                alg = FinAlgebra("slat", n, {"meet": meet})
-                seen.setdefault(alg.canonical_key(), alg)
-            out.extend(seen[k] for k in sorted(seen))
-        elif kind == "lat":
-            seen = {}
-            for leq in _enumerate_posets_raw(n):
-                meet = _meet_table(leq, n)
-                if meet is None:
-                    continue
-                join = _join_table(leq, n)
-                if join is None:
-                    continue
-                alg = FinAlgebra("lat", n, {"meet": meet, "join": join})
-                seen.setdefault(alg.canonical_key(), alg)
-            out.extend(seen[k] for k in sorted(seen))
-        elif kind == "mon":
-            out.extend(_enumerate_monoids(n))
+    for n in range(0 if include_empty else 1, max_size + 1):
+        firsts: dict[tuple, FinAlgebra] = {}
+        for alg in _labeled(kind, n):
+            firsts.setdefault(alg.canonical_key(), alg)
+        out += (firsts[k] for k in sorted(firsts))
     return out
 
 

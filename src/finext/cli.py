@@ -16,9 +16,10 @@ Every command that runs checks prints one line per non-pass entry (all
 entries when few), a summary, and a digest, and can write the full JSON
 report with ``--report``.  Exit status: 0 when no entry fails, 1 when one
 does (``--strict`` also counts inapplicable entries), 2 on usage or input
-errors.  Reports are deterministic for fixed inputs and flags: entries are
-sorted by id, sampled checks derive from ``--seed``, and each entry's
-``timing_ms`` is kept out of the digest.
+errors, an output path that cannot be written among them.  Reports are
+deterministic for fixed inputs and flags: entries are sorted by id, sampled
+checks derive from ``--seed``, and each entry's ``timing_ms`` is kept out
+of the digest.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ from .propositions import (
     proposition_suite,
 )
 from .relcalc import IDENTITY_IDS, barr_exact_check, identity_suite, oracle_max_size, sub_poset
-
-_VARIETY_CHOICES = (
-    "set", "pointed", "poset", "semilattice", "slat", "lattice", "lat", "monoid", "mon",
-)
-
 
 # -- reports ------------------------------------------------------------------
 
@@ -110,9 +106,7 @@ def _emit(report: Report, args: argparse.Namespace) -> int:
     )
     print(f"digest: {doc['digest']}")
     if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(args.report, doc)
         print(f"report written to {args.report}")
     bad = s["fail"] + (s["inapplicable"] if args.strict else 0)
     return 1 if bad else 0
@@ -132,7 +126,7 @@ def _run_units(report: Report, entries: Entries) -> None:
         t0 = time.perf_counter()
 
 
-# -- input loading ------------------------------------------------------------
+# -- files ----------------------------------------------------------------------
 
 
 def _fail_usage(msg: str) -> NoReturn:
@@ -140,10 +134,19 @@ def _fail_usage(msg: str) -> NoReturn:
     raise SystemExit(2)
 
 
+def _write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` as indented JSON with sorted keys; a path that cannot
+    be written is an input error."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        _fail_usage(f"cannot write {path}: {exc}")
+
+
 def _load_input(args: argparse.Namespace) -> tuple[FinCategory, str]:
     path = args.input
-    if path is None:
-        _fail_usage("an input category file is required")
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -171,10 +174,6 @@ def _load_input(args: argparse.Namespace) -> tuple[FinCategory, str]:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     variety = _VARIETY_ALIASES[args.variety]
-    if args.connected:
-        if variety != "poset":
-            _fail_usage("--connected applies to --variety poset only")
-        variety = "cpos"
     if args.max_carrier < 0:
         _fail_usage("--max-carrier must be nonnegative")
     if args.max_carrier > 4:
@@ -182,9 +181,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     algs = enumerate_structures(variety, args.max_carrier, args.include_empty)
     doc = dump_category(variety, algs, max_carrier=args.max_carrier)
     path = args.output or f"{args.variety}{args.max_carrier}.json"
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
     homs = enumerate_hom_sets(variety, algs)  # the counts need no composition table
     print(f"wrote {path}: {len(homs.names)} objects, {len(homs.mor_ids)} morphisms")
     return 0
@@ -462,8 +459,7 @@ def _non_negative_int(text: str) -> int:
 
 
 def _add_input(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("input_pos", nargs="?", metavar="INPUT", help="category file")
-    sub.add_argument("--input", dest="input_opt", help="category file")
+    sub.add_argument("input", metavar="INPUT", help="category file")
 
 
 def _add_report(sub: argparse.ArgumentParser) -> None:
@@ -493,21 +489,15 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     gen = subs.add_parser("gen", help="enumerate a variety and write a category file")
-    gen.add_argument("--variety", required=True, choices=_VARIETY_CHOICES)
+    gen.add_argument("--variety", required=True, choices=_VARIETY_ALIASES)
     gen.add_argument("--max-carrier", type=int, required=True)
-    gen.add_argument(
-        "--connected",
-        action="store_true",
-        help="connected structures only (posets)",
-    )
     gen.add_argument(
         "--include-empty",
         action=argparse.BooleanOptionalAction,
         default=None,
         help="include the empty structure (default: only for sets)",
     )
-    gen.add_argument("output_pos", nargs="?", metavar="OUTPUT", help="output file")
-    gen.add_argument("--output", dest="output_opt", help="output file")
+    gen.add_argument("--output", help="output file")
 
     val = subs.add_parser("validate", help="validate a category file")
     _add_input(val)
@@ -548,14 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "input_pos"):
-        if args.input_pos and args.input_opt and args.input_pos != args.input_opt:
-            _fail_usage("give the input file once (positional or --input)")
-        args.input = args.input_pos or args.input_opt
-    if hasattr(args, "output_pos"):
-        if args.output_pos and args.output_opt and args.output_pos != args.output_opt:
-            _fail_usage("give the output file once (positional or --output)")
-        args.output = args.output_pos or args.output_opt
     handlers = {
         "gen": cmd_gen,
         "validate": cmd_validate,

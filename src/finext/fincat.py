@@ -662,7 +662,8 @@ def _extremal_epi_set(cat: FinCategory) -> frozenset[int]:
 
 
 def thin_category_from_poset(leq: Sequence[Sequence[bool]], names: Sequence[str] | None = None) -> FinCategory:
-    """The thin category of a finite preorder: one morphism x->y iff x <= y.
+    """The thin category of a finite preorder: one morphism x->y iff x <= y,
+    with (j<=k)∘(i<=j) = i<=k, built through the string-id constructor.
 
     Any preorder is accepted, not only a poset: points with x <= y <= x
     become distinct isomorphic objects.  A relation that is not transitive
@@ -670,18 +671,11 @@ def thin_category_from_poset(leq: Sequence[Sequence[bool]], names: Sequence[str]
     which ``validate`` reports."""
     n = len(leq)
     names = list(names) if names is not None else [f"p{i}" for i in range(n)]
-    arrows = [(i, j) for i in range(n) for j in range(n) if leq[i][j]]  # in (dom, cod) order
-    index = {a: k for k, a in enumerate(arrows)}
+    arrows = [(i, j) for i in range(n) for j in range(n) if leq[i][j]]
     if any(leq[i][j] and not leq[i][k] for j, k in arrows for i in range(n)):
         raise CategoryDataError("the order relation is not transitive")
-    # the row of j<=k from i holds i<=k, position 0 of its hom-set, when
-    # i <= j; each distinct tuple of rows is one tuple
-    interned: dict[tuple, tuple] = {}
-    keep = interned.setdefault
-    one, none = keep((0,), (0,)), keep((), ())
-    rows = [keep(rs, rs) for rs in (tuple([one if leq[i][j] else none for i in range(n)]) for j, _ in arrows)]
-    mor_ids = [f"{names[i]}<={names[j]}" for i, j in arrows]
-    identity_of = {i: index[i, i] for i in range(n) if leq[i][i]}
-    dom, cod = [i for i, _ in arrows], [j for _, j in arrows]
-    meta = {"kind": "poset-as-category"}
-    return FinCategory._of_ints(names, mor_ids, dom, cod, identity_of, rows, meta, interned=interned)
+    mid = {(i, j): f"{names[i]}<={names[j]}" for i, j in arrows}
+    morphisms = [(mid[i, j], names[i], names[j]) for i, j in arrows]
+    identities = {names[i]: mid[i, i] for i in range(n) if leq[i][i]}
+    composition = {(mid[j, k], mid[i, j]): mid[i, k] for j, k in arrows for i in range(n) if leq[i][j]}
+    return FinCategory(names, morphisms, identities, composition, {"kind": "poset-as-category"})

@@ -53,7 +53,8 @@ the isos into its apex, the cone the search would have certified first.
 Any other cospan (f, u) is searched once per orbit under the isos j out of
 its codomain: (j∘f, j∘u) has the same commuting cones, since j is mono, so
 the search certifies the same first cone; only the least pair is searched.
-Every answer is kept on the category by ``fincat.cached``.
+Every answer but the one-scan ``initial`` and ``terminal`` is kept on the
+category by ``fincat.cached``.
 All functions speak internal integer indexes; callers translate to string
 ids at the reporting boundary.
 """
@@ -107,14 +108,12 @@ class UniversalWitness:
 # -- initial / terminal --------------------------------------------------------
 
 
-@cached("initial")
 def initial(cat: FinCategory) -> int | None:
     """First object with exactly one morphism to every object, if any."""
     hc, n = cat._hom_counts_l, len(cat.objects)
     return next((x for x in range(n) if all(hc[x][y] == 1 for y in range(n))), None)
 
 
-@cached("terminal")
 def terminal(cat: FinCategory) -> int | None:
     hc, n = cat._hom_counts_l, len(cat.objects)
     return next((x for x in range(n) if all(hc[y][x] == 1 for y in range(n))), None)

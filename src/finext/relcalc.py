@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 from .fincat import (
@@ -106,13 +106,7 @@ class RelationFlags:
     effective: bool | None
 
     def as_dict(self) -> dict:
-        return {
-            "reflexive": self.reflexive,
-            "symmetric": self.symmetric,
-            "transitive": self.transitive,
-            "equivalence": self.equivalence,
-            "effective": self.effective,
-        }
+        return asdict(self)
 
 
 # -- subobjects -----------------------------------------------------------------

@@ -19,6 +19,7 @@ from finext.algebra import (
     validate_algebra,
 )
 from finext.fincat import CategoryDataError
+import reference_algebra
 from oracles import (
     all_congruences,
     center_of_monoid,
@@ -41,6 +42,16 @@ def test_enumeration_counts_up_to_isomorphism():
     assert len(enumerate_structures("lat", 4)) == 5  # chains + the square
     assert len(enumerate_structures("mon", 3)) == 10  # 1 + 2 + 7
     assert len(enumerate_structures("mon", 4)) == 45  # adds 35 of size 4
+
+
+@pytest.mark.parametrize("kind", algebra.VARIETIES)
+def test_enumeration_matches_the_per_variety_reference(kind):
+    """One dedupe loop over every variety's labelings keeps the labelings,
+    and the order, of the per-variety loops it replaced."""
+    for include_empty, max_size in itertools.product((None, True, False), range(5)):
+        fast = enumerate_structures(kind, max_size, include_empty)
+        ref = reference_algebra.enumerate_structures(kind, max_size, include_empty)
+        assert [a.encode() for a in fast] == [a.encode() for a in ref], (include_empty, max_size)
 
 
 def test_every_enumerated_structure_satisfies_its_laws():

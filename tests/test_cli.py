@@ -6,8 +6,10 @@ inapplicable), 2 = usage or input error."""
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import os
@@ -23,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finext import cli, extensivity, setrel
-from finext.algebra import FinAlgebra, build_category, category_from_algebras, dump_category, enumerate_structures, load_category
+from finext.algebra import VARIETIES, FinAlgebra, build_category, category_from_algebras, dump_category, enumerate_structures, load_category
 from finext.cli import main
 
 
@@ -78,16 +80,7 @@ def test_gen_reports_counts_and_writes_loadable_files(set_file, chain_file, caps
     assert "4 objects" in out and "60 morphisms" in out
 
 
-def test_gen_connected_only_applies_to_posets(tmp_path, capsys):
-    code, _ = run(
-        capsys,
-        "gen", "--variety", "set", "--connected", "--max-carrier", "2",
-        "--output", str(tmp_path / "x.json"),
-    )
-    assert code == 2
-
-
-@pytest.mark.parametrize("argv", [("set", "3"), ("poset", "2", "--include-empty"), ("poset", "2", "--connected")])
+@pytest.mark.parametrize("argv", [("set", "3"), ("poset", "2", "--include-empty"), ("cpos", "2")])
 def test_gen_prints_the_counts_of_the_category_it_writes(tmp_path, capsys, argv):
     """``gen`` counts without filling the composition table; the line it
     prints names the counts of the category its file loads as."""
@@ -107,6 +100,36 @@ def test_gen_variety_alias_writes_the_same_file_as_its_short_name(tmp_path, caps
         code, _ = run(capsys, "gen", "--variety", name, "--max-carrier", "2", "--output", str(path))
         assert code == 0
     assert paths[alias].read_bytes() == paths[short].read_bytes()
+
+
+def test_gen_cpos_writes_the_connected_posets_under_their_default_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, "gen", "--variety", "cpos", "--max-carrier", "3")
+    assert code == 0 and out.startswith("wrote cpos3.json: 5 objects, 141 morphisms")
+    digest = hashlib.sha256((tmp_path / "cpos3.json").read_bytes()).hexdigest()
+    assert digest == "93d9c020a9c9c96aa602ea7e429d2cd363bcc425ccbd684da45e5d828dcdb461"
+
+
+def test_gen_takes_exactly_the_variety_names_that_category_files_take():
+    subs = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    choices = set(next(a.choices for a in subs.choices["gen"]._actions if a.dest == "variety"))
+    candidates = choices | set(VARIETIES) | {"posets", "Poset", "group", "connected", ""}
+    taken = {name for name in candidates if load_category({"variety": name, "algebras": []})[0] is not None}
+    assert choices == taken
+
+
+@pytest.mark.parametrize("command", ["gen", "check"])
+def test_an_unwritable_output_path_is_an_input_error(set_file, tmp_path, command):
+    target = str(tmp_path / "missing" / "out.json")
+    argv = {
+        "gen": ["gen", "--variety", "set", "--max-carrier", "2", "--output", target],
+        "check": ["check", set_file, "--report", target],
+    }[command]
+    code, output = _run_quietly(argv)
+    assert code == 2
+    errors = [line for line in output.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: cannot write {target}: ")
+    assert "Traceback" not in output
 
 
 def test_validate_rejects_malformed_files(tmp_path, capsys):
@@ -585,11 +608,3 @@ def test_the_commands_run_with_numpy_blocked(set_file, tmp_path, capsys, argv):
         assert json.load(open(blocked))["digest"] == json.load(open(free))["digest"]
     else:
         assert proc.stdout == out
-
-
-def test_input_may_be_positional_or_flag_but_not_conflicting(set_file, capsys):
-    code_pos, _ = run(capsys, "validate", set_file)
-    code_flag, _ = run(capsys, "validate", "--input", set_file)
-    assert code_pos == 0 and code_flag == 0
-    code, _ = run(capsys, "validate", set_file, "--input", "/tmp/other.json")
-    assert code == 2
