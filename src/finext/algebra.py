@@ -325,23 +325,25 @@ def _monoid_tables(n: int) -> Iterator[FinAlgebra]:
 def _labeled(kind: str, n: int) -> Iterator[FinAlgebra]:
     """The labelings of the kind on 0..n-1 that ``enumerate_structures``
     dedupes, in a fixed order: the pointed set and the monoid tables exist
-    from n = 1 on, the other kinds are read off the labeled partial orders."""
+    from n = 1 on, (connected) posets and (semi)lattices are read off the
+    labeled partial orders."""
     if kind == "set":
         yield FinAlgebra("set", n)
     elif kind == "pointed" and n:
         yield FinAlgebra("pointed", n, {"pt": 0})
     elif kind == "mon" and n:
         yield from _monoid_tables(n)
-    elif kind in ("poset", "cpos", "slat", "lat"):
+    elif kind in ("poset", "cpos"):
         for leq in _enumerate_posets_raw(n):
-            if kind == "poset" or (kind == "cpos" and n and _poset_components(leq, n) == 1):
+            if kind == "poset" or (n and _poset_components(leq, n) == 1):
                 yield FinAlgebra(kind, n, {}, {"leq": leq})
-            elif kind in ("slat", "lat"):
-                ops = {"meet": _meet_table(leq, n)}
-                if kind == "lat":
-                    ops["join"] = _join_table(leq, n)
-                if None not in ops.values():
-                    yield FinAlgebra(kind, n, ops)
+    elif kind in ("slat", "lat"):
+        for leq in _enumerate_posets_raw(n):
+            ops = {"meet": _meet_table(leq, n)}
+            if kind == "lat":
+                ops["join"] = _join_table(leq, n)
+            if None not in ops.values():
+                yield FinAlgebra(kind, n, ops)
 
 
 def enumerate_structures(kind: str, max_size: int, include_empty: bool | None = None) -> list[FinAlgebra]:

@@ -126,7 +126,7 @@ def _run_units(report: Report, entries: Entries) -> None:
         t0 = time.perf_counter()
 
 
-# -- files ----------------------------------------------------------------------
+# -- files --------------------------------------------------------------------
 
 
 def _fail_usage(msg: str) -> NoReturn:
