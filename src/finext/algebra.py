@@ -476,7 +476,7 @@ def build_category(
     composition, re-encoded through the table index.
     """
     algs = enumerate_structures(kind, max_size, include_empty)
-    return category_from_algebras(kind, algs, max_size=max_size)
+    return category_from_algebras(kind, algs)
 
 
 class HomSets(NamedTuple):
@@ -492,14 +492,12 @@ class HomSets(NamedTuple):
     cod: list[int]
     identity_of: dict[int, int]
     homs: dict[tuple[int, int], dict[bytes, int]]
-    max_size: int
 
 
 def enumerate_hom_sets(
     kind: str,
     algs: Sequence[FinAlgebra],
     names: Sequence[str] | None = None,
-    max_size: int | None = None,
 ) -> HomSets:
     """Every hom between the structures of an explicit list, numbered
     hom-set by hom-set in (dom, cod) order, and by the position K of the
@@ -511,8 +509,6 @@ def enumerate_hom_sets(
     ``MAX_COMPOSABLE_PAIRS`` composable pairs."""
     if names is None:
         names = default_names(kind, algs)
-    if max_size is None:
-        max_size = max((a.size for a in algs), default=0)
     uni = Universe(kind)
     for name, alg in zip(names, algs):
         if alg.size > 256:
@@ -542,14 +538,13 @@ def enumerate_hom_sets(
     pairs = sum(out_of[b] * into[b] for b in range(n))
     if pairs > MAX_COMPOSABLE_PAIRS:
         raise CategoryDataError(f"{pairs} composable pairs: above the enumeration budget of {MAX_COMPOSABLE_PAIRS}")
-    return HomSets(uni, list(names), mor_ids, dom, cod, identity_of, homs, max_size)
+    return HomSets(uni, list(names), mor_ids, dom, cod, identity_of, homs)
 
 
 def category_from_algebras(
     kind: str,
     algs: Sequence[FinAlgebra],
     names: Sequence[str] | None = None,
-    max_size: int | None = None,
 ) -> tuple[FinCategory, Universe]:
     """The full category on an explicit list of structures, with every hom
     between them (``enumerate_hom_sets``, which raises past the enumeration
@@ -568,7 +563,7 @@ def category_from_algebras(
     dict.  Equal rows, and equal tuples of a morphism's rows, are one tuple
     table-wide, interned through the store the category keeps.  Hence a
     carrier may have at most 256 elements."""
-    uni, names, mor_ids, dom, cod, identity_of, homs, max_size = enumerate_hom_sets(kind, algs, names, max_size)
+    uni, names, mor_ids, dom, cod, identity_of, homs = enumerate_hom_sets(kind, algs, names)
     n = len(names)
 
     # rows[g][a]: the position of gt∘ft in hom(a, c) for each ft in hom(a,
@@ -603,7 +598,8 @@ def category_from_algebras(
     for g, rs in enumerate(map(tuple, rows)):
         rows[g] = keep(rs, rs)
 
-    meta = {"kind": kind, "max_size": max_size, "sizes": {x: uni.algebras[x].size for x in names}}
+    sizes = {x: uni.algebras[x].size for x in names}
+    meta = {"kind": kind, "max_size": max((a.size for a in algs), default=0), "sizes": sizes}
     return FinCategory._of_ints(names, mor_ids, dom, cod, identity_of, rows, meta, interned=interned), uni
 
 

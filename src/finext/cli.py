@@ -16,10 +16,10 @@ Every command that runs checks prints one line per non-pass entry (all
 entries when few), a summary, and a digest, and can write the full JSON
 report with ``--report``.  Exit status: 0 when no entry fails, 1 when one
 does (``--strict`` also counts inapplicable entries), 2 on usage or input
-errors, an output path that cannot be written among them.  Reports are
-deterministic for fixed inputs and flags: entries are sorted by id, sampled
-checks derive from ``--seed``, and each entry's ``timing_ms`` is kept out
-of the digest.
+errors, an output path that cannot be written among them (a ``--report``
+path is tried before any check runs).  Reports are deterministic for fixed
+inputs and flags: entries are sorted by id, sampled checks derive from
+``--seed``, and each entry's ``timing_ms`` is kept out of the digest.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from typing import Any, Iterable, NoReturn, Sequence
@@ -143,6 +144,19 @@ def _write_json(path: str, doc: dict) -> None:
             fh.write("\n")
     except OSError as exc:
         _fail_usage(f"cannot write {path}: {exc}")
+
+
+def _check_writable(path: str) -> None:
+    """Exit 2 now, before any check runs, when ``path`` cannot be opened
+    for writing.  An existing file is left as it is; one the probe makes
+    is removed again."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        _fail_usage(f"cannot write {path}: {exc}")
+    if not existed:
+        os.remove(path)
 
 
 def _load_input(args: argparse.Namespace) -> tuple[FinCategory, str]:
@@ -538,6 +552,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "report", None):
+        _check_writable(args.report)
     handlers = {
         "gen": cmd_gen,
         "validate": cmd_validate,

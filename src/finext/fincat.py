@@ -642,7 +642,6 @@ def _sections(cat: FinCategory) -> dict[int, int]:
     return out
 
 
-@cached("extremal_epis")
 def _extremal_epi_set(cat: FinCategory) -> frozenset[int]:
     """f is extremal epi iff every factorization f = m∘i with m mono has m iso.
 

@@ -53,8 +53,9 @@ the isos into its apex, the cone the search would have certified first.
 Any other cospan (f, u) is searched once per orbit under the isos j out of
 its codomain: (j∘f, j∘u) has the same commuting cones, since j is mono, so
 the search certifies the same first cone; only the least pair is searched.
-Every answer but the one-scan ``initial`` and ``terminal`` is kept on the
-category by ``fincat.cached``.
+Each search's answer is kept on the category by ``fincat.cached``, except
+the one-scan ``initial`` and ``terminal`` and the ``coequaliser`` and
+``image_factorisation`` searches, whose answers are seldom asked twice.
 All functions speak internal integer indexes; callers translate to string
 ids at the reporting boundary.
 """
@@ -160,16 +161,10 @@ def coproduct_bases(cat: FinCategory, x: int, arity: int = 2) -> tuple[tuple[int
     )
 
 
-@cached("coproduct_cocones")
-def _cocone_set(cat: FinCategory, x: int, arity: int) -> frozenset[tuple[int, ...]]:
-    """``coproduct_bases`` of (x, arity) as a set, cached."""
-    return frozenset(coproduct_bases(cat, x, arity))
-
-
 def is_coproduct_cocone(cat: FinCategory, *legs: int) -> bool:
     """Whether the legs (A_i -> X) exhibit X as the coproduct of the A_i:
     membership in the certified bases of X."""
-    return legs in _cocone_set(cat, cat._cod_l[legs[0]], len(legs))
+    return legs in coproduct_bases(cat, cat._cod_l[legs[0]], len(legs))
 
 
 @cached("coproduct")
@@ -188,10 +183,9 @@ def coproduct(cat: FinCategory, a1: int, a2: int) -> UniversalWitness | None:
     )
 
 
-@cached("coproduct_legs")
 def coproduct_legs(cat: FinCategory) -> frozenset[int]:
     """The legs of every certified binary coproduct cocone: the coproduct
-    inclusions.  Cached."""
+    inclusions, read from the stored ``coproduct_bases``."""
     return frozenset(m for x in range(len(cat.objects)) for base in coproduct_bases(cat, x) for m in base)
 
 
@@ -401,9 +395,8 @@ def is_coequaliser(cat: FinCategory, u: int, v: int, f: int) -> bool:
     )
 
 
-@cached("coequaliser")
 def coequaliser(cat: FinCategory, u: int, v: int) -> UniversalWitness | None:
-    """First coequaliser of (u, v), cached: apexes in object order, skipping
+    """First coequaliser of (u, v): apexes in object order, skipping
     those whose hom counts are not the fork counts, then the first epi in
     hom-set order that coequalises the pair.  None for a non-parallel pair."""
     a = cat._cod_l[u]
@@ -454,7 +447,6 @@ def _regular_epi_set(cat: FinCategory) -> frozenset[int]:
 # -- image factorisation ---------------------------------------------------------------
 
 
-@cached("image_fact")
 def image_factorisation(cat: FinCategory, f: int) -> tuple[int, int] | None:
     """A (regular epi, mono) factorisation f = m∘e, first in
     (intermediate, e, m) order; None when the category has none for f.

@@ -131,14 +131,9 @@ def sub_classes(cat: FinCategory, x: int) -> tuple[SubobjectClass, ...]:
     return tuple(classes)
 
 
-@cached("sub_lookup")
-def _class_index(cat: FinCategory, x: int) -> dict[int, SubobjectClass]:
-    """Each mono into x mapped to its subobject class."""
-    return {m: c for c in sub_classes(cat, x) for m in c.monos}
-
-
 def class_of(cat: FinCategory, m: int) -> SubobjectClass:
-    return _class_index(cat, cat._cod_l[m])[m]
+    """The subobject class of the mono m, among the classes of cod m."""
+    return next(c for c in sub_classes(cat, cat._cod_l[m]) if m in c.monos)
 
 
 def sub_leq(cat: FinCategory, a: int, b: int) -> bool:

@@ -11,6 +11,11 @@ position ``pos``.  Every morphism a -> b lifts to each a' -> b' with a'
 over a and b' over b, and composites and identities are the lifts of the
 originals, so x and x' are isomorphic through the lifts of x's identity.
 
+``product(C, D)`` is the product category C × D: objects and morphisms
+are pairs, and (g, g')∘(f, f') = (g∘f, g'∘f') is read from the two
+composition tables.  Its limits and colimits are componentwise, so each
+verdict on it is fixed by the verdicts on C and D.
+
 ``finite_limit_gaps(cat)`` lists where ``cat`` falls short of finite
 completeness: whether it has a terminal object, and how many binary
 products and pullbacks are missing, read from ``finext.limits``.
@@ -64,6 +69,30 @@ def inflate(cat: FinCategory, x: int, pos: int) -> FinCategory:
                 for c2, cc in over[cod[g]]:
                     composition[(lift_id(e["g"], cb, cc), lift_id(e["f"], ca, cb))] = lift_id(e["gf"], ca, cc)
     return FinCategory(objects, morphisms, identities, composition)
+
+
+def product(c: FinCategory, d: FinCategory) -> FinCategory:
+    """C × D, with object (x, y) named ``(x,y)`` and morphism (f, g) named
+    ``(f,g)``.  Builder metadata is dropped."""
+    jc, jd = c.to_json(), d.to_json()
+
+    def pair(a: str, b: str) -> str:
+        return f"({a},{b})"
+
+    return FinCategory(
+        [pair(x, y) for x in jc["objects"] for y in jd["objects"]],
+        [
+            (pair(f["id"], g["id"]), pair(f["dom"], g["dom"]), pair(f["cod"], g["cod"]))
+            for f in jc["morphisms"]
+            for g in jd["morphisms"]
+        ],
+        {pair(x, y): pair(i, j) for x, i in jc["identities"].items() for y, j in jd["identities"].items()},
+        {
+            (pair(e["g"], e2["g"]), pair(e["f"], e2["f"])): pair(e["gf"], e2["gf"])
+            for e in jc["composition"]
+            for e2 in jd["composition"]
+        },
+    )
 
 
 @st.composite

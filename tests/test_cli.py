@@ -132,6 +132,31 @@ def test_an_unwritable_output_path_is_an_input_error(set_file, tmp_path, command
     assert "Traceback" not in output
 
 
+@pytest.mark.parametrize("command", ["check", "verify-paper"])
+def test_an_unwritable_report_path_fails_before_any_check_runs(set_file, tmp_path, monkeypatch, command):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("ran checks for a report that cannot be written")
+
+    monkeypatch.setattr(cli, "_run_units", refuse)
+    target = str(tmp_path / "missing" / "r.json")
+    argv = [command, set_file] if command == "check" else [command]
+    code, output = _run_quietly([*argv, "--report", target])
+    assert code == 2
+    assert output.splitlines()[0].startswith(f"error: cannot write {target}: ")
+    assert len(output.splitlines()) == 1  # no summary, no digest
+
+
+def test_a_writable_report_path_is_probed_without_a_trace(set_file, tmp_path, capsys):
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("old")
+    assert run(capsys, "check", set_file, "--morphism", "no-such-id", "--report", str(fresh))[0] == 2
+    assert run(capsys, "check", set_file, "--morphism", "no-such-id", "--report", str(kept))[0] == 2
+    assert not fresh.exists() and kept.read_text() == "old"
+    assert run(capsys, "check", set_file, "--report", str(fresh))[0] == 0
+    assert run(capsys, "check", set_file, "--report", str(kept))[0] == 0
+    assert json.loads(kept.read_bytes())["digest"] == json.loads(fresh.read_bytes())["digest"]
+
+
 def test_validate_rejects_malformed_files(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"algebras": "nope"}')
